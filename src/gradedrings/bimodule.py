@@ -8,12 +8,22 @@ unital algebra, the enveloping algebra of the action is spanned by the
 pairwise products L_i R_j; that closed form is what makes the Burnside-style
 density test and the MeatAxe cheap here.
 
-Simplicity over GF(p) is decided by a norton-style MeatAxe with an
-exhaustive projective-spin fallback, so within the stated budgets a verdict
-of True or False is a theorem about the input, never a sample.  Over the
-rationals the same machinery runs with rational eigenvalue shifts standing
-in for projective enumeration; verdicts are still proofs, but the search can
-return Inconclusive.
+Simplicity is decided by a Norton-style MeatAxe with an exhaustive
+projective-spin fallback, so a True or False is a theorem about the input,
+never a sample; over the rationals, rational eigenvalue shifts stand in for
+projective enumeration and the search can end Inconclusive.  `is_simple`
+tries these certificates in order and names the deciding one as `method`:
+`dimension` (M is a line); `basis-spin`, `random-spin` (False: a basis or
+random vector spins to a proper invariant subspace); over GF(p) with
+p <= 64, Norton's test on up to eight envelope elements sampled without an
+envelope basis; `dense-envelope` (True: the L_i R_j span End(M)); Norton's
+test on elements drawn from the envelope basis; `exhaustive-spin` (GF(p)
+within budget: every projective vector is spun, True or False with a
+witness); `budget` or `rational-sampling` (Inconclusive).  Norton's test
+reports `meataxe-spin` (False: a nullspace vector spins to a proper
+subspace) or `meataxe-norton`, a proof either way: True when every
+nullspace line and one nullspace vector of the transpose spin to the whole
+space, else False with the annihilator of that transpose spin as witness.
 """
 from __future__ import annotations
 
@@ -256,15 +266,59 @@ def is_simple(
                 Verdict.FALSE, "random-spin", _checked_witness(action, w)
             )
 
+    sampled = 0
+    if 0 < f.p <= 64:
+        # every shift is tried, so one singular sample usually decides and
+        # the n^2-dimensional envelope basis is never built; the cap keeps
+        # the cost bounded on envelopes that are fields, where it rarely does
+        for _ in range(min(trials, 8)):
+            sampled += 1
+            theta = _sampled_envelope_element(action, rng)
+            report = _norton_shifts(action, theta, range(f.p), vector_budget)
+            if report is not None:
+                report.trials = sampled
+                return report
+
     rank, env = envelope(action)
     if rank == m * m:
-        return SimplicityReport(Verdict.TRUE, "dense-envelope")
+        return SimplicityReport(Verdict.TRUE, "dense-envelope", trials=sampled)
 
     if f.p == 0:
-        return _simplicity_rational(action, env, rng, trials)
-    return _simplicity_meataxe(
-        action, env, rng, trials, vector_budget, exhaustive_budget
-    )
+        report = _simplicity_rational(action, env, rng, trials)
+    else:
+        report = _simplicity_meataxe(
+            action, env, rng, trials, vector_budget, exhaustive_budget
+        )
+    report.trials += sampled
+    return report
+
+
+def _sampled_envelope_element(action: BimoduleAction, rng) -> Matrix:
+    """A uniform random member of the span of the products L_i R_j.
+
+    Draws theta = sum_i L_i (sum_j c_ij R_j) with no envelope basis.  The
+    sums run over plain ints and are reduced mod p once, by the Matrix
+    constructor.  GF(p) only.
+    """
+    f = action.field
+    m = action.dim
+    acc = [[0] * m for _ in range(m)]
+    for left in action.left_ops:
+        s = [[0] * m for _ in range(m)]
+        for right in action.right_ops:
+            c = f.random_scalar(rng)
+            if c:
+                s = [
+                    [a + c * b for a, b in zip(srow, rrow)]
+                    for srow, rrow in zip(s, right.entries)
+                ]
+        for k, lrow in enumerate(left.entries):
+            row = acc[k]
+            for t, x in enumerate(lrow):
+                if x:
+                    row = [a + x * b for a, b in zip(row, s[t])]
+            acc[k] = row
+    return Matrix(f, acc, cols=m)
 
 
 def _random_envelope_element(action: BimoduleAction, env, rng) -> Matrix:
@@ -322,6 +376,21 @@ def _norton_step(action: BimoduleAction, theta: Matrix, vector_budget: int):
     )
 
 
+def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, vector_budget: int):
+    """The first Norton report among theta - lam*I over the shifts, or None."""
+    f, rows = theta.field, theta.entries
+    for lam in shifts:
+        cand = theta if not lam else Matrix(
+            f, [r[:i] + (f.sub(r[i], lam),) + r[i + 1 :] for i, r in enumerate(rows)]
+        )
+        if cand.is_zero():
+            continue
+        report = _norton_step(action, cand, vector_budget)
+        if report is not None:
+            return report
+    return None
+
+
 def _simplicity_meataxe(action, env, rng, trials, vector_budget, exhaustive_budget):
     m = action.dim
     f = action.field
@@ -331,14 +400,10 @@ def _simplicity_meataxe(action, env, rng, trials, vector_budget, exhaustive_budg
         theta = _random_envelope_element(action, env, rng)
         used = t + 1
         shifts = range(p) if p <= 64 else sorted(rng.sample(range(p), 16))
-        for lam in shifts:
-            cand = theta if lam == 0 else theta.sub(Matrix.identity(f, m).scale(lam))
-            if cand.is_zero():
-                continue
-            report = _norton_step(action, cand, vector_budget)
-            if report is not None:
-                report.trials = used
-                return report
+        report = _norton_shifts(action, theta, shifts, vector_budget)
+        if report is not None:
+            report.trials = used
+            return report
     if p**m <= exhaustive_budget:
         for v in projective_vectors(f, Matrix.identity(f, m).entries):
             w = spin(action, v)
@@ -358,19 +423,14 @@ def _simplicity_meataxe(action, env, rng, trials, vector_budget, exhaustive_budg
 
 
 def _simplicity_rational(action, env, rng, trials):
-    m = action.dim
     used = 0
     for t in range(trials):
         theta = _random_envelope_element(action, env, rng)
         used = t + 1
-        for lam in rational_eigenvalues(theta):
-            cand = theta.sub(Matrix.identity(action.field, m).scale(lam))
-            if cand.is_zero():
-                continue
-            report = _norton_step(action, cand, vector_budget=1)
-            if report is not None:
-                report.trials = used
-                return report
+        report = _norton_shifts(action, theta, rational_eigenvalues(theta), 1)
+        if report is not None:
+            report.trials = used
+            return report
     return SimplicityReport(
         Verdict.INCONCLUSIVE,
         "rational-sampling",
@@ -473,25 +533,6 @@ def rational_eigenvalues(mat: Matrix) -> list:
     return [Fraction(r, den) for r in roots]
 
 
-def field_eigenvalues(mat: Matrix, rng=None) -> list:
-    """Eigenvalues of a matrix over GF(p) that lie in the prime field."""
-    f = mat.field
-    if f.p == 0:
-        return rational_eigenvalues(mat)
-    n = mat.shape[0]
-    if f.p <= 257:
-        lams = range(f.p)
-    else:
-        rng = rng or random.Random(0)
-        lams = sorted(set([0, 1, f.p - 1] + [rng.randrange(f.p) for _ in range(32)]))
-    out = []
-    for lam in lams:
-        shifted = mat.sub(Matrix.identity(f, n).scale(lam))
-        if nullspace(shifted).dim > 0:
-            out.append(lam)
-    return out
-
-
 # --- homomorphisms and isomorphism tests -------------------------------------
 
 
@@ -546,52 +587,6 @@ def are_isomorphic_simple(a: BimoduleAction, b: BimoduleAction) -> bool:
     if a.dim != b.dim:
         return False
     return hom_space(a, b).dim > 0
-
-
-@dataclass
-class SeparatingWord:
-    """An operator sum(c[i][j] L_i R_j) with w(x) != 0 and w(y) = 0."""
-
-    coeffs: Matrix
-    on_x: tuple
-    on_y: tuple
-
-
-def separating_operator(
-    m_action: BimoduleAction,
-    n_action: BimoduleAction,
-    x: Sequence,
-    y: Sequence,
-) -> Optional[SeparatingWord]:
-    """Find an operator word that keeps x alive while killing y.
-
-    Works inside the span of the products L_i R_j: the coefficient vectors c
-    with sum(c[i][j] (L_i R_j)(y)) = 0 form a subspace, and any member of it
-    that does not also kill x is a witness.  For non-isomorphic simple
-    carriers a witness always exists; None means every word that kills y
-    kills x too (which for simple carriers happens only when they are
-    isomorphic and x, y correspond).
-    """
-    f = m_action.field
-    if f != n_action.field:
-        raise InvalidInput("carriers over different fields")
-    nl, nr = len(m_action.left_ops), len(m_action.right_ops)
-    if (nl, nr) != (len(n_action.left_ops), len(n_action.right_ops)):
-        raise InvalidInput("carriers over different acting algebras")
-    cols_y = []
-    cols_x = []
-    for i in range(nl):
-        for j in range(nr):
-            cols_y.append(n_action.left_ops[i].apply(n_action.right_ops[j].apply(y)))
-            cols_x.append(m_action.left_ops[i].apply(m_action.right_ops[j].apply(x)))
-    eval_y = Matrix.from_columns(f, cols_y)
-    eval_x = Matrix.from_columns(f, cols_x)
-    for c in nullspace(eval_y).basis.entries:
-        image = eval_x.apply(c)
-        if any(image):
-            coeffs = Matrix(f, [c[i * nr : (i + 1) * nr] for i in range(nl)], cols=nr)
-            return SeparatingWord(coeffs, image, eval_y.apply(c))
-    return None
 
 
 def action_traces(a: BimoduleAction) -> tuple:

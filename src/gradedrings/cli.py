@@ -466,6 +466,9 @@ def _validate_build_args(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "budget", 1) < 1:
+        sys.stderr.write(f"error: --budget must be at least 1, got {args.budget}\n")
+        return 2
     try:
         if args.command == "build":
             _validate_build_args(args)

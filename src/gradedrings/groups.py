@@ -76,10 +76,6 @@ class FiniteGroup:
         except ValueError:
             raise InvalidInput(f"no element named {name!r}") from None
 
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i))
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteGroup)

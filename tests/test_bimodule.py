@@ -4,8 +4,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedrings.analysis import check_simple
 from gradedrings.bimodule import (
     Verdict,
+    _sampled_envelope_element,
     action_traces,
     are_isomorphic_simple,
     bimodules_isomorphic,
@@ -17,9 +19,9 @@ from gradedrings.bimodule import (
     regular_bimodule_action,
     spin,
 )
-from gradedrings.builders import group_algebra, m3_example
+from gradedrings.builders import full_matrix_algebra, group_algebra, m3_example
 from gradedrings.groups import cyclic_group
-from gradedrings.linalg import GF, RATIONALS
+from gradedrings.linalg import GF, RATIONALS, EchelonBasis
 
 
 def test_verdict_semantics():
@@ -46,10 +48,13 @@ def test_spin_monotone_and_invariant(m3_gf2):
 
 
 def test_is_simple_positive(gf4skew):
-    # each component of the Galois skew ring is a simple bimodule
+    # each component of the Galois skew ring is a simple bimodule; its
+    # envelope is GF(4), so no shifted sample is singular and the envelope
+    # fallbacks decide
     for g in range(2):
         rep = is_simple(component_action(gf4skew, g))
         assert rep.verdict is Verdict.TRUE
+        assert rep.method == "exhaustive-spin"
 
 
 def test_is_simple_negative_with_witness(m3_gf2):
@@ -69,6 +74,34 @@ def test_is_simple_rational_group_algebra(q_z2):
 def test_simple_ring_regular_action(m3_gf2):
     rep = is_simple(regular_bimodule_action(m3_gf2))
     assert rep.verdict is Verdict.TRUE
+    assert rep.method == "meataxe-norton"
+    assert rep.trials >= 1
+
+
+def test_large_prime_keeps_dense_envelope():
+    # past p = 64 the sampled shifts rarely hit an eigenvalue, so the dense
+    # envelope still certifies first
+    rep = check_simple(full_matrix_algebra(GF(65521), 3))
+    assert rep.holds()
+    assert rep.method == "dense-envelope"
+
+
+def test_sampled_elements_lie_in_envelope(m3_gf2, gf4skew):
+    # Norton's criterion is only sound for members of the enveloping algebra
+    rng = random.Random(7)
+    for act in (
+        regular_bimodule_action(m3_gf2),
+        component_action(m3_gf2, 0),
+        component_action(gf4skew, 1),
+    ):
+        _, mats = envelope(act)
+        basis = EchelonBasis(act.field, act.dim * act.dim)
+        for mat in mats:
+            basis.add(mat.flatten())
+        for _ in range(5):
+            theta = _sampled_envelope_element(act, rng)
+            assert theta.shape == (act.dim, act.dim)
+            assert basis.contains(theta.flatten())
 
 
 def test_hom_space_pins(m3_gf2, gf4skew):

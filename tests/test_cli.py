@@ -171,6 +171,19 @@ def test_check_gate_errors_exit_2(m3_path, capsys):
     assert "controlled" in capsys.readouterr().err
 
 
+def test_nonpositive_budget_rejected_exit_2(m3_path, capsys):
+    for argv in (
+        ["check", m3_path, "--property", "simple", "--budget", "-5", "--json"],
+        ["check", m3_path, "--property", "simple", "--budget", "0"],
+        ["oracle", m3_path, "--what", "controlled", "--budget", "-1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "--budget" in captured.err
+
+
 def test_check_unknown_property_usage_error(m3_path):
     with pytest.raises(SystemExit) as exc:
         main(["check", m3_path, "--property", "bogus"])
