@@ -155,30 +155,26 @@ class GradedAlgebra:
 
     def left_matrix(self, x: "Element") -> Matrix:
         """Matrix of v -> x*v on the flattened algebra (column convention)."""
-        cols = [self.flatten(x * self.from_flat(_unit_vec(self, k))) for k in range(self.dim)]
+        cols = [self.flatten(x * b) for b in self._flat_basis()]
         return Matrix.from_columns(self.field, cols)
 
     def right_matrix(self, x: "Element") -> Matrix:
-        cols = [self.flatten(self.from_flat(_unit_vec(self, k)) * x) for k in range(self.dim)]
+        cols = [self.flatten(b * x) for b in self._flat_basis()]
         return Matrix.from_columns(self.field, cols)
+
+    def _flat_basis(self) -> list:
+        """The basis elements in flat order."""
+        return [self.basis_element(*self.basis_of_flat(k)) for k in range(self.dim)]
 
     def flat_left_ops(self) -> tuple:
         """Left multiplication by each flat basis element, as n x n matrices."""
         if self._flat_left is None:
-            ops = []
-            for k in range(self.dim):
-                g, i = self.basis_of_flat(k)
-                ops.append(self.left_matrix(self.basis_element(g, i)))
-            self._flat_left = tuple(ops)
+            self._flat_left = tuple(self.left_matrix(b) for b in self._flat_basis())
         return self._flat_left
 
     def flat_right_ops(self) -> tuple:
         if self._flat_right is None:
-            ops = []
-            for k in range(self.dim):
-                g, i = self.basis_of_flat(k)
-                ops.append(self.right_matrix(self.basis_element(g, i)))
-            self._flat_right = tuple(ops)
+            self._flat_right = tuple(self.right_matrix(b) for b in self._flat_basis())
         return self._flat_right
 
     def component_ops(self, g: int) -> tuple:
@@ -223,12 +219,6 @@ class GradedAlgebra:
     def __repr__(self):
         dims = ", ".join(f"{self.group.names[g]}:{d}" for g, d in enumerate(self.comp_dims))
         return f"GradedAlgebra({self.field}, dim {self.dim} = {dims})"
-
-
-def _unit_vec(alg: GradedAlgebra, k: int) -> list:
-    v = [alg.field.zero] * alg.dim
-    v[k] = alg.field.one
-    return v
 
 
 class Element:
@@ -376,9 +366,7 @@ def validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
     """Unit laws plus the full associativity scan over basis triples."""
     problems = []
     one = alg.one()
-    basis = [
-        alg.basis_element(*alg.basis_of_flat(k)) for k in range(alg.dim)
-    ]
+    basis = alg._flat_basis()
     for k, b in enumerate(basis):
         if one * b != b or b * one != b:
             g, i = alg.basis_of_flat(k)

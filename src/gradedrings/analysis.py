@@ -11,13 +11,22 @@ Verdicts are three-valued.  Over a prime field every check below is
 conclusive at the scales this package targets, because projective sweeps
 are affordable; over the rationals a check either certifies its answer
 (kernel computations, dense envelopes, rational eigenvalue splits, trace
-obstructions) or honestly returns Inconclusive.  No check trusts another
-check's verdict: routes that the theory asserts to be equivalent are
-computed from scratch so the equivalences stay testable.
+obstructions) or honestly returns Inconclusive.
+
+`check_controlled` (and so `subring_correspondence`),
+`check_picard_injective`, legs (i)-(iii) of `check_necessary_conditions`
+and the legs of `check_crossed_controlled` all read one component profile:
+the simplicity of each component as an R_e-bimodule and the isomorphism
+verdict of each pair, computed once.  R_e as a ring is the identity
+component acting on itself, so its simplicity is read there too.  This
+loses no independence: the checks used to repeat the same deterministic
+call on the same matrices with the same seed.  The brute-force oracle
+stays independent of all of it.
 """
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -31,6 +40,7 @@ from .algebra import (
 )
 from .bimodule import (
     BimoduleAction,
+    SimplicityReport,
     Verdict,
     are_isomorphic_simple,
     action_traces,
@@ -328,14 +338,6 @@ def check_simple(
     )
 
 
-def _embed_component(alg: GradedAlgebra, g: int, vec) -> tuple:
-    flat = [alg.field.zero] * alg.dim
-    off = alg.offsets[g]
-    for i, c in enumerate(vec):
-        flat[off + i] = c
-    return tuple(flat)
-
-
 def check_graded_simple(
     alg: GradedAlgebra, *, seed: int = 0, trials: int = 64, budget: int = 65536
 ) -> CheckResult:
@@ -360,17 +362,13 @@ def check_graded_simple(
         return alg.comp_dims[g] == 1
 
     def component_rays(g: int):
-        d = alg.comp_dims[g]
-        if f.p:
-            rows = Matrix.identity(f, d).entries
-            yield from projective_vectors(f, rows)
-        else:
-            yield (f.one,) + (f.zero,) * (d - 1)
+        rows = Matrix.identity(f, alg.comp_dims[g]).entries
+        return projective_vectors(f, rows) if f.p else rows
 
     if all(sweepable(g) for g in supports):
         for g in supports:
             for vec in component_rays(g):
-                w = spin(reg, _embed_component(alg, g, vec))
+                w = spin(reg, alg.flatten(alg.element({g: vec})))
                 if 0 < w.dim < alg.dim:
                     return CheckResult(
                         "graded-simple",
@@ -390,12 +388,9 @@ def check_graded_simple(
         )
 
     rng = random.Random(seed)
-    seeds = []
-    for g in supports:
-        for i in range(alg.comp_dims[g]):
-            seeds.append((g, tuple(
-                f.one if t == i else f.zero for t in range(alg.comp_dims[g])
-            )))
+    seeds = [
+        (g, row) for g in supports for row in Matrix.identity(f, alg.comp_dims[g]).entries
+    ]
     for _ in range(trials):
         g = supports[rng.randrange(len(supports))]
         d = alg.comp_dims[g]
@@ -403,7 +398,7 @@ def check_graded_simple(
         if any(vec):
             seeds.append((g, vec))
     for g, vec in seeds:
-        w = spin(reg, _embed_component(alg, g, vec))
+        w = spin(reg, alg.flatten(alg.element({g: vec})))
         if 0 < w.dim < alg.dim:
             return CheckResult(
                 "graded-simple",
@@ -436,6 +431,63 @@ def check_graded_simple(
 # --------------------------------------------------------------------------
 # the controlled property
 # --------------------------------------------------------------------------
+
+
+@dataclass
+class _ComponentProfile:
+    """Simplicity and isomorphism evidence shared by the component checks.
+
+    simple maps each nonzero component g to its `is_simple` report as an
+    R_e-bimodule (seed + g); iso maps each pair g < h of nonzero components
+    to their isomorphism verdict (seed + 101*g + h).
+    """
+
+    simple: Dict[int, SimplicityReport]
+    iso: Dict[Tuple[int, int], Verdict]
+
+    def components_simple(self, order: int) -> Tuple[Verdict, Optional[int]]:
+        """Is every component nonzero and simple?  With the first that is not."""
+        for g in range(order):
+            if g not in self.simple or self.simple[g].verdict is Verdict.FALSE:
+                return Verdict.FALSE, g
+        return _unless_undecided([rep.verdict for rep in self.simple.values()]), None
+
+
+def _component_profile(
+    alg: GradedAlgebra, *, seed: int, trials: int, budget: int
+) -> _ComponentProfile:
+    """Simplicity of every nonzero component and isomorphism of every pair.
+
+    Two simple components are compared by Schur's lemma, exact over any
+    field; any other pair goes through the invertible-hom search.
+    """
+    support = [g for g in range(alg.group.order) if alg.comp_dims[g]]
+    actions = {g: component_action(alg, g) for g in support}
+    simple = {
+        g: is_simple(actions[g], seed=seed + g, trials=trials, exhaustive_budget=budget)
+        for g in support
+    }
+    iso = {}
+    for g, h in combinations(support, 2):
+        if simple[g].verdict is Verdict.TRUE and simple[h].verdict is Verdict.TRUE:
+            iso[(g, h)] = Verdict.from_bool(are_isomorphic_simple(actions[g], actions[h]))
+        else:
+            iso[(g, h)] = bimodules_isomorphic(
+                actions[g], actions[h], seed=seed + 101 * g + h, trials=trials, budget=budget
+            ).verdict
+    return _ComponentProfile(simple, iso)
+
+
+def _non_isomorphic(pairs: dict) -> Tuple[Verdict, Optional[Tuple[int, int]]]:
+    """Is no pair isomorphic?  With the first pair that is."""
+    for pair, v in sorted(pairs.items()):
+        if v is Verdict.TRUE:
+            return Verdict.FALSE, pair
+    return _unless_undecided(list(pairs.values())), None
+
+
+def _unless_undecided(verdicts: list) -> Verdict:
+    return Verdict.INCONCLUSIVE if Verdict.INCONCLUSIVE in verdicts else Verdict.TRUE
 
 
 @dataclass
@@ -484,55 +536,36 @@ def check_controlled(
     A zero component fails immediately (it would glue two subsets to the
     same sub-bimodule).
     """
+    profile = _component_profile(alg, seed=seed, trials=trials, budget=budget)
+    return _controlled_report(alg, profile, seed, budget)
+
+
+def _controlled_report(
+    alg: GradedAlgebra, profile: _ComponentProfile, seed: int, budget: int
+) -> ControlledReport:
     G = alg.group
-    simplicity: Dict[int, Verdict] = {}
+    simplicity = {
+        g: profile.simple[g].verdict if g in profile.simple else Verdict.FALSE
+        for g in range(G.order)
+    }
+    iso = {
+        pair: profile.iso.get(pair, Verdict.SKIPPED)
+        for pair in combinations(range(G.order), 2)
+    }
+    comp_verdict, bad = profile.components_simple(G.order)
+    iso_verdict, pair = _non_isomorphic(profile.iso)
     witness = None
-    for g in range(G.order):
-        if alg.comp_dims[g] == 0:
-            simplicity[g] = Verdict.FALSE
-            if witness is None:
-                witness = {"kind": "zero-component", "component": G.names[g]}
-            continue
-        rep = is_simple(
-            component_action(alg, g),
-            seed=seed + g,
-            trials=trials,
-            exhaustive_budget=budget,
-        )
-        simplicity[g] = rep.verdict
-        if rep.verdict is Verdict.FALSE and witness is None:
-            witness = {
-                "kind": "component-not-simple",
-                "component": G.names[g],
-                "sub_bimodule": _enc_subspace(alg.field, rep.witness),
-            }
-
-    iso: Dict[Tuple[int, int], Verdict] = {}
-    for g in range(G.order):
-        for h in range(g + 1, G.order):
-            if alg.comp_dims[g] == 0 or alg.comp_dims[h] == 0:
-                iso[(g, h)] = Verdict.SKIPPED
-                continue
-            a = component_action(alg, g)
-            b = component_action(alg, h)
-            if simplicity[g] is Verdict.TRUE and simplicity[h] is Verdict.TRUE:
-                same = Verdict.from_bool(are_isomorphic_simple(a, b))
-            else:
-                same = bimodules_isomorphic(
-                    a, b, seed=seed + 101 * g + h, trials=trials, budget=budget
-                ).verdict
-            iso[(g, h)] = same
-            if same is Verdict.TRUE and witness is None:
-                witness = {"kind": "isomorphic-pair", "pair": [G.names[g], G.names[h]]}
-
-    if witness is not None:
-        verdict = Verdict.FALSE
-    elif any(not v.decided for v in simplicity.values()) or any(
-        v is Verdict.INCONCLUSIVE for v in iso.values()
-    ):
-        verdict = Verdict.INCONCLUSIVE
-    else:
-        verdict = Verdict.TRUE
+    if bad is not None and bad not in profile.simple:
+        witness = {"kind": "zero-component", "component": G.names[bad]}
+    elif bad is not None:
+        witness = {
+            "kind": "component-not-simple",
+            "component": G.names[bad],
+            "sub_bimodule": _enc_subspace(alg.field, profile.simple[bad].witness),
+        }
+    elif pair is not None:
+        witness = {"kind": "isomorphic-pair", "pair": [G.names[g] for g in pair]}
+    verdict = Verdict.FALSE if witness else _unless_undecided([comp_verdict, iso_verdict])
     return ControlledReport(
         verdict, simplicity, iso, witness, seed, budget, group_names=G.names
     )
@@ -571,60 +604,34 @@ def check_necessary_conditions(
     """
     G = alg.group
     f = alg.field
-    parts = []
+    e = G.identity
+    profile = _component_profile(alg, seed=seed, trials=trials, budget=budget)
 
-    iso_verdict = Verdict.TRUE
-    iso_witness = None
-    for g in range(G.order):
-        for h in range(g + 1, G.order):
-            dg, dh = alg.comp_dims[g], alg.comp_dims[h]
-            if dg == 0 and dh == 0:
-                same = Verdict.TRUE
-            elif dg == 0 or dh == 0:
-                same = Verdict.FALSE
-            else:
-                same = bimodules_isomorphic(
-                    component_action(alg, g),
-                    component_action(alg, h),
-                    seed=seed + 101 * g + h,
-                    trials=trials,
-                    budget=budget,
-                ).verdict
-            if same is Verdict.TRUE:
-                iso_verdict = Verdict.FALSE
-                iso_witness = {"pair": [G.names[g], G.names[h]]}
-                break
-            if same is Verdict.INCONCLUSIVE and iso_verdict is Verdict.TRUE:
-                iso_verdict = Verdict.INCONCLUSIVE
-        if iso_witness is not None:
-            break
-    parts.append(
+    def same(g: int, h: int) -> Verdict:
+        dg, dh = alg.comp_dims[g], alg.comp_dims[h]
+        if dg == 0 or dh == 0:
+            return Verdict.from_bool(dg == dh)
+        return profile.iso[(g, h)]
+
+    pairs = {pair: same(*pair) for pair in combinations(range(G.order), 2)}
+    iso_verdict, iso_pair = _non_isomorphic(pairs)
+    parts = [
         CheckResult(
             "pairwise-non-isomorphic", iso_verdict, method="bimodule-isomorphism",
-            witness=iso_witness, seed=seed, budget=budget,
+            witness=None if iso_pair is None else {"pair": [G.names[g] for g in iso_pair]},
+            seed=seed, budget=budget,
         )
-    )
+    ]
 
-    comp_verdict = Verdict.TRUE
+    comp_verdict, bad = profile.components_simple(G.order)
     comp_witness = None
-    for g in range(G.order):
-        if alg.comp_dims[g] == 0:
-            comp_verdict = Verdict.FALSE
-            comp_witness = {"component": G.names[g], "kind": "zero-component"}
-            break
-        rep = is_simple(
-            component_action(alg, g), seed=seed + g, trials=trials,
-            exhaustive_budget=budget,
-        )
-        if rep.verdict is Verdict.FALSE:
-            comp_verdict = Verdict.FALSE
-            comp_witness = {
-                "component": G.names[g],
-                "sub_bimodule": _enc_subspace(f, rep.witness),
-            }
-            break
-        if rep.verdict is Verdict.INCONCLUSIVE:
-            comp_verdict = Verdict.INCONCLUSIVE
+    if bad is not None and bad not in profile.simple:
+        comp_witness = {"component": G.names[bad], "kind": "zero-component"}
+    elif bad is not None:
+        comp_witness = {
+            "component": G.names[bad],
+            "sub_bimodule": _enc_subspace(f, profile.simple[bad].witness),
+        }
     parts.append(
         CheckResult(
             "components-simple", comp_verdict, method="bimodule-simplicity",
@@ -632,11 +639,8 @@ def check_necessary_conditions(
         )
     )
 
-    base = alg.identity_component_algebra()
-    base_rep = is_simple(
-        regular_bimodule_action(base), seed=seed, trials=trials,
-        exhaustive_budget=budget,
-    )
+    # R_e as a bimodule over itself is the identity component: same operators
+    base_rep = profile.simple[e]
     base_witness = None
     if base_rep.witness is not None:
         base_witness = {"ideal": _enc_subspace(f, base_rep.witness)}
@@ -766,13 +770,12 @@ def _unit_search_space(alg: GradedAlgebra, g: int, rng, trials: int, budget: int
     """
     f = alg.field
     d = alg.comp_dims[g]
+    rows = Matrix.identity(f, d).entries
     if f.p and f.p ** d <= budget:
-        rows = Matrix.identity(f, d).entries
         return projective_vectors(f, rows), True
 
     def sampled():
-        for i in range(d):
-            yield tuple(f.one if t == i else f.zero for t in range(d))
+        yield from rows
         for _ in range(trials):
             if f.p:
                 vec = tuple(f.random_scalar(rng) for _ in range(d))
@@ -970,9 +973,7 @@ def verify_crossed_reconstruction(
             for k in range(de):
                 for l in range(de):
                     lhs = (base_el(k) * units[g]) * (base_el(l) * units[h])
-                    sig_c = alg.element({e: data.sigma[g].apply(
-                        tuple(alg.field.one if t == l else alg.field.zero for t in range(de))
-                    )})
+                    sig_c = alg.element({e: data.sigma[g].column(l)})
                     rhs = base_el(k) * sig_c * alpha_el * units[gh]
                     if lhs != rhs:
                         return {
@@ -983,8 +984,8 @@ def verify_crossed_reconstruction(
 
 
 def is_inner(
-    base: GradedAlgebra, sigma: Matrix, *, seed: int = 0, trials: int = 64,
-    budget: int = 65536,
+    base: GradedAlgebra, sigma: Matrix, *, base_simple: Verdict, seed: int = 0,
+    trials: int = 64, budget: int = 65536,
 ) -> CheckResult:
     """Is the automorphism conjugation by some invertible element?
 
@@ -994,7 +995,8 @@ def is_inner(
     simple any nonzero member of V is automatically invertible (its left
     annihilator would be a proper nonzero ideal), so a nonzero V settles
     Inner.  Otherwise the search for an invertible member is exhaustive
-    over GF(p) within budget and randomized over Q.
+    over GF(p) within budget and randomized over Q.  base_simple is the
+    caller's simplicity verdict on the base ring.
     """
     validate_automorphism(base, sigma, "sigma")
     f = base.field
@@ -1011,11 +1013,7 @@ def is_inner(
             detail="no nonzero twisted intertwiner", seed=seed, budget=budget,
         )
 
-    base_simple = is_simple(
-        regular_bimodule_action(base), seed=seed, trials=trials,
-        exhaustive_budget=budget,
-    )
-    if base_simple.verdict is Verdict.TRUE:
+    if base_simple is Verdict.TRUE:
         x = base.from_flat(V.basis.row(0))
         if is_invertible(x) is None:
             raise InternalInconsistency(
@@ -1072,9 +1070,13 @@ def check_crossed_controlled(
 
     (a) the direct controlled test, (b) base ring simple plus the
     centralizer condition, (c) base ring simple plus every non-identity
-    sigma_g outer.  All three are computed from scratch; decided legs must
-    agree or the run aborts, since their equivalence is exactly what the
-    theory promises for crossed products.
+    sigma_g outer.  The three legs read one component profile: leg (a) is
+    built from it, and legs (b) and (c) take the simplicity of R_e from its
+    identity component, which is R_e as a bimodule over itself.  What each
+    leg then adds is its own: the centralizer kernel for (b), the twisted
+    intertwiner spaces for (c).  Decided legs must agree or the run aborts,
+    since their equivalence is exactly what the theory promises for crossed
+    products.
     """
     det = detect_crossed_product(alg, seed=seed, budget=budget)
     if det.verdict is not Verdict.TRUE:
@@ -1086,17 +1088,15 @@ def check_crossed_controlled(
     G = alg.group
     e = G.identity
 
-    leg_a = check_controlled(alg, seed=seed, trials=trials, budget=budget)
+    profile = _component_profile(alg, seed=seed, trials=trials, budget=budget)
+    leg_a = _controlled_report(alg, profile, seed, budget)
     part_a = CheckResult(
         "controlled-direct", leg_a.verdict, method=leg_a.method, witness=leg_a.witness,
         seed=seed, budget=budget,
     )
 
     base = alg.identity_component_algebra()
-    base_rep = is_simple(
-        regular_bimodule_action(base), seed=seed, trials=trials,
-        exhaustive_budget=budget,
-    )
+    base_rep = profile.simple[e]
     cent = check_centralizer_condition(alg)
     if base_rep.verdict is Verdict.FALSE or cent.verdict is Verdict.FALSE:
         vb = Verdict.FALSE
@@ -1119,7 +1119,10 @@ def check_crossed_controlled(
             if g == e:
                 continue
             inner_verdicts.append(
-                is_inner(base, data.sigma[g], seed=seed + g, trials=trials, budget=budget).verdict
+                is_inner(
+                    base, data.sigma[g], base_simple=base_rep.verdict, seed=seed + g,
+                    trials=trials, budget=budget,
+                ).verdict
             )
         if any(v is Verdict.TRUE for v in inner_verdicts):
             vc = Verdict.FALSE
@@ -1170,38 +1173,13 @@ def check_picard_injective(
     if strong.verdict is not Verdict.TRUE:
         raise InvalidInput("the component class map needs a strongly graded algebra")
     G = alg.group
-    simplicity = {}
-    for g in range(G.order):
-        simplicity[g] = is_simple(
-            component_action(alg, g), seed=seed + g, trials=trials,
-            exhaustive_budget=budget,
-        ).verdict
-    undecided = False
-    for g in range(G.order):
-        for h in range(g + 1, G.order):
-            a = component_action(alg, g)
-            b = component_action(alg, h)
-            if simplicity[g] is Verdict.TRUE and simplicity[h] is Verdict.TRUE:
-                same = Verdict.from_bool(are_isomorphic_simple(a, b))
-            else:
-                same = bimodules_isomorphic(
-                    a, b, seed=seed + 101 * g + h, trials=trials, budget=budget
-                ).verdict
-            if same is Verdict.TRUE:
-                return CheckResult(
-                    "picard-injective", Verdict.FALSE, method="pairwise-isomorphism",
-                    witness={"pair": [G.names[g], G.names[h]]}, seed=seed, budget=budget,
-                )
-            if same is Verdict.INCONCLUSIVE:
-                undecided = True
-    if undecided:
-        return CheckResult(
-            "picard-injective", Verdict.INCONCLUSIVE, method="pairwise-isomorphism",
-            seed=seed, budget=budget,
-        )
+    profile = _component_profile(alg, seed=seed, trials=trials, budget=budget)
+    verdict, pair = _non_isomorphic(profile.iso)
     return CheckResult(
-        "picard-injective", Verdict.TRUE, method="pairwise-isomorphism",
-        detail="no two distinct components are isomorphic", seed=seed, budget=budget,
+        "picard-injective", verdict, method="pairwise-isomorphism",
+        detail="no two distinct components are isomorphic" if verdict is Verdict.TRUE else "",
+        witness=None if pair is None else {"pair": [G.names[g] for g in pair]},
+        seed=seed, budget=budget,
     )
 
 

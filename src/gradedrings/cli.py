@@ -4,8 +4,10 @@ Three subcommands: `build` writes an algebra file, `check` decides one
 property of an algebra file, `oracle` runs the brute-force enumerations.
 Exit codes follow one contract everywhere: 0 the property holds, 1 it
 fails, 3 the check came back inconclusive, 2 for any usage, input, or
-budget error.  All output is deterministic for a fixed --seed; the only
-environment variable consulted is NO_COLOR.
+budget error, 4 when two procedures that must agree did not (an internal
+inconsistency, which on valid input means a bug).  All output is
+deterministic for a fixed --seed; the only environment variable consulted
+is NO_COLOR.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .builders import (
     m3_example,
     skew_group_ring,
 )
-from .errors import BudgetError, InvalidInput
+from .errors import BudgetError, InternalInconsistency, InvalidInput
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -476,6 +478,9 @@ def main(argv=None) -> int:
     except (InvalidInput, BudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except InternalInconsistency as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

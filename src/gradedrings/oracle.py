@@ -381,11 +381,7 @@ def subring_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> List[
     subs = enumerate_sub_bimodules(alg, budget=budget)
     e = alg.group.identity
     one_flat = alg.flatten(alg.one())
-    e_rows = []
-    for i in range(alg.comp_dims[e]):
-        row = [alg.field.zero] * alg.dim
-        row[alg.offsets[e] + i] = alg.field.one
-        e_rows.append(tuple(row))
+    e_rows = [alg.flatten(alg.basis_element(e, i)) for i in range(alg.comp_dims[e])]
     out = []
     for s in subs:
         if not s.contains(one_flat):

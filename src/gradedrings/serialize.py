@@ -30,6 +30,10 @@ from .errors import InvalidInput
 from .groups import FiniteGroup
 from .linalg import GF, Field
 
+# Largest total dimension a file may declare.  GradedAlgebra allocates a
+# dense structure table of that size squared before it reads any row.
+MAX_TOTAL_DIM = 1024
+
 
 def scalar_to_json(field: Field, x):
     """Encode one scalar: int for GF(p), "num/den" string for Q."""
@@ -123,12 +127,24 @@ def algebra_from_obj(obj) -> GradedAlgebra:
         comp_dims = [comps[name] for name in group.names]
     except (KeyError, TypeError) as exc:
         raise InvalidInput("components must map every group element name to a dimension") from exc
+    # sizes are compared by type(), not isinstance(): bool and float are refused
+    for name, d in zip(group.names, comp_dims):
+        if type(d) is not int or d < 0:
+            raise InvalidInput(
+                f"dimension of component {name!r} must be a non-negative integer, got {d!r}"
+            )
+    if sum(comp_dims) > MAX_TOTAL_DIM:
+        raise InvalidInput(
+            f"total dimension {sum(comp_dims)} exceeds the limit of {MAX_TOTAL_DIM}"
+        )
     structure = {}
     for row in rows:
         if not (isinstance(row, list) and len(row) == 5):
             raise InvalidInput(f"structure row must be [g, i, h, j, coeffs], got {row!r}")
         g, i, h, j, coeffs = row
         key = (g, i, h, j)
+        if not type(g) is type(i) is type(h) is type(j) is int or min(key) < 0:
+            raise InvalidInput(f"structure index must be a non-negative integer, got {key!r}")
         if key in structure:
             raise InvalidInput(f"duplicate structure row for {key}")
         structure[key] = vector_from_json(field, coeffs)

@@ -20,7 +20,7 @@ from gradedrings.analysis import (
     verify_crossed_identities,
     verify_crossed_reconstruction,
 )
-from gradedrings.bimodule import Verdict
+from gradedrings.bimodule import Verdict, is_simple, regular_bimodule_action
 from gradedrings.builders import (
     finite_field_algebra,
     full_matrix_algebra,
@@ -244,7 +244,7 @@ def test_is_inner_detects_conjugation():
     base = full_matrix_algebra(GF(2), 2)
     w = base.element({0: (0, 1, 1, 0)})
     sigma = inner_automorphism_matrix(base, w)
-    rep = is_inner(base, sigma)
+    rep = is_inner(base, sigma, base_simple=is_simple(regular_bimodule_action(base)).verdict)
     assert rep.verdict is Verdict.TRUE
     u = base.element({0: tuple(rep.witness["element"])})
     # the witness really conjugates: u b = sigma(b) u on basis elements
@@ -256,7 +256,7 @@ def test_is_inner_detects_conjugation():
 
 def test_is_inner_rejects_frobenius():
     base, frob = finite_field_algebra(2, 2)
-    rep = is_inner(base, frob)
+    rep = is_inner(base, frob, base_simple=is_simple(regular_bimodule_action(base)).verdict)
     assert rep.verdict is Verdict.FALSE
 
 

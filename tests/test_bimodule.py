@@ -118,16 +118,39 @@ def test_isomorphic_components_of_group_algebra(gf2_z2):
     a0 = component_action(gf2_z2, 0)
     a1 = component_action(gf2_z2, 1)
     assert are_isomorphic_simple(a0, a1)
-    rep = bimodules_isomorphic(a0, a1, both_simple=True)
-    assert rep.verdict is Verdict.TRUE
+    assert bimodules_isomorphic(a0, a1).verdict is Verdict.TRUE
 
 
 def test_nonisomorphic_components(gf4skew):
     a0 = component_action(gf4skew, 0)
     a1 = component_action(gf4skew, 1)
     assert not are_isomorphic_simple(a0, a1)
-    rep = bimodules_isomorphic(a0, a1, both_simple=True)
-    assert rep.verdict is Verdict.FALSE
+    assert bimodules_isomorphic(a0, a1).verdict is Verdict.FALSE
+
+
+def test_unequal_traces_skip_the_hom_space(gf4skew, monkeypatch):
+    # the Galois components are split by their traces alone
+    import gradedrings.bimodule as bimodule
+
+    def no_hom_space(a, b):
+        raise AssertionError("hom_space should not be reached")
+
+    monkeypatch.setattr(bimodule, "hom_space", no_hom_space)
+    a0 = component_action(gf4skew, 0)
+    a1 = component_action(gf4skew, 1)
+    assert action_traces(a0) != action_traces(a1)
+    assert not are_isomorphic_simple(a0, a1)
+
+
+def test_identity_component_is_base_ring_over_itself():
+    # R_e's simplicity as a ring is read off the identity component
+    from gradedrings.corpus import standard_corpus
+
+    for inst in standard_corpus():
+        alg = inst.alg
+        comp = component_action(alg, alg.group.identity)
+        reg = regular_bimodule_action(alg.identity_component_algebra())
+        assert comp.left_ops == reg.left_ops and comp.right_ops == reg.right_ops
 
 
 def test_action_traces_invariant(gf2_z2):

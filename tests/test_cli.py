@@ -3,10 +3,12 @@ import json
 
 import pytest
 
+from gradedrings.builders import galois_skew_example, group_algebra
 from gradedrings.cli import main, parse_field, parse_group
 from gradedrings.errors import InvalidInput
+from gradedrings.groups import cyclic_group
 from gradedrings.linalg import GF, RATIONALS
-from gradedrings.serialize import load_algebra
+from gradedrings.serialize import MAX_TOTAL_DIM, algebra_to_obj, load_algebra
 
 
 @pytest.fixture()
@@ -182,6 +184,67 @@ def test_nonpositive_budget_rejected_exit_2(m3_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "--budget" in captured.err
+
+
+def _set_dim(value):
+    def edit(obj):
+        obj["components"]["1"] = value
+    return edit
+
+
+def _set_index(value):
+    def edit(obj):
+        obj["structure"][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,needle",
+    [
+        (_set_dim("x"), "dimension of component"),
+        (_set_dim(1.5), "dimension of component"),
+        (_set_dim(True), "dimension of component"),
+        (_set_dim(-1), "dimension of component"),
+        # one past the cap in total: the other component has dimension 1
+        (_set_dim(MAX_TOTAL_DIM), f"exceeds the limit of {MAX_TOTAL_DIM}"),
+        (_set_index(0.0), "structure index"),
+        (_set_index(False), "structure index"),
+        (_set_index(-1), "structure index"),
+    ],
+    ids=[
+        "dim-string", "dim-float", "dim-bool", "dim-negative", "total-dim-over-cap",
+        "index-float", "index-bool", "index-negative",
+    ],
+)
+def test_malformed_sizes_rejected_exit_2(tmp_path, capsys, edit, needle):
+    # GF(2)[Z/2]: both components are lines, so a dimension read as 1 or an
+    # index read as 0 would still give a valid algebra
+    obj = algebra_to_obj(group_algebra(GF(2), cyclic_group(2)))
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path), "--property", "valid"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
+def test_internal_inconsistency_exit_4(tmp_path, capsys):
+    # b_{0,0} * b_{0,0} flipped from 1 to the generator of GF(4): the data is
+    # no longer associative, and the unit found for R_1 stops being invertible
+    obj = algebra_to_obj(galois_skew_example(2, 2))
+    assert obj["structure"][0] == [0, 0, 0, 0, [1, 0]]
+    obj["structure"][0][4] = [0, 1]
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path), "--property", "valid"]) == 1
+    capsys.readouterr()
+    for prop in ("crossed-product", "crossed-controlled"):
+        assert main(["check", str(path), "--property", prop]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: stored unit lost its invertibility\n"
 
 
 def test_check_unknown_property_usage_error(m3_path):
