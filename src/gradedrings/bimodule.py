@@ -32,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistency, InvalidInput
@@ -588,15 +589,18 @@ def are_isomorphic_simple(a: BimoduleAction, b: BimoduleAction) -> bool:
 
 
 def action_traces(a: BimoduleAction) -> tuple:
-    """Traces of all products L_i R_j; equal for isomorphic bimodules."""
+    """Traces of all products L_i R_j; equal for isomorphic bimodules.
+
+    tr(L R) is the sum over i, j of L[i][j] R[j][i], so no product matrix
+    is formed.
+    """
+    p = a.field.p
+    cols = [tuple(zip(*r.entries)) for r in a.right_ops]
     out = []
     for l in a.left_ops:
-        for r in a.right_ops:
-            prod = l @ r
-            t = a.field.zero
-            for i in range(a.dim):
-                t = a.field.add(t, prod.entries[i][i])
-            out.append(t)
+        for rc in cols:
+            t = sum((sum(map(mul, row, col)) for row, col in zip(l.entries, rc)), a.field.zero)
+            out.append(t % p if p else t)
     return tuple(out)
 
 

@@ -11,9 +11,28 @@ Everything refuses the rationals.  Budgets are counted in enumerated
 objects (candidate seed vectors, subspaces, lattice members) so runtime
 stays predictable; crossing a budget raises BudgetError rather than
 degrading to sampling.
+
+Every invariant subspace is found by closing each seed vector v, one per
+projective ray, under the algebra E spanned by the operator products L R
+(_operator_span), so closure(v) = E v.  The two sweeps (_packed_sweep on
+bitmasks over GF(2), _generic_sweep over odd p) remember each seed's
+closure and reuse it under one memo rule: for each basis matrix M of E in
+turn, let u = M v, scaled to a leading 1.  A zero u is skipped.  If u was
+swept earlier, W = closure(u) = E M v lies in E v because E is closed
+under products (on data that fails validation it need not be, and the
+oracle's answer means nothing there); so if v is in W then closure(v) = W
+and the seed is done, and otherwise W's rows join the span.  An unswept u joins the span alone.
+The span stops growing at full rank.  The rule uses nothing but the
+definition of the closure, so the oracle stays brute force: it still
+visits every seed and consults no theorem about graded rings.  The memo
+is an array of closure ids indexed by the seed's code (the packed int, or
+the base-p code), a few bytes per seed; it is allocated only after the
+p^n seed vectors have passed the budget, so it stays within the budget.
 """
 
 import itertools
+from array import array
+from operator import mul
 from typing import List, Optional, Tuple
 
 from .algebra import GradedAlgebra, graded_subspace_from_flat
@@ -124,20 +143,41 @@ def _operator_span(f: Field, lefts, rights, dim: int) -> List[Matrix]:
     return mats
 
 
-def _closure_of(f: Field, mats: List[Matrix], vec, dim: int) -> Subspace:
-    """Smallest invariant subspace containing vec, in one pass over mats."""
-    eb = EchelonBasis(f, dim)
-    for m in mats:
-        eb.add(m.apply(vec))
-        if eb.rank == dim:
-            break
-    return eb.to_subspace()
+def _seed_sweep(alg: GradedAlgebra, lefts, rights, budget: int):
+    """Each seed vector, one per projective ray, with its closure under E.
+
+    Refuses the instance before anything is allocated when the p^n seed
+    vectors exceed the budget.  The sweep itself is lazy: see _packed_sweep
+    and _generic_sweep.
+    """
+    f = _require_prime(alg)
+    n = alg.dim
+    if f.p ** n > budget:
+        raise BudgetError(
+            f"{f.p}^{n} seed vectors exceed budget {budget} for dimension {n}"
+        )
+    mats = _operator_span(f, lefts, rights, n)
+    if f.p == 2:
+        return _packed_sweep(mats, n)
+    return _generic_sweep(f, mats, n)
+
+
+def _closure_id(ids: dict, closures: list, key, entry) -> int:
+    """Id of the closure with this key; a new key appends its entry.
+
+    Ids are 1-based positions in closures, so 0 can mean "not swept".
+    """
+    k = ids.get(key)
+    if k is None:
+        closures.append(entry)
+        k = ids[key] = len(closures)
+    return k
 
 
 # Over GF(2) the seed sweeps dominate the oracle's runtime, so vectors are
 # packed into integers (bit i = coordinate i) and the closure runs on
-# bitmasks.  _packed_closure returns the fully reduced echelon rows sorted
-# by pivot, which is a canonical key for the subspace.
+# bitmasks.  A closure is held as its fully reduced echelon rows sorted by
+# pivot (the lowest set bit), which is its canonical RREF basis.
 
 
 def _packed_columns(mat: Matrix, dim: int) -> List[int]:
@@ -160,19 +200,18 @@ def _packed_apply(cols: List[int], v: int) -> int:
     return y
 
 
-def _packed_closure(colmats: List[List[int]], seed: int, dim: int) -> Tuple[int, ...]:
-    by_pivot = {}
-    for cols in colmats:
-        y = _packed_apply(cols, seed)
-        while y:
-            piv = (y & -y).bit_length() - 1
-            row = by_pivot.get(piv)
-            if row is None:
-                by_pivot[piv] = y
-                break
-            y ^= row
-        if len(by_pivot) == dim:
-            break
+def _packed_insert(by_pivot: dict, y: int) -> None:
+    """Reduce y by the rows keyed by their lowest bit; keep a nonzero rest."""
+    while y:
+        piv = (y & -y).bit_length() - 1
+        row = by_pivot.get(piv)
+        if row is None:
+            by_pivot[piv] = y
+            return
+        y ^= row
+
+
+def _packed_canonical(by_pivot: dict) -> Tuple[int, ...]:
     # Back-substitute from the largest pivot down; a row's bits below its
     # own pivot are already zero, so each row being used is final.
     for p in sorted(by_pivot, reverse=True):
@@ -184,9 +223,99 @@ def _packed_closure(colmats: List[List[int]], seed: int, dim: int) -> Tuple[int,
     return tuple(by_pivot[p] for p in sorted(by_pivot))
 
 
-def _unpack_rows(f: Field, rows: Tuple[int, ...], dim: int) -> Subspace:
-    vecs = [[(r >> i) & 1 for i in range(dim)] for r in rows]
-    return Subspace.from_vectors(f, dim, vecs)
+def _packed_contains(rows: Tuple[int, ...], v: int) -> bool:
+    for row in rows:
+        if v & row & -row:
+            v ^= row
+    return not v
+
+
+def _packed_sweep(mats: List[Matrix], dim: int):
+    """Yield (seed, closure rows) for every nonzero seed of GF(2)^dim.
+
+    Follows the memo rule of the module docstring; the memo is indexed by
+    the packed seed itself.
+    """
+    colmats = [_packed_columns(m, dim) for m in mats]
+    memo = array("I", [0]) * (1 << dim)
+    closures: List[Tuple[int, ...]] = []
+    ids: dict = {}
+    for seed in range(1, 1 << dim):
+        by_pivot: dict = {}
+        k = 0
+        for cols in colmats:
+            u = _packed_apply(cols, seed)
+            if not u:
+                continue
+            k = memo[u]
+            if k:
+                rows = closures[k - 1]
+                if _packed_contains(rows, seed):
+                    break
+                k = 0
+                for row in rows:
+                    _packed_insert(by_pivot, row)
+            else:
+                _packed_insert(by_pivot, u)
+            if len(by_pivot) == dim:
+                break
+        if not k:
+            rows = _packed_canonical(by_pivot)
+            k = _closure_id(ids, closures, rows, rows)
+        memo[seed] = k
+        yield seed, closures[k - 1]
+
+
+def _generic_sweep(f: Field, mats: List[Matrix], dim: int):
+    """Yield (seed, closure rows) for every projective seed of GF(p)^dim.
+
+    Seeds come from projective_vectors, so their first nonzero entry is 1;
+    the closure rows are the canonical RREF basis as tuples.  Follows the
+    memo rule of the module docstring, with the memo indexed by the base-p
+    code of a vector scaled to a leading 1.  The products run on the raw
+    entry tuples, which are already reduced mod p.
+    """
+    p = f.p
+    weights = [p ** (dim - 1 - i) for i in range(dim)]
+    memo = array("I", [0]) * p ** dim
+    closures: List[Tuple[tuple, EchelonBasis]] = []
+    ids: dict = {}
+    ops = [m.entries for m in mats]
+    for seed in projective_vectors(f, Matrix.identity(f, dim).entries):
+        eb = EchelonBasis(f, dim)
+        k = 0
+        for op in ops:
+            u = [sum(map(mul, row, seed)) % p for row in op]
+            lead = next((x for x in u if x), 0)
+            if not lead:
+                continue
+            if lead != 1:
+                inv = pow(lead, p - 2, p)
+                u = [x * inv % p for x in u]
+            k = memo[sum(map(mul, u, weights))]
+            if k:
+                w = closures[k - 1][1]
+                if w.contains(seed):
+                    break
+                k = 0
+                for row in w.rows:
+                    eb.add(row)
+            else:
+                eb.add(u)
+            if eb.rank == dim:
+                break
+        if not k:
+            rows = tuple(map(tuple, eb.rows))
+            k = _closure_id(ids, closures, rows, (rows, eb))
+        memo[sum(map(mul, seed, weights))] = k
+        yield seed, closures[k - 1][0]
+
+
+def _closure_subspace(f: Field, rows, dim: int) -> Subspace:
+    """The Subspace of a closure's canonical rows, packed or not."""
+    if f.p == 2:
+        rows = [[(r >> i) & 1 for i in range(dim)] for r in rows]
+    return Subspace(f, dim, Matrix(f, rows, cols=dim), _canonical=True)
 
 
 def _identity_ops(alg: GradedAlgebra):
@@ -204,37 +333,20 @@ def _cyclic_lattice(alg: GradedAlgebra, lefts, rights, budget: int) -> List[Subs
     one vector per projective ray and then closes the resulting set under
     pairwise sums.
     """
-    f = _require_prime(alg)
-    n = alg.dim
-    if f.p ** n > budget:
-        raise BudgetError(
-            f"{f.p}^{n} seed vectors exceed budget {budget} for dimension {n}"
-        )
-    mats = _operator_span(f, lefts, rights, n)
-    known = {Subspace.zero(f, n)}
-    if f.p == 2:
-        colmats = [_packed_columns(m, n) for m in mats]
-        packed = set()
-        for seed in range(1, 2 ** n):
-            packed.add(_packed_closure(colmats, seed, n))
-            if len(packed) > LATTICE_CAP:
-                raise BudgetError(
-                    f"more than {LATTICE_CAP} cyclic invariant subspaces; "
-                    "instance is beyond oracle scale"
-                )
-        known.update(_unpack_rows(f, rows, n) for rows in packed)
-    else:
-        eye = Matrix.identity(f, n).entries
-        for vec in projective_vectors(f, eye):
-            known.add(_closure_of(f, mats, vec, n))
-            if len(known) > LATTICE_CAP:
-                raise BudgetError(
-                    f"more than {LATTICE_CAP} cyclic invariant subspaces; "
-                    "instance is beyond oracle scale"
-                )
-    if all(s.dim <= 1 for s in known):
+    f, n = alg.field, alg.dim
+    cyclic = set()
+    for _, rows in _seed_sweep(alg, lefts, rights, budget):
+        cyclic.add(rows)
+        if len(cyclic) > LATTICE_CAP:
+            raise BudgetError(
+                f"more than {LATTICE_CAP} cyclic invariant subspaces; "
+                "instance is beyond oracle scale"
+            )
+    if all(len(rows) <= 1 for rows in cyclic):
         # Scalar action: every subspace is invariant.
         return enumerate_subspaces(n, f, budget)
+    known = {Subspace.zero(f, n)}
+    known.update(_closure_subspace(f, rows, n) for rows in cyclic)
     queue = list(known)
     while queue:
         w = queue.pop()
@@ -330,36 +442,24 @@ def controlled_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> bo
     with an exhaustive search through each Hom space.
     """
     f = _require_prime(alg)
-    n = alg.dim
     if any(d == 0 for d in alg.comp_dims):
         return False
-    if f.p ** n > budget:
-        raise BudgetError(
-            f"{f.p}^{n} seed vectors exceed budget {budget} for dimension {n}"
-        )
     lefts, rights = _identity_ops(alg)
-    mats = _operator_span(f, lefts, rights, n)
+    sweep = _seed_sweep(alg, lefts, rights, budget)
+    spans = [(alg.offsets[g], alg.comp_dims[g]) for g in range(alg.group.order)]
     if f.p == 2:
-        colmats = [_packed_columns(m, n) for m in mats]
-        comp_masks = [
-            (((1 << alg.comp_dims[g]) - 1) << alg.offsets[g], alg.comp_dims[g])
-            for g in range(alg.group.order)
-        ]
-        for seed in range(1, 2 ** n):
-            expected = sum(d for mask, d in comp_masks if seed & mask)
-            if len(_packed_closure(colmats, seed, n)) != expected:
-                return False
+        masks = [(((1 << d) - 1) << off, d) for off, d in spans]
+
+        def support_dim(seed):
+            return sum(d for mask, d in masks if seed & mask)
     else:
-        eye = Matrix.identity(f, n).entries
-        for vec in projective_vectors(f, eye):
-            supp = [
-                g
-                for g in range(alg.group.order)
-                if any(vec[alg.offsets[g] + i] for i in range(alg.comp_dims[g]))
-            ]
-            expected = sum(alg.comp_dims[g] for g in supp)
-            if _closure_of(f, mats, vec, n).dim != expected:
-                return False
+
+        def support_dim(seed):
+            return sum(d for off, d in spans if any(seed[off : off + d]))
+
+    for seed, rows in sweep:
+        if len(rows) != support_dim(seed):
+            return False
 
     order = alg.group.order
     subsets = []

@@ -122,12 +122,17 @@ def algebra_from_obj(obj) -> GradedAlgebra:
         unit = obj["unit"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"algebra document is missing a required entry: {exc}") from exc
+    # sizes and indices are compared by type(), not isinstance(): bool and
+    # float are refused rather than truncated to an int
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in table
+    ):
+        raise InvalidInput("Cayley table must be a list of rows of integer element indices")
     group = FiniteGroup(names, table)
     try:
         comp_dims = [comps[name] for name in group.names]
     except (KeyError, TypeError) as exc:
         raise InvalidInput("components must map every group element name to a dimension") from exc
-    # sizes are compared by type(), not isinstance(): bool and float are refused
     for name, d in zip(group.names, comp_dims):
         if type(d) is not int or d < 0:
             raise InvalidInput(

@@ -198,6 +198,13 @@ def _set_index(value):
     return edit
 
 
+def _set_table_entry(value):
+    # Z/2 has 0 * 1 = 1, so an entry read as 1 would still give a group
+    def edit(obj):
+        obj["group"]["table"][0][1] = value
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit,needle",
     [
@@ -210,15 +217,20 @@ def _set_index(value):
         (_set_index(0.0), "structure index"),
         (_set_index(False), "structure index"),
         (_set_index(-1), "structure index"),
+        (_set_table_entry("x"), "Cayley table"),
+        (_set_table_entry(1.7), "Cayley table"),
+        (_set_table_entry(True), "Cayley table"),
     ],
     ids=[
         "dim-string", "dim-float", "dim-bool", "dim-negative", "total-dim-over-cap",
         "index-float", "index-bool", "index-negative",
+        "table-string", "table-float", "table-bool",
     ],
 )
 def test_malformed_sizes_rejected_exit_2(tmp_path, capsys, edit, needle):
-    # GF(2)[Z/2]: both components are lines, so a dimension read as 1 or an
-    # index read as 0 would still give a valid algebra
+    # GF(2)[Z/2]: both components are lines, so a dimension read as 1, an
+    # index read as 0 or a table entry read as 1 would still give a valid
+    # algebra
     obj = algebra_to_obj(group_algebra(GF(2), cyclic_group(2)))
     edit(obj)
     path = tmp_path / "bad.json"

@@ -1,11 +1,20 @@
 """Brute-force oracles: exhaustive enumeration at tiny scale."""
 import pytest
 
+from gradedrings import oracle
 from gradedrings.builders import galois_skew_example, group_algebra, m3_example
-from gradedrings.corpus import checkerboard_m2, dual_numbers_graded
+from gradedrings.corpus import checkerboard_m2, dual_numbers_graded, oracle_scale_corpus
 from gradedrings.errors import BudgetError, InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
-from gradedrings.linalg import GF, RATIONALS, Subspace
+from gradedrings.linalg import (
+    GF,
+    RATIONALS,
+    EchelonBasis,
+    Matrix,
+    Subspace,
+    projective_vectors,
+    subspace_sum,
+)
 from gradedrings.oracle import (
     controlled_oracle,
     count_subspaces,
@@ -167,3 +176,108 @@ def test_gf2_and_gf3_checkerboards_agree_structurally():
     assert controlled_oracle(checkerboard_m2(GF(2))) == controlled_oracle(
         checkerboard_m2(GF(3))
     )
+
+
+# --------------------------------------------------------------------------
+# the memoized sweeps against a definition-level closure
+# --------------------------------------------------------------------------
+
+SWEEPABLE = [
+    inst for inst in oracle_scale_corpus()
+    if inst.alg.field.p and inst.alg.field.p ** inst.alg.dim <= 4096
+]
+
+
+def _identity_component_ops(alg):
+    e = alg.group.identity
+    idx = [alg.flat_index(e, i) for i in range(alg.comp_dims[e])]
+    return [alg.flat_left_ops()[k] for k in idx], [alg.flat_right_ops()[k] for k in idx]
+
+
+def _reference_lattice(alg, ops):
+    """Invariant subspaces straight from the definition, with no memo.
+
+    Each projective seed is closed under the operators, applied to every
+    vector that grows its span until none does, and the cyclic subspaces
+    are then closed under sums.  Where every operator is a scalar matrix every subspace is
+    invariant, and the lattice is all of them, so only its size is given.
+    """
+    f, n = alg.field, alg.dim
+    if all(op == Matrix.identity(f, n).scale(op.entries[0][0]) for op in ops):
+        return count_subspaces(f.p, n)
+    cyclic = set()
+    for seed in projective_vectors(f, Matrix.identity(f, n).entries):
+        eb = EchelonBasis(f, n)
+        eb.add(seed)
+        queue = [seed]
+        while queue and not eb.is_full():
+            v = queue.pop()
+            for op in ops:
+                w = op.apply(v)
+                if eb.add(w):
+                    queue.append(w)
+        cyclic.add(eb.to_subspace())
+    lattice = {Subspace.zero(f, n)} | cyclic
+    new = set(lattice)
+    while new:
+        new = {subspace_sum(a, c) for a in new for c in cyclic} - lattice
+        lattice |= new
+    return lattice
+
+
+def _assert_lattice_matches(got, ref):
+    assert len(set(got)) == len(got)
+    if isinstance(ref, int):
+        assert len(got) == ref
+    else:
+        assert set(got) == ref
+
+
+@pytest.mark.parametrize("inst", SWEEPABLE, ids=[inst.name for inst in SWEEPABLE])
+def test_lattices_match_definition_level_closure(inst):
+    alg = inst.alg
+    ideals = [s for s, _ in ideal_oracle(alg)]
+    _assert_lattice_matches(
+        ideals, _reference_lattice(alg, alg.flat_left_ops() + alg.flat_right_ops())
+    )
+    lefts, rights = _identity_component_ops(alg)
+    _assert_lattice_matches(enumerate_sub_bimodules(alg), _reference_lattice(alg, lefts + rights))
+
+
+GF2_SWEEPABLE = [inst for inst in SWEEPABLE if inst.alg.field.p == 2]
+
+
+@pytest.mark.parametrize("inst", GF2_SWEEPABLE, ids=[inst.name for inst in GF2_SWEEPABLE])
+def test_packed_and_generic_sweeps_agree_seed_by_seed(inst):
+    alg = inst.alg
+    f, n = alg.field, alg.dim
+    for lefts, rights in (
+        (alg.flat_left_ops(), alg.flat_right_ops()),
+        _identity_component_ops(alg),
+    ):
+        mats = oracle._operator_span(f, lefts, rights, n)
+        packed = {
+            seed: oracle._closure_subspace(f, rows, n)
+            for seed, rows in oracle._packed_sweep(mats, n)
+        }
+        generic = {
+            sum(x << i for i, x in enumerate(vec)): Subspace.from_vectors(f, n, rows)
+            for vec, rows in oracle._generic_sweep(f, mats, n)
+        }
+        assert len(packed) == 2 ** n - 1
+        assert packed == generic
+
+
+@pytest.mark.parametrize(
+    "name,cap,needle",
+    [
+        ("gf2-v4", 3, "cyclic invariant subspaces"),  # 5 nonzero cyclic ideals
+        ("gf2-v4", 6, "lattice exceeds"),  # 7 ideals: only the join step passes 6
+        ("gf3-v4", 4, "cyclic invariant subspaces"),  # 15 nonzero cyclic ideals
+    ],
+)
+def test_lattice_cap_raises(monkeypatch, name, cap, needle):
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == name)
+    monkeypatch.setattr(oracle, "LATTICE_CAP", cap)
+    with pytest.raises(BudgetError, match=needle):
+        ideal_oracle(alg)
