@@ -1,10 +1,10 @@
-"""Golden reports: `check --json --seed 0` output pinned by SHA-256.
+"""Golden reports: `check --json --seed 0` and `oracle --json` output pinned by SHA-256.
 
-Covers the properties derived from the component profile (`controlled`,
-`picard-injective`, `necessary`, `crossed-controlled`, `subrings`) on every
+Covers every `check` property and every `oracle` target on every
 oracle-scale corpus instance plus two rational inputs, so a refactor of the
-analysis layer cannot change a single report byte unnoticed.  Each entry of
-`golden_reports.json` is keyed `<instance>/<property>` and holds the exit
+analysis, bimodule or linear-algebra layers cannot change a single report
+byte unnoticed.  Each entry of `golden_reports.json` is keyed
+`<instance>/<property>` (or `<instance>/oracle-<target>`) and holds the exit
 code and the SHA-256 of stdout followed by stderr.
 
 Regenerate the data file (only when a report change is intended):
@@ -22,14 +22,14 @@ import tempfile
 import pytest
 
 from gradedrings.builders import group_algebra, m3_example
-from gradedrings.cli import main
+from gradedrings.cli import ORACLE_WHATS, PROPERTIES, main
 from gradedrings.corpus import oracle_scale_corpus
 from gradedrings.groups import cyclic_group
 from gradedrings.linalg import RATIONALS
 from gradedrings.serialize import save_algebra
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
-PROPERTIES = ("controlled", "picard-injective", "necessary", "crossed-controlled", "subrings")
+REPORTS = PROPERTIES + tuple(f"oracle-{what}" for what in ORACLE_WHATS)
 
 
 def instances() -> dict:
@@ -40,14 +40,18 @@ def instances() -> dict:
 
 
 INSTANCES = instances()
-CASES = [(name, prop) for name in INSTANCES for prop in PROPERTIES]
+CASES = [(name, prop) for name in INSTANCES for prop in REPORTS]
 
 
 def run_report(path: str, prop: str):
-    """(exit code, stdout, stderr) of one `check --json --seed 0` call."""
+    """(exit code, stdout, stderr) of one `check --json --seed 0` or `oracle --json` call."""
+    if prop.startswith("oracle-"):
+        argv = ["oracle", path, "--what", prop[len("oracle-"):], "--json"]
+    else:
+        argv = ["check", path, "--property", prop, "--json", "--seed", "0"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["check", path, "--property", prop, "--json", "--seed", "0"])
+        rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -89,7 +93,7 @@ def regenerate() -> None:
         for name, alg in INSTANCES.items():
             path = os.path.join(root, f"{name}.json")
             save_algebra(alg, path)
-            for prop in PROPERTIES:
+            for prop in REPORTS:
                 rc, stdout, stderr = run_report(path, prop)
                 table[f"{name}/{prop}"] = {"exit": rc, "sha256": digest(stdout, stderr)}
     with open(DATA, "w", encoding="utf-8") as fh:
