@@ -63,7 +63,7 @@ class GradedAlgebra:
             if not (0 <= i < dims[g] and 0 <= j < dims[h]):
                 raise InvalidInput(f"structure key {key!r} has a bad basis index")
             k = group.table[g][h]
-            vec = tuple(field.coerce(c) for c in coeffs)
+            vec = field.vector(coeffs)
             if len(vec) != dims[k]:
                 raise InvalidInput(
                     f"product coefficients at {key!r} must have length {dims[k]}"
@@ -71,7 +71,7 @@ class GradedAlgebra:
             table[g][i][h][j] = vec if any(vec) else None
         self._table = table
 
-        u = tuple(field.coerce(c) for c in unit)
+        u = field.vector(unit)
         if len(u) != dims[group.identity]:
             raise InvalidInput("unit must be a coefficient vector over the identity component")
         self.unit_coeffs = u
@@ -125,13 +125,13 @@ class GradedAlgebra:
     def basis_element(self, g: int, i: int) -> "Element":
         zero, one = self.field.zero, self.field.one
         coeffs = tuple(one if k == i else zero for k in range(self.comp_dims[g]))
-        return Element(self, {g: coeffs})
+        return Element._trusted(self, {g: coeffs})
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return Element._trusted(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {self.group.identity: self.unit_coeffs})
+        return Element._trusted(self, {self.group.identity: self.unit_coeffs})
 
     def from_flat(self, vec: Sequence) -> "Element":
         if len(vec) != self.dim:
@@ -232,7 +232,7 @@ class Element:
             g = int(g)
             if not (0 <= g < alg.group.order):
                 raise InvalidInput(f"no component {g}")
-            vec = tuple(alg.field.coerce(c) for c in coeffs)
+            vec = alg.field.vector(coeffs)
             if len(vec) != alg.comp_dims[g]:
                 raise InvalidInput(
                     f"component {alg.group.names[g]} expects {alg.comp_dims[g]} coefficients"
@@ -241,6 +241,14 @@ class Element:
                 clean[g] = vec
         self.alg = alg
         self.comps = clean
+
+    @classmethod
+    def _trusted(cls, alg: GradedAlgebra, comps: dict) -> "Element":
+        """Wrap canonical coefficient tuples, unchecked; zero components are dropped."""
+        x = object.__new__(cls)
+        x.alg = alg
+        x.comps = {g: v for g, v in comps.items() if any(v)}
+        return x
 
     def _check_same(self, other: "Element"):
         if self.alg is not other.alg:
@@ -259,7 +267,7 @@ class Element:
         if not (0 <= g < self.alg.group.order):
             raise InvalidInput(f"no component {g}")
         if g in self.comps:
-            return Element(self.alg, {g: self.comps[g]})
+            return Element._trusted(self.alg, {g: self.comps[g]})
         return self.alg.zero()
 
     def is_zero(self) -> bool:
@@ -274,14 +282,14 @@ class Element:
         out = dict(self.comps)
         for g, coeffs in other.comps.items():
             if g in out:
-                out[g] = tuple(f.add(a, b) for a, b in zip(out[g], coeffs))
+                out[g] = tuple(map(f.add, out[g], coeffs))
             else:
                 out[g] = coeffs
-        return Element(self.alg, out)
+        return Element._trusted(self.alg, out)
 
     def __neg__(self) -> "Element":
         f = self.alg.field
-        return Element(self.alg, {g: tuple(f.neg(c) for c in v) for g, v in self.comps.items()})
+        return Element._trusted(self.alg, {g: tuple(map(f.neg, v)) for g, v in self.comps.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -289,7 +297,7 @@ class Element:
     def scale(self, c) -> "Element":
         f = self.alg.field
         c = f.coerce(c)
-        return Element(self.alg, {g: tuple(f.mul(c, x) for x in v) for g, v in self.comps.items()})
+        return Element._trusted(self.alg, {g: tuple(f.scale(c, v)) for g, v in self.comps.items()})
 
     def __rmul__(self, c) -> "Element":
         return self.scale(c)
@@ -299,40 +307,30 @@ class Element:
             return self.scale(other)
         self._check_same(other)
         alg = self.alg
-        p = alg.field.p
         gtab = alg.group.table
         table = alg._table
-        acc: dict = {}
+        # per target component: the products x_i y_j and the structure
+        # vectors they weight, summed in one pass by Field.combine
+        terms: dict = {}
         for g, xg in self.comps.items():
             tg = table[g]
             for h, yh in other.comps.items():
                 k = gtab[g][h]
-                dk = alg.comp_dims[k]
-                if dk == 0:
-                    continue
-                out = acc.get(k)
-                if out is None:
-                    out = acc[k] = [alg.field.zero] * dk
+                if k not in terms:
+                    terms[k] = ([], [])
+                cs, vecs = terms[k]
                 for i, xi in enumerate(xg):
                     if not xi:
                         continue
                     row = tg[i][h]
                     for j, yj in enumerate(yh):
-                        if not yj:
-                            continue
-                        vec = row[j]
-                        if vec is None:
-                            continue
-                        c = xi * yj
-                        if p:
-                            for m, s in enumerate(vec):
-                                if s:
-                                    out[m] = (out[m] + c * s) % p
-                        else:
-                            for m, s in enumerate(vec):
-                                if s:
-                                    out[m] = out[m] + c * s
-        return Element(alg, acc)
+                        if yj and row[j] is not None:
+                            cs.append(xi * yj)
+                            vecs.append(row[j])
+        combine = alg.field.combine
+        return Element._trusted(
+            alg, {k: tuple(combine(cs, vecs)) for k, (cs, vecs) in terms.items() if cs}
+        )
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.alg is other.alg and self.comps == other.comps
@@ -526,15 +524,8 @@ def _component_slice(alg: GradedAlgebra, w: Subspace, g: int):
     ]
     constraints = Matrix.from_columns(alg.field, outside)
     ker = nullspace(constraints)
-    out = []
-    for coefvec in ker.basis.entries:
-        v = [alg.field.zero] * d
-        for c, row in zip(coefvec, rows):
-            if c:
-                for k in range(d):
-                    v[k] = alg.field.add(v[k], alg.field.mul(c, row[off + k]))
-        out.append(tuple(v))
-    return out
+    sliced = [row[off : off + d] for row in rows]
+    return [tuple(alg.field.combine(coefvec, sliced)) for coefvec in ker.basis.entries]
 
 
 def component_product(s: GradedSubspace, t: GradedSubspace) -> GradedSubspace:

@@ -112,17 +112,6 @@ def _enc_subspace(field, sub: Optional[Subspace]) -> Optional[dict]:
     return {"dim": sub.dim, "basis": [_enc_vec(field, row) for row in sub.basis.entries]}
 
 
-def _enc_graded(gs: GradedSubspace) -> dict:
-    names = gs.alg.group.names
-    return {
-        "dims": {names[g]: sub.dim for g, sub in sorted(gs.comps.items())},
-        "components": {
-            names[g]: [_enc_vec(gs.alg.field, row) for row in sub.basis.entries]
-            for g, sub in sorted(gs.comps.items())
-        },
-    }
-
-
 # --------------------------------------------------------------------------
 # multiplication restricted to components
 # --------------------------------------------------------------------------
@@ -1044,10 +1033,7 @@ def is_inner(
     for _ in range(trials):
         coeffs = [f.random_scalar(rng) if f.p else f.coerce(rng.randint(-10 ** 6, 10 ** 6))
                   for _ in rows]
-        vec = [f.zero] * d
-        for c, row in zip(coeffs, rows):
-            for t, entry in enumerate(row):
-                vec[t] = f.add(vec[t], f.mul(c, entry))
+        vec = f.combine(coeffs, rows)
         if any(vec):
             candidates.append(tuple(vec))
     for vec in candidates:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistency, InvalidInput
@@ -167,9 +166,9 @@ def spin_all(action: BimoduleAction, vectors: Sequence[Sequence]) -> Subspace:
     """Smallest invariant subspace containing all the given vectors."""
     basis = EchelonBasis(action.field, action.dim)
     queue = []
-    for v in vectors:
+    for v in map(action.field.vector, vectors):
         if basis.add(v):
-            queue.append(tuple(v))
+            queue.append(v)
     while queue and not basis.is_full():
         v = queue.pop()
         for op in action.ops:
@@ -318,14 +317,16 @@ def _sampled_envelope_element(action: BimoduleAction, rng) -> Matrix:
     return Matrix(f, acc, cols=m)
 
 
+def _random_combination(field: Field, mats: list, rng) -> Matrix:
+    """sum_k c_k mats[k], drawing one random_scalar per matrix in order."""
+    coeffs = [field.random_scalar(rng) for _ in mats]
+    flat = tuple(field.combine(coeffs, [m.flatten() for m in mats]))
+    return Matrix._unflatten(field, flat, mats[0].cols)
+
+
 def _random_envelope_element(action: BimoduleAction, env, rng) -> Matrix:
-    f = action.field
     while True:
-        theta = Matrix.zeros(f, action.dim, action.dim)
-        for mat in env:
-            c = f.random_scalar(rng)
-            if c:
-                theta = theta.add(mat.scale(c))
+        theta = _random_combination(action.field, env, rng)
         if not theta.is_zero():
             return theta
 
@@ -377,8 +378,10 @@ def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, vector_budget:
     """The first Norton report among theta - lam*I over the shifts, or None."""
     f, rows = theta.field, theta.entries
     for lam in shifts:
-        cand = theta if not lam else Matrix(
-            f, [r[:i] + (f.sub(r[i], lam),) + r[i + 1 :] for i, r in enumerate(rows)]
+        cand = theta if not lam else Matrix._trusted(
+            f,
+            tuple(r[:i] + (f.sub(r[i], lam),) + r[i + 1 :] for i, r in enumerate(rows)),
+            theta.cols,
         )
         if cand.is_zero():
             continue
@@ -454,7 +457,7 @@ def minimal_polynomial(mat: Matrix) -> list:
         flat = nxt.flatten()
         if not basis.add(flat):
             cols = Matrix.from_columns(f, [p.flatten() for p in powers])
-            sol = solve(cols, Matrix(f, [(x,) for x in flat], cols=1))
+            sol = solve(cols, Matrix._trusted(f, tuple((x,) for x in flat), 1))
             if sol is None:
                 raise InternalInconsistency("dependent power with no expression")
             coeffs = [f.neg(sol.entries[i][0]) for i in range(len(powers))]
@@ -549,28 +552,28 @@ def hom_space(a: BimoduleAction, b: BimoduleAction) -> Subspace:
     ma, mb = a.dim, b.dim
     if ma == 0 or mb == 0:
         return Subspace.zero(f, mb * ma)
+    n = mb * ma
+    zero, one, submul = f.zero, f.one, f.submul
     rows = []
     for opa, opb in zip(a.ops, b.ops):
-        # phi opa = opb phi, unknowns phi[r][k] flattened row-major
+        # phi opa = opb phi, unknowns phi[r][k] flattened row-major: entry
+        # (r, c) is sum_k phi[r][k] opa[k][c] - sum_k opb[r][k] phi[k][c]
+        opa_cols = tuple(zip(*opa.entries))
         for r in range(mb):
             for c in range(ma):
-                row = [f.zero] * (mb * ma)
-                for k in range(ma):
-                    row[r * ma + k] = f.add(row[r * ma + k], opa.entries[k][c])
-                for k in range(mb):
-                    row[k * ma + c] = f.sub(row[k * ma + c], opb.entries[r][k])
-                rows.append(row)
-    return nullspace(Matrix(f, rows, cols=mb * ma))
+                left = [zero] * n
+                left[r * ma : (r + 1) * ma] = opa_cols[c]
+                right = [zero] * n
+                right[c::ma] = opb.entries[r]
+                rows.append(tuple(submul(left, one, right)))
+    return nullspace(Matrix._trusted(f, tuple(rows), n))
 
 
 def hom_matrices(a: BimoduleAction, b: BimoduleAction) -> list:
     """Basis of hom_space(a, b) unflattened into matrices."""
     ma, mb = a.dim, b.dim
     space = hom_space(a, b)
-    return [
-        Matrix(a.field, [flat[r * ma : (r + 1) * ma] for r in range(mb)], cols=ma)
-        for flat in space.basis.entries
-    ]
+    return [Matrix._unflatten(a.field, flat, ma) for flat in space.basis.entries]
 
 
 def are_isomorphic_simple(a: BimoduleAction, b: BimoduleAction) -> bool:
@@ -591,17 +594,12 @@ def are_isomorphic_simple(a: BimoduleAction, b: BimoduleAction) -> bool:
 def action_traces(a: BimoduleAction) -> tuple:
     """Traces of all products L_i R_j; equal for isomorphic bimodules.
 
-    tr(L R) is the sum over i, j of L[i][j] R[j][i], so no product matrix
-    is formed.
+    tr(L R) is the sum over i, j of L[i][j] R[j][i], the dot product of L
+    and the transpose of R flattened, so no product matrix is formed.
     """
-    p = a.field.p
-    cols = [tuple(zip(*r.entries)) for r in a.right_ops]
-    out = []
-    for l in a.left_ops:
-        for rc in cols:
-            t = sum((sum(map(mul, row, col)) for row, col in zip(l.entries, rc)), a.field.zero)
-            out.append(t % p if p else t)
-    return tuple(out)
+    dots = a.field.dots
+    rights = [r.transpose().flatten() for r in a.right_ops]
+    return tuple(t for l in a.left_ops for t in dots(rights, l.flatten()))
 
 
 def _is_invertible_matrix(m: Matrix) -> bool:
@@ -618,11 +616,8 @@ def find_invertible_combo(field: Field, mats: list, rng, *, trials: int, budget:
         return None, True
     if field.p and projective_count(field.p, len(mats)) <= budget:
         flat = [m.flatten() for m in mats]
-        shape = mats[0].shape
         for vec in projective_vectors(field, flat):
-            cand = Matrix(
-                field, [vec[r * shape[1] : (r + 1) * shape[1]] for r in range(shape[0])]
-            )
+            cand = Matrix._unflatten(field, vec, mats[0].cols)
             if _is_invertible_matrix(cand):
                 return cand, True
         return None, True
@@ -630,11 +625,7 @@ def find_invertible_combo(field: Field, mats: list, rng, *, trials: int, budget:
         if _is_invertible_matrix(m):
             return m, False
     for _ in range(trials):
-        cand = Matrix.zeros(field, *mats[0].shape)
-        for m in mats:
-            c = field.random_scalar(rng)
-            if c:
-                cand = cand.add(m.scale(c))
+        cand = _random_combination(field, mats, rng)
         if not cand.is_zero() and _is_invertible_matrix(cand):
             return cand, False
     return None, False

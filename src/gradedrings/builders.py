@@ -26,16 +26,6 @@ def _poly_trim(a: list) -> list:
     return a
 
 
-def _poly_mul(p: int, a: Sequence[int], b: Sequence[int]) -> list:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(p: int, a: Sequence[int], m: Sequence[int]) -> list:
     """a mod m for monic m."""
     r = list(a)

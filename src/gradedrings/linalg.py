@@ -6,11 +6,32 @@ widened products of native ints cheap.  Everything here is exact; there are no
 floats and no rounding.  Matrices and subspaces are immutable after
 construction, and a subspace is stored as its reduced row-echelon basis, so
 equality of spans is structural equality.
+
+Scalars are checked once, where they enter: `Matrix(...)`, `Matrix.apply`,
+`EchelonBasis.add`/`reduce` and `Subspace.contains` (and, above this module,
+`Element(...)` and the seeds of `spin`) pass each vector they are given
+through `Field.vector`, one call per vector.  It refuses bool, float, str and
+every other scalar that is not an int (or, over Q, a Fraction) with
+InvalidInput, and returns canonical entries.  What a kernel computes from
+canonical operands is canonical already, so it is wrapped as it is
+(`Matrix._trusted`, `Element._trusted`), with no second pass.
+
+`Field` owns the difference between GF(p) and Q.  Besides the scalar
+operations it holds four row primitives, picked once when the field is made:
+`dots` (the dot product of each row with a vector), `submul` (u - c*v),
+`scale` (c*u) and `vector` (the entry check above).  Over GF(p) they reduce
+each result entry mod p once; over Q they skip zero entries, so no Fraction
+arithmetic is spent on zeros.  The algorithms are written once on top of
+them.  `EchelonBasis` is the only elimination code, and `rref`, `solve` and
+`nullspace` are built on it; its reduction sums plain exact products and
+lets `vector` canonicalize the result.  `Matrix.mul`, `Matrix.apply` and
+`Field.combine` (a linear combination of rows) are the one product path.
 """
 from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
@@ -29,31 +50,78 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Field:
-    """The rationals (p == 0) or the prime field GF(p)."""
+_INT = frozenset((int,))
+_FRACTION = frozenset((Fraction,))
 
-    __slots__ = ("p",)
+
+def _prime_rows(field: "Field"):
+    """The row primitives of GF(p): every result entry reduced mod p once."""
+    p = field.p
+
+    def dots(rows, v):
+        return [sum(map(mul, r, v)) % p for r in rows]
+
+    def submul(u, c, v):
+        return [(a - c * b) % p for a, b in zip(u, v)]
+
+    def scale(c, u):
+        return [c * a % p for a in u]
+
+    def vector(xs):
+        xs = tuple(xs)
+        if _INT.issuperset(map(type, xs)):
+            return tuple([x % p for x in xs])
+        return tuple([field.coerce(x) for x in xs])
+
+    return dots, submul, scale, vector
+
+
+def _rational_rows(field: "Field"):
+    """The row primitives of Q: zero entries take no Fraction arithmetic."""
+    zero = field.zero
+
+    def dot(u, v):
+        terms = [a * b for a, b in zip(u, v) if a and b]
+        return sum(terms[1:], terms[0]) if terms else zero
+
+    def dots(rows, v):
+        return [dot(r, v) for r in rows]
+
+    def submul(u, c, v):
+        return [a - c * b if b else a for a, b in zip(u, v)]
+
+    def scale(c, u):
+        return [c * a if a else a for a in u]
+
+    def vector(xs):
+        xs = tuple(xs)
+        if _FRACTION.issuperset(map(type, xs)):
+            return xs
+        return tuple([field.coerce(x) for x in xs])
+
+    return dots, submul, scale, vector
+
+
+class Field:
+    """The rationals (p == 0) or the prime field GF(p).
+
+    `dots(rows, v)`, `submul(u, c, v)`, `scale(c, u)` and `vector(xs)` are
+    the row primitives described in the module docstring; `dots`, `submul`
+    and `scale` return lists, `vector` a tuple.
+    """
+
+    __slots__ = ("p", "zero", "one", "dots", "submul", "scale", "vector")
 
     def __init__(self, p: int = 0):
         if p != 0 and (not _is_prime(p) or p >= 2**31):
             raise InvalidInput(f"field characteristic must be 0 or a prime < 2**31, got {p}")
         self.p = p
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p != 0
-
-    @property
-    def zero(self):
-        return 0 if self.p else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.p else Fraction(1)
+        if p:
+            self.zero, self.one = 0, 1
+            self.dots, self.submul, self.scale, self.vector = _prime_rows(self)
+        else:
+            self.zero, self.one = Fraction(0), Fraction(1)
+            self.dots, self.submul, self.scale, self.vector = _rational_rows(self)
 
     def coerce(self, x):
         """Canonical scalar for this field, or InvalidInput."""
@@ -68,6 +136,10 @@ class Field:
         if isinstance(x, Fraction):
             return x
         raise InvalidInput(f"rational scalar must be an int or Fraction, got {x!r}")
+
+    def combine(self, coeffs: Sequence, rows: Sequence[Sequence]) -> list:
+        """sum_k coeffs[k] * rows[k] for canonical operands; rows must be nonempty."""
+        return self.dots(zip(*rows), coeffs)
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
@@ -121,17 +193,13 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-def _coerce_row(field: Field, row: Sequence) -> tuple:
-    return tuple(field.coerce(x) for x in row)
-
-
 class Matrix:
     """Immutable dense matrix over a Field.  Entries: tuple of row tuples."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, entries: Sequence[Sequence], cols: Optional[int] = None):
-        rows = tuple(_coerce_row(field, r) for r in entries)
+        rows = tuple(map(field.vector, entries))
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -146,14 +214,26 @@ class Matrix:
         self.entries = rows
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    def _trusted(cls, field: Field, entries: tuple, cols: int) -> "Matrix":
+        """Wrap a tuple of canonical row tuples of width cols, unchecked."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = len(entries)
+        m.cols = cols
+        m.entries = entries
+        return m
 
     @classmethod
-    def zeros(cls, field: Field, r: int, c: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * c for _ in range(r)], cols=c)
+    def _unflatten(cls, field: Field, flat: tuple, cols: int) -> "Matrix":
+        """Wrap canonical row-major entries as rows of width cols > 0, unchecked."""
+        return cls._trusted(field, tuple(flat[i : i + cols] for i in range(0, len(flat), cols)), cols)
+
+    @classmethod
+    def identity(cls, field: Field, n: int) -> "Matrix":
+        one, zero = field.one, field.zero
+        return cls._trusted(
+            field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n
+        )
 
     @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Sequence]) -> "Matrix":
@@ -168,66 +248,55 @@ class Matrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise InvalidInput(f"shape mismatch for product: {self.shape} x {other.shape}")
-        p = self.field.p
-        bt = tuple(zip(*other.entries)) if other.entries else tuple(() for _ in range(other.cols))
-        if p:
-            out = [
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt)
-                for row in self.entries
-            ]
-        else:
-            out = [tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries]
-        return Matrix(self.field, out, cols=other.cols)
+        dots = self.field.dots
+        bt = tuple(zip(*other.entries)) if other.entries else ((),) * other.cols
+        out = tuple(tuple(dots(bt, row)) for row in self.entries)
+        return Matrix._trusted(self.field, out, other.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.mul(other)
 
-    def add(self, other: "Matrix") -> "Matrix":
+    def sub(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.shape != other.shape:
-            raise InvalidInput("shape mismatch for sum")
+            raise InvalidInput("shape mismatch for difference")
         f = self.field
-        return Matrix(
-            f,
-            [tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(self.field.neg(self.field.one)))
+        submul, one = f.submul, f.one
+        out = tuple(tuple(submul(r1, one, r2)) for r1, r2 in zip(self.entries, other.entries))
+        return Matrix._trusted(f, out, self.cols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, [tuple(f.mul(c, a) for a in r) for r in self.entries], cols=self.cols)
+        return Matrix._trusted(f, tuple(tuple(f.scale(c, r)) for r in self.entries), self.cols)
 
     def transpose(self) -> "Matrix":
         if not self.entries:
-            return Matrix(self.field, [() for _ in range(self.cols)], cols=0) if self.cols else Matrix(self.field, [], cols=0)
-        return Matrix(self.field, tuple(zip(*self.entries)), cols=self.rows)
+            return Matrix._trusted(self.field, ((),) * self.cols, 0)
+        return Matrix._trusted(self.field, tuple(zip(*self.entries)), self.rows)
 
     def stack(self, other: "Matrix") -> "Matrix":
         """Rows of self on top of rows of other."""
         self._check_same_field(other)
         if self.cols != other.cols:
             raise InvalidInput("column mismatch for stack")
-        return Matrix(self.field, self.entries + other.entries, cols=self.cols)
+        return Matrix._trusted(self.field, self.entries + other.entries, self.cols)
 
     def augment(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.rows != other.rows:
             raise InvalidInput("row mismatch for augment")
-        return Matrix(self.field, [a + b for a, b in zip(self.entries, other.entries)], cols=self.cols + other.cols)
+        return Matrix._trusted(
+            self.field,
+            tuple(a + b for a, b in zip(self.entries, other.entries)),
+            self.cols + other.cols,
+        )
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise InvalidInput("vector length mismatch")
-        v = _coerce_row(self.field, vec)
-        p = self.field.p
-        if p:
-            return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.entries)
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(self.field.dots(self.entries, self.field.vector(vec)))
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
@@ -240,7 +309,7 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.entries for x in r)
+        return not any(map(any, self.entries))
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -269,55 +338,21 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
 
-def _rref_rows(field: Field, rows: list) -> tuple:
-    """In-place RREF of a list of row lists.  Returns pivot column list."""
-    p = field.p
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+def _echelon(m: Matrix) -> "EchelonBasis":
+    """The RREF of m's rows, accumulated in an EchelonBasis."""
+    eb = EchelonBasis(m.field, m.cols)
+    for row in m.entries:
+        if eb.is_full():
             break
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r][c]
-        if p:
-            if lead != 1:
-                inv = pow(lead, p - 2, p)
-                rows[r] = [(x * inv) % p for x in rows[r]]
-            top = rows[r]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    ri = rows[i]
-                    rows[i] = [(a - f * b) % p for a, b in zip(ri, top)]
-        else:
-            if lead != 1:
-                inv = 1 / lead
-                rows[r] = [x * inv for x in rows[r]]
-            top = rows[r]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    ri = rows[i]
-                    rows[i] = [a - f * b for a, b in zip(ri, top)]
-        pivots.append(c)
-        r += 1
-    return tuple(pivots)
+        eb.add(row)
+    return eb
 
 
 def rref(m: Matrix) -> tuple:
     """Reduced row-echelon form.  Returns (Matrix, rank)."""
-    rows = [list(r) for r in m.entries]
-    pivots = _rref_rows(m.field, rows)
-    return Matrix(m.field, rows, cols=m.cols), len(pivots)
+    eb = _echelon(m)
+    zero_rows = ((m.field.zero,) * m.cols,) * (m.rows - eb.rank)
+    return Matrix._trusted(m.field, tuple(map(tuple, eb.rows)) + zero_rows, m.cols), eb.rank
 
 
 def solve(a: Matrix, b) -> Optional[Matrix]:
@@ -330,24 +365,41 @@ def solve(a: Matrix, b) -> Optional[Matrix]:
     a._check_same_field(b)
     if b.rows != a.rows:
         raise InvalidInput("right-hand side has wrong height")
-    aug = a.augment(b)
-    rows = [list(r) for r in aug.entries]
-    pivots = _rref_rows(a.field, rows)
+    eb = _echelon(a.augment(b))
     n = a.cols
-    for c in pivots:
-        if c >= n:
-            return None  # pivot in an rhs column: inconsistent
-    zero = a.field.zero
-    sol = [[zero] * b.cols for _ in range(n)]
-    for r, c in enumerate(pivots):
-        for k in range(b.cols):
-            sol[c][k] = rows[r][n + k]
-    return Matrix(a.field, sol, cols=b.cols)
+    if eb.pivots and eb.pivots[-1] >= n:
+        return None  # pivot in an rhs column: inconsistent
+    sol = [(a.field.zero,) * b.cols] * n
+    for row, c in zip(eb.rows, eb.pivots):
+        sol[c] = tuple(row[n:])
+    return Matrix._trusted(a.field, tuple(sol), b.cols)
 
 
 def solve_vector(a: Matrix, vec: Sequence) -> Optional[tuple]:
     s = solve(a, vec)
     return None if s is None else s.column(0)
+
+
+def _residue(field: Field, rows, pivots, v):
+    """v minus its projection onto RREF rows with unit pivots at `pivots`.
+
+    The rows are reduced at one another's pivots, so each row's coefficient
+    is v's own entry at its pivot, canonical and unchanged by the other
+    rows.  The products are summed in plain exact arithmetic, skipping the
+    rows' zeros, and canonicalized once at the end.
+    """
+    out = None
+    n = len(v)
+    for row, c in zip(rows, pivots):
+        x = v[c]
+        if x:
+            if out is None:
+                out = list(v)
+            for k in range(c, n):
+                b = row[k]
+                if b:
+                    out[k] -= x * b
+    return v if out is None else field.vector(out)
 
 
 class Subspace:
@@ -362,7 +414,7 @@ class Subspace:
             raise InvalidInput("basis field differs from subspace field")
         if not _canonical:
             red, rank = rref(basis)
-            basis = Matrix(field, red.entries[:rank], cols=ambient_dim)
+            basis = Matrix._trusted(field, red.entries[:rank], ambient_dim)
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
@@ -377,7 +429,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix(field, [], cols=ambient_dim), _canonical=True)
+        return cls(field, ambient_dim, Matrix._trusted(field, (), ambient_dim), _canonical=True)
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -396,10 +448,11 @@ class Subspace:
     def contains(self, vec: Sequence) -> bool:
         if len(vec) != self.ambient_dim:
             raise InvalidInput("vector length differs from ambient dimension")
-        acc = EchelonBasis(self.field, self.ambient_dim)
-        for row in self.basis.entries:
-            acc.add(row)
-        return not any(acc.reduce(vec))
+        rows = self.basis.entries
+        # a canonical row's pivot is a 1 with only zeros before it
+        one = self.field.one
+        pivots = [row.index(one) for row in rows]
+        return not any(_residue(self.field, rows, pivots, self.field.vector(vec)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -426,21 +479,21 @@ class Subspace:
 
 def nullspace(a: Matrix) -> Subspace:
     """Right nullspace {v : a @ v = 0} as a canonical Subspace."""
-    rows = [list(r) for r in a.entries]
-    pivots = _rref_rows(a.field, rows)
+    eb = _echelon(a)
     n = a.cols
-    piv_set = set(pivots)
-    free = [c for c in range(n) if c not in piv_set]
     field = a.field
-    one, zero = field.one, field.zero
+    piv_set = set(eb.pivots)
+    one, zero, neg = field.one, field.zero, field.neg
     vecs = []
-    for fc in free:
+    for fc in range(n):
+        if fc in piv_set:
+            continue
         v = [zero] * n
         v[fc] = one
-        for r, c in enumerate(pivots):
-            v[c] = field.neg(rows[r][fc])
-        vecs.append(v)
-    return Subspace.from_vectors(field, n, vecs)
+        for row, c in zip(eb.rows, eb.pivots):
+            v[c] = neg(row[fc])
+        vecs.append(tuple(v))
+    return Subspace(field, n, Matrix._trusted(field, tuple(vecs), n))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -472,7 +525,7 @@ def annihilator(u: Subspace) -> Subspace:
 
 
 class EchelonBasis:
-    """Incremental RREF accumulator for spinning algorithms.
+    """Incremental RREF accumulator: the one elimination kernel.
 
     Rows keep unit pivots in strictly increasing pivot columns and are fully
     reduced at one another's pivots, so membership is a single forward pass.
@@ -493,60 +546,36 @@ class EchelonBasis:
     def is_full(self) -> bool:
         return len(self.rows) == self.ambient
 
-    def reduce(self, vec: Sequence) -> list:
-        v = list(vec)
-        p = self.field.p
-        if p:
-            for row, c in zip(self.rows, self.pivots):
-                f = v[c]
-                if f:
-                    for k in range(c, self.ambient):
-                        if row[k]:
-                            v[k] = (v[k] - f * row[k]) % p
-        else:
-            for row, c in zip(self.rows, self.pivots):
-                f = v[c]
-                if f:
-                    for k in range(c, self.ambient):
-                        if row[k]:
-                            v[k] = v[k] - f * row[k]
-        return v
+    def reduce(self, vec: Sequence):
+        """The residue of vec after clearing every pivot column."""
+        return _residue(self.field, self.rows, self.pivots, self.field.vector(vec))
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec's residue if independent.  Returns True if rank grew."""
-        v = self.reduce(vec)
-        c = next((k for k, x in enumerate(v) if x), None)
-        if c is None:
-            return False
         field = self.field
-        p = field.p
-        lead = v[c]
-        if p:
-            if lead != 1:
-                inv = pow(lead, p - 2, p)
-                v = [(x * inv) % p for x in v]
-            for i, row in enumerate(self.rows):
-                f = row[c]
-                if f:
-                    self.rows[i] = [(a - f * b) % p for a, b in zip(row, v)]
-        else:
-            if lead != 1:
-                inv = 1 / lead
-                v = [x * inv for x in v]
-            for i, row in enumerate(self.rows):
-                f = row[c]
-                if f:
-                    self.rows[i] = [a - f * b for a, b in zip(row, v)]
+        v = _residue(field, self.rows, self.pivots, field.vector(vec))
+        lead = next(filter(None, v), None)
+        if lead is None:
+            return False
+        c = v.index(lead)
+        if lead != 1:
+            v = field.scale(field.inv(lead), v)
+        submul = field.submul
+        rows = self.rows
+        for i, row in enumerate(rows):
+            x = row[c]
+            if x:
+                rows[i] = submul(row, x, v)
         pos = bisect.bisect_left(self.pivots, c)
         self.pivots.insert(pos, c)
-        self.rows.insert(pos, v)
+        rows.insert(pos, v)
         return True
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))
 
     def to_subspace(self) -> Subspace:
-        m = Matrix(self.field, [tuple(r) for r in self.rows], cols=self.ambient)
+        m = Matrix._trusted(self.field, tuple(map(tuple, self.rows)), self.ambient)
         return Subspace(self.field, self.ambient, m, _canonical=True)
 
 

@@ -33,7 +33,7 @@ p^n seed vectors have passed the budget, so it stays within the budget.
 import itertools
 from array import array
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .algebra import GradedAlgebra, graded_subspace_from_flat
 from .bimodule import BimoduleAction, hom_space
@@ -111,7 +111,8 @@ def enumerate_subspaces(dim: int, f: Field, budget: int = DEFAULT_BUDGET) -> Lis
                     rows[r][pc] = 1
                 for (r, c), val in zip(free, values):
                     rows[r][c] = val
-                out.append(Subspace(f, dim, Matrix(f, rows, cols=dim), _canonical=True))
+                basis = Matrix._trusted(f, tuple(map(tuple, rows)), dim)
+                out.append(Subspace(f, dim, basis, _canonical=True))
     out.sort(key=_subspace_key)
     return out
 
@@ -273,9 +274,10 @@ def _generic_sweep(f: Field, mats: List[Matrix], dim: int):
     the closure rows are the canonical RREF basis as tuples.  Follows the
     memo rule of the module docstring, with the memo indexed by the base-p
     code of a vector scaled to a leading 1.  The products run on the raw
-    entry tuples, which are already reduced mod p.
+    entry tuples, which are already canonical.
     """
     p = f.p
+    dots, scale, inv = f.dots, f.scale, f.inv
     weights = [p ** (dim - 1 - i) for i in range(dim)]
     memo = array("I", [0]) * p ** dim
     closures: List[Tuple[tuple, EchelonBasis]] = []
@@ -285,13 +287,12 @@ def _generic_sweep(f: Field, mats: List[Matrix], dim: int):
         eb = EchelonBasis(f, dim)
         k = 0
         for op in ops:
-            u = [sum(map(mul, row, seed)) % p for row in op]
+            u = dots(op, seed)
             lead = next((x for x in u if x), 0)
             if not lead:
                 continue
             if lead != 1:
-                inv = pow(lead, p - 2, p)
-                u = [x * inv % p for x in u]
+                u = scale(inv(lead), u)
             k = memo[sum(map(mul, u, weights))]
             if k:
                 w = closures[k - 1][1]
@@ -315,7 +316,7 @@ def _closure_subspace(f: Field, rows, dim: int) -> Subspace:
     """The Subspace of a closure's canonical rows, packed or not."""
     if f.p == 2:
         rows = [[(r >> i) & 1 for i in range(dim)] for r in rows]
-    return Subspace(f, dim, Matrix(f, rows, cols=dim), _canonical=True)
+    return Subspace(f, dim, Matrix._trusted(f, tuple(map(tuple, rows)), dim), _canonical=True)
 
 
 def _identity_ops(alg: GradedAlgebra):
@@ -398,15 +399,13 @@ def _subset_component_action(alg: GradedAlgebra, subset) -> BimoduleAction:
     lefts, rights = _identity_ops(alg)
 
     def cut(op):
-        return Matrix(alg.field, [[op.entries[r][c] for c in idx] for r in idx])
+        return Matrix._trusted(
+            alg.field, tuple(tuple(op.entries[r][c] for c in idx) for r in idx), len(idx)
+        )
 
     return BimoduleAction(
         alg.field, len(idx), [cut(m) for m in lefts], [cut(m) for m in rights]
     )
-
-
-def _unflatten(f: Field, flat, m: int) -> Matrix:
-    return Matrix(f, [flat[r * m : (r + 1) * m] for r in range(m)], cols=m)
 
 
 def _subsets_isomorphic(alg: GradedAlgebra, s_set, t_set, budget: int) -> bool:
@@ -426,7 +425,7 @@ def _subsets_isomorphic(alg: GradedAlgebra, s_set, t_set, budget: int) -> bool:
             f"isomorphism search space {f.p}^{homs.dim} exceeds budget {budget}"
         )
     for flat in projective_vectors(f, homs.basis.entries):
-        if nullspace(_unflatten(f, flat, a.dim)).dim == 0:
+        if nullspace(Matrix._unflatten(f, flat, a.dim)).dim == 0:
             return True
     return False
 

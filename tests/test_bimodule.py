@@ -1,12 +1,15 @@
 """Bimodule actions: spinning, simplicity, homomorphism spaces."""
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedrings.analysis import check_simple
 from gradedrings.bimodule import (
     Verdict,
+    _random_combination,
     _sampled_envelope_element,
     action_traces,
     are_isomorphic_simple,
@@ -20,8 +23,9 @@ from gradedrings.bimodule import (
     spin,
 )
 from gradedrings.builders import full_matrix_algebra, group_algebra, m3_example
+from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group
-from gradedrings.linalg import GF, RATIONALS, EchelonBasis
+from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix
 
 
 def test_verdict_semantics():
@@ -196,3 +200,43 @@ def test_schur_style_dichotomy_on_simples(seed):
     hs = hom_space(component_action(alg, g), component_action(alg, h))
     assert hs.dim >= 1  # all components isomorphic over the ground field
     assert are_isomorphic_simple(component_action(alg, g), component_action(alg, h))
+
+
+def test_spin_of_an_unreduced_zero_seed_is_zero():
+    action = regular_bimodule_action(group_algebra(GF(3), cyclic_group(2)))
+    assert spin(action, (3, 0)).dim == 0
+
+
+def test_spin_of_an_integer_seed_over_q_stays_exact():
+    action = regular_bimodule_action(group_algebra(RATIONALS, cyclic_group(2)))
+    w = spin(action, (2, 0))
+    assert w.is_full()
+    assert all(type(x) is Fraction for row in w.basis.entries for x in row)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=repr)
+@pytest.mark.parametrize("field", [GF(3), RATIONALS], ids=str)
+def test_elements_and_seeds_refuse_non_field_scalars(field, bad):
+    alg = group_algebra(field, cyclic_group(2))
+    with pytest.raises(InvalidInput):
+        alg.element({0: (bad,)})
+    with pytest.raises(InvalidInput):
+        spin(regular_bimodule_action(alg), (bad, 0))
+
+
+@pytest.mark.parametrize("field", [GF(5), RATIONALS], ids=str)
+def test_random_combination_draws_one_scalar_per_matrix(field):
+    rng = random.Random(3)
+    mats = [
+        Matrix(field, [[field.random_scalar(rng) for _ in range(3)] for _ in range(2)])
+        for _ in range(4)
+    ]
+    got = _random_combination(field, mats, random.Random(7))
+    draws = random.Random(7)
+    want = [[field.zero] * 3 for _ in range(2)]
+    for m in mats:
+        c = field.random_scalar(draws)
+        for i, row in enumerate(m.entries):
+            for j, x in enumerate(row):
+                want[i][j] = field.add(want[i][j], field.mul(c, x))
+    assert got == Matrix(field, want)

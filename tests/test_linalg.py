@@ -206,3 +206,107 @@ def test_solve_roundtrip_hypothesis(seed):
     got = solve_vector(a, b)
     assert got is not None
     assert a.apply(got) == b
+
+
+# --------------------------------------------------------------------------
+# one elimination kernel; scalars checked where they enter
+# --------------------------------------------------------------------------
+
+
+def _textbook_rref(field, rows):
+    """Gauss-Jordan elimination one scalar at a time, as an independent reference."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return rows, r
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_rref_matches_textbook_elimination(field):
+    rng = random.Random(11)
+    for rows, cols in [(1, 3), (3, 1), (3, 5), (5, 3), (4, 4), (6, 6)]:
+        for _ in range(4):
+            m = random_matrix(field, rows, cols, rng)
+            for case in (m, m.stack(m), m.stack(m.scale(2))):
+                want_rows, want_rank = _textbook_rref(field, case.entries)
+                got, rank = rref(case)
+                assert rank == want_rank
+                assert got == Matrix(field, want_rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_contains_agrees_with_rank(field):
+    rng = random.Random(12)
+    for _ in range(20):
+        basis = random_matrix(field, 3, 5, rng)
+        w = Subspace(field, 5, basis.stack(basis.scale(3)))
+        vec = rng.choice([basis.row(0), random_matrix(field, 1, 5, rng).row(0)])
+        grown = Subspace(field, 5, w.basis.stack(Matrix(field, [vec])))
+        assert w.contains(vec) == (grown.dim == w.dim)
+
+
+def test_echelon_basis_keeps_rational_input_exact():
+    eb = EchelonBasis(RATIONALS, 2)
+    assert eb.add([2, 1])
+    assert list(eb.rows[0]) == [1, Fraction(1, 2)]
+    assert all(type(x) is Fraction for x in eb.rows[0])
+
+
+def test_echelon_basis_reduces_gfp_input_before_using_it():
+    eb = EchelonBasis(GF(3), 2)
+    assert not eb.add([3, 0])
+    assert eb.rank == 0
+    assert eb.add([4, 0])
+    assert list(eb.rows[0]) == [1, 0]
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=repr)
+@pytest.mark.parametrize("field", [GF(3), RATIONALS], ids=str)
+def test_vector_entry_points_refuse_non_field_scalars(field, bad):
+    vec = (bad, 0)
+    with pytest.raises(InvalidInput):
+        Matrix(field, [vec])
+    with pytest.raises(InvalidInput):
+        Matrix.identity(field, 2).apply(vec)
+    with pytest.raises(InvalidInput):
+        EchelonBasis(field, 2).add(vec)
+    with pytest.raises(InvalidInput):
+        EchelonBasis(field, 2).contains(vec)
+    with pytest.raises(InvalidInput):
+        Subspace.full(field, 2).contains(vec)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_kernel_results_are_not_rechecked(field, monkeypatch):
+    from gradedrings.builders import group_algebra
+    from gradedrings.groups import cyclic_group
+
+    rng = random.Random(13)
+    a = random_matrix(field, 4, 5, rng)
+    b = random_matrix(field, 5, 3, rng)
+    alg = group_algebra(field, cyclic_group(3))
+    x = alg.from_flat([field.random_scalar(rng) for _ in range(alg.dim)])
+    y = alg.from_flat([field.random_scalar(rng) for _ in range(alg.dim)])
+    calls = []
+    real = Field.coerce
+    monkeypatch.setattr(Field, "coerce", lambda self, s: calls.append(s) or real(self, s))
+
+    prod = a @ b
+    rref(a)
+    nullspace(a)
+    eb = EchelonBasis(field, 3)
+    for row in prod.entries:
+        eb.add(row)
+    x * y
+    assert calls == []
