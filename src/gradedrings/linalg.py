@@ -226,7 +226,8 @@ class Matrix:
     @classmethod
     def _unflatten(cls, field: Field, flat: tuple, cols: int) -> "Matrix":
         """Wrap canonical row-major entries as rows of width cols > 0, unchecked."""
-        return cls._trusted(field, tuple(flat[i : i + cols] for i in range(0, len(flat), cols)), cols)
+        rows = tuple(flat[i : i + cols] for i in range(0, len(flat), cols))
+        return cls._trusted(field, rows, cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -309,7 +310,7 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
+        return all(not x for r in self.entries for x in r)
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:

@@ -310,3 +310,13 @@ def test_kernel_results_are_not_rechecked(field, monkeypatch):
         eb.add(row)
     x * y
     assert calls == []
+
+
+def test_empty_rational_sums_are_fractions():
+    a = Matrix(RATIONALS, [(), ()])
+    b = Matrix(RATIONALS, [], cols=3)
+    prod = a @ b
+    assert prod.shape == (2, 3)
+    assert all(type(x) is Fraction for row in prod.entries for x in row)
+    zero_sum = RATIONALS.combine([Fraction(1), Fraction(0)], [(Fraction(0),), (Fraction(2),)])
+    assert zero_sum == [0] and type(zero_sum[0]) is Fraction
