@@ -7,11 +7,17 @@ controlled property, crossed-product recognition, outerness of the induced
 automorphisms, injectivity of the component class map, and the lattice of
 graded subrings sitting between the identity component and the whole ring.
 
-Verdicts are three-valued.  Over a prime field every check below is
-conclusive at the scales this package targets, because projective sweeps
-are affordable; over the rationals a check either certifies its answer
-(kernel computations, dense envelopes, rational eigenvalue splits, trace
-obstructions) or honestly returns Inconclusive.
+Verdicts are three-valued.  Every search over a span (homogeneous ideal
+generators, units of a component, invertible twisted intertwiners) takes
+its candidates from `linalg.span_candidates`: all projective points when
+they fit the budget, which makes a fruitless search a proof, and else the
+basis plus `bimodule.SAMPLES` random vectors.  Over a prime field every
+check below is conclusive at the scales this package targets, because
+those sweeps are affordable; over the rationals (where only a line can be
+swept) a check either certifies its answer (kernel computations, dense
+envelopes, rational eigenvalue splits, trace obstructions) or honestly
+returns Inconclusive.  Callers choose the seed and the budget; the search
+sizes are module constants.
 
 `check_controlled` (and so `subring_correspondence`),
 `check_picard_injective`, legs (i)-(iii) of `check_necessary_conditions`
@@ -39,11 +45,11 @@ from .algebra import (
     validate_algebra,
 )
 from .bimodule import (
+    SAMPLES,
     BimoduleAction,
     SimplicityReport,
     Verdict,
     are_isomorphic_simple,
-    action_traces,
     bimodules_isomorphic,
     component_action,
     envelope,
@@ -55,7 +61,7 @@ from .bimodule import (
 from .builders import validate_automorphism
 from .errors import BudgetError, InternalInconsistency, InvalidInput
 from .groups import submonoids, validate_group
-from .linalg import Matrix, Subspace, nullspace, projective_vectors
+from .linalg import Matrix, Subspace, nullspace, span_candidates
 from .serialize import scalar_to_json
 
 
@@ -308,13 +314,9 @@ def _ideal_witness(alg: GradedAlgebra, sub: Subspace) -> dict:
     return out
 
 
-def check_simple(
-    alg: GradedAlgebra, *, seed: int = 0, trials: int = 64, budget: int = 65536
-) -> CheckResult:
+def check_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> CheckResult:
     """Is R simple as a ring (no two-sided ideal except 0 and R)?"""
-    rep = is_simple(
-        regular_bimodule_action(alg), seed=seed, trials=trials, exhaustive_budget=budget
-    )
+    rep = is_simple(regular_bimodule_action(alg), seed=seed, budget=budget)
     witness = _ideal_witness(alg, rep.witness) if rep.witness is not None else None
     return CheckResult(
         "simple",
@@ -327,93 +329,56 @@ def check_simple(
     )
 
 
-def check_graded_simple(
-    alg: GradedAlgebra, *, seed: int = 0, trials: int = 64, budget: int = 65536
-) -> CheckResult:
+def check_graded_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> CheckResult:
     """Is every graded two-sided ideal of R either 0 or R?
 
     A graded ideal is generated by homogeneous elements, so it suffices to
-    close single homogeneous vectors under two-sided multiplication.  Over
-    GF(p) the sweep over projective representatives of every component is
-    complete whenever p^dim(R_g) stays within budget; over Q it is complete
-    exactly when every nonzero component is a line.  When the sweep cannot
-    be exhaustive the check falls back to sampled seeds plus the dense
-    envelope certificate (R simple as a ring has no ideals at all, graded
-    or not), and otherwise admits Inconclusive.
+    close homogeneous vectors under two-sided multiplication.  Each nonzero
+    component offers the seeds of `span_candidates`: every projective ray
+    when they fit the budget (over Q: when the component is a line), else
+    its basis and its share of SAMPLES random vectors.  A proper ideal found
+    is a proof either way (`homogeneous-sweep` when every component was
+    swept, `homogeneous-spin` otherwise).  A fruitless search is a proof
+    only when every component was swept; otherwise the dense-envelope
+    certificate can still settle True (R simple as a ring has no ideals at
+    all, graded or not), and the check admits Inconclusive.
     """
     f = alg.field
     reg = regular_bimodule_action(alg)
     supports = [g for g in range(alg.group.order) if alg.comp_dims[g] > 0]
-
-    def sweepable(g: int) -> bool:
-        if f.p:
-            return f.p ** alg.comp_dims[g] <= budget
-        return alg.comp_dims[g] == 1
-
-    def component_rays(g: int):
-        rows = Matrix.identity(f, alg.comp_dims[g]).entries
-        return projective_vectors(f, rows) if f.p else rows
-
-    if all(sweepable(g) for g in supports):
-        for g in supports:
-            for vec in component_rays(g):
-                w = spin(reg, alg.flatten(alg.element({g: vec})))
-                if 0 < w.dim < alg.dim:
-                    return CheckResult(
-                        "graded-simple",
-                        Verdict.FALSE,
-                        method="homogeneous-sweep",
-                        witness=_ideal_witness(alg, w),
-                        seed=seed,
-                        budget=budget,
-                    )
-        return CheckResult(
-            "graded-simple",
-            Verdict.TRUE,
-            method="homogeneous-sweep",
-            detail="complete sweep over homogeneous generators",
-            seed=seed,
-            budget=budget,
-        )
-
     rng = random.Random(seed)
-    seeds = [
-        (g, row) for g in supports for row in Matrix.identity(f, alg.comp_dims[g]).entries
-    ]
-    for _ in range(trials):
-        g = supports[rng.randrange(len(supports))]
-        d = alg.comp_dims[g]
-        vec = tuple(f.random_scalar(rng) for _ in range(d))
-        if any(vec):
-            seeds.append((g, vec))
-    for g, vec in seeds:
-        w = spin(reg, alg.flatten(alg.element({g: vec})))
-        if 0 < w.dim < alg.dim:
-            return CheckResult(
-                "graded-simple",
-                Verdict.FALSE,
-                method="homogeneous-spin",
-                witness=_ideal_witness(alg, w),
-                seed=seed,
-                budget=budget,
-            )
+    share, extra = divmod(SAMPLES, len(supports))
+    searches = []
+    for i, g in enumerate(supports):
+        rows = Matrix.identity(f, alg.comp_dims[g]).entries
+        searches.append((g, *span_candidates(f, rows, rng, share + (i < extra), budget)))
+    swept = all(complete for _, _, complete in searches)
+    method = "homogeneous-sweep" if swept else "homogeneous-spin"
+    spins = 0
+    for g, candidates, _ in searches:
+        for vec in candidates:
+            spins += 1
+            w = spin(reg, alg.flatten(alg.element({g: vec})))
+            if 0 < w.dim < alg.dim:
+                return CheckResult(
+                    "graded-simple", Verdict.FALSE, method=method,
+                    witness=_ideal_witness(alg, w), seed=seed, budget=budget,
+                )
+    if swept:
+        return CheckResult(
+            "graded-simple", Verdict.TRUE, method=method,
+            detail="complete sweep over homogeneous generators", seed=seed, budget=budget,
+        )
     rank, _ = envelope(reg)
     if rank == alg.dim * alg.dim:
         return CheckResult(
-            "graded-simple",
-            Verdict.TRUE,
-            method="dense-envelope",
+            "graded-simple", Verdict.TRUE, method="dense-envelope",
             detail="R is simple as a ring, so it has no proper ideals at all",
-            seed=seed,
-            budget=budget,
+            seed=seed, budget=budget,
         )
     return CheckResult(
-        "graded-simple",
-        Verdict.INCONCLUSIVE,
-        method="homogeneous-spin",
-        detail=f"no proper graded ideal found in {len(seeds)} spins",
-        seed=seed,
-        budget=budget,
+        "graded-simple", Verdict.INCONCLUSIVE, method=method,
+        detail=f"no proper graded ideal found in {spins} spins", seed=seed, budget=budget,
     )
 
 
@@ -442,9 +407,7 @@ class _ComponentProfile:
         return _unless_undecided([rep.verdict for rep in self.simple.values()]), None
 
 
-def _component_profile(
-    alg: GradedAlgebra, *, seed: int, trials: int, budget: int
-) -> _ComponentProfile:
+def _component_profile(alg: GradedAlgebra, *, seed: int, budget: int) -> _ComponentProfile:
     """Simplicity of every nonzero component and isomorphism of every pair.
 
     Two simple components are compared by Schur's lemma, exact over any
@@ -453,8 +416,7 @@ def _component_profile(
     support = [g for g in range(alg.group.order) if alg.comp_dims[g]]
     actions = {g: component_action(alg, g) for g in support}
     simple = {
-        g: is_simple(actions[g], seed=seed + g, trials=trials, exhaustive_budget=budget)
-        for g in support
+        g: is_simple(actions[g], seed=seed + g, budget=budget) for g in support
     }
     iso = {}
     for g, h in combinations(support, 2):
@@ -462,7 +424,7 @@ def _component_profile(
             iso[(g, h)] = Verdict.from_bool(are_isomorphic_simple(actions[g], actions[h]))
         else:
             iso[(g, h)] = bimodules_isomorphic(
-                actions[g], actions[h], seed=seed + 101 * g + h, trials=trials, budget=budget
+                actions[g], actions[h], seed=seed + 101 * g + h, budget=budget
             ).verdict
     return _ComponentProfile(simple, iso)
 
@@ -516,7 +478,7 @@ class ControlledReport:
 
 
 def check_controlled(
-    alg: GradedAlgebra, *, seed: int = 0, trials: int = 64, budget: int = 65536
+    alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
 ) -> ControlledReport:
     """Decide whether subsets of G classify the R_e-sub-bimodules of R.
 
@@ -525,7 +487,7 @@ def check_controlled(
     A zero component fails immediately (it would glue two subsets to the
     same sub-bimodule).
     """
-    profile = _component_profile(alg, seed=seed, trials=trials, budget=budget)
+    profile = _component_profile(alg, seed=seed, budget=budget)
     return _controlled_report(alg, profile, seed, budget)
 
 
@@ -575,12 +537,7 @@ def subset_action(alg: GradedAlgebra, subset) -> BimoduleAction:
 
 
 def check_necessary_conditions(
-    alg: GradedAlgebra,
-    *,
-    seed: int = 0,
-    trials: int = 64,
-    budget: int = 65536,
-    ideal_budget: int = 10 ** 6,
+    alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
 ) -> CheckResult:
     """The five conditions a controlled gradation must satisfy.
 
@@ -588,13 +545,13 @@ def check_necessary_conditions(
     bimodule, (iii) the identity component a simple ring, (iv) the
     centralizer of R_e reduced to its center, (v) every two-sided ideal
     graded.  Condition (v) needs an exhaustive ideal enumeration, so it is
-    checked at oracle scale over prime fields and reported Skipped
-    otherwise.
+    checked at oracle scale (the oracle's DEFAULT_BUDGET) over prime fields
+    and reported Skipped otherwise.
     """
     G = alg.group
     f = alg.field
     e = G.identity
-    profile = _component_profile(alg, seed=seed, trials=trials, budget=budget)
+    profile = _component_profile(alg, seed=seed, budget=budget)
 
     def same(g: int, h: int) -> Verdict:
         dg, dh = alg.comp_dims[g], alg.comp_dims[h]
@@ -654,10 +611,10 @@ def check_necessary_conditions(
             detail="ideal enumeration needs a finite prime field",
         )
     else:
-        from .oracle import ideal_oracle
+        from .oracle import DEFAULT_BUDGET, ideal_oracle
 
         try:
-            ideals = ideal_oracle(alg, budget=ideal_budget)
+            ideals = ideal_oracle(alg, budget=DEFAULT_BUDGET)
         except BudgetError as exc:
             ideal_part = CheckResult(
                 "ideals-graded", Verdict.SKIPPED, method="oracle", detail=str(exc),
@@ -667,12 +624,12 @@ def check_necessary_conditions(
             if bad is None:
                 ideal_part = CheckResult(
                     "ideals-graded", Verdict.TRUE, method="oracle",
-                    detail=f"all {len(ideals)} ideals graded", budget=ideal_budget,
+                    detail=f"all {len(ideals)} ideals graded", budget=DEFAULT_BUDGET,
                 )
             else:
                 ideal_part = CheckResult(
                     "ideals-graded", Verdict.FALSE, method="oracle",
-                    witness={"ideal": _enc_subspace(f, bad)}, budget=ideal_budget,
+                    witness={"ideal": _enc_subspace(f, bad)}, budget=DEFAULT_BUDGET,
                 )
     parts.append(ideal_part)
 
@@ -751,45 +708,33 @@ class CrossedReport:
         return out
 
 
-def _unit_search_space(alg: GradedAlgebra, g: int, rng, trials: int, budget: int):
-    """Candidate vectors in component coordinates, exhaustive when affordable.
+def _side_traces(action: BimoduleAction) -> list:
+    """tr L_b and tr R_b for every basis element b, reduced in the field.
 
-    Returns (candidates, complete): complete means exhausting the list
-    proves no invertible element exists in R_g.
+    For R_g = R_e u with u a unit, a -> a u carries L_b on R_e to L_b on
+    R_g and a -> u a carries R_b on R_e to R_b on R_g, so a component with
+    a unit has the side traces of R_e.  The traces of the products L_b R_c
+    do not survive: R_g is R_e twisted by conjugation with u.
     """
-    f = alg.field
-    d = alg.comp_dims[g]
-    rows = Matrix.identity(f, d).entries
-    if f.p and f.p ** d <= budget:
-        return projective_vectors(f, rows), True
-
-    def sampled():
-        yield from rows
-        for _ in range(trials):
-            if f.p:
-                vec = tuple(f.random_scalar(rng) for _ in range(d))
-            else:
-                vec = tuple(f.coerce(rng.randint(-10 ** 6, 10 ** 6)) for _ in range(d))
-            if any(vec):
-                yield vec
-
-    return sampled(), False
+    f = action.field
+    diagonal = Matrix.identity(f, action.dim).flatten()
+    return f.dots([op.flatten() for op in action.ops], diagonal)
 
 
 def detect_crossed_product(
-    alg: GradedAlgebra, *, seed: int = 0, trials: int = 40, budget: int = 65536
+    alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
 ) -> CrossedReport:
     """Find an invertible element in every component, or rule that out.
 
-    Over GF(p) with p^dim(R_g) within budget the component is swept
-    exhaustively, so No carries proof scope "exhaustive".  Outside that
-    range two exact obstructions can still certify No over any field: the
-    pairing R_g R_{g^-1} must be all of R_e (it is an ideal containing 1
-    once a unit exists), and right multiplication by a unit makes R_g
-    isomorphic to R_e as a bimodule, forcing the multiplication traces of
-    the two components to agree.  Failing both, the search is randomized in
-    the style of Schwartz-Zippel and a fruitless run ends Unknown, never
-    No.
+    Each component's candidates come from `span_candidates`.  When they
+    sweep it (its projective points fit the budget, or it is a line over
+    Q), No carries proof scope "exhaustive".  Otherwise three exact
+    obstructions can still certify No over any field: R_g must have the
+    dimension of R_e; the pairing R_g R_{g^-1} must be all of R_e (it is an
+    ideal containing 1 once a unit exists); and the one-sided
+    multiplication traces on R_g must match those on R_e (`_side_traces`).
+    Failing all three, the search samples in the style of Schwartz-Zippel
+    and a fruitless run ends Unknown, never No.
     """
     G = alg.group
     f = alg.field
@@ -797,12 +742,13 @@ def detect_crossed_product(
     rng = random.Random(seed)
     per: Dict[int, str] = {e: "unit"}
     units: Dict[int, Element] = {e: alg.one()}
-    e_traces = action_traces(component_action(alg, e))
+    e_traces = _side_traces(component_action(alg, e))
 
     for g in range(G.order):
         if g == e:
             continue
-        candidates, complete = _unit_search_space(alg, g, rng, trials, budget)
+        rows = Matrix.identity(f, alg.comp_dims[g]).entries
+        candidates, complete = span_candidates(f, rows, rng, SAMPLES, budget)
         if not complete:
             # Exact obstructions, worth checking only when the sweep cannot
             # settle the component by itself.
@@ -821,8 +767,8 @@ def detect_crossed_product(
                     Verdict.FALSE, "degenerate-pair", None, per, seed, budget,
                     group_names=G.names,
                 )
-            if action_traces(component_action(alg, g)) != e_traces:
-                per[g] = "no invertible element: bimodule traces differ from R_e"
+            if _side_traces(component_action(alg, g)) != e_traces:
+                per[g] = "no invertible element: one-sided traces differ from R_e"
                 return CrossedReport(
                     Verdict.FALSE, "character", None, per, seed, budget,
                     group_names=G.names,
@@ -974,7 +920,7 @@ def verify_crossed_reconstruction(
 
 def is_inner(
     base: GradedAlgebra, sigma: Matrix, *, base_simple: Verdict, seed: int = 0,
-    trials: int = 64, budget: int = 65536,
+    budget: int = 65536,
 ) -> CheckResult:
     """Is the automorphism conjugation by some invertible element?
 
@@ -983,9 +929,9 @@ def is_inner(
     element.  V = 0 settles Outer over any field.  When the base ring is
     simple any nonzero member of V is automatically invertible (its left
     annihilator would be a proper nonzero ideal), so a nonzero V settles
-    Inner.  Otherwise the search for an invertible member is exhaustive
-    over GF(p) within budget and randomized over Q.  base_simple is the
-    caller's simplicity verdict on the base ring.
+    Inner.  Otherwise V is searched for an invertible member through
+    `span_candidates`: a sweep settles Outer, a fruitless sample does not.
+    base_simple is the caller's simplicity verdict on the base ring.
     """
     validate_automorphism(base, sigma, "sigma")
     f = base.field
@@ -1015,33 +961,20 @@ def is_inner(
             seed=seed, budget=budget,
         )
 
-    rows = V.basis.entries
-    if f.p and f.p ** V.dim <= budget:
-        for vec in projective_vectors(f, rows):
-            if is_invertible(base.from_flat(vec)) is not None:
-                return CheckResult(
-                    "inner", Verdict.TRUE, method="intertwiner-search",
-                    witness={"element": _enc_vec(f, vec)}, seed=seed, budget=budget,
-                )
-        return CheckResult(
-            "inner", Verdict.FALSE, method="intertwiner-search",
-            detail="no invertible element in the intertwiner space (exhaustive)",
-            seed=seed, budget=budget,
-        )
     rng = random.Random(seed)
-    candidates = list(rows)
-    for _ in range(trials):
-        coeffs = [f.random_scalar(rng) if f.p else f.coerce(rng.randint(-10 ** 6, 10 ** 6))
-                  for _ in rows]
-        vec = f.combine(coeffs, rows)
-        if any(vec):
-            candidates.append(tuple(vec))
+    candidates, complete = span_candidates(f, V.basis.entries, rng, SAMPLES, budget)
     for vec in candidates:
         if is_invertible(base.from_flat(vec)) is not None:
             return CheckResult(
                 "inner", Verdict.TRUE, method="intertwiner-search",
                 witness={"element": _enc_vec(f, vec)}, seed=seed, budget=budget,
             )
+    if complete:
+        return CheckResult(
+            "inner", Verdict.FALSE, method="intertwiner-search",
+            detail="no invertible element in the intertwiner space (exhaustive)",
+            seed=seed, budget=budget,
+        )
     return CheckResult(
         "inner", Verdict.INCONCLUSIVE, method="intertwiner-search",
         detail="nonzero intertwiner space, no invertible member found",
@@ -1050,7 +983,7 @@ def is_inner(
 
 
 def check_crossed_controlled(
-    alg: GradedAlgebra, *, seed: int = 0, trials: int = 64, budget: int = 65536
+    alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
 ) -> CheckResult:
     """For a crossed product, run the three equivalent controlled criteria.
 
@@ -1074,7 +1007,7 @@ def check_crossed_controlled(
     G = alg.group
     e = G.identity
 
-    profile = _component_profile(alg, seed=seed, trials=trials, budget=budget)
+    profile = _component_profile(alg, seed=seed, budget=budget)
     leg_a = _controlled_report(alg, profile, seed, budget)
     part_a = CheckResult(
         "controlled-direct", leg_a.verdict, method=leg_a.method, witness=leg_a.witness,
@@ -1107,7 +1040,7 @@ def check_crossed_controlled(
             inner_verdicts.append(
                 is_inner(
                     base, data.sigma[g], base_simple=base_rep.verdict, seed=seed + g,
-                    trials=trials, budget=budget,
+                    budget=budget,
                 ).verdict
             )
         if any(v is Verdict.TRUE for v in inner_verdicts):
@@ -1145,7 +1078,7 @@ def check_crossed_controlled(
 
 
 def check_picard_injective(
-    alg: GradedAlgebra, *, seed: int = 0, trials: int = 64, budget: int = 65536
+    alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
 ) -> CheckResult:
     """Do distinct components represent distinct bimodule classes?
 
@@ -1159,7 +1092,7 @@ def check_picard_injective(
     if strong.verdict is not Verdict.TRUE:
         raise InvalidInput("the component class map needs a strongly graded algebra")
     G = alg.group
-    profile = _component_profile(alg, seed=seed, trials=trials, budget=budget)
+    profile = _component_profile(alg, seed=seed, budget=budget)
     verdict, pair = _non_isomorphic(profile.iso)
     return CheckResult(
         "picard-injective", verdict, method="pairwise-isomorphism",
@@ -1201,7 +1134,7 @@ class SubringReport:
 
 
 def subring_correspondence(
-    alg: GradedAlgebra, *, seed: int = 0, trials: int = 64, budget: int = 65536
+    alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
 ) -> SubringReport:
     """Subgroups of G versus subrings between R_e and R.
 
@@ -1211,7 +1144,7 @@ def subring_correspondence(
     the report lists one entry per subgroup after verifying each sum really
     is a unital subring.
     """
-    ctrl = check_controlled(alg, seed=seed, trials=trials, budget=budget)
+    ctrl = check_controlled(alg, seed=seed, budget=budget)
     if ctrl.verdict is not Verdict.TRUE:
         raise InvalidInput(
             "subring correspondence needs a controlled gradation (got "

@@ -10,20 +10,29 @@ density test and the MeatAxe cheap here.
 
 Simplicity is decided by a Norton-style MeatAxe with an exhaustive
 projective-spin fallback, so a True or False is a theorem about the input,
-never a sample; over the rationals, rational eigenvalue shifts stand in for
-projective enumeration and the search can end Inconclusive.  `is_simple`
-tries these certificates in order and names the deciding one as `method`:
-`dimension` (M is a line); `basis-spin`, `random-spin` (False: a basis or
-random vector spins to a proper invariant subspace); over GF(p) with
-p <= 64, Norton's test on up to eight envelope elements sampled without an
-envelope basis; `dense-envelope` (True: the L_i R_j span End(M)); Norton's
-test on elements drawn from the envelope basis; `exhaustive-spin` (GF(p)
-within budget: every projective vector is spun, True or False with a
-witness); `budget` or `rational-sampling` (Inconclusive).  Norton's test
-reports `meataxe-spin` (False: a nullspace vector spins to a proper
-subspace) or `meataxe-norton`, a proof either way: True when every
-nullspace line and one nullspace vector of the transpose spin to the whole
-space, else False with the annihilator of that transpose spin as witness.
+never a sample.  `is_simple` tries these certificates in order and names
+the deciding one as `method`: `dimension` (M is a line); `basis-spin`,
+`random-spin` (False: a basis or random vector spins to a proper invariant
+subspace); over GF(p) with p <= 64, Norton's test on QUICK_TRIALS envelope
+elements sampled without an envelope basis; `dense-envelope` (True: the
+L_i R_j span End(M)); Norton's test on SAMPLES elements drawn from the
+envelope basis; `exhaustive-spin` (every projective vector is spun, True or
+False with a witness); `budget` (GF(p)) or `rational-sampling` (Q), both
+Inconclusive.  Both runs of Norton's test are one loop, `_norton_trials`,
+whose only field-dependent step picks the shifts theta - lam*I: every lam
+in GF(p) for p <= 64, sixteen sampled ones for larger p, the rational
+eigenvalues over Q.  Norton's test reports `meataxe-spin` (False: a
+nullspace vector spins to a proper subspace) or `meataxe-norton`, a proof
+either way: True when every nullspace line and one nullspace vector of the
+transpose spin to the whole space, else False with the annihilator of that
+transpose spin as witness.
+
+Whether a span is swept or sampled is decided in one place,
+`linalg.span_candidates`: the exhaustive spin of M and the nullspace lines
+of Norton's test (at most NULLSPACE_BUDGET points) are sweeps or nothing,
+and `find_invertible_combo` sweeps a hom space within its budget and
+samples SAMPLES combinations past it.  The three constants below are the
+only search sizes; callers choose the seed and the budget.
 """
 from __future__ import annotations
 
@@ -42,10 +51,18 @@ from .linalg import (
     Subspace,
     annihilator,
     nullspace,
-    projective_count,
-    projective_vectors,
     solve,
+    span_candidates,
 )
+
+# Random draws of a sampled search: Norton trials on envelope elements, and
+# the combinations `span_candidates` adds when a span is past its budget.
+SAMPLES = 64
+# Random spins, and envelope elements sampled without an envelope basis,
+# tried before the envelope is built.
+QUICK_TRIALS = 8
+# Most projective points of a nullspace whose lines Norton's test spins.
+NULLSPACE_BUDGET = 4096
 
 
 class Verdict(Enum):
@@ -227,17 +244,12 @@ def _proper(sub: Subspace, m: int) -> bool:
 
 
 def is_simple(
-    action: BimoduleAction,
-    *,
-    seed: int = 0,
-    trials: int = 64,
-    vector_budget: int = 4096,
-    exhaustive_budget: int = 65536,
+    action: BimoduleAction, *, seed: int = 0, budget: int = 65536
 ) -> SimplicityReport:
     """Decide whether M has no invariant subspace other than 0 and M.
 
-    Over GF(p) the verdict is conclusive whenever |F|^m fits inside
-    exhaustive_budget, the bound for escalating to a full projective spin
+    Over GF(p) the verdict is conclusive whenever the projective points of
+    M fit inside budget, the bound for escalating to a full projective spin
     sweep; over the rationals a True or False is still certified but the
     search can end Inconclusive.
     """
@@ -248,45 +260,84 @@ def is_simple(
     if m == 1:
         return SimplicityReport(Verdict.TRUE, "dimension")
     rng = random.Random(seed)
+    basis = Matrix.identity(f, m).entries
 
-    for row in Matrix.identity(f, m).entries:
+    for row in basis:
         w = spin(action, row)
         if _proper(w, m):
             return SimplicityReport(
                 Verdict.FALSE, "basis-spin", _checked_witness(action, w)
             )
-    for _ in range(min(trials, 8)):
+    for _ in range(QUICK_TRIALS):
         w = spin(action, _random_vector(f, m, rng))
         if _proper(w, m):
             return SimplicityReport(
                 Verdict.FALSE, "random-spin", _checked_witness(action, w)
             )
 
+    def shifts(theta: Matrix):
+        if not f.p:
+            return rational_eigenvalues(theta)
+        return range(f.p) if f.p <= 64 else sorted(rng.sample(range(f.p), 16))
+
     sampled = 0
     if 0 < f.p <= 64:
         # every shift is tried, so one singular sample usually decides and
         # the n^2-dimensional envelope basis is never built; the cap keeps
         # the cost bounded on envelopes that are fields, where it rarely does
-        for _ in range(min(trials, 8)):
-            sampled += 1
-            theta = _sampled_envelope_element(action, rng)
-            report = _norton_shifts(action, theta, range(f.p), vector_budget)
-            if report is not None:
-                report.trials = sampled
-                return report
+        thetas = (_sampled_envelope_element(action, rng) for _ in range(QUICK_TRIALS))
+        report, sampled = _norton_trials(action, thetas, shifts, rng)
+        if report is not None:
+            report.trials = sampled
+            return report
 
     rank, env = envelope(action)
     if rank == m * m:
         return SimplicityReport(Verdict.TRUE, "dense-envelope", trials=sampled)
 
-    if f.p == 0:
-        report = _simplicity_rational(action, env, rng, trials)
-    else:
-        report = _simplicity_meataxe(
-            action, env, rng, trials, vector_budget, exhaustive_budget
-        )
-    report.trials += sampled
+    thetas = (_random_envelope_element(action, env, rng) for _ in range(SAMPLES))
+    report, used = _norton_trials(action, thetas, shifts, rng)
+    if report is None:
+        report = _exhaustive_spin(action, basis, rng, budget)
+    report.trials = sampled + used
     return report
+
+
+def _norton_trials(action: BimoduleAction, thetas, shifts, rng):
+    """(the first Norton report over the thetas or None, thetas tried)."""
+    used = 0
+    for theta in thetas:
+        used += 1
+        report = _norton_shifts(action, theta, shifts(theta), rng)
+        if report is not None:
+            return report, used
+    return None, used
+
+
+def _exhaustive_spin(action: BimoduleAction, basis, rng, budget: int) -> SimplicityReport:
+    """Spin every projective vector of M when they fit the budget."""
+    f = action.field
+    seeds, complete = span_candidates(f, basis, rng, 0, budget)
+    if not complete:
+        if not f.p:
+            return SimplicityReport(
+                Verdict.INCONCLUSIVE,
+                "rational-sampling",
+                detail="no envelope element with a one-dimensional rational nullspace found",
+            )
+        return SimplicityReport(
+            Verdict.INCONCLUSIVE,
+            "budget",
+            detail=f"no small nullspace found and {action.dim}-dim projective sweep over "
+            f"GF({f.p}) exceeds {budget} points",
+        )
+    for v in seeds:
+        w = spin(action, v)
+        if _proper(w, action.dim):
+            return SimplicityReport(
+                Verdict.FALSE, "exhaustive-spin", _checked_witness(action, w)
+            )
+    return SimplicityReport(Verdict.TRUE, "exhaustive-spin")
 
 
 def _sampled_envelope_element(action: BimoduleAction, rng) -> Matrix:
@@ -331,7 +382,7 @@ def _random_envelope_element(action: BimoduleAction, env, rng) -> Matrix:
             return theta
 
 
-def _norton_step(action: BimoduleAction, theta: Matrix, vector_budget: int):
+def _norton_step(action: BimoduleAction, theta: Matrix, rng):
     """Run the two-sided nullspace test on one singular envelope element.
 
     Returns a SimplicityReport, or None when the nullspace is too large to
@@ -339,19 +390,12 @@ def _norton_step(action: BimoduleAction, theta: Matrix, vector_budget: int):
     nullspace and its transpose's are made of invariant-subspace seeds.
     """
     m = action.dim
-    f = action.field
     ker = nullspace(theta)
     if not 0 < ker.dim < m:
         return None
-    rows = ker.basis.entries
-    if f.p == 0:
-        if ker.dim > 1:
-            return None
-        seeds = [rows[0]]
-    else:
-        if projective_count(f.p, ker.dim) > vector_budget:
-            return None
-        seeds = projective_vectors(f, rows)
+    seeds, complete = span_candidates(action.field, ker.basis.entries, rng, 0, NULLSPACE_BUDGET)
+    if not complete:
+        return None
     for v in seeds:
         w = spin(action, v)
         if _proper(w, m):
@@ -374,7 +418,7 @@ def _norton_step(action: BimoduleAction, theta: Matrix, vector_budget: int):
     )
 
 
-def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, vector_budget: int):
+def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, rng):
     """The first Norton report among theta - lam*I over the shifts, or None."""
     f, rows = theta.field, theta.entries
     for lam in shifts:
@@ -385,59 +429,10 @@ def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, vector_budget:
         )
         if cand.is_zero():
             continue
-        report = _norton_step(action, cand, vector_budget)
+        report = _norton_step(action, cand, rng)
         if report is not None:
             return report
     return None
-
-
-def _simplicity_meataxe(action, env, rng, trials, vector_budget, exhaustive_budget):
-    m = action.dim
-    f = action.field
-    p = f.p
-    used = 0
-    for t in range(trials):
-        theta = _random_envelope_element(action, env, rng)
-        used = t + 1
-        shifts = range(p) if p <= 64 else sorted(rng.sample(range(p), 16))
-        report = _norton_shifts(action, theta, shifts, vector_budget)
-        if report is not None:
-            report.trials = used
-            return report
-    if p**m <= exhaustive_budget:
-        for v in projective_vectors(f, Matrix.identity(f, m).entries):
-            w = spin(action, v)
-            if _proper(w, m):
-                return SimplicityReport(
-                    Verdict.FALSE, "exhaustive-spin", _checked_witness(action, w), used
-                )
-        return SimplicityReport(Verdict.TRUE, "exhaustive-spin", None, used)
-    return SimplicityReport(
-        Verdict.INCONCLUSIVE,
-        "budget",
-        None,
-        used,
-        detail=f"no small nullspace found and {m}-dim projective sweep over GF({p}) "
-        f"exceeds {exhaustive_budget} points",
-    )
-
-
-def _simplicity_rational(action, env, rng, trials):
-    used = 0
-    for t in range(trials):
-        theta = _random_envelope_element(action, env, rng)
-        used = t + 1
-        report = _norton_shifts(action, theta, rational_eigenvalues(theta), 1)
-        if report is not None:
-            report.trials = used
-            return report
-    return SimplicityReport(
-        Verdict.INCONCLUSIVE,
-        "rational-sampling",
-        None,
-        used,
-        detail="no envelope element with a one-dimensional rational nullspace found",
-    )
 
 
 # --- eigenvalue search helpers ----------------------------------------------
@@ -606,29 +601,20 @@ def _is_invertible_matrix(m: Matrix) -> bool:
     return m.shape[0] == m.shape[1] and nullspace(m).dim == 0
 
 
-def find_invertible_combo(field: Field, mats: list, rng, *, trials: int, budget: int):
+def find_invertible_combo(field: Field, mats: list, rng, *, budget: int):
     """Search the span of mats for an invertible member.
 
     Returns (matrix, exhausted): exhausted True means the span was swept
     completely, so a None result proves there is no invertible element.
     """
-    if not mats:
-        return None, True
-    if field.p and projective_count(field.p, len(mats)) <= budget:
-        flat = [m.flatten() for m in mats]
-        for vec in projective_vectors(field, flat):
-            cand = Matrix._unflatten(field, vec, mats[0].cols)
-            if _is_invertible_matrix(cand):
-                return cand, True
-        return None, True
-    for m in mats:
-        if _is_invertible_matrix(m):
-            return m, False
-    for _ in range(trials):
-        cand = _random_combination(field, mats, rng)
-        if not cand.is_zero() and _is_invertible_matrix(cand):
-            return cand, False
-    return None, False
+    candidates, exhausted = span_candidates(
+        field, [m.flatten() for m in mats], rng, SAMPLES, budget
+    )
+    for vec in candidates:
+        cand = Matrix._unflatten(field, vec, mats[0].cols)
+        if _is_invertible_matrix(cand):
+            return cand, exhausted
+    return None, exhausted
 
 
 @dataclass
@@ -647,14 +633,15 @@ def bimodules_isomorphic(
     b: BimoduleAction,
     *,
     seed: int = 0,
-    trials: int = 24,
     budget: int = 4096,
 ) -> IsoReport:
     """Decide whether two bimodules over the same pair of algebras match.
 
-    Searches the hom space for an invertible member: exhaustively over
-    GF(p) within budget, by sampling otherwise.  For carriers known to be
-    simple, `are_isomorphic_simple` decides by Schur's lemma instead.
+    Searches the hom space for an invertible member with
+    `find_invertible_combo`: a sweep when its projective points fit the
+    budget (over Q, when it is a line), a sample otherwise.  For carriers
+    known to be simple, `are_isomorphic_simple` decides by Schur's lemma
+    instead.
     """
     if a.dim != b.dim:
         return IsoReport(Verdict.FALSE, "dimension")
@@ -666,9 +653,7 @@ def bimodules_isomorphic(
     if not homs:
         return IsoReport(Verdict.FALSE, "hom-space", hom_dim=0)
     rng = random.Random(seed)
-    wit, exhausted = find_invertible_combo(
-        a.field, homs, rng, trials=trials, budget=budget
-    )
+    wit, exhausted = find_invertible_combo(a.field, homs, rng, budget=budget)
     if wit is not None:
         return IsoReport(Verdict.TRUE, "invertible-hom", wit, hom_dim=len(homs))
     if exhausted:

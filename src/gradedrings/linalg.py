@@ -30,6 +30,7 @@ lets `vector` canonicalize the result.  `Matrix.mul`, `Matrix.apply` and
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -165,14 +166,11 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def random_scalar(self, rng, *, nonzero: bool = False):
+    def random_scalar(self, rng):
+        """A uniform element of GF(p), or a small fraction n/d over Q."""
         if self.p:
-            lo = 1 if nonzero else 0
-            return rng.randrange(lo, self.p)
-        num = rng.randint(-9, 9)
-        if nonzero and num == 0:
-            num = 1
-        return Fraction(num, rng.randint(1, 9))
+            return rng.randrange(self.p)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -616,4 +614,32 @@ def projective_vectors(field: Field, basis_rows: Sequence[Sequence]):
                     for j, x in enumerate(row):
                         if x:
                             vec[j] = (vec[j] + co * x) % p
+            yield tuple(vec)
+
+
+def span_candidates(field: Field, rows: Sequence[Sequence], rng, samples: int, budget: int):
+    """The vectors of span(rows) that a search tries: (candidates, complete).
+
+    This is the one rule for sweeping a span or sampling it.  When the span
+    has at most `budget` projective points, the candidates are one vector
+    per point and complete is True, so a search that finds nothing among
+    them proves there is nothing to find: over GF(p) they are the
+    `projective_vectors`, over Q (where only a span of dimension at most 1
+    has finitely many points) the rows.  Otherwise the candidates are the
+    rows followed by up to `samples` nonzero combinations, with coefficients
+    drawn by `Field.random_scalar`, and complete is False.  Candidates are
+    generated lazily: rng is drawn from only as they are consumed.
+    """
+    k = len(rows)
+    points = projective_count(field.p, k) if field.p else (k if k <= 1 else math.inf)
+    if points <= budget:
+        return (projective_vectors(field, rows) if field.p else iter(rows)), True
+    return _sampled_span(field, rows, rng, samples), False
+
+
+def _sampled_span(field: Field, rows, rng, samples: int):
+    yield from rows
+    for _ in range(samples):
+        vec = field.combine([field.random_scalar(rng) for _ in rows], rows)
+        if any(vec):
             yield tuple(vec)

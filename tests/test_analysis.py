@@ -1,6 +1,7 @@
 """Decision procedures on known instances, witnesses included."""
 import pytest
 
+from gradedrings.algebra import GradedAlgebra
 from gradedrings.analysis import (
     center_of_Re,
     centralizer_of_Re,
@@ -27,11 +28,12 @@ from gradedrings.builders import (
     galois_skew_example,
     group_algebra,
     inner_automorphism_matrix,
+    skew_group_ring,
 )
 from gradedrings.corpus import checkerboard_m2, dual_numbers_graded, twisted_galois_z2
 from gradedrings.errors import InvalidInput
-from gradedrings.groups import cyclic_group
-from gradedrings.linalg import GF, RATIONALS
+from gradedrings.groups import cyclic_group, trivial_group
+from gradedrings.linalg import GF, RATIONALS, Matrix
 
 
 # --------------------------------------------------------------------------
@@ -316,3 +318,100 @@ def test_subring_gate_refuses_uncontrolled(m3_gf2, gf2_z2):
     for alg in (m3_gf2, gf2_z2):
         with pytest.raises(InvalidInput):
             subring_correspondence(alg)
+
+
+# --------------------------------------------------------------------------
+# sampled searches: a span with more projective points than the budget
+# --------------------------------------------------------------------------
+
+
+def _cyclic_group_algebra_ungraded(field, n):
+    """F[Z/n] on the trivial group, basis t^0, ..., t^(n-1)."""
+    structure = {
+        (0, a, 0, b): [1 if k == (a + b) % n else 0 for k in range(n)]
+        for a in range(n)
+        for b in range(n)
+    }
+    return GradedAlgebra(field, trivial_group(), (n,), structure, [1] + [0] * (n - 1))
+
+
+def test_graded_simple_past_budget_falls_back_to_dense_envelope():
+    # GF(16) ⋊ Z/4: each 4-dim component has 15 projective points, over 8
+    rep = check_graded_simple(galois_skew_example(2, 4), budget=8)
+    assert rep.verdict is Verdict.TRUE
+    assert rep.method == "dense-envelope"
+    assert rep.budget == 8
+
+
+def test_simple_past_budget_is_inconclusive():
+    # GF(16) over itself: the commutant is a field, so Norton's test never
+    # decides and only the projective sweep (15 points) can
+    base, _ = finite_field_algebra(2, 4)
+    assert check_simple(base).verdict is Verdict.TRUE
+    rep = check_simple(base, budget=8)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.method == "budget"
+    assert "exceeds 8 points" in rep.detail
+
+
+def test_controlled_past_budget_is_inconclusive():
+    rep = check_controlled(galois_skew_example(2, 4), budget=8)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert set(rep.simplicity.values()) == {Verdict.INCONCLUSIVE}
+    assert set(rep.iso.values()) == {Verdict.FALSE}
+
+
+def test_is_inner_past_budget_samples_the_intertwiners():
+    # F[Z/4] over GF(2) is local, so it is not simple and the search runs
+    base = _cyclic_group_algebra_ungraded(GF(2), 4)
+    base_simple = is_simple(regular_bimodule_action(base)).verdict
+    assert base_simple is Verdict.FALSE
+    identity = Matrix.identity(GF(2), 4)
+    # every element intertwines the identity; the first basis row is 1
+    rep = is_inner(base, identity, base_simple=base_simple, budget=2)
+    assert rep.verdict is Verdict.TRUE
+    assert rep.method == "intertwiner-search"
+    assert rep.witness == {"element": [1, 0, 0, 0]}
+    # t -> t^-1: V is the ideal (1 + t)^2, a plane with no unit in it
+    inversion = Matrix.from_columns(
+        GF(2), [[1 if k == (-j) % 4 else 0 for k in range(4)] for j in range(4)]
+    )
+    swept = is_inner(base, inversion, base_simple=base_simple)
+    assert swept.verdict is Verdict.FALSE
+    assert "exhaustive" in swept.detail
+    sampled = is_inner(base, inversion, base_simple=base_simple, budget=2)
+    assert sampled.verdict is Verdict.INCONCLUSIVE
+    assert sampled.method == "intertwiner-search"
+
+
+def _gaussian_rationals_skew_z2():
+    """Q(i) ⋊ Z/2 under complex conjugation (isomorphic to M2(Q))."""
+    f = RATIONALS
+    # basis 1, i: i*i = -1
+    structure = {(0, 0, 0, 0): [1, 0], (0, 0, 0, 1): [0, 1], (0, 1, 0, 0): [0, 1], (0, 1, 0, 1): [-1, 0]}
+    base = GradedAlgebra(f, trivial_group(), (2,), structure, [1, 0])
+    conj = Matrix(f, [[1, 0], [0, -1]])
+    return skew_group_ring(base, cyclic_group(2), [Matrix.identity(f, 2), conj])
+
+
+@pytest.mark.parametrize(
+    "make, budget",
+    [(_gaussian_rationals_skew_z2, 65536), (lambda: galois_skew_example(2, 4), 8)],
+    ids=["q-i-conjugation", "galois-2-4-budget-8"],
+)
+def test_crossed_product_with_outer_action_past_budget(make, budget):
+    # R_g = R_e u twists R_e by conjugation with u, so the traces of L_i R_j
+    # differ from R_e's when sigma_g is outer; only the one-sided traces of
+    # L_b and R_b must agree, and here they do
+    alg = make()
+    rep = detect_crossed_product(alg, budget=budget)
+    assert rep.verdict is Verdict.TRUE
+    assert rep.proof_scope == "constructive"
+    verify_crossed_identities(alg, rep.data)
+    assert verify_crossed_reconstruction(alg, rep.data) is None
+
+
+def test_crossed_controlled_on_gaussian_skew_ring():
+    # refused as "not a crossed product" while the trace obstruction was wrong
+    rep = check_crossed_controlled(_gaussian_rationals_skew_z2())
+    assert rep.verdict is not Verdict.FALSE

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gradedrings.analysis import check_simple
 from gradedrings.bimodule import (
+    BimoduleAction,
     Verdict,
     _random_combination,
     _sampled_envelope_element,
@@ -16,6 +17,7 @@ from gradedrings.bimodule import (
     bimodules_isomorphic,
     component_action,
     envelope,
+    hom_matrices,
     hom_space,
     identity_bimodule_action,
     is_simple,
@@ -25,7 +27,7 @@ from gradedrings.bimodule import (
 from gradedrings.builders import full_matrix_algebra, group_algebra, m3_example
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group
-from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix
+from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, nullspace
 
 
 def test_verdict_semantics():
@@ -240,3 +242,25 @@ def test_random_combination_draws_one_scalar_per_matrix(field):
             for j, x in enumerate(row):
                 want[i][j] = field.add(want[i][j], field.mul(c, x))
     assert got == Matrix(field, want)
+
+
+def test_isomorphism_past_budget_samples_the_hom_space():
+    # F[Z/2] over GF(3) is GF(3) x GF(3); in its idempotent basis the regular
+    # action is diagonal, so the hom space is the diagonal matrices and both
+    # of its basis rows (E11, E22) are singular: only a sampled sum is a unit
+    f = GF(3)
+    reg = regular_bimodule_action(group_algebra(f, cyclic_group(2)))
+    q = Matrix.from_columns(f, [(2, 2), (2, 1)])  # e+ = -(1 + g), e- = -(1 - g)
+    q_inv = Matrix.from_columns(f, [(1, 1), (1, 2)])
+    assert (q @ q_inv).is_identity()
+    diag = BimoduleAction(
+        f, 2, [q_inv @ op @ q for op in reg.left_ops], [q_inv @ op @ q for op in reg.right_ops]
+    )
+    assert [m.entries for m in hom_matrices(diag, diag)] == [((1, 0), (0, 0)), ((0, 0), (0, 1))]
+    for budget in (1, 4096):
+        rep = bimodules_isomorphic(diag, diag, budget=budget)
+        assert rep.verdict is Verdict.TRUE and rep.method == "invertible-hom"
+        assert rep.hom_dim == 2
+        w = rep.witness
+        assert not nullspace(w).dim
+        assert all(w @ op == op @ w for op in diag.ops)

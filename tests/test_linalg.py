@@ -21,6 +21,7 @@ from gradedrings.linalg import (
     rref,
     solve,
     solve_vector,
+    span_candidates,
     subspace_intersect,
     subspace_sum,
 )
@@ -156,6 +157,55 @@ def test_projective_vectors_count():
     vecs = list(projective_vectors(f, eye))
     assert len(vecs) == projective_count(3, 3) == 13
     assert len(set(vecs)) == 13
+
+
+def _span_rows(field):
+    return Matrix(field, [[1, 2, 0, 1], [0, 1, 1, 0], [0, 0, 1, 3]]).entries
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7)], ids=str)
+def test_span_candidates_sweep_within_budget(field):
+    rows = _span_rows(field)
+    points = projective_count(field.p, len(rows))
+    for budget in (points, 10 * points):
+        candidates, complete = span_candidates(field, rows, random.Random(0), 5, budget)
+        assert complete
+        assert list(candidates) == list(projective_vectors(field, rows))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), RATIONALS], ids=str)
+def test_span_candidates_sample_past_budget(field):
+    rows = _span_rows(field)
+    budget = projective_count(field.p, len(rows)) - 1 if field.p else 4096
+    candidates, complete = span_candidates(field, rows, random.Random(5), 20, budget)
+    assert not complete
+    got = list(candidates)
+    assert got[: len(rows)] == list(rows)
+    drawn = got[len(rows):]
+    assert len(drawn) <= 20
+    span = Subspace.from_vectors(field, 4, rows)
+    assert all(any(v) and span.contains(v) for v in drawn)
+    again, _ = span_candidates(field, rows, random.Random(5), 20, budget)
+    assert list(again) == got
+
+
+def test_span_candidates_draw_only_what_is_consumed():
+    rows = _span_rows(GF(7))
+    rng = random.Random(1)
+    candidates, complete = span_candidates(GF(7), rows, rng, 3, 1)
+    state = rng.getstate()
+    assert not complete and next(candidates) == rows[0]
+    assert rng.getstate() == state
+
+
+def test_span_candidates_over_q_sweep_only_lines():
+    for k in (0, 1):
+        rows = _span_rows(RATIONALS)[:k]
+        candidates, complete = span_candidates(RATIONALS, rows, random.Random(0), 5, 1)
+        assert complete and list(candidates) == list(rows)
+    plane = _span_rows(RATIONALS)[:2]
+    candidates, complete = span_candidates(RATIONALS, plane, random.Random(0), 0, 10**9)
+    assert not complete and list(candidates) == list(plane)
 
 
 # --------------------------------------------------------------------------
