@@ -1,4 +1,6 @@
 """Builders: group algebras, crossed products, Galois examples."""
+import hashlib
+
 import pytest
 
 from gradedrings.algebra import validate_algebra
@@ -15,9 +17,11 @@ from gradedrings.builders import (
     twisted_group_algebra,
     validate_automorphism,
 )
+from gradedrings.corpus import checkerboard_m2
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, klein_four_group
 from gradedrings.linalg import GF, RATIONALS, Matrix
+from gradedrings.serialize import algebra_to_json
 
 
 def test_group_algebra_shape():
@@ -130,3 +134,57 @@ def test_builders_over_rationals():
     alg = group_algebra(RATIONALS, klein_four_group())
     assert alg.dim == 4
     assert validate_algebra(alg).ok
+
+
+# SHA-256 of algebra_to_json for the matrix-unit algebras, recorded before
+# their three hand-written tables were folded into one builder.
+MATRIX_UNIT_DIGESTS = {
+    "m3_example-gf2": "b07df9bb1505fcef4d1fec5eb906e9faa44576485a6fb13ef870b1f4238775ab",
+    "m3_example-gf3": "8e803d66a10cf1751b9d4cf893a2de02e0a889dfdd1bfce72ec601ef76be5281",
+    "m3_example-q": "13c4ddf3ada951d472c677be06834163348b9afefd424faf232b2f810ad5d8cb",
+    "full_matrix_algebra-gf2-1": "d943cd4b339620cebffd3cd842c789be37476539b16f640d448fd0c79dca52e7",
+    "full_matrix_algebra-gf2-2": "7c461e2c9dd7ee760cff87d3f4df72a4226e351166fa91ce36ea5b222718f3d4",
+    "full_matrix_algebra-gf2-3": "5f20eff58b958b3f1e845b5eb1f9c27d08b68a5ec73081d17404ca08a374b413",
+    "full_matrix_algebra-gf2-4": "a15093bcaa95e814d41408d1b1927ebdfa9193a662dda6bf7337c5d4c4c627ce",
+    "full_matrix_algebra-gf2-5": "503024b18d81ff2ae83cbc1e6ca567642acebe8642145723cbb9b70327cbf869",
+    "full_matrix_algebra-gf3-1": "f55ae0d57ea3b1f523851834bb5907c4995fa63b234281905b2475bc03597e96",
+    "full_matrix_algebra-gf3-2": "c777bf4e3e365bfdab04d541aff3512e44bceebff51fb8d86705d57dceade1e6",
+    "full_matrix_algebra-gf3-3": "a0f0f32bb16fd2818cd2c494b6c39f9b19501f8f6861329e628cb801aec39941",
+    "full_matrix_algebra-gf3-4": "4c7cf41edd15f36b6661b66b060fdfd8c83008e9ed6da8a55922700296346a49",
+    "full_matrix_algebra-gf3-5": "4de3fffa84538989240fe90225c5f91f79b0c49e95adfe7d2f3c1eb28845b1b6",
+    "full_matrix_algebra-q-1": "0f940c49e11a841f23062c714d8e53ba1c7331cb2f4d551314fe1852fb70a8d5",
+    "full_matrix_algebra-q-2": "d2b4586be7938cea72f7680753e645cf02ae33079486d3de11f55aa054258938",
+    "full_matrix_algebra-q-3": "e8132a71358bf55a3e718617d240c5900518a937257c880d8c6ee365ab0f98c5",
+    "full_matrix_algebra-q-4": "cf421a93c6cf0bdcde7e557ceb956bf9ac658858de6a9daaeba669a48e8ead30",
+    "full_matrix_algebra-q-5": "858364a69198c16ba5df134d349aacf0575f2e6dae1cd9ba9914d5883759cbcb",
+    "checkerboard_m2-gf2": "a62fc71f189daa17242868134b3e4bfc5dab10e8ecb333a53186cd684e9c4c24",
+    "checkerboard_m2-gf3": "2dcdc2c9aba7d5aeb504bd70a9718c58da5a8932782677b39819b04f38be9e3f",
+}
+
+FIELDS = {"gf2": GF(2), "gf3": GF(3), "q": RATIONALS}
+
+
+def _matrix_unit_algebra(key):
+    builder, tag, *size = key.split("-")
+    field = FIELDS[tag]
+    if builder == "m3_example":
+        return m3_example(field)
+    if builder == "checkerboard_m2":
+        return checkerboard_m2(field)
+    return full_matrix_algebra(field, int(size[0]))
+
+
+@pytest.mark.parametrize("key", sorted(MATRIX_UNIT_DIGESTS))
+def test_matrix_unit_algebras_are_pinned(key):
+    text = algebra_to_json(_matrix_unit_algebra(key))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MATRIX_UNIT_DIGESTS[key]
+
+
+def test_matrix_unit_labels_in_row_column_order():
+    m3 = m3_example(GF(2))
+    assert [m3.label(0, i) for i in range(5)] == ["e11", "e13", "e22", "e31", "e33"]
+    assert [m3.label(1, i) for i in range(4)] == ["e12", "e21", "e23", "e32"]
+    m2 = full_matrix_algebra(GF(3), 2)
+    assert [m2.label(0, i) for i in range(4)] == ["e11", "e12", "e21", "e22"]
+    cb = checkerboard_m2(GF(2))
+    assert [cb.label(g, i) for g in range(2) for i in range(2)] == ["e11", "e22", "e12", "e21"]
