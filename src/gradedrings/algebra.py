@@ -7,9 +7,15 @@ therefore structural: products of homogeneous elements land in the right
 component by construction, and what remains to verify is associativity and
 the unit laws (validate_algebra).
 
-Elements are sparse dicts component -> coefficient tuple.  Everything is
-immutable after construction; lazily cached multiplication matrices make that
-caching idempotent and safe.
+GradedAlgebra alone turns that table into operators, all in the column
+convention (column j is the image of the j-th source basis vector):
+mult_ops(h, g) is multiplication by R_h's basis on R_g from either side,
+component_ops(g) = mult_ops(e, g); flat_left_ops/flat_right_ops act on all
+of R, identity_ops() is their slice at R_e's basis, subset_ops(S) that
+slice cut to R_S.
+
+Elements are sparse dicts component -> coefficient tuple.  The structure is
+immutable after construction, so the lazily cached operators stay valid.
 """
 from __future__ import annotations
 
@@ -108,9 +114,6 @@ class GradedAlgebra:
                             out.append(((g, i, h, j), vec))
         return out
 
-    def flat_index(self, g: int, i: int) -> int:
-        return self.offsets[g] + i
-
     def basis_of_flat(self, idx: int) -> tuple:
         for g in range(self.group.order - 1, -1, -1):
             if idx >= self.offsets[g]:
@@ -177,25 +180,58 @@ class GradedAlgebra:
             self._flat_right = tuple(self.right_matrix(b) for b in self._flat_basis())
         return self._flat_right
 
-    def component_ops(self, g: int) -> tuple:
-        """Left/right multiplication by the R_e basis, restricted to R_g.
+    def mult_ops(self, h: int, g: int) -> tuple:
+        """Multiplication by the basis of R_h, restricted to R_g.
 
-        Returns (left_ops, right_ops): for each basis element b_k of the
-        identity component, the d_g x d_g matrix of v -> b_k * v
-        (resp. v -> v * b_k) on R_g.
+        Returns (left_ops, right_ops): for each basis element b_{h,k}, the
+        d_{hg} x d_g matrix of x -> b_{h,k} * x : R_g -> R_{hg} and the
+        d_{gh} x d_g matrix of x -> x * b_{h,k} : R_g -> R_{gh}.
         """
+        dg = self.comp_dims[g]
+        cols = Matrix.from_columns
+        lefts = tuple(
+            cols(self.field, [self.product_coeffs(h, k, g, j) for j in range(dg)])
+            for k in range(self.comp_dims[h])
+        )
+        rights = tuple(
+            cols(self.field, [self.product_coeffs(g, j, h, k) for j in range(dg)])
+            for k in range(self.comp_dims[h])
+        )
+        return lefts, rights
+
+    def component_ops(self, g: int) -> tuple:
+        """mult_ops(e, g): R_g as a bimodule over the identity component."""
         if g not in self._component_ops:
-            e = self.group.identity
-            dg = self.comp_dims[g]
-            de = self.comp_dims[e]
-            lefts, rights = [], []
-            for k in range(de):
-                lcols = [self.product_coeffs(e, k, g, j) for j in range(dg)]
-                rcols = [self.product_coeffs(g, j, e, k) for j in range(dg)]
-                lefts.append(Matrix.from_columns(self.field, lcols))
-                rights.append(Matrix.from_columns(self.field, rcols))
-            self._component_ops[g] = (tuple(lefts), tuple(rights))
+            self._component_ops[g] = self.mult_ops(self.group.identity, g)
         return self._component_ops[g]
+
+    def identity_ops(self) -> tuple:
+        """The flat operators of the R_e basis: R as an R_e-bimodule."""
+        e = self.group.identity
+        span = slice(self.offsets[e], self.offsets[e] + self.comp_dims[e])
+        return self.flat_left_ops()[span], self.flat_right_ops()[span]
+
+    def subset_ops(self, subset) -> tuple:
+        """identity_ops() cut to R_S, the sum of the components in S.
+
+        R_e R_S R_e lies in R_S, so the rows and columns of R_S's flat
+        indices (ascending) are the operators of R_S as an R_e-bimodule.
+        """
+        members = sorted({int(g) for g in subset})
+        if members and not (0 <= members[0] and members[-1] < self.group.order):
+            raise InvalidInput(f"subset {tuple(subset)!r} has a bad group index")
+        idx = [
+            k for g in members for k in range(self.offsets[g], self.offsets[g] + self.comp_dims[g])
+        ]
+
+        def cut(op):
+            rows = op.entries
+            return Matrix._trusted(
+                self.field, tuple(tuple(rows[r][c] for c in idx) for r in idx), len(idx)
+            )
+
+        lefts, rights = self.identity_ops()
+        return tuple(map(cut, lefts)), tuple(map(cut, rights))
 
     # --- derived algebras ----------------------------------------------------
 

@@ -53,16 +53,15 @@ from .bimodule import (
     bimodules_isomorphic,
     component_action,
     envelope,
-    identity_bimodule_action,
     is_simple,
     regular_bimodule_action,
     spin,
 )
-from .builders import validate_automorphism
+from .builders import crossed_identity_failure, validate_automorphism
 from .errors import BudgetError, InternalInconsistency, InvalidInput
 from .groups import submonoids, validate_group
 from .linalg import Matrix, Subspace, nullspace, span_candidates
-from .serialize import scalar_to_json
+from .serialize import vector_to_json
 
 
 # --------------------------------------------------------------------------
@@ -108,31 +107,10 @@ class CheckResult:
         return out
 
 
-def _enc_vec(field, vec) -> list:
-    return [scalar_to_json(field, c) for c in vec]
-
-
 def _enc_subspace(field, sub: Optional[Subspace]) -> Optional[dict]:
     if sub is None:
         return None
-    return {"dim": sub.dim, "basis": [_enc_vec(field, row) for row in sub.basis.entries]}
-
-
-# --------------------------------------------------------------------------
-# multiplication restricted to components
-# --------------------------------------------------------------------------
-
-
-def right_mult_on_component(alg: GradedAlgebra, g: int, h: int, j: int) -> Matrix:
-    """Matrix of x -> x * b_{h,j} as a map R_g -> R_{gh}."""
-    cols = [alg.product_coeffs(g, i, h, j) for i in range(alg.comp_dims[g])]
-    return Matrix.from_columns(alg.field, cols)
-
-
-def left_mult_on_component(alg: GradedAlgebra, h: int, i: int, g: int) -> Matrix:
-    """Matrix of x -> b_{h,i} * x as a map R_g -> R_{hg}."""
-    cols = [alg.product_coeffs(h, i, g, j) for j in range(alg.comp_dims[g])]
-    return Matrix.from_columns(alg.field, cols)
+    return {"dim": sub.dim, "basis": [vector_to_json(field, row) for row in sub.basis.entries]}
 
 
 def _stack_all(mats: List[Matrix]) -> Matrix:
@@ -179,36 +157,28 @@ def check_strongly_graded(alg: GradedAlgebra) -> CheckResult:
     )
 
 
-def _pairing_kernel(alg: GradedAlgebra, g: int, side: str) -> Optional[Subspace]:
-    """Kernel of the pairing R_g x R_{g^-1} -> R_e on the chosen factor.
+def _pairing_kernels(alg: GradedAlgebra, g: int) -> Tuple[Subspace, Subspace]:
+    """Kernels of the pairing R_g x R_{g^-1} -> R_e on a nonzero R_g.
 
-    side "left": elements x of R_g with x R_{g^-1} = 0.
-    side "right": elements x of R_g with R_{g^-1} x = 0.
-    Returns None when R_g = 0 (nothing to annihilate).
+    Returns (left, right): the x in R_g with x R_{g^-1} = 0, and those
+    with R_{g^-1} x = 0.
     """
-    G = alg.group
-    gi = G.inv(g)
-    dg, dgi = alg.comp_dims[g], alg.comp_dims[gi]
-    if dg == 0:
-        return None
-    if dgi == 0:
-        return Subspace.full(alg.field, dg)
-    mats = []
-    for j in range(dgi):
-        if side == "left":
-            mats.append(right_mult_on_component(alg, g, gi, j))
-        else:
-            mats.append(left_mult_on_component(alg, gi, j, g))
-    return nullspace(_stack_all(mats))
+    gi = alg.group.inv(g)
+    if alg.comp_dims[gi] == 0:
+        full = Subspace.full(alg.field, alg.comp_dims[g])
+        return full, full
+    lefts, rights = alg.mult_ops(gi, g)
+    return nullspace(_stack_all(rights)), nullspace(_stack_all(lefts))
 
 
 def check_nondegenerate(alg: GradedAlgebra) -> CheckResult:
     """Left and right non-degeneracy of all pairings R_g x R_{g^-1} -> R_e."""
     G = alg.group
     for g in range(G.order):
-        for side in ("left", "right"):
-            ker = _pairing_kernel(alg, g, side)
-            if ker is not None and ker.dim > 0:
+        if alg.comp_dims[g] == 0:
+            continue
+        for side, ker in zip(("left", "right"), _pairing_kernels(alg, g)):
+            if ker.dim > 0:
                 return CheckResult(
                     "nondegenerate",
                     Verdict.FALSE,
@@ -216,7 +186,7 @@ def check_nondegenerate(alg: GradedAlgebra) -> CheckResult:
                     witness={
                         "component": G.names[g],
                         "side": side,
-                        "element": _enc_vec(alg.field, ker.basis.row(0)),
+                        "element": vector_to_json(alg.field, ker.basis.row(0)),
                     },
                 )
     return CheckResult(
@@ -234,14 +204,9 @@ def check_nondegenerate(alg: GradedAlgebra) -> CheckResult:
 
 def _commutant_component(alg: GradedAlgebra, g: int) -> Subspace:
     """Solutions x in R_g of b x = x b for every b in R_e."""
-    e = alg.group.identity
-    de, dg = alg.comp_dims[e], alg.comp_dims[g]
-    if dg == 0:
+    if alg.comp_dims[g] == 0:
         return Subspace.zero(alg.field, 0)
-    diffs = [
-        left_mult_on_component(alg, e, k, g).sub(right_mult_on_component(alg, g, e, k))
-        for k in range(de)
-    ]
+    diffs = [left.sub(right) for left, right in zip(*alg.component_ops(g))]
     return nullspace(_stack_all(diffs))
 
 
@@ -268,10 +233,8 @@ def check_centralizer_condition(alg: GradedAlgebra) -> CheckResult:
     Kernel computations only, so always conclusive.
     """
     cent = centralizer_of_Re(alg)
-    z = center_of_Re(alg)
     e = alg.group.identity
-    if cent.component(e) != z:
-        raise InternalInconsistency("centralizer at the identity differs from the center")
+    z = cent.component(e)
     names = alg.group.names
     dims = {names[g]: sub.dim for g, sub in sorted(cent.comps.items())}
     for g in sorted(cent.comps):
@@ -283,7 +246,7 @@ def check_centralizer_condition(alg: GradedAlgebra) -> CheckResult:
             method="commutant-kernel",
             witness={
                 "component": names[g],
-                "element": _enc_vec(alg.field, cent.comps[g].basis.row(0)),
+                "element": vector_to_json(alg.field, cent.comps[g].basis.row(0)),
                 "centralizer_dims": dims,
             },
         )
@@ -305,7 +268,7 @@ def _ideal_witness(alg: GradedAlgebra, sub: Subspace) -> dict:
     out = {
         "dim": sub.dim,
         "graded": gs is not None,
-        "basis": [_enc_vec(alg.field, row) for row in sub.basis.entries],
+        "basis": [vector_to_json(alg.field, row) for row in sub.basis.entries],
     }
     if gs is not None:
         out["component_dims"] = {
@@ -524,11 +487,9 @@ def _controlled_report(
 
 def subset_action(alg: GradedAlgebra, subset) -> BimoduleAction:
     """R_S = direct sum of the components over S, as an R_e-bimodule."""
-    flat = GradedSubspace.full(alg, tuple(subset)).flat()
+    lefts, rights = alg.subset_ops(subset)
     names = ",".join(alg.group.names[int(g)] for g in subset)
-    act = identity_bimodule_action(alg).restrict(flat)
-    act.tag = f"R_{{{names}}}"
-    return act
+    return BimoduleAction(alg.field, lefts[0].cols, lefts, rights, tag=f"R_{{{names}}}")
 
 
 # --------------------------------------------------------------------------
@@ -671,13 +632,13 @@ class CrossedProductData:
         names = alg.group.names
         f = alg.field
         return {
-            "units": {names[g]: _enc_vec(f, vec) for g, vec in sorted(self.units.items())},
+            "units": {names[g]: vector_to_json(f, vec) for g, vec in sorted(self.units.items())},
             "sigma": {
-                names[g]: [_enc_vec(f, row) for row in m.entries]
+                names[g]: [vector_to_json(f, row) for row in m.entries]
                 for g, m in sorted(self.sigma.items())
             },
             "alpha": [
-                [names[g], names[h], _enc_vec(f, vec)]
+                [names[g], names[h], vector_to_json(f, vec)]
                 for (g, h), vec in sorted(self.alpha.items())
             ],
         }
@@ -838,53 +799,16 @@ def _twisting_from_units(alg: GradedAlgebra, units: Dict[int, Element]) -> Cross
 
 
 def verify_crossed_identities(alg: GradedAlgebra, data: CrossedProductData) -> None:
-    """Check the automorphism, cocycle, and normalization identities exactly.
+    """Check the identities of `builders.crossed_identity_failure` exactly.
 
     These follow from associativity once the units exist, so a failure
     means the extraction itself went wrong.
     """
-    G = alg.group
-    e = G.identity
     base = alg.identity_component_algebra()
-    f = alg.field
-    de = alg.comp_dims[e]
-
-    if not data.sigma[e].is_identity():
-        raise InternalInconsistency("sigma_e is not the identity")
-    one = base.unit_coeffs
-    for g in range(G.order):
-        if data.alpha[(e, g)] != one or data.alpha[(g, e)] != one:
-            raise InternalInconsistency("cocycle is not normalized")
-
-    def as_el(coeffs):
-        return base.from_flat(coeffs)
-
-    for g in range(G.order):
-        sg = data.sigma[g]
-        for h in range(G.order):
-            a = as_el(data.alpha[(g, h)])
-            sh = data.sigma[h]
-            sgh = data.sigma[G.table[g][h]]
-            for k in range(de):
-                b = base.basis_element(0, k)
-                lhs = as_el(sg.apply(sh.apply(base.flatten(b)))) * a
-                rhs = a * as_el(sgh.apply(base.flatten(b)))
-                if lhs != rhs:
-                    raise InternalInconsistency(
-                        f"automorphism twist fails at ({G.names[g]}, {G.names[h]})"
-                    )
-    for g in range(G.order):
-        sg = data.sigma[g]
-        for h in range(G.order):
-            for t in range(G.order):
-                lhs = as_el(data.alpha[(g, h)]) * as_el(data.alpha[(G.table[g][h], t)])
-                rhs = as_el(sg.apply(data.alpha[(h, t)])) * as_el(
-                    data.alpha[(g, G.table[h][t])]
-                )
-                if lhs != rhs:
-                    raise InternalInconsistency(
-                        f"cocycle identity fails at ({G.names[g]}, {G.names[h]}, {G.names[t]})"
-                    )
+    alpha = {key: base.from_flat(vec) for key, vec in data.alpha.items()}
+    failure = crossed_identity_failure(base, alg.group, data.sigma, alpha)
+    if failure is not None:
+        raise InternalInconsistency(f"extracted crossed-product data: {failure}")
 
 
 def verify_crossed_reconstruction(
@@ -957,7 +881,7 @@ def is_inner(
         return CheckResult(
             "inner", Verdict.TRUE, method="intertwiner-space",
             detail="simple base ring, any nonzero intertwiner is invertible",
-            witness={"element": _enc_vec(f, base.flatten(x))},
+            witness={"element": vector_to_json(f, base.flatten(x))},
             seed=seed, budget=budget,
         )
 
@@ -967,7 +891,7 @@ def is_inner(
         if is_invertible(base.from_flat(vec)) is not None:
             return CheckResult(
                 "inner", Verdict.TRUE, method="intertwiner-search",
-                witness={"element": _enc_vec(f, vec)}, seed=seed, budget=budget,
+                witness={"element": vector_to_json(f, vec)}, seed=seed, budget=budget,
             )
     if complete:
         return CheckResult(

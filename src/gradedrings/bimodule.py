@@ -113,28 +113,6 @@ class BimoduleAction:
             tag=self.tag + "^t" if self.tag else "",
         )
 
-    def restrict(self, sub: Subspace) -> "BimoduleAction":
-        """The induced action on an invariant subspace, in its basis."""
-        if sub.ambient_dim != self.dim or sub.field != self.field:
-            raise InvalidInput("subspace does not live in M")
-        rows = sub.basis.entries
-        bmat = Matrix.from_columns(self.field, rows)
-
-        def cut(op):
-            image = op @ bmat
-            coords = solve(bmat, image)
-            if coords is None or bmat @ coords != image:
-                raise InvalidInput("subspace is not invariant under the action")
-            return coords
-
-        return BimoduleAction(
-            self.field,
-            sub.dim,
-            [cut(op) for op in self.left_ops],
-            [cut(op) for op in self.right_ops],
-            tag=self.tag,
-        )
-
     def is_invariant(self, sub: Subspace) -> bool:
         return all(
             sub.contains(op.apply(row)) for op in self.ops for row in sub.basis.entries
@@ -161,17 +139,7 @@ def regular_bimodule_action(alg) -> BimoduleAction:
 
 def identity_bimodule_action(alg) -> BimoduleAction:
     """The whole of R as a bimodule over the identity component only."""
-    e = alg.group.identity
-    de = alg.comp_dims[e]
-    lefts = []
-    rights = []
-    flat_l = alg.flat_left_ops()
-    flat_r = alg.flat_right_ops()
-    for i in range(de):
-        k = alg.flat_index(e, i)
-        lefts.append(flat_l[k])
-        rights.append(flat_r[k])
-    return BimoduleAction(alg.field, alg.dim, lefts, rights, tag="R/R_e")
+    return BimoduleAction(alg.field, alg.dim, *alg.identity_ops(), tag="R/R_e")
 
 
 def spin(action: BimoduleAction, seed: Sequence) -> Subspace:

@@ -1,11 +1,14 @@
 """Constructors for the graded algebras the library studies.
 
 Everything here emits a GradedAlgebra whose structure constants already
-encode the gradation, so the builders carry the burden of getting the
-twisting data right: crossed_product validates the automorphism and cocycle
-conditions at construction time and rejects bad input with the failing
-triple, because every downstream decision procedure assumes the product is
-genuinely associative and graded.
+encode the gradation, so the builders carry the burden of getting the data
+right: every downstream decision procedure assumes the product is genuinely
+associative and graded.  Matrix rings come from one builder,
+matrix_units_algebra (an elementary grading: e_ij in degree d_i^-1 d_j).
+Crossed products check their data with crossed_identity_failure, the one
+statement of the identities on (sigma, alpha), and reject bad input by the
+identity and the elements where it fails; analysis checks the data it
+extracts from a ring with the same function.
 """
 from __future__ import annotations
 
@@ -87,27 +90,44 @@ def lowest_irreducible(p: int, n: int) -> list:
 # --- base algebras ------------------------------------------------------------
 
 
-def full_matrix_algebra(field: Field, n: int) -> GradedAlgebra:
-    """M_n(F) on the trivial group, basis the matrix units in (row, col) order."""
+def matrix_units_algebra(
+    field: Field, group: FiniteGroup, degrees: Sequence[int]
+) -> GradedAlgebra:
+    """M_n(F) with the elementary grading of degrees = (d_1, ..., d_n).
+
+    The matrix unit e_ij lies in degree d_i^-1 d_j, so e_ij e_jl = e_il
+    respects the grading.  Each component lists its units in (row, col)
+    order, labelled e<i><j> from 1; the unit is the sum of the e_ii.
+    """
+    n = len(degrees)
     if n < 1:
         raise InvalidInput("matrix size must be positive")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    index = {pr: k for k, pr in enumerate(pairs)}
-    d = n * n
+    if any(not 0 <= d < group.order for d in degrees):
+        raise InvalidInput("degrees must be group element indices")
+    place = {}  # (i, j) -> (degree, position in that component)
+    dims = [0] * group.order
+    for i in range(n):
+        for j in range(n):
+            g = group.table[group.inv(degrees[i])][degrees[j]]
+            place[(i, j)] = (g, dims[g])
+            dims[g] += 1
     structure = {}
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            if j == k:
-                vec = [0] * d
-                vec[index[(i, l)]] = 1
-                structure[(0, a, 0, b)] = vec
-    unit = [0] * d
-    for i in range(1, n + 1):
-        unit[index[(i, i)]] = 1
-    labels = {(0, k): f"e{i}{j}" for k, (i, j) in enumerate(pairs)}
-    return GradedAlgebra(
-        field, trivial_group(), (d,), structure, unit, basis_labels=labels
-    )
+    for (i, j), (g, a) in place.items():
+        for l in range(n):
+            k, c = place[(i, l)]
+            vec = [0] * dims[k]
+            vec[c] = 1
+            structure[(g, a, *place[(j, l)])] = vec
+    unit = [0] * dims[group.identity]
+    for i in range(n):
+        unit[place[(i, i)][1]] = 1
+    labels = {v: f"e{i + 1}{j + 1}" for (i, j), v in place.items()}
+    return GradedAlgebra(field, group, dims, structure, unit, basis_labels=labels)
+
+
+def full_matrix_algebra(field: Field, n: int) -> GradedAlgebra:
+    """M_n(F) on the trivial group, basis the matrix units in (row, col) order."""
+    return matrix_units_algebra(field, trivial_group(), (0,) * n)
 
 
 def finite_field_algebra(p: int, n: int):
@@ -176,6 +196,10 @@ def _as_base_element(base: GradedAlgebra, coeffs) -> Element:
     return base.element({0: coeffs})
 
 
+def _apply(base: GradedAlgebra, s: Matrix, a: Element) -> Element:
+    return base.from_flat(s.apply(base.flatten(a)))
+
+
 def validate_automorphism(base: GradedAlgebra, s: Matrix, who: str = "sigma"):
     d = base.dim
     if s.shape != (d, d) or s.field != base.field:
@@ -199,6 +223,52 @@ def validate_automorphism(base: GradedAlgebra, s: Matrix, who: str = "sigma"):
                 raise InvalidInput(f"{who} is not multiplicative at basis pair ({i}, {j})")
 
 
+def crossed_identity_failure(
+    base: GradedAlgebra, group: FiniteGroup, sigma, alpha: Mapping
+) -> Optional[str]:
+    """The first crossed-product identity that (sigma, alpha) break, or None.
+
+    sigma[g] is the matrix of an automorphism of the trivially graded base
+    and alpha[(g, h)] an invertible base element, for all g, h in the
+    group.  The identities, checked in this order on basis elements b:
+    sigma_e = 1; alpha(e,g) = alpha(g,e) = 1; twisted composition
+    sigma_g sigma_h(b) alpha(g,h) = alpha(g,h) sigma_gh(b), i.e.
+    sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh; and the cocycle identity
+    alpha(g,h) alpha(gh,t) = sigma_g(alpha(h,t)) alpha(g,ht).
+    """
+    names = group.names
+    e = group.identity
+    n = group.order
+    if not sigma[e].is_identity():
+        return "sigma at the identity must be the identity map"
+    one = base.one()
+    for g in range(n):
+        if alpha[(g, e)] != one or alpha[(e, g)] != one:
+            return f"alpha must be normalized: alpha(e,g) = alpha(g,e) = 1 fails at {names[g]}"
+
+    for g in range(n):
+        for h in range(n):
+            a = alpha[(g, h)]
+            gh = group.table[g][h]
+            for i in range(base.dim):
+                x = base.basis_element(0, i)
+                lhs = _apply(base, sigma[g], _apply(base, sigma[h], x)) * a
+                if lhs != a * _apply(base, sigma[gh], x):
+                    return (
+                        "twisted composition sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh fails "
+                        f"at ({names[g]},{names[h]}) on basis element {i}"
+                    )
+    for g in range(n):
+        for h in range(n):
+            gh = group.table[g][h]
+            for t in range(n):
+                ht = group.table[h][t]
+                lhs = alpha[(g, h)] * alpha[(gh, t)]
+                if lhs != _apply(base, sigma[g], alpha[(h, t)]) * alpha[(g, ht)]:
+                    return f"cocycle identity fails at triple ({names[g]},{names[h]},{names[t]})"
+    return None
+
+
 def crossed_product(
     base: GradedAlgebra,
     group: FiniteGroup,
@@ -211,9 +281,10 @@ def crossed_product(
 
     sigma gives one automorphism matrix per group element (identity at e);
     alpha maps pairs (g, h) to invertible base elements, defaulting to 1.
-    The product is (a u_g)(b u_h) = a sigma_g(b) alpha(g,h) u_{gh}.  The
-    unit-fixing, composition and associativity conditions on (sigma, alpha)
-    are all verified here and violations are rejected by name.
+    The product is (a u_g)(b u_h) = a sigma_g(b) alpha(g,h) u_{gh}.  Each
+    sigma_g must be an automorphism and each alpha(g,h) invertible; then
+    crossed_identity_failure names the first identity that fails, if any,
+    and the input is rejected with that message.
     """
     if base.group.order != 1:
         raise InvalidInput("base must be an algebra on the trivial group")
@@ -221,15 +292,12 @@ def crossed_product(
         raise InvalidInput("need a genuine group")
     field = base.field
     d = base.dim
-    e = group.identity
     n = group.order
     sigma = list(sigma)
     if len(sigma) != n:
         raise InvalidInput("need one automorphism per group element")
     for g in range(n):
         validate_automorphism(base, sigma[g], f"sigma[{group.names[g]}]")
-    if not sigma[e].is_identity():
-        raise InvalidInput("sigma at the identity must be the identity map")
 
     one = base.one()
     alpha_elems = {}
@@ -237,56 +305,17 @@ def crossed_product(
     for g in range(n):
         for h in range(n):
             val = alpha.pop((g, h), None)
-            a = one if val is None else _as_base_element(base, val)
-            alpha_elems[(g, h)] = a
+            alpha_elems[(g, h)] = one if val is None else _as_base_element(base, val)
     if alpha:
         raise InvalidInput(f"alpha has keys outside GxG: {sorted(alpha)}")
-    alpha_inv = {}
-    for key, a in alpha_elems.items():
-        inv = is_invertible(a)
-        if inv is None:
-            g, h = key
+    for (g, h), a in alpha_elems.items():
+        if is_invertible(a) is None:
             raise InvalidInput(
                 f"alpha({group.names[g]},{group.names[h]}) is not invertible"
             )
-        alpha_inv[key] = inv
-    for g in range(n):
-        if alpha_elems[(g, e)] != one or alpha_elems[(e, g)] != one:
-            raise InvalidInput(
-                f"alpha must be normalized: alpha(e,g) = alpha(g,e) = 1 fails at {group.names[g]}"
-            )
-
-    def apply_sigma(g: int, a: Element) -> Element:
-        return base.from_flat(sigma[g].apply(base.flatten(a)))
-
-    # twisted-composition condition: sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh
-    for g in range(n):
-        for h in range(n):
-            gh = group.table[g][h]
-            a = alpha_elems[(g, h)]
-            ai = alpha_inv[(g, h)]
-            for i in range(d):
-                x = base.basis_element(0, i)
-                lhs = apply_sigma(g, apply_sigma(h, x))
-                rhs = a * apply_sigma(gh, x) * ai
-                if lhs != rhs:
-                    raise InvalidInput(
-                        "sigma/alpha compatibility fails at "
-                        f"({group.names[g]},{group.names[h]}) on basis element {i}"
-                    )
-    # cocycle condition: alpha(g,h) alpha(gh,t) = sigma_g(alpha(h,t)) alpha(g,ht)
-    for g in range(n):
-        for h in range(n):
-            gh = group.table[g][h]
-            for t in range(n):
-                ht = group.table[h][t]
-                lhs = alpha_elems[(g, h)] * alpha_elems[(gh, t)]
-                rhs = apply_sigma(g, alpha_elems[(h, t)]) * alpha_elems[(g, ht)]
-                if lhs != rhs:
-                    raise InvalidInput(
-                        "cocycle identity fails at triple "
-                        f"({group.names[g]},{group.names[h]},{group.names[t]})"
-                    )
+    failure = crossed_identity_failure(base, group, sigma, alpha_elems)
+    if failure is not None:
+        raise InvalidInput(failure)
 
     structure = {}
     for g in range(n):
@@ -294,7 +323,7 @@ def crossed_product(
             gh = group.table[g][h]
             a_gh = alpha_elems[(g, h)]
             for j in range(d):
-                sb = apply_sigma(g, base.basis_element(0, j))
+                sb = _apply(base, sigma[g], base.basis_element(0, j))
                 right = sb * a_gh
                 for i in range(d):
                     prod = base.basis_element(0, i) * right
@@ -359,38 +388,12 @@ def galois_skew_example(p: int, n: int) -> GradedAlgebra:
 def m3_example(field: Field) -> GradedAlgebra:
     """The 3x3 matrix algebra with its checkerboard Z/2-gradation.
 
-    Even component: matrix units e11, e13, e22, e31, e33 (dimension 5);
-    odd component: e12, e21, e23, e32 (dimension 4).
+    Degrees (0, 1, 0): even component e11, e13, e22, e31, e33 (dimension
+    5); odd component e12, e21, e23, e32 (dimension 4).
     """
-    even = [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3)]
-    odd = [(1, 2), (2, 1), (2, 3), (3, 2)]
-    place = {}
-    for i, pr in enumerate(even):
-        place[pr] = (0, i)
-    for i, pr in enumerate(odd):
-        place[pr] = (1, i)
-    dims = (5, 4)
-    structure = {}
-    for (i, j), (g, a) in place.items():
-        for (k, l), (h, b) in place.items():
-            if j == k:
-                tg, t = place[(i, l)]
-                vec = [0] * dims[tg]
-                vec[t] = 1
-                structure[(g, a, h, b)] = vec
-    unit = [0] * 5
-    for pr in ((1, 1), (2, 2), (3, 3)):
-        unit[place[pr][1]] = 1
-    labels = {v: f"e{i}{j}" for (i, j), v in place.items()}
-    return GradedAlgebra(
-        field,
-        cyclic_group(2),
-        dims,
-        structure,
-        unit,
-        basis_labels=labels,
-        meta={"kind": "m3"},
-    )
+    alg = matrix_units_algebra(field, cyclic_group(2), (0, 1, 0))
+    alg.meta["kind"] = "m3"
+    return alg
 
 
 def inner_automorphism_matrix(base: GradedAlgebra, u: Element) -> Matrix:

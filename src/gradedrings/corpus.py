@@ -22,6 +22,7 @@ from .builders import (
     group_algebra,
     inner_automorphism_matrix,
     m3_example,
+    matrix_units_algebra,
     skew_group_ring,
     twisted_group_algebra,
 )
@@ -134,26 +135,7 @@ def upper_triangular_z2(field: Field) -> GradedAlgebra:
 
 def checkerboard_m2(field: Field) -> GradedAlgebra:
     """M_2 with diagonal matrix units in degree 0, off-diagonal in degree 1."""
-    even = [(1, 1), (2, 2)]
-    odd = [(1, 2), (2, 1)]
-    place = {}
-    for i, pr in enumerate(even):
-        place[pr] = (0, i)
-    for i, pr in enumerate(odd):
-        place[pr] = (1, i)
-    dims = (2, 2)
-    structure = {}
-    for (i, j), (g, a) in place.items():
-        for (k, l), (h, b) in place.items():
-            if j == k:
-                tg, t = place[(i, l)]
-                vec = [0] * dims[tg]
-                vec[t] = 1
-                structure[(g, a, h, b)] = vec
-    labels = {v: f"e{i}{j}" for (i, j), v in place.items()}
-    return GradedAlgebra(
-        field, cyclic_group(2), dims, structure, (field.one, field.one), basis_labels=labels
-    )
+    return matrix_units_algebra(field, cyclic_group(2), (0, 1))
 
 
 def split_base_swap(field: Field) -> GradedAlgebra:

@@ -63,6 +63,19 @@ def _require_prime(alg_or_field) -> Field:
     return f
 
 
+def _require_seed_budget(alg: GradedAlgebra, budget: int) -> None:
+    """Refuse an instance whose p^n seed vectors exceed the budget.
+
+    Every entry point calls this before it builds an operator: the flat
+    operators alone take time and memory cubic in the dimension.
+    """
+    f, n = _require_prime(alg), alg.dim
+    if f.p ** n > budget:
+        raise BudgetError(
+            f"{f.p}^{n} seed vectors exceed budget {budget} for dimension {n}"
+        )
+
+
 # --------------------------------------------------------------------------
 # subspace enumeration by pivot pattern
 # --------------------------------------------------------------------------
@@ -144,19 +157,13 @@ def _operator_span(f: Field, lefts, rights, dim: int) -> List[Matrix]:
     return mats
 
 
-def _seed_sweep(alg: GradedAlgebra, lefts, rights, budget: int):
+def _seed_sweep(alg: GradedAlgebra, lefts, rights):
     """Each seed vector, one per projective ray, with its closure under E.
 
-    Refuses the instance before anything is allocated when the p^n seed
-    vectors exceed the budget.  The sweep itself is lazy: see _packed_sweep
-    and _generic_sweep.
+    The caller has passed _require_seed_budget.  The sweep itself is lazy:
+    see _packed_sweep and _generic_sweep.
     """
-    f = _require_prime(alg)
-    n = alg.dim
-    if f.p ** n > budget:
-        raise BudgetError(
-            f"{f.p}^{n} seed vectors exceed budget {budget} for dimension {n}"
-        )
+    f, n = alg.field, alg.dim
     mats = _operator_span(f, lefts, rights, n)
     if f.p == 2:
         return _packed_sweep(mats, n)
@@ -319,14 +326,6 @@ def _closure_subspace(f: Field, rows, dim: int) -> Subspace:
     return Subspace(f, dim, Matrix._trusted(f, tuple(map(tuple, rows)), dim), _canonical=True)
 
 
-def _identity_ops(alg: GradedAlgebra):
-    e = alg.group.identity
-    lefts = alg.flat_left_ops()
-    rights = alg.flat_right_ops()
-    idx = [alg.flat_index(e, i) for i in range(alg.comp_dims[e])]
-    return [lefts[k] for k in idx], [rights[k] for k in idx]
-
-
 def _cyclic_lattice(alg: GradedAlgebra, lefts, rights, budget: int) -> List[Subspace]:
     """All subspaces invariant under the given multiplication operators.
 
@@ -336,7 +335,7 @@ def _cyclic_lattice(alg: GradedAlgebra, lefts, rights, budget: int) -> List[Subs
     """
     f, n = alg.field, alg.dim
     cyclic = set()
-    for _, rows in _seed_sweep(alg, lefts, rights, budget):
+    for _, rows in _seed_sweep(alg, lefts, rights):
         cyclic.add(rows)
         if len(cyclic) > LATTICE_CAP:
             raise BudgetError(
@@ -375,48 +374,27 @@ def enumerate_sub_bimodules(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET)
     sub-bimodule has no reason to be graded; graded_subspace_from_flat
     recovers the component form exactly when one exists.
     """
-    lefts, rights = _identity_ops(alg)
-    return _cyclic_lattice(alg, lefts, rights, budget)
+    _require_seed_budget(alg, budget)
+    return _cyclic_lattice(alg, *alg.identity_ops(), budget)
 
 
 def ideal_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> List[Tuple[Subspace, bool]]:
     """All two-sided ideals, each flagged graded or not."""
+    _require_seed_budget(alg, budget)
     ideals = _cyclic_lattice(alg, alg.flat_left_ops(), alg.flat_right_ops(), budget)
     return [(s, graded_subspace_from_flat(alg, s) is not None) for s in ideals]
-
-
-def _subset_flat_indices(alg: GradedAlgebra, subset) -> List[int]:
-    idx = []
-    for g in subset:
-        off = alg.offsets[g]
-        idx.extend(range(off, off + alg.comp_dims[g]))
-    return idx
-
-
-def _subset_component_action(alg: GradedAlgebra, subset) -> BimoduleAction:
-    """R_S as an R_e-bimodule, cut out of the flat coordinates directly."""
-    idx = _subset_flat_indices(alg, subset)
-    lefts, rights = _identity_ops(alg)
-
-    def cut(op):
-        return Matrix._trusted(
-            alg.field, tuple(tuple(op.entries[r][c] for c in idx) for r in idx), len(idx)
-        )
-
-    return BimoduleAction(
-        alg.field, len(idx), [cut(m) for m in lefts], [cut(m) for m in rights]
-    )
 
 
 def _subsets_isomorphic(alg: GradedAlgebra, s_set, t_set, budget: int) -> bool:
     """Exhaustive bimodule-isomorphism test between R_S and R_T."""
     f = alg.field
-    a = _subset_component_action(alg, s_set)
-    b = _subset_component_action(alg, t_set)
-    if a.dim != b.dim:
+    dim = sum(alg.comp_dims[g] for g in s_set)
+    if dim != sum(alg.comp_dims[g] for g in t_set):
         return False
-    if a.dim == 0:
+    if dim == 0:
         return True
+    a = BimoduleAction(f, dim, *alg.subset_ops(s_set))
+    b = BimoduleAction(f, dim, *alg.subset_ops(t_set))
     homs = hom_space(a, b)
     if homs.dim == 0:
         return False
@@ -443,8 +421,8 @@ def controlled_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> bo
     f = _require_prime(alg)
     if any(d == 0 for d in alg.comp_dims):
         return False
-    lefts, rights = _identity_ops(alg)
-    sweep = _seed_sweep(alg, lefts, rights, budget)
+    _require_seed_budget(alg, budget)
+    sweep = _seed_sweep(alg, *alg.identity_ops())
     spans = [(alg.offsets[g], alg.comp_dims[g]) for g in range(alg.group.order)]
     if f.p == 2:
         masks = [(((1 << d) - 1) << off, d) for off, d in spans]

@@ -1,5 +1,6 @@
 """Structure-constant algebras: elements, flattening, graded subspaces."""
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,10 @@ from gradedrings.algebra import (
     validate_algebra,
 )
 from gradedrings.builders import full_matrix_algebra, group_algebra, m3_example
+from gradedrings.corpus import Instance, oracle_scale_corpus
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
-from gradedrings.linalg import GF, RATIONALS, Subspace
+from gradedrings.linalg import GF, RATIONALS, Matrix, Subspace
 
 
 def test_construction_checks_dimensions():
@@ -177,3 +179,57 @@ def test_full_matrix_algebra_is_dense_model():
     assert e21 * e12 == e22
     assert e12 * e12 == alg.zero()
     assert validate_algebra(alg).ok
+
+
+# --- multiplication operators against Element products -----------------------
+
+
+def _reference_ops(alg, multipliers, sources, coords):
+    """(left, right) operators of each multiplier on the span of sources.
+
+    Column j of an operator is the product with sources[j], computed by
+    Element multiplication and read in coords.
+    """
+    def ops(product):
+        return tuple(
+            Matrix.from_columns(alg.field, [coords(product(b, x)) for x in sources])
+            for b in multipliers
+        )
+
+    return ops(lambda b, x: b * x), ops(lambda b, x: x * b)
+
+
+OPERATOR_INSTANCES = oracle_scale_corpus() + [
+    Instance("m3-q", "matrix-grading", m3_example(RATIONALS)),
+    Instance("q-z3", "group-algebra", group_algebra(RATIONALS, cyclic_group(3))),
+]
+
+
+@pytest.mark.parametrize("inst", OPERATOR_INSTANCES, ids=[i.name for i in OPERATOR_INSTANCES])
+def test_operators_match_element_products(inst):
+    alg = inst.alg
+    G = alg.group
+    e = G.identity
+
+    def component(g):
+        return [alg.basis_element(g, j) for j in range(alg.comp_dims[g])]
+
+    for h in range(G.order):
+        for g in range(G.order):
+            if not alg.comp_dims[g]:
+                continue
+            lefts, rights = alg.mult_ops(h, g)
+            hg, gh = G.table[h][g], G.table[g][h]
+            ref_l, _ = _reference_ops(alg, component(h), component(g), lambda y: y.coeffs(hg))
+            _, ref_r = _reference_ops(alg, component(h), component(g), lambda y: y.coeffs(gh))
+            assert (lefts, rights) == (ref_l, ref_r)
+            if h == e:
+                assert alg.component_ops(g) == (lefts, rights)
+    basis = [alg.basis_element(*alg.basis_of_flat(k)) for k in range(alg.dim)]
+    assert alg.identity_ops() == _reference_ops(alg, component(e), basis, alg.flatten)
+    for r in range(G.order + 1):
+        for subset in combinations(range(G.order), r):
+            members = [x for g in subset for x in component(g)]
+            idx = [alg.offsets[g] + j for g in subset for j in range(alg.comp_dims[g])]
+            cut = lambda y: tuple(alg.flatten(y)[k] for k in idx)  # noqa: E731
+            assert alg.subset_ops(subset) == _reference_ops(alg, component(e), members, cut), subset

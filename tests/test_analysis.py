@@ -3,6 +3,7 @@ import pytest
 
 from gradedrings.algebra import GradedAlgebra
 from gradedrings.analysis import (
+    CrossedProductData,
     center_of_Re,
     centralizer_of_Re,
     check_centralizer_condition,
@@ -31,7 +32,7 @@ from gradedrings.builders import (
     skew_group_ring,
 )
 from gradedrings.corpus import checkerboard_m2, dual_numbers_graded, twisted_galois_z2
-from gradedrings.errors import InvalidInput
+from gradedrings.errors import InternalInconsistency, InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, Matrix
 
@@ -235,6 +236,37 @@ def test_crossed_data_nontrivial_cocycle():
     assert rep.verdict is Verdict.TRUE
     verify_crossed_identities(alg, rep.data)
     assert verify_crossed_reconstruction(alg, rep.data) is None
+
+
+def _broken(data, sigma=None, alpha=None):
+    return CrossedProductData(
+        data.units, {**data.sigma, **(sigma or {})}, {**data.alpha, **(alpha or {})}
+    )
+
+
+def test_verify_crossed_identities_rejects_scaled_cocycle():
+    alg = group_algebra(RATIONALS, cyclic_group(3))
+    data = detect_crossed_product(alg).data
+    verify_crossed_identities(alg, data)
+    f = alg.field
+    doubled = {(1, 1): tuple(f.scale(f.coerce(2), data.alpha[(1, 1)]))}
+    with pytest.raises(InternalInconsistency, match="cocycle identity fails"):
+        verify_crossed_identities(alg, _broken(data, alpha=doubled))
+    doubled = {(0, 1): tuple(f.scale(f.coerce(2), data.alpha[(0, 1)]))}
+    with pytest.raises(InternalInconsistency, match="alpha must be normalized"):
+        verify_crossed_identities(alg, _broken(data, alpha=doubled))
+
+
+def test_verify_crossed_identities_rejects_swapped_sigma():
+    alg = galois_skew_example(2, 4)
+    data = detect_crossed_product(alg).data
+    verify_crossed_identities(alg, data)
+    swapped = {1: data.sigma[2], 2: data.sigma[1]}
+    with pytest.raises(InternalInconsistency, match="twisted composition"):
+        verify_crossed_identities(alg, _broken(data, sigma=swapped))
+    swapped = {0: data.sigma[1], 1: data.sigma[0]}
+    with pytest.raises(InternalInconsistency, match="sigma at the identity"):
+        verify_crossed_identities(alg, _broken(data, sigma=swapped))
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from gradedrings.algebra import GradedAlgebra
 from gradedrings.builders import galois_skew_example, group_algebra
-from gradedrings.cli import main, parse_field, parse_group
+from gradedrings.cli import ORACLE_WHATS, main, parse_field, parse_group
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group
 from gradedrings.linalg import GF, RATIONALS
@@ -327,6 +328,20 @@ def test_oracle_subrings(gf4_path, capsys):
 def test_oracle_budget_error_exit_2(m3_path, capsys):
     assert main(["oracle", m3_path, "--what", "controlled", "--budget", "4"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ORACLE_WHATS)
+def test_oracle_refuses_over_budget_before_building_operators(m3_path, monkeypatch, capsys, what):
+    def refuse(self, *args):
+        raise AssertionError("operators built before the budget check")
+
+    for name in ("flat_left_ops", "flat_right_ops", "mult_ops"):
+        monkeypatch.setattr(GradedAlgebra, name, refuse)
+    # 2^9 seed vectors against a budget of 100
+    assert main(["oracle", m3_path, "--what", what, "--budget", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_oracle_refuses_rationals(tmp_path, capsys):

@@ -1,0 +1,100 @@
+"""No dead private helpers and no unused imports in the package.
+
+Two checks over the source of `gradedrings`, using only `ast`:
+
+- every module-level function or class whose name starts with `_` is
+  referenced somewhere in the package besides its own definition;
+- every imported name (except `from __future__`) is used in the module that
+  imports it.  `__init__.py` is exempt: its imports are the public API.
+
+A name counts as used when it appears as a `Name`, as the attribute of an
+`Attribute`, or as a word of a string annotation such as `-> "Element"`.
+"""
+import ast
+import os
+import re
+
+import pytest
+
+PACKAGE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "gradedrings"
+)
+MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+TREES = {
+    name: ast.parse(open(os.path.join(PACKAGE, name), encoding="utf-8").read(), name)
+    for name in MODULES
+}
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            ann = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            ann = node.annotation
+        else:
+            continue
+        if ann is not None:
+            yield ann
+
+
+def _used_names(tree) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(re.findall(r"\w+", node.value))
+    return used
+
+
+# module -> [(top-level statement, names it uses)]
+STATEMENTS = {
+    module: [(node, _used_names(node)) for node in tree.body] for module, tree in TREES.items()
+}
+
+
+def _is_import(node) -> bool:
+    return isinstance(node, (ast.Import, ast.ImportFrom))
+
+
+def _is_definition(node, name=None) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name in (None, node.name)
+
+
+def _imports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+PRIVATE = sorted(
+    (module, node.name)
+    for module, tree in TREES.items()
+    for node in tree.body
+    if _is_definition(node) and node.name.startswith("_")
+)
+
+
+@pytest.mark.parametrize("module,name", PRIVATE, ids=[f"{m}:{n}" for m, n in PRIVATE])
+def test_private_definition_is_referenced(module, name):
+    for other, statements in STATEMENTS.items():
+        for node, used in statements:
+            if name in used and not (other == module and _is_definition(node, name)):
+                return
+    pytest.fail(f"gradedrings/{module}: {name} is defined but never referenced")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__.py"])
+def test_every_import_is_used(module):
+    used = set().union(*(names for node, names in STATEMENTS[module] if not _is_import(node)))
+    unused = [name for name in _imports(TREES[module]) if name not in used]
+    assert not unused, f"gradedrings/{module} imports unused names: {unused}"

@@ -2,10 +2,17 @@
 import pytest
 
 from gradedrings import oracle
-from gradedrings.builders import galois_skew_example, group_algebra, m3_example
+from gradedrings.analysis import check_controlled, check_graded_simple, check_simple
+from gradedrings.bimodule import Verdict
+from gradedrings.builders import (
+    galois_skew_example,
+    group_algebra,
+    m3_example,
+    matrix_units_algebra,
+)
 from gradedrings.corpus import checkerboard_m2, dual_numbers_graded, oracle_scale_corpus
 from gradedrings.errors import BudgetError, InvalidInput
-from gradedrings.groups import cyclic_group, trivial_group
+from gradedrings.groups import cyclic_group, klein_four_group, symmetric_group, trivial_group
 from gradedrings.linalg import (
     GF,
     RATIONALS,
@@ -188,12 +195,6 @@ SWEEPABLE = [
 ]
 
 
-def _identity_component_ops(alg):
-    e = alg.group.identity
-    idx = [alg.flat_index(e, i) for i in range(alg.comp_dims[e])]
-    return [alg.flat_left_ops()[k] for k in idx], [alg.flat_right_ops()[k] for k in idx]
-
-
 def _reference_lattice(alg, ops):
     """Invariant subspaces straight from the definition, with no memo.
 
@@ -240,7 +241,7 @@ def test_lattices_match_definition_level_closure(inst):
     _assert_lattice_matches(
         ideals, _reference_lattice(alg, alg.flat_left_ops() + alg.flat_right_ops())
     )
-    lefts, rights = _identity_component_ops(alg)
+    lefts, rights = alg.identity_ops()
     _assert_lattice_matches(enumerate_sub_bimodules(alg), _reference_lattice(alg, lefts + rights))
 
 
@@ -253,7 +254,7 @@ def test_packed_and_generic_sweeps_agree_seed_by_seed(inst):
     f, n = alg.field, alg.dim
     for lefts, rights in (
         (alg.flat_left_ops(), alg.flat_right_ops()),
-        _identity_component_ops(alg),
+        alg.identity_ops(),
     ):
         mats = oracle._operator_span(f, lefts, rights, n)
         packed = {
@@ -281,3 +282,27 @@ def test_lattice_cap_raises(monkeypatch, name, cap, needle):
     monkeypatch.setattr(oracle, "LATTICE_CAP", cap)
     with pytest.raises(BudgetError, match=needle):
         ideal_oracle(alg)
+
+
+# --------------------------------------------------------------------------
+# elementary gradings of matrix rings outside the corpus
+# --------------------------------------------------------------------------
+
+ELEMENTARY = [
+    ("m3-gf2-z3-012", GF(2), cyclic_group(3), (0, 1, 2)),
+    ("m2-gf3-z3-01", GF(3), cyclic_group(3), (0, 1)),
+    ("m3-gf2-s3", GF(2), symmetric_group(3), (0, 1, 3)),
+    ("m2-gf2-z4-02", GF(2), cyclic_group(4), (0, 2)),
+    ("m3-gf3-z2-001", GF(3), cyclic_group(2), (0, 0, 1)),
+    ("m3-gf2-v4-012", GF(2), klein_four_group(), (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("name,field,group,degrees", ELEMENTARY, ids=[c[0] for c in ELEMENTARY])
+def test_elementary_gradings_agree_with_oracles(name, field, group, degrees):
+    alg = matrix_units_algebra(field, group, degrees)
+    ideals = ideal_oracle(alg)
+    graded = [s for s, is_graded in ideals if is_graded]
+    assert check_controlled(alg).verdict is Verdict.from_bool(controlled_oracle(alg))
+    assert check_simple(alg).verdict is Verdict.from_bool(len(ideals) == 2)
+    assert check_graded_simple(alg).verdict is Verdict.from_bool(len(graded) == 2)
