@@ -27,10 +27,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-sys.dont_write_bytecode = True  # leave no cache files under perfbench/
+sys.dont_write_bytecode = True  # leave no cache files in the checkout
 import jobs  # noqa: E402  (perfbench/jobs.py)
-sys.dont_write_bytecode = False
-
 from gradedrings import cli  # noqa: E402
 
 

@@ -12,7 +12,9 @@ convention (column j is the image of the j-th source basis vector):
 mult_ops(h, g) is multiplication by R_h's basis on R_g from either side,
 component_ops(g) = mult_ops(e, g); flat_left_ops/flat_right_ops act on all
 of R, identity_ops() is their slice at R_e's basis, subset_ops(S) that
-slice cut to R_S.
+slice cut to R_S, and projection_ops() gives the flat projections
+pi_g : R -> R_g of the nonzero components.  A subspace of R is graded
+exactly when every pi_g maps it into itself.
 
 Elements are sparse dicts component -> coefficient tuple.  The structure is
 immutable after construction, so the lazily cached operators stay valid.
@@ -210,6 +212,19 @@ class GradedAlgebra:
         e = self.group.identity
         span = slice(self.offsets[e], self.offsets[e] + self.comp_dims[e])
         return self.flat_left_ops()[span], self.flat_right_ops()[span]
+
+    def projection_ops(self) -> tuple:
+        """The flat projection pi_g : R -> R_g of each nonzero component."""
+        zero, one = self.field.zero, self.field.one
+        out = []
+        for off, d in zip(self.offsets, self.comp_dims):
+            if d:
+                rows = tuple(
+                    tuple(one if c == r and off <= r < off + d else zero for c in range(self.dim))
+                    for r in range(self.dim)
+                )
+                out.append(Matrix._trusted(self.field, rows, self.dim))
+        return tuple(out)
 
     def subset_ops(self, subset) -> tuple:
         """identity_ops() cut to R_S, the sum of the components in S.
@@ -519,49 +534,20 @@ class GradedSubspace:
 def graded_subspace_from_flat(alg: GradedAlgebra, w: Subspace) -> Optional[GradedSubspace]:
     """Decompose a flat subspace into components, or None if it is not graded.
 
-    W is graded exactly when W equals the direct sum of its component
-    intersections, i.e. when those intersection dimensions add up to dim W.
+    W lies in the direct sum of its projections pi_g W, with equality
+    exactly when W is graded: so W is graded when the dimensions of the
+    pi_g W add up to dim W, and those projections are then its components.
     """
     if w.ambient_dim != alg.dim or w.field != alg.field:
         raise InvalidInput("subspace does not live in the flattened algebra")
-    comps = {}
-    total = 0
-    for g in range(alg.group.order):
-        d = alg.comp_dims[g]
-        if d == 0:
-            continue
-        off = alg.offsets[g]
-        acc = EchelonBasis(alg.field, d)
-        # vectors of W supported on component g alone
-        found = []
-        for vec in _component_slice(alg, w, g):
-            if acc.add(vec):
-                found.append(vec)
-        if found:
-            comps[g] = Subspace.from_vectors(alg.field, d, found)
-            total += comps[g].dim
-    if total != w.dim:
+    comps = {
+        g: Subspace.from_vectors(alg.field, d, [row[off : off + d] for row in w.basis.entries])
+        for g, (off, d) in enumerate(zip(alg.offsets, alg.comp_dims))
+        if d
+    }
+    if sum(s.dim for s in comps.values()) != w.dim:
         return None
     return GradedSubspace(alg, comps)
-
-
-def _component_slice(alg: GradedAlgebra, w: Subspace, g: int):
-    """Basis of {x in W : x supported on component g}, as component vectors."""
-    from .linalg import nullspace
-
-    off = alg.offsets[g]
-    d = alg.comp_dims[g]
-    rows = w.basis.entries
-    if not rows:
-        return []
-    # coefficients c with sum c_i rows[i] vanishing outside the slice
-    outside = [
-        tuple(row[k] for k in range(alg.dim) if not off <= k < off + d) for row in rows
-    ]
-    constraints = Matrix.from_columns(alg.field, outside)
-    ker = nullspace(constraints)
-    sliced = [row[off : off + d] for row in rows]
-    return [tuple(alg.field.combine(coefvec, sliced)) for coefvec in ker.basis.entries]
 
 
 def component_product(s: GradedSubspace, t: GradedSubspace) -> GradedSubspace:

@@ -7,8 +7,10 @@ controlled property, crossed-product recognition, outerness of the induced
 automorphisms, injectivity of the component class map, and the lattice of
 graded subrings sitting between the identity component and the whole ring.
 
-Verdicts are three-valued.  Every search over a span (homogeneous ideal
-generators, units of a component, invertible twisted intertwiners) takes
+Verdicts are three-valued.  `check_simple` and `check_graded_simple` are
+one test, `is_simple`, on the regular action and on the regular action
+with the projections onto the components added.  Every other search over
+a span (units of a component, invertible twisted intertwiners) takes
 its candidates from `linalg.span_candidates`: all projective points when
 they fit the budget, which makes a fruitless search a proof, and else the
 basis plus `bimodule.SAMPLES` random vectors.  Over a prime field every
@@ -52,10 +54,9 @@ from .bimodule import (
     are_isomorphic_simple,
     bimodules_isomorphic,
     component_action,
-    envelope,
+    graded_regular_action,
     is_simple,
     regular_bimodule_action,
-    spin,
 )
 from .builders import crossed_identity_failure, validate_automorphism
 from .errors import BudgetError, InternalInconsistency, InvalidInput
@@ -277,72 +278,30 @@ def _ideal_witness(alg: GradedAlgebra, sub: Subspace) -> dict:
     return out
 
 
-def check_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> CheckResult:
-    """Is R simple as a ring (no two-sided ideal except 0 and R)?"""
-    rep = is_simple(regular_bimodule_action(alg), seed=seed, budget=budget)
+def _ideal_check(
+    name: str, alg: GradedAlgebra, action: BimoduleAction, seed: int, budget: int
+) -> CheckResult:
+    """`is_simple` on an action whose invariant subspaces are ideals of R."""
+    rep = is_simple(action, seed=seed, budget=budget)
     witness = _ideal_witness(alg, rep.witness) if rep.witness is not None else None
     return CheckResult(
-        "simple",
-        rep.verdict,
-        method=rep.method,
-        detail=rep.detail,
-        witness=witness,
-        seed=seed,
-        budget=budget,
+        name, rep.verdict, method=rep.method, detail=rep.detail, witness=witness,
+        seed=seed, budget=budget,
     )
+
+
+def check_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> CheckResult:
+    """Is R simple as a ring (no two-sided ideal except 0 and R)?"""
+    return _ideal_check("simple", alg, regular_bimodule_action(alg), seed, budget)
 
 
 def check_graded_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> CheckResult:
     """Is every graded two-sided ideal of R either 0 or R?
 
-    A graded ideal is generated by homogeneous elements, so it suffices to
-    close homogeneous vectors under two-sided multiplication.  Each nonzero
-    component offers the seeds of `span_candidates`: every projective ray
-    when they fit the budget (over Q: when the component is a line), else
-    its basis and its share of SAMPLES random vectors.  A proper ideal found
-    is a proof either way (`homogeneous-sweep` when every component was
-    swept, `homogeneous-spin` otherwise).  A fruitless search is a proof
-    only when every component was swept; otherwise the dense-envelope
-    certificate can still settle True (R simple as a ring has no ideals at
-    all, graded or not), and the check admits Inconclusive.
+    `is_simple` on `graded_regular_action`, whose invariant subspaces are
+    the graded ideals: each certificate is a proof about graded ideals.
     """
-    f = alg.field
-    reg = regular_bimodule_action(alg)
-    supports = [g for g in range(alg.group.order) if alg.comp_dims[g] > 0]
-    rng = random.Random(seed)
-    share, extra = divmod(SAMPLES, len(supports))
-    searches = []
-    for i, g in enumerate(supports):
-        rows = Matrix.identity(f, alg.comp_dims[g]).entries
-        searches.append((g, *span_candidates(f, rows, rng, share + (i < extra), budget)))
-    swept = all(complete for _, _, complete in searches)
-    method = "homogeneous-sweep" if swept else "homogeneous-spin"
-    spins = 0
-    for g, candidates, _ in searches:
-        for vec in candidates:
-            spins += 1
-            w = spin(reg, alg.flatten(alg.element({g: vec})))
-            if 0 < w.dim < alg.dim:
-                return CheckResult(
-                    "graded-simple", Verdict.FALSE, method=method,
-                    witness=_ideal_witness(alg, w), seed=seed, budget=budget,
-                )
-    if swept:
-        return CheckResult(
-            "graded-simple", Verdict.TRUE, method=method,
-            detail="complete sweep over homogeneous generators", seed=seed, budget=budget,
-        )
-    rank, _ = envelope(reg)
-    if rank == alg.dim * alg.dim:
-        return CheckResult(
-            "graded-simple", Verdict.TRUE, method="dense-envelope",
-            detail="R is simple as a ring, so it has no proper ideals at all",
-            seed=seed, budget=budget,
-        )
-    return CheckResult(
-        "graded-simple", Verdict.INCONCLUSIVE, method=method,
-        detail=f"no proper graded ideal found in {spins} spins", seed=seed, budget=budget,
-    )
+    return _ideal_check("graded-simple", alg, graded_regular_action(alg), seed, budget)
 
 
 # --------------------------------------------------------------------------

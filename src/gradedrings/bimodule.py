@@ -1,12 +1,11 @@
 """Bimodules over the identity component, and exact simplicity tests.
 
-A BimoduleAction packages a vector space M with two commuting families of
-operators: left multiplications by a basis of a unital algebra A and right
-multiplications by a basis of a unital algebra B (usually both the identity
-component of a graded algebra).  Because each family is the image of a
-unital algebra, the enveloping algebra of the action is spanned by the
-pairwise products L_i R_j; that closed form is what makes the Burnside-style
-density test and the MeatAxe cheap here.
+A BimoduleAction packages a vector space M with a left and a right family
+of operators, usually multiplications by a basis of the identity component
+or of the whole algebra; its invariant subspaces are those every operator
+maps into itself.  The Burnside-style density test and the MeatAxe draw
+their elements from the span of the products L_i R_j, which lies in the
+algebra the operators generate.
 
 Simplicity is decided by a Norton-style MeatAxe with an exhaustive
 projective-spin fallback, so a True or False is a theorem about the input,
@@ -40,7 +39,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistency, InvalidInput
@@ -49,6 +48,7 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
+    _is_prime,
     annihilator,
     nullspace,
     solve,
@@ -63,6 +63,8 @@ SAMPLES = 64
 QUICK_TRIALS = 8
 # Most projective points of a nullspace whose lines Norton's test spins.
 NULLSPACE_BUDGET = 4096
+# Moduli of the residue search for rational eigenvalues.
+RESIDUE_PRIMES = tuple(q for q in range(1009, 2000) if _is_prime(q))
 
 
 class Verdict(Enum):
@@ -84,14 +86,18 @@ class Verdict(Enum):
 
 
 class BimoduleAction:
-    """M together with left and right operator families that commute.
+    """M together with a left and a right operator family.
 
-    Both families must be spanned-closed under composition and contain the
-    identity in their span; the constructors below guarantee that by taking
-    the operators from multiplication in a unital algebra.
+    The invariant subspaces are those that every operator maps into
+    itself.  The families need not be closed under composition: `is_simple`
+    needs only that each product L_i R_j lies in the algebra the operators
+    generate, which holds for any families.  `hom_space` and
+    `action_traces` compare two actions operator by operator, so they are
+    applied only to sums of components over R_e, whose families are the
+    left and right multiplications by the one basis of R_e.
     """
 
-    __slots__ = ("field", "dim", "left_ops", "right_ops", "ops", "tag")
+    __slots__ = ("field", "dim", "left_ops", "right_ops", "ops", "tag", "_traces")
 
     def __init__(self, field: Field, dim: int, left_ops, right_ops, tag: str = ""):
         for op in list(left_ops) + list(right_ops):
@@ -103,6 +109,14 @@ class BimoduleAction:
         self.right_ops = tuple(right_ops)
         self.ops = self.left_ops + self.right_ops
         self.tag = tag
+        self._traces = None
+
+    @property
+    def traces(self) -> tuple:
+        """`action_traces` of this action, computed on first use."""
+        if self._traces is None:
+            self._traces = action_traces(self)
+        return self._traces
 
     def transpose(self) -> "BimoduleAction":
         return BimoduleAction(
@@ -137,6 +151,16 @@ def regular_bimodule_action(alg) -> BimoduleAction:
     )
 
 
+def graded_regular_action(alg) -> BimoduleAction:
+    """R over itself with the projections pi_g added to the left family.
+
+    Its invariant subspaces are the graded ideals: the ideals that every
+    pi_g maps into itself.
+    """
+    lefts = alg.flat_left_ops() + alg.projection_ops()
+    return BimoduleAction(alg.field, alg.dim, lefts, alg.flat_right_ops(), tag="R/R graded")
+
+
 def identity_bimodule_action(alg) -> BimoduleAction:
     """The whole of R as a bimodule over the identity component only."""
     return BimoduleAction(alg.field, alg.dim, *alg.identity_ops(), tag="R/R_e")
@@ -164,10 +188,12 @@ def spin_all(action: BimoduleAction, vectors: Sequence[Sequence]) -> Subspace:
 
 
 def envelope(action: BimoduleAction):
-    """Basis of the enveloping operator algebra, spanned by L_i R_j.
+    """Basis of the span of the products L_i R_j.
 
     Returns (rank, matrices); the matrices are an independent spanning set.
-    Stops early once the envelope is dense in End(M).
+    The span lies in the algebra the operators generate, and is that
+    algebra when both families come from a unital algebra.  Stops early
+    once the span is dense in End(M).
     """
     m = action.dim
     basis = EchelonBasis(action.field, m * m)
@@ -429,71 +455,47 @@ def minimal_polynomial(mat: Matrix) -> list:
         powers.append(nxt)
 
 
-def _divisors_within(n: int, cap: int = 200000) -> Optional[list]:
-    """All divisors of n, or None when n is too stubborn to factor."""
-    n = abs(n)
-    if n == 0:
-        return None
-    factors = {}
-    rem = n
-    d = 2
-    while d * d <= rem and d <= cap:
-        while rem % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            rem //= d
-        d += 1 if d == 2 else 2
-    if rem > 1:
-        if rem > cap * cap:
-            return None
-        factors[rem] = factors.get(rem, 0) + 1
-    divs = [1]
-    for q, e in factors.items():
-        divs = [v * q**i for v in divs for i in range(e + 1)]
-    divs.sort()
-    return divs
-
-
 def rational_eigenvalues(mat: Matrix) -> list:
-    """All rational eigenvalues of a matrix over the rationals, exactly.
+    """The rational eigenvalues of a matrix over the rationals, ascending.
 
-    Scales to an integer matrix, takes the minimal polynomial (monic with
-    integer coefficients, by Gauss), and tests integer divisors of its
-    constant term.  Falls back to a small-candidate scan if the constant
-    term resists factoring; the result is then possibly incomplete, which
-    only ever costs conclusiveness, not correctness.
+    Every value returned is an eigenvalue.  Scaled by the common
+    denominator to an integer matrix A, whose rational eigenvalues are
+    integers r with |r| at most the largest row sum of |A|.  For a prime q,
+    r mod q is a root of A's minimal polynomial over GF(q), because a
+    primitive integer eigenvector stays nonzero mod q.  The roots mod the
+    RESIDUE_PRIMES are combined by the Chinese remainder theorem until the
+    modulus exceeds twice that bound; each combination names one candidate,
+    kept when |r| is within the bound and A - rI is singular.  More than
+    SAMPLES combinations still short of the modulus end the search with no
+    values, which only ever costs conclusiveness.
     """
     f = mat.field
     if f.p != 0:
         raise InvalidInput("rational eigenvalue search is for the rationals")
-    den = 1
-    for row in mat.entries:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    scaled = mat.scale(den) if den != 1 else mat
-    coeffs = minimal_polynomial(scaled)
-
-    def value(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    const = coeffs[0]
-    candidates = {0}
-    if const == 0:
-        lowest = next(i for i, c in enumerate(coeffs) if c != 0)
-        reduced = coeffs[lowest:]
-        base = int(reduced[0])
-    else:
-        base = int(const)
-    divs = _divisors_within(base) if base else []
-    if divs is None:
-        divs = list(range(1, 41))
-    for d in divs:
-        candidates.add(d)
-        candidates.add(-d)
-    roots = [Fraction(c) for c in sorted(candidates) if value(Fraction(c)) == 0]
-    return [Fraction(r, den) for r in roots]
+    den = lcm(*(x.denominator for row in mat.entries for x in row))
+    rows = [[int(x * den) for x in row] for row in mat.entries]
+    bound = max((sum(map(abs, row)) for row in rows), default=0)
+    residues, modulus = [0], 1
+    primes = iter(RESIDUE_PRIMES)
+    while modulus <= 2 * bound:
+        q = next(primes, None)
+        if q is None or len(residues) > SAMPLES:
+            return []
+        evals = [0] * q  # the minimal polynomial mod q at every x, by Horner
+        for c in reversed(minimal_polynomial(Matrix(Field(q), rows))):
+            evals = [(v * x + c) % q for x, v in enumerate(evals)]
+        roots = [x for x, v in enumerate(evals) if not v]
+        step = pow(modulus, -1, q)
+        residues = [r + modulus * ((s - r) * step % q) for r in residues for s in roots]
+        modulus *= q
+    values = []
+    for r in sorted(r - modulus if 2 * r > modulus else r for r in residues):
+        shifted = [
+            [x - r if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)
+        ]
+        if abs(r) <= bound and nullspace(Matrix(f, shifted)).dim > 0:
+            values.append(Fraction(r, den))
+    return values
 
 
 # --- homomorphisms and isomorphism tests -------------------------------------
@@ -549,7 +551,7 @@ def are_isomorphic_simple(a: BimoduleAction, b: BimoduleAction) -> bool:
     """
     if a.dim == 0 or b.dim == 0:
         raise InvalidInput("zero carriers are not simple bimodules")
-    if a.dim != b.dim or action_traces(a) != action_traces(b):
+    if a.dim != b.dim or a.traces != b.traces:
         return False
     return hom_space(a, b).dim > 0
 
@@ -615,7 +617,7 @@ def bimodules_isomorphic(
         return IsoReport(Verdict.FALSE, "dimension")
     if a.dim == 0:
         return IsoReport(Verdict.TRUE, "dimension")
-    if action_traces(a) != action_traces(b):
+    if a.traces != b.traces:
         return IsoReport(Verdict.FALSE, "trace")
     homs = hom_matrices(a, b)
     if not homs:

@@ -97,7 +97,8 @@ def matrix_units_algebra(
 
     The matrix unit e_ij lies in degree d_i^-1 d_j, so e_ij e_jl = e_il
     respects the grading.  Each component lists its units in (row, col)
-    order, labelled e<i><j> from 1; the unit is the sum of the e_ii.
+    order, labelled e<i><j> from 1 (e<i>,<j> from n = 10 on, so that no
+    two labels coincide); the unit is the sum of the e_ii.
     """
     n = len(degrees)
     if n < 1:
@@ -121,7 +122,8 @@ def matrix_units_algebra(
     unit = [0] * dims[group.identity]
     for i in range(n):
         unit[place[(i, i)][1]] = 1
-    labels = {v: f"e{i + 1}{j + 1}" for (i, j), v in place.items()}
+    sep = "," if n > 9 else ""
+    labels = {v: f"e{i + 1}{sep}{j + 1}" for (i, j), v in place.items()}
     return GradedAlgebra(field, group, dims, structure, unit, basis_labels=labels)
 
 

@@ -31,7 +31,12 @@ from gradedrings.builders import (
     inner_automorphism_matrix,
     skew_group_ring,
 )
-from gradedrings.corpus import checkerboard_m2, dual_numbers_graded, twisted_galois_z2
+from gradedrings.corpus import (
+    checkerboard_m2,
+    dual_numbers_graded,
+    inner_conjugation_skew,
+    twisted_galois_z2,
+)
 from gradedrings.errors import InternalInconsistency, InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, Matrix
@@ -367,12 +372,45 @@ def _cyclic_group_algebra_ungraded(field, n):
     return GradedAlgebra(field, trivial_group(), (n,), structure, [1] + [0] * (n - 1))
 
 
-def test_graded_simple_past_budget_falls_back_to_dense_envelope():
-    # GF(16) ⋊ Z/4: each 4-dim component has 15 projective points, over 8
+def test_graded_simple_past_budget_is_decided():
+    # GF(16) ⋊ Z/4: each 4-dim component has 15 projective points, over 8,
+    # and the 16-dim ring is decided without sweeping either
     rep = check_graded_simple(galois_skew_example(2, 4), budget=8)
     assert rep.verdict is Verdict.TRUE
-    assert rep.method == "dense-envelope"
     assert rep.budget == 8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rational_group_algebra_on_the_trivial_group_is_not_graded_simple(n):
+    # on the trivial group every ideal is graded, and Q[Z/n] splits off the
+    # augmentation ideal; the homogeneous sweep could not sweep Q^n
+    alg = _cyclic_group_algebra_ungraded(RATIONALS, n)
+    rep = check_graded_simple(alg)
+    assert rep.verdict is Verdict.FALSE
+    assert rep.witness["graded"] and 0 < rep.witness["dim"] < n
+
+
+def _m2_rationals_skew_z3():
+    """M2(Q) ⋊ Z/3 under conjugation by an order-3 matrix (an inner action)."""
+    base = full_matrix_algebra(RATIONALS, 2)
+    sigma = inner_automorphism_matrix(base, base.element({0: (0, -1, 1, -1)}))
+    return skew_group_ring(
+        base, cyclic_group(3), [Matrix.identity(RATIONALS, 4), sigma, sigma @ sigma]
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: inner_conjugation_skew(RATIONALS), _m2_rationals_skew_z3],
+    ids=["q-m2-inner-z2", "q-m2-inner-z3"],
+)
+def test_inner_skew_rings_over_q_finish(make):
+    # neither ring is simple (an inner action splits off a group algebra)
+    # and both are graded simple; Norton's test over Q may not decide, but
+    # the rational eigenvalue search must not stall on huge constant terms
+    alg = make()
+    assert check_simple(alg).verdict in (Verdict.FALSE, Verdict.INCONCLUSIVE)
+    assert check_graded_simple(alg).verdict in (Verdict.TRUE, Verdict.INCONCLUSIVE)
 
 
 def test_simple_past_budget_is_inconclusive():

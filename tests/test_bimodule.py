@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedrings.analysis import check_simple
+from gradedrings.analysis import check_controlled, check_simple
 from gradedrings.bimodule import (
     BimoduleAction,
     Verdict,
@@ -21,10 +21,16 @@ from gradedrings.bimodule import (
     hom_space,
     identity_bimodule_action,
     is_simple,
+    rational_eigenvalues,
     regular_bimodule_action,
     spin,
 )
-from gradedrings.builders import full_matrix_algebra, group_algebra, m3_example
+from gradedrings.builders import (
+    full_matrix_algebra,
+    galois_skew_example,
+    group_algebra,
+    m3_example,
+)
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group
 from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, nullspace
@@ -163,6 +169,49 @@ def test_action_traces_invariant(gf2_z2):
     a0 = component_action(gf2_z2, 0)
     a1 = component_action(gf2_z2, 1)
     assert action_traces(a0) == action_traces(a1)
+
+
+def test_traces_are_computed_once_per_component(monkeypatch):
+    # four simple components, six pairs compared by Schur's lemma
+    import gradedrings.bimodule as bimodule
+
+    calls = []
+    original = bimodule.action_traces
+
+    def counting(action):
+        calls.append(action.tag)
+        return original(action)
+
+    monkeypatch.setattr(bimodule, "action_traces", counting)
+    rep = check_controlled(galois_skew_example(2, 4))
+    assert rep.verdict is Verdict.TRUE
+    assert sorted(calls) == ["R_0", "R_1", "R_2", "R_3"]
+
+
+def _rational(rows):
+    return Matrix(RATIONALS, [[Fraction(x) for x in row] for row in rows])
+
+
+def test_rational_eigenvalues_mixed_signs_and_fractions():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    mat = _rational([[-3 * half, Fraction(1, 7), 4], [0, 2, -5 * third], [0, 0, third]])
+    assert rational_eigenvalues(mat) == [Fraction(-3, 2), Fraction(1, 3), 2]
+
+
+def test_rational_eigenvalues_of_a_rotation_are_none():
+    assert rational_eigenvalues(_rational([[0, -1], [1, 0]])) == []
+
+
+def test_rational_eigenvalues_of_a_jordan_block():
+    assert rational_eigenvalues(_rational([[5, 1, 0], [0, 5, 1], [0, 0, 5]])) == [5]
+
+
+def test_rational_eigenvalues_need_no_factoring():
+    # (x - 1)(x - N) with N the least integer of more than 100,000 divisors:
+    # a divisor search of the constant term would stall, the residues do not
+    n = 2**8 * 3**4 * 5**2 * 7**2 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37  # 103,680 divisors
+    companion = _rational([[0, -n], [1, n + 1]])
+    assert rational_eigenvalues(companion) == [1, n]
 
 
 def test_envelope_rank_m3(m3_gf2):

@@ -188,3 +188,13 @@ def test_matrix_unit_labels_in_row_column_order():
     assert [m2.label(0, i) for i in range(4)] == ["e11", "e12", "e21", "e22"]
     cb = checkerboard_m2(GF(2))
     assert [cb.label(g, i) for g in range(2) for i in range(2)] == ["e11", "e22", "e12", "e21"]
+
+
+def test_matrix_unit_labels_stay_distinct_from_n_10_on():
+    # e<i><j> would give e111 to both e_1,11 and e_11,1
+    m11 = full_matrix_algebra(GF(2), 11)
+    labels = [m11.label(0, k) for k in range(121)]
+    assert len(set(labels)) == 121
+    assert labels[10] == "e1,11" and labels[110] == "e11,1"
+    m9 = full_matrix_algebra(GF(2), 9)
+    assert m9.label(0, 80) == "e99"

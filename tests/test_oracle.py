@@ -1,4 +1,6 @@
 """Brute-force oracles: exhaustive enumeration at tiny scale."""
+import functools
+
 import pytest
 
 from gradedrings import oracle
@@ -31,6 +33,7 @@ from gradedrings.oracle import (
     ideal_oracle,
     subring_oracle,
 )
+from gradedrings.serialize import vector_to_json
 
 
 # --------------------------------------------------------------------------
@@ -296,6 +299,37 @@ ELEMENTARY = [
     ("m3-gf3-z2-001", GF(3), cyclic_group(2), (0, 0, 1)),
     ("m3-gf2-v4-012", GF(2), klein_four_group(), (0, 1, 2)),
 ]
+
+
+GRADED_SIMPLE_CASES = {inst.name: inst.alg for inst in oracle_scale_corpus()}
+GRADED_SIMPLE_CASES.update(
+    (name, matrix_units_algebra(field, group, degrees))
+    for name, field, group, degrees in ELEMENTARY
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _graded_ideal_bases(name):
+    """The oracle's graded ideals of one case, as JSON bases."""
+    alg = GRADED_SIMPLE_CASES[name]
+    return [
+        [vector_to_json(alg.field, row) for row in sub.basis.entries]
+        for sub, graded in ideal_oracle(alg)
+        if graded
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(GRADED_SIMPLE_CASES))
+def test_graded_simple_agrees_with_ideal_oracle(name, seed):
+    # the oracle's graded ideals include 0 and R, which are always there
+    alg = GRADED_SIMPLE_CASES[name]
+    graded = _graded_ideal_bases(name)
+    rep = check_graded_simple(alg, seed=seed)
+    assert rep.verdict is Verdict.from_bool(len(graded) == 2)
+    if rep.verdict is Verdict.FALSE:
+        assert rep.witness["graded"]
+        assert rep.witness["basis"] in graded
 
 
 @pytest.mark.parametrize("name,field,group,degrees", ELEMENTARY, ids=[c[0] for c in ELEMENTARY])
