@@ -7,31 +7,33 @@ maps into itself.  The Burnside-style density test and the MeatAxe draw
 their elements from the span of the products L_i R_j, which lies in the
 algebra the operators generate.
 
-Simplicity is decided by a Norton-style MeatAxe with an exhaustive
-projective-spin fallback, so a True or False is a theorem about the input,
-never a sample.  `is_simple` tries these certificates in order and names
-the deciding one as `method`: `dimension` (M is a line); `basis-spin`,
-`random-spin` (False: a basis or random vector spins to a proper invariant
-subspace); over GF(p) with p <= 64, Norton's test on QUICK_TRIALS envelope
-elements sampled without an envelope basis; `dense-envelope` (True: the
-L_i R_j span End(M)); Norton's test on SAMPLES elements drawn from the
-envelope basis; `exhaustive-spin` (every projective vector is spun, True or
-False with a witness); `budget` (GF(p)) or `rational-sampling` (Q), both
-Inconclusive.  Both runs of Norton's test are one loop, `_norton_trials`,
-whose only field-dependent step picks the shifts theta - lam*I: every lam
-in GF(p) for p <= 64, sixteen sampled ones for larger p, the rational
-eigenvalues over Q.  Norton's test reports `meataxe-spin` (False: a
-nullspace vector spins to a proper subspace) or `meataxe-norton`, a proof
-either way: True when every nullspace line and one nullspace vector of the
-transpose spin to the whole space, else False with the annihilator of that
-transpose spin as witness.
+Simplicity is decided by a Norton-style MeatAxe with a spin-search
+fallback, so a True or False is a theorem about the input, never a sample.
+`is_simple` tries these certificates in order and names the deciding one
+as `method`: `dimension` (M is a line); over GF(p) with p <= 64, Norton's
+test on QUICK_TRIALS envelope elements sampled without an envelope basis;
+`dense-envelope` (True: the L_i R_j span End(M)); Norton's test on SAMPLES
+elements drawn from the envelope basis; then the spin search, which spins
+the basis rows and after them either every projective vector of M
+(`exhaustive-spin`, True or False with a witness) or, past the budget,
+QUICK_TRIALS random vectors (`sampled-spin`, False with a witness); else
+`budget` (GF(p)) or `rational-sampling` (Q), both Inconclusive.  Both runs
+of Norton's test are one loop, `_norton_trials`, whose only
+field-dependent step picks the shifts theta - lam*I: every lam in GF(p)
+for p <= 64, sixteen sampled ones for larger p, the rational eigenvalues
+over Q.  Norton's test reports `meataxe-spin` (False: a nullspace vector
+spins to a proper subspace) or `meataxe-norton`, a proof either way: True
+when every nullspace line and one nullspace vector of the transpose spin
+to the whole space, else False with the annihilator of that transpose
+spin as witness.
 
 Whether a span is swept or sampled is decided in one place,
-`linalg.span_candidates`: the exhaustive spin of M and the nullspace lines
-of Norton's test (at most NULLSPACE_BUDGET points) are sweeps or nothing,
-and `find_invertible_combo` sweeps a hom space within its budget and
-samples SAMPLES combinations past it.  The three constants below are the
-only search sizes; callers choose the seed and the budget.
+`linalg.span_candidates`: the spin search sweeps M within the budget and
+samples it past it, the nullspace lines of Norton's test (at most
+NULLSPACE_BUDGET points) are a sweep or nothing, and
+`find_invertible_combo` sweeps a hom space within its budget and samples
+SAMPLES combinations past it.  The three constants below are the only
+search sizes; callers choose the seed and the budget.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
@@ -58,8 +61,8 @@ from .linalg import (
 # Random draws of a sampled search: Norton trials on envelope elements, and
 # the combinations `span_candidates` adds when a span is past its budget.
 SAMPLES = 64
-# Random spins, and envelope elements sampled without an envelope basis,
-# tried before the envelope is built.
+# Envelope elements sampled without an envelope basis, tried before the
+# envelope is built, and random vectors spun when M is past its budget.
 QUICK_TRIALS = 8
 # Most projective points of a nullspace whose lines Norton's test spins.
 NULLSPACE_BUDGET = 4096
@@ -161,23 +164,11 @@ def graded_regular_action(alg) -> BimoduleAction:
     return BimoduleAction(alg.field, alg.dim, lefts, alg.flat_right_ops(), tag="R/R graded")
 
 
-def identity_bimodule_action(alg) -> BimoduleAction:
-    """The whole of R as a bimodule over the identity component only."""
-    return BimoduleAction(alg.field, alg.dim, *alg.identity_ops(), tag="R/R_e")
-
-
 def spin(action: BimoduleAction, seed: Sequence) -> Subspace:
     """Smallest invariant subspace containing the seed vector."""
-    return spin_all(action, [seed])
-
-
-def spin_all(action: BimoduleAction, vectors: Sequence[Sequence]) -> Subspace:
-    """Smallest invariant subspace containing all the given vectors."""
     basis = EchelonBasis(action.field, action.dim)
-    queue = []
-    for v in map(action.field.vector, vectors):
-        if basis.add(v):
-            queue.append(v)
+    v = action.field.vector(seed)
+    queue = [v] if basis.add(v) else []
     while queue and not basis.is_full():
         v = queue.pop()
         for op in action.ops:
@@ -220,13 +211,6 @@ class SimplicityReport:
         return self.verdict is Verdict.TRUE
 
 
-def _random_vector(field: Field, n: int, rng) -> tuple:
-    while True:
-        v = tuple(field.random_scalar(rng) for _ in range(n))
-        if any(v):
-            return v
-
-
 def _checked_witness(action: BimoduleAction, sub: Subspace) -> Subspace:
     if sub.is_zero() or sub.is_full() or not action.is_invariant(sub):
         raise InternalInconsistency("simplicity witness failed revalidation")
@@ -242,10 +226,11 @@ def is_simple(
 ) -> SimplicityReport:
     """Decide whether M has no invariant subspace other than 0 and M.
 
-    Over GF(p) the verdict is conclusive whenever the projective points of
-    M fit inside budget, the bound for escalating to a full projective spin
-    sweep; over the rationals a True or False is still certified but the
-    search can end Inconclusive.
+    Norton's test runs first, since it proves either verdict; spins, which
+    can only refute, come last.  Over GF(p) the verdict is conclusive
+    whenever the projective points of M fit inside budget, the bound for
+    the full projective spin sweep; over the rationals a True or False is
+    still certified but the search can end Inconclusive.
     """
     m = action.dim
     f = action.field
@@ -254,20 +239,6 @@ def is_simple(
     if m == 1:
         return SimplicityReport(Verdict.TRUE, "dimension")
     rng = random.Random(seed)
-    basis = Matrix.identity(f, m).entries
-
-    for row in basis:
-        w = spin(action, row)
-        if _proper(w, m):
-            return SimplicityReport(
-                Verdict.FALSE, "basis-spin", _checked_witness(action, w)
-            )
-    for _ in range(QUICK_TRIALS):
-        w = spin(action, _random_vector(f, m, rng))
-        if _proper(w, m):
-            return SimplicityReport(
-                Verdict.FALSE, "random-spin", _checked_witness(action, w)
-            )
 
     def shifts(theta: Matrix):
         if not f.p:
@@ -292,7 +263,7 @@ def is_simple(
     thetas = (_random_envelope_element(action, env, rng) for _ in range(SAMPLES))
     report, used = _norton_trials(action, thetas, shifts, rng)
     if report is None:
-        report = _exhaustive_spin(action, basis, rng, budget)
+        report = _exhaustive_spin(action, rng, budget)
     report.trials = sampled + used
     return report
 
@@ -308,30 +279,36 @@ def _norton_trials(action: BimoduleAction, thetas, shifts, rng):
     return None, used
 
 
-def _exhaustive_spin(action: BimoduleAction, basis, rng, budget: int) -> SimplicityReport:
-    """Spin every projective vector of M when they fit the budget."""
-    f = action.field
-    seeds, complete = span_candidates(f, basis, rng, 0, budget)
-    if not complete:
-        if not f.p:
-            return SimplicityReport(
-                Verdict.INCONCLUSIVE,
-                "rational-sampling",
-                detail="no envelope element with a one-dimensional rational nullspace found",
-            )
+def _exhaustive_spin(action: BimoduleAction, rng, budget: int) -> SimplicityReport:
+    """Spin the basis rows, then every projective vector of M or a sample.
+
+    The rows go first, so a proper invariant subspace that contains a basis
+    vector is found within m spins, not a sweep.  When the projective
+    points fit the budget the sweep decides either way; past it the rows
+    and QUICK_TRIALS random vectors can only refute.
+    """
+    f, m = action.field, action.dim
+    rows = Matrix.identity(f, m).entries
+    seeds, complete = span_candidates(f, rows, rng, QUICK_TRIALS, budget)
+    method = "exhaustive-spin" if complete else "sampled-spin"
+    for v in chain(rows, seeds) if complete else seeds:
+        w = spin(action, v)
+        if _proper(w, m):
+            return SimplicityReport(Verdict.FALSE, method, _checked_witness(action, w))
+    if complete:
+        return SimplicityReport(Verdict.TRUE, method)
+    if not f.p:
         return SimplicityReport(
             Verdict.INCONCLUSIVE,
-            "budget",
-            detail=f"no small nullspace found and {action.dim}-dim projective sweep over "
-            f"GF({f.p}) exceeds {budget} points",
+            "rational-sampling",
+            detail="no envelope element with a one-dimensional rational nullspace found",
         )
-    for v in seeds:
-        w = spin(action, v)
-        if _proper(w, action.dim):
-            return SimplicityReport(
-                Verdict.FALSE, "exhaustive-spin", _checked_witness(action, w)
-            )
-    return SimplicityReport(Verdict.TRUE, "exhaustive-spin")
+    return SimplicityReport(
+        Verdict.INCONCLUSIVE,
+        "budget",
+        detail=f"no small nullspace found and {m}-dim projective sweep over "
+        f"GF({f.p}) exceeds {budget} points",
+    )
 
 
 def _sampled_envelope_element(action: BimoduleAction, rng) -> Matrix:

@@ -22,7 +22,12 @@ from gradedrings.analysis import (
     verify_crossed_identities,
     verify_crossed_reconstruction,
 )
-from gradedrings.bimodule import Verdict, is_simple, regular_bimodule_action
+from gradedrings.bimodule import (
+    Verdict,
+    component_action,
+    is_simple,
+    regular_bimodule_action,
+)
 from gradedrings.builders import (
     finite_field_algebra,
     full_matrix_algebra,
@@ -39,7 +44,8 @@ from gradedrings.corpus import (
 )
 from gradedrings.errors import InternalInconsistency, InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
-from gradedrings.linalg import GF, RATIONALS, Matrix
+from gradedrings.linalg import GF, RATIONALS, Matrix, Subspace
+from gradedrings.serialize import vector_from_json
 
 
 # --------------------------------------------------------------------------
@@ -139,7 +145,11 @@ def test_controlled_m3_negative(m3_gf2, m3_q):
         rep = check_controlled(alg)
         assert rep.verdict is Verdict.FALSE
         assert rep.witness["kind"] == "component-not-simple"
-        assert rep.witness["sub_bimodule"]["dim"] == 4
+        # a proper, nonzero sub-bimodule of R_0 that the action keeps
+        rows = [vector_from_json(alg.field, v) for v in rep.witness["sub_bimodule"]["basis"]]
+        sub = Subspace.from_vectors(alg.field, alg.comp_dims[0], rows)
+        assert 0 < sub.dim < alg.comp_dims[0]
+        assert component_action(alg, 0).is_invariant(sub)
 
 
 def test_controlled_positive(gf4skew):

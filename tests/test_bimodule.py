@@ -1,5 +1,6 @@
 """Bimodule actions: spinning, simplicity, homomorphism spaces."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedrings.analysis import check_controlled, check_simple
+from gradedrings import bimodule
 from gradedrings.bimodule import (
     BimoduleAction,
     Verdict,
@@ -19,7 +21,6 @@ from gradedrings.bimodule import (
     envelope,
     hom_matrices,
     hom_space,
-    identity_bimodule_action,
     is_simple,
     rational_eigenvalues,
     regular_bimodule_action,
@@ -31,6 +32,7 @@ from gradedrings.builders import (
     group_algebra,
     m3_example,
 )
+from gradedrings.corpus import dual_numbers_graded
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group
 from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, nullspace
@@ -88,6 +90,58 @@ def test_simple_ring_regular_action(m3_gf2):
     assert rep.verdict is Verdict.TRUE
     assert rep.method == "meataxe-norton"
     assert rep.trials >= 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: m3_example(GF(2)), lambda: galois_skew_example(2, 4)],
+    ids=["m3-gf2", "galois-2-4"],
+)
+def test_norton_decides_simple_rings_before_any_spin_search(build, monkeypatch):
+    # Norton's test is a proof either way, so on a simple ring it decides
+    # after a few nullspace spins, fewer than one spin per basis vector
+    calls = []
+    real_spin = bimodule.spin
+
+    def counted(action, seed):
+        calls.append(seed)
+        return real_spin(action, seed)
+
+    monkeypatch.setattr(bimodule, "spin", counted)
+    act = regular_bimodule_action(build())
+    rep = is_simple(act)
+    assert rep.verdict is Verdict.TRUE
+    assert rep.method == "meataxe-norton"
+    assert len(calls) < act.dim
+
+
+def test_spin_search_refutes_where_norton_has_no_shift():
+    # over GF(65521) the sixteen sampled shifts miss every eigenvalue, so
+    # the basis rows of the spin search refute the identity component
+    rep = check_controlled(m3_example(GF(65521)))
+    assert rep.verdict is Verdict.FALSE
+    assert rep.witness["kind"] == "component-not-simple"
+
+
+def test_dual_numbers_over_a_large_prime_are_refuted_quickly():
+    start = time.perf_counter()
+    rep = check_simple(dual_numbers_graded(GF(65521)))
+    assert rep.verdict is Verdict.FALSE
+    assert time.perf_counter() - start < 0.5
+
+
+def test_rational_complex_structure_is_refuted_by_a_sampled_spin():
+    # J^2 = -I has no rational eigenvalue, so no shift of an envelope
+    # element is singular; e_1 spins to the invariant plane span(e_1, J e_1)
+    f = RATIONALS
+    j_plus_j = Matrix(f, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    ident = Matrix.identity(f, 4)
+    act = BimoduleAction(f, 4, [ident, j_plus_j], [ident])
+    rep = is_simple(act)
+    assert rep.verdict is Verdict.FALSE
+    assert rep.method == "sampled-spin"
+    assert rep.witness.dim == 2
+    assert act.is_invariant(rep.witness)
 
 
 def test_large_prime_keeps_dense_envelope():
@@ -222,7 +276,7 @@ def test_envelope_rank_m3(m3_gf2):
 
 
 def test_identity_action_matches_component_slices(m3_gf2):
-    act = identity_bimodule_action(m3_gf2)
+    act = BimoduleAction(m3_gf2.field, m3_gf2.dim, *m3_gf2.identity_ops())
     assert act.dim == 9
     sub = spin(act, m3_gf2.flatten(m3_gf2.basis_element(1, 0)))
     assert sub.dim == 2
@@ -232,7 +286,7 @@ def test_identity_action_matches_component_slices(m3_gf2):
 @settings(max_examples=40, deadline=None)
 def test_spin_contains_seed_and_is_invariant(seed):
     alg = m3_example(GF(2))
-    act = identity_bimodule_action(alg)
+    act = BimoduleAction(alg.field, alg.dim, *alg.identity_ops())
     rng = random.Random(seed)
     vec = tuple(rng.randrange(2) for _ in range(9))
     got = spin(act, vec)
