@@ -1,11 +1,12 @@
 """Finite-dimensional group-graded algebras given by structure constants.
 
 An algebra R = (+)_g R_g over a field F is stored as one dimension per group
-element plus, for every pair of graded basis elements b_{g,i}, b_{h,j}, the
-coefficient vector of their product in the basis of R_{gh}.  The gradation is
-therefore structural: products of homogeneous elements land in the right
-component by construction, and what remains to verify is associativity and
-the unit laws (validate_algebra).
+element plus the nonzero products of graded basis elements: b_{g,i} b_{h,j}
+is kept as its coefficient vector in the basis of R_{gh} when it is not zero,
+and every product not kept is zero.  The gradation is therefore structural:
+products of homogeneous elements land in the right component by
+construction, and what remains to verify is associativity and the unit laws
+(validate_algebra).
 
 GradedAlgebra alone turns that table into operators, all in the column
 convention (column j is the image of the j-th source basis vector):
@@ -54,13 +55,8 @@ class GradedAlgebra:
         self.dim = sum(dims)
         self.offsets = tuple(sum(dims[:g]) for g in range(group.order))
 
-        table = [
-            [
-                [[None] * dims[h] for h in range(group.order)]
-                for _ in range(dims[g])
-            ]
-            for g in range(group.order)
-        ]
+        # (g, i, h) -> {j: coefficients of b_{g,i} * b_{h,j}}, nonzero ones only
+        products: dict = {}
         for key, coeffs in structure.items():
             try:
                 g, i, h, j = key
@@ -76,8 +72,9 @@ class GradedAlgebra:
                 raise InvalidInput(
                     f"product coefficients at {key!r} must have length {dims[k]}"
                 )
-            table[g][i][h][j] = vec if any(vec) else None
-        self._table = table
+            if any(vec):
+                products.setdefault((g, i, h), {})[j] = vec
+        self._products = products
 
         u = field.vector(unit)
         if len(u) != dims[group.identity]:
@@ -99,22 +96,18 @@ class GradedAlgebra:
 
     def product_coeffs(self, g: int, i: int, h: int, j: int) -> tuple:
         """Coefficients of b_{g,i} * b_{h,j} in the basis of R_{gh}."""
-        vec = self._table[g][i][h][j]
+        vec = self._products.get((g, i, h), {}).get(j)
         if vec is not None:
             return vec
         return (self.field.zero,) * self.comp_dims[self.group.table[g][h]]
 
     def structure_items(self):
         """Nonzero structure entries as ((g, i, h, j), coeffs), sorted."""
-        out = []
-        for g in range(self.group.order):
-            for i in range(self.comp_dims[g]):
-                for h in range(self.group.order):
-                    for j in range(self.comp_dims[h]):
-                        vec = self._table[g][i][h][j]
-                        if vec is not None:
-                            out.append(((g, i, h, j), vec))
-        return out
+        return sorted(
+            ((g, i, h, j), vec)
+            for (g, i, h), row in self._products.items()
+            for j, vec in row.items()
+        )
 
     def basis_of_flat(self, idx: int) -> tuple:
         for g in range(self.group.order - 1, -1, -1):
@@ -256,12 +249,12 @@ class GradedAlgebra:
 
         e = self.group.identity
         d = self.comp_dims[e]
-        structure = {}
-        for i in range(d):
-            for j in range(d):
-                vec = self._table[e][i][e][j]
-                if vec is not None:
-                    structure[(0, i, 0, j)] = vec
+        structure = {
+            (0, i, 0, j): vec
+            for (g, i, h), row in self._products.items()
+            if g == h == e
+            for j, vec in row.items()
+        }
         labels = {(0, i): self.label(e, i) for i in range(d)}
         return GradedAlgebra(
             self.field, trivial_group(), (d,), structure, self.unit_coeffs, basis_labels=labels
@@ -359,25 +352,25 @@ class Element:
         self._check_same(other)
         alg = self.alg
         gtab = alg.group.table
-        table = alg._table
+        products = alg._products
         # per target component: the products x_i y_j and the structure
         # vectors they weight, summed in one pass by Field.combine
         terms: dict = {}
         for g, xg in self.comps.items():
-            tg = table[g]
             for h, yh in other.comps.items():
                 k = gtab[g][h]
                 if k not in terms:
                     terms[k] = ([], [])
                 cs, vecs = terms[k]
                 for i, xi in enumerate(xg):
-                    if not xi:
+                    row = products.get((g, i, h)) if xi else None
+                    if row is None:
                         continue
-                    row = tg[i][h]
-                    for j, yj in enumerate(yh):
-                        if yj and row[j] is not None:
+                    for j, vec in row.items():
+                        yj = yh[j]
+                        if yj:
                             cs.append(xi * yj)
-                            vecs.append(row[j])
+                            vecs.append(vec)
         combine = alg.field.combine
         return Element._trusted(
             alg, {k: tuple(combine(cs, vecs)) for k, (cs, vecs) in terms.items() if cs}
@@ -412,7 +405,11 @@ class AlgebraDiagnostics:
 
 
 def validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
-    """Unit laws plus the full associativity scan over basis triples."""
+    """Unit laws plus the full associativity scan over basis triples.
+
+    Each basis product b*c is computed once, so a triple costs the two
+    products (ab)c and a(bc); when ab and bc are both zero, so are both sides.
+    """
     problems = []
     one = alg.one()
     basis = alg._flat_basis()
@@ -421,11 +418,11 @@ def validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
             g, i = alg.basis_of_flat(k)
             problems.append(f"unit law fails at basis element {alg.label(g, i)}")
             return AlgebraDiagnostics(False, problems)
+    prods = [[b * c for c in basis] for b in basis]
     for a_i, a in enumerate(basis):
-        for b_i, b in enumerate(basis):
-            ab = a * b
-            for c_i, c in enumerate(basis):
-                if ab * c != a * (b * c):
+        for b_i, ab in enumerate(prods[a_i]):
+            for c_i, (c, bc) in enumerate(zip(basis, prods[b_i])):
+                if (ab.comps or bc.comps) and ab * c != a * bc:
                     ga, ia = alg.basis_of_flat(a_i)
                     gb, ib = alg.basis_of_flat(b_i)
                     gc, ic = alg.basis_of_flat(c_i)

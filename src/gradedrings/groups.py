@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .errors import BudgetError, InternalInconsistency, InvalidInput
+from .errors import BudgetError, InvalidInput
 
 SUBSET_SCAN_LIMIT = 16
 
@@ -70,12 +70,6 @@ class FiniteGroup:
             raise InvalidInput("table has no identity/inverses; not a group")
         return self._inverses[i]
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InvalidInput(f"no element named {name!r}") from None
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteGroup)
@@ -126,7 +120,13 @@ def _closed_under_product(g: FiniteGroup, subset: tuple) -> bool:
     return all(t[a][b] in members for a in subset for b in subset)
 
 
-def _subset_scan(g: FiniteGroup, require_inverses: bool) -> list:
+def subgroups(g: FiniteGroup) -> list:
+    """All subgroups, as sorted index tuples, ordered by size then lex.
+
+    Scans the subsets that contain the identity for closure under the
+    product alone: in a finite group a product-closed subset containing e
+    is a subgroup, since the powers of each x repeat and so contain x^-1.
+    """
     if g.identity is None or g._inverses is None:
         raise InvalidInput("not a group (no identity or inverses)")
     if g.order > SUBSET_SCAN_LIMIT:
@@ -138,37 +138,10 @@ def _subset_scan(g: FiniteGroup, require_inverses: bool) -> list:
     found = []
     for mask in range(1 << len(rest)):
         subset = tuple(sorted([e] + [x for k, x in enumerate(rest) if mask >> k & 1]))
-        if not _closed_under_product(g, subset):
-            continue
-        if require_inverses and any(g.inv(x) not in subset for x in subset):
-            continue
-        found.append(subset)
+        if _closed_under_product(g, subset):
+            found.append(subset)
     found.sort(key=lambda s: (len(s), s))
     return found
-
-
-def subgroups(g: FiniteGroup) -> list:
-    """All subgroups, as sorted index tuples, ordered by size then lex."""
-    return _subset_scan(g, require_inverses=True)
-
-
-def submonoids(g: FiniteGroup) -> list:
-    """All submonoids containing the identity.
-
-    In a finite group every product-closed subset containing the identity is
-    already a subgroup, so this must coincide with the subgroup list; the
-    equality is asserted.
-    """
-    mono = _subset_scan(g, require_inverses=False)
-    if mono != subgroups(g):
-        raise InternalInconsistency("submonoid scan disagrees with subgroup scan")
-    return mono
-
-
-def center(g: FiniteGroup) -> tuple:
-    n = g.order
-    t = g.table
-    return tuple(x for x in range(n) if all(t[x][y] == t[y][x] for y in range(n)))
 
 
 def is_nilpotent(g: FiniteGroup) -> bool:

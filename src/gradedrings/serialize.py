@@ -30,8 +30,9 @@ from .errors import InvalidInput
 from .groups import FiniteGroup
 from .linalg import GF, Field
 
-# Largest total dimension a file may declare.  GradedAlgebra allocates a
-# dense structure table of that size squared before it reads any row.
+# Largest total dimension a file may declare.  GradedAlgebra stores only the
+# nonzero products, but most checks build the flat operators: one n x n
+# matrix per basis element, n^3 scalars in all.
 MAX_TOTAL_DIM = 1024
 
 

@@ -1,6 +1,8 @@
 """Structure-constant algebras: elements, flattening, graded subspaces."""
 import random
-from itertools import combinations
+import tracemalloc
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from gradedrings.algebra import (
 from gradedrings.builders import full_matrix_algebra, group_algebra, m3_example
 from gradedrings.corpus import Instance, oracle_scale_corpus
 from gradedrings.errors import InvalidInput
-from gradedrings.groups import cyclic_group, trivial_group
+from gradedrings.groups import cyclic_group, symmetric_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, Matrix, Subspace
 
 
@@ -125,6 +127,78 @@ def test_validate_algebra_flags_nonassociative():
     }
     alg = GradedAlgebra(f, trivial_group(), (2,), structure, (1, 0))
     assert not validate_algebra(alg).ok
+
+
+# --- the sparse structure table ---------------------------------------------
+
+
+def _random_scalar(field, rng):
+    if field.p:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _reference_product(alg, x, y):
+    """Flat x*y as the sum of x_i y_j product_coeffs(g, i, h, j)."""
+    f, G = alg.field, alg.group
+    out = [f.zero] * alg.dim
+    for g, h in product(range(G.order), repeat=2):
+        off = alg.offsets[G.mul(g, h)]
+        for (i, xi), (j, yj) in product(enumerate(x.coeffs(g)), enumerate(y.coeffs(h))):
+            for r, v in enumerate(alg.product_coeffs(g, i, h, j)):
+                out[off + r] = f.add(out[off + r], f.mul(f.mul(xi, yj), v))
+    return tuple(out)
+
+
+@given(st.integers(0, 2**30 - 1), st.sampled_from([GF(3), RATIONALS]))
+@settings(max_examples=40, deadline=None)
+def test_products_follow_sparse_table(seed, field):
+    # random tables, not associative in general; about a third of the given
+    # vectors are zero and must read back as zero products
+    rng = random.Random(seed)
+    group = rng.choice([trivial_group(), cyclic_group(2), cyclic_group(3), symmetric_group(3)])
+    dims = [rng.randint(0, 3) for _ in range(group.order)]
+    dims[group.identity] = max(1, dims[group.identity])
+    structure = {}
+    for g, h in product(range(group.order), repeat=2):
+        for i, j in product(range(dims[g]), range(dims[h])):
+            if rng.random() < 0.5:
+                d = dims[group.mul(g, h)]
+                zero = rng.random() < 0.3
+                vec = [0 if zero else _random_scalar(field, rng) for _ in range(d)]
+                structure[(g, i, h, j)] = vec
+    unit = [1] + [0] * (dims[group.identity] - 1)
+    alg = GradedAlgebra(field, group, dims, structure, unit)
+
+    items = alg.structure_items()
+    assert [key for key, _ in items] == sorted(key for key, _ in items)
+    assert all(any(vec) for _, vec in items)
+    assert dict(items) == {
+        key: field.vector(vec) for key, vec in structure.items() if any(vec)
+    }
+    for key, vec in structure.items():
+        assert alg.product_coeffs(*key) == field.vector(vec)
+    for _ in range(4):
+        x, y = (
+            alg.from_flat([_random_scalar(field, rng) for _ in range(alg.dim)]) for _ in range(2)
+        )
+        assert alg.flatten(x * y) == _reference_product(alg, x, y)
+
+
+def test_sparse_table_allocates_no_dense_table():
+    # a 1024-dimensional algebra with one nonzero product: a table with a slot
+    # per basis pair would take megabytes
+    n = 1024
+    e0 = (1,) + (0,) * (n - 1)
+    structure = {(0, 0, 0, 0): e0}
+    tracemalloc.start()
+    try:
+        alg = GradedAlgebra(GF(2), trivial_group(), (n,), structure, e0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alg.structure_items() == [((0, 0, 0, 0), e0)]
+    assert peak < 1_000_000
 
 
 def test_graded_subspace_basics(m3_gf2):
