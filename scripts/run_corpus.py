@@ -2,10 +2,11 @@
 """Sweep the built-in corpus and cross-validate checks against oracles.
 
 For every instance this prints the controlled verdict from the decision
-procedure next to the brute-force oracle's answer; on controlled instances
-it also compares the subring correspondence with the subring oracle and
-confirms that every ideal found by enumeration is graded.  Exit status is
-nonzero if any comparison disagrees.
+procedure next to the brute-force oracle's answer, and compares leg (v) of
+`necessary` (every two-sided ideal is graded) with the ideals found by
+enumeration; on controlled instances it also compares the subring
+correspondence with the subring oracle.  Exit status is nonzero if any
+comparison disagrees.
 """
 import argparse
 import sys
@@ -13,6 +14,7 @@ import time
 
 from gradedrings.analysis import (
     check_controlled,
+    check_necessary_conditions,
     check_strongly_graded,
     check_valid,
     subring_correspondence,
@@ -49,6 +51,15 @@ def main(argv=None) -> int:
             line += "  DISAGREE"
         print(line)
 
+        leg = check_necessary_conditions(alg, seed=args.seed, budget=args.budget).parts[-1]
+        all_graded = all(graded for _, graded in ideal_oracle(alg))
+        if leg.verdict is not Verdict.from_bool(all_graded):
+            disagreements.append(inst.name + " (ideals graded)")
+            print(
+                f"    ideals-graded: {leg.verdict.value} by {leg.method}, "
+                f"oracle finds every ideal graded: {all_graded}"
+            )
+
         if not orc:
             continue
         n_controlled += 1
@@ -66,10 +77,6 @@ def main(argv=None) -> int:
                 print(f"    subring mismatch: {corr.count} vs {len(orc_keyed)}")
             else:
                 print(f"    subrings: {corr.count} (both routes)")
-        ungraded = [s.dim for s, graded in ideal_oracle(alg) if not graded]
-        if ungraded:
-            disagreements.append(inst.name + " (ungraded ideal)")
-            print(f"    ungraded ideals of dims {ungraded} on a controlled instance")
 
     print(
         f"\n{len(corpus)} instances, {n_controlled} controlled, "

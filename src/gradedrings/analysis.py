@@ -22,14 +22,17 @@ returns Inconclusive.  Callers choose the seed and the budget; the search
 sizes are module constants.
 
 `check_controlled` (and so `subring_correspondence`),
-`check_picard_injective`, legs (i)-(iii) of `check_necessary_conditions`
-and the legs of `check_crossed_controlled` all read one component profile:
-the simplicity of each component as an R_e-bimodule and the isomorphism
-verdict of each pair, computed once.  R_e as a ring is the identity
-component acting on itself, so its simplicity is read there too.  This
-loses no independence: the checks used to repeat the same deterministic
-call on the same matrices with the same seed.  The brute-force oracle
-stays independent of all of it.
+`check_picard_injective`, legs (i)-(iii) and (v) of
+`check_necessary_conditions` and the legs of `check_crossed_controlled`
+all read one component profile: the simplicity of each component as an
+R_e-bimodule and the isomorphism verdict of each pair, computed once.
+R_e as a ring is the identity component acting on itself, so its
+simplicity is read there too.  Leg (v), every ideal graded, holds outright
+when the profile shows R controlled; otherwise it is decided from the
+simplicity test of R, and the brute-force ideal enumeration of `oracle`
+runs only when neither certifies.  This loses no independence: the checks
+used to repeat the same deterministic call on the same matrices with the
+same seed.  The brute-force oracle stays independent of all of it.
 """
 
 import random
@@ -456,6 +459,65 @@ def subset_action(alg: GradedAlgebra, subset) -> BimoduleAction:
 # --------------------------------------------------------------------------
 
 
+def _ideals_graded_certificate(
+    alg: GradedAlgebra, comp_verdict: Verdict, iso_verdict: Verdict, seed: int, budget: int
+) -> Optional[CheckResult]:
+    """Leg (v) decided by a proof, or None when no certificate applies.
+
+    When legs (i) and (ii) hold, R is G-controlled: its R_e-sub-bimodules
+    are the R_H, and every two-sided ideal is one of them, so graded.  Else,
+    over a prime field, `is_simple` on the regular action (the call and seed
+    of `check_simple`) either proves R simple, whose only ideals 0 and R are
+    graded, or finds an ideal that may not be graded.  Over Q the leg is
+    never decided otherwise, so that search is not run there.
+    """
+    if comp_verdict is Verdict.TRUE and iso_verdict is Verdict.TRUE:
+        return CheckResult(
+            "ideals-graded", Verdict.TRUE, method="controlled-components",
+            detail="every ideal is a sum of components", seed=seed, budget=budget,
+        )
+    if alg.field.p == 0:
+        return None
+    rep = is_simple(regular_bimodule_action(alg), seed=seed, budget=budget)
+    if rep.verdict is Verdict.TRUE:
+        return CheckResult(
+            "ideals-graded", Verdict.TRUE, method="simple-ring",
+            detail="the only ideals are 0 and R", seed=seed, budget=budget,
+        )
+    if rep.witness is not None and graded_subspace_from_flat(alg, rep.witness) is None:
+        return CheckResult(
+            "ideals-graded", Verdict.FALSE, method="ungraded-ideal",
+            witness={"ideal": _enc_subspace(alg.field, rep.witness)}, seed=seed, budget=budget,
+        )
+    return None
+
+
+def _ideals_graded_by_oracle(alg: GradedAlgebra) -> CheckResult:
+    """Leg (v) by enumerating every ideal, at oracle scale over GF(p)."""
+    f = alg.field
+    if f.p == 0:
+        return CheckResult(
+            "ideals-graded", Verdict.SKIPPED, method="oracle",
+            detail="ideal enumeration needs a finite prime field",
+        )
+    from .oracle import DEFAULT_BUDGET, ideal_oracle
+
+    try:
+        ideals = ideal_oracle(alg, budget=DEFAULT_BUDGET)
+    except BudgetError as exc:
+        return CheckResult("ideals-graded", Verdict.SKIPPED, method="oracle", detail=str(exc))
+    bad = next((sub for sub, graded in ideals if not graded), None)
+    if bad is None:
+        return CheckResult(
+            "ideals-graded", Verdict.TRUE, method="oracle",
+            detail=f"all {len(ideals)} ideals graded", budget=DEFAULT_BUDGET,
+        )
+    return CheckResult(
+        "ideals-graded", Verdict.FALSE, method="oracle",
+        witness={"ideal": _enc_subspace(f, bad)}, budget=DEFAULT_BUDGET,
+    )
+
+
 def check_necessary_conditions(
     alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
 ) -> CheckResult:
@@ -464,9 +526,11 @@ def check_necessary_conditions(
     (i) components pairwise non-isomorphic, (ii) every component a simple
     bimodule, (iii) the identity component a simple ring, (iv) the
     centralizer of R_e reduced to its center, (v) every two-sided ideal
-    graded.  Condition (v) needs an exhaustive ideal enumeration, so it is
-    checked at oracle scale (the oracle's DEFAULT_BUDGET) over prime fields
-    and reported Skipped otherwise.
+    graded.  Condition (v) is certified first (`_ideals_graded_certificate`:
+    by (i) and (ii), or over a prime field by the simplicity test of R);
+    only when no certificate applies is every ideal enumerated, at oracle
+    scale (the oracle's DEFAULT_BUDGET) over prime fields, and the
+    condition reported Skipped otherwise.
     """
     G = alg.group
     f = alg.field
@@ -525,32 +589,9 @@ def check_necessary_conditions(
         )
     )
 
-    if f.p == 0:
-        ideal_part = CheckResult(
-            "ideals-graded", Verdict.SKIPPED, method="oracle",
-            detail="ideal enumeration needs a finite prime field",
-        )
-    else:
-        from .oracle import DEFAULT_BUDGET, ideal_oracle
-
-        try:
-            ideals = ideal_oracle(alg, budget=DEFAULT_BUDGET)
-        except BudgetError as exc:
-            ideal_part = CheckResult(
-                "ideals-graded", Verdict.SKIPPED, method="oracle", detail=str(exc),
-            )
-        else:
-            bad = next((sub for sub, graded in ideals if not graded), None)
-            if bad is None:
-                ideal_part = CheckResult(
-                    "ideals-graded", Verdict.TRUE, method="oracle",
-                    detail=f"all {len(ideals)} ideals graded", budget=DEFAULT_BUDGET,
-                )
-            else:
-                ideal_part = CheckResult(
-                    "ideals-graded", Verdict.FALSE, method="oracle",
-                    witness={"ideal": _enc_subspace(f, bad)}, budget=DEFAULT_BUDGET,
-                )
+    ideal_part = _ideals_graded_certificate(alg, comp_verdict, iso_verdict, seed, budget)
+    if ideal_part is None:
+        ideal_part = _ideals_graded_by_oracle(alg)
     parts.append(ideal_part)
 
     evaluated = [p.verdict for p in parts if p.verdict is not Verdict.SKIPPED]

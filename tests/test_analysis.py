@@ -1,7 +1,8 @@
 """Decision procedures on known instances, witnesses included."""
 import pytest
 
-from gradedrings.algebra import GradedAlgebra
+from gradedrings import analysis
+from gradedrings.algebra import GradedAlgebra, graded_subspace_from_flat
 from gradedrings.analysis import (
     CrossedProductData,
     center_of_Re,
@@ -34,17 +35,20 @@ from gradedrings.builders import (
     galois_skew_example,
     group_algebra,
     inner_automorphism_matrix,
+    m3_example,
     skew_group_ring,
 )
 from gradedrings.corpus import (
     checkerboard_m2,
     dual_numbers_graded,
     inner_conjugation_skew,
+    oracle_scale_corpus,
     twisted_galois_z2,
 )
 from gradedrings.errors import InternalInconsistency, InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, Matrix, Subspace
+from gradedrings.oracle import ideal_oracle
 from gradedrings.serialize import vector_from_json
 
 
@@ -191,7 +195,7 @@ def test_necessary_conditions_positive(gf4skew):
         "centralizer-is-center",
         "ideals-graded",
     }
-    assert all(p.verdict in (Verdict.TRUE, Verdict.SKIPPED) for p in rep.parts)
+    assert all(p.verdict is Verdict.TRUE for p in rep.parts)
 
 
 def test_necessary_conditions_m3(m3_gf2):
@@ -210,6 +214,71 @@ def test_necessary_conditions_skip_ideals_over_q(m3_q):
     by_name = {p.check: p.verdict for p in rep.parts}
     assert by_name["ideals-graded"] is Verdict.SKIPPED
     assert rep.verdict is Verdict.FALSE  # decided parts already refute
+
+
+# which certificate decides leg (v) on each oracle-scale instance
+IDEALS_GRADED_METHODS = {
+    "ungraded-ideal": {
+        "gf2-z2", "gf2-z3", "gf2-z4", "gf2-v4", "gf2-s3", "gf2-z5",
+        "gf3-z2", "gf3-z3", "gf3-z4", "gf3-v4", "gf3-s3",
+        "gf3-z3-coboundary", "gf3-z4-twisted", "gf3-v4-coboundary",
+        "gf2-m2-inner", "gf3-m2-inner", "gf2-untwisted-ext",
+    },
+    "simple-ring": {
+        "gf3-z2-twisted", "gf3-v4-twisted", "gf2-split-swap", "gf3-split-swap",
+        "gf2-dead-component", "gf2-m2-checkerboard", "gf3-m2-checkerboard", "gf2-m3",
+    },
+    "controlled-components": {
+        "galois-2-2", "galois-3-2", "galois-3-2-twisted", "gf2-point",
+        "gf2-m2", "gf3-m2", "gf2-field-ext",
+    },
+    "oracle": {"gf2-dual-numbers", "gf3-dual-numbers", "gf2-upper-triangular"},
+}
+ORACLE_SCALE = oracle_scale_corpus()
+
+
+def test_ideals_graded_methods_cover_the_corpus():
+    names = [name for group in IDEALS_GRADED_METHODS.values() for name in group]
+    assert sorted(names) == sorted(inst.name for inst in ORACLE_SCALE)
+
+
+@pytest.mark.parametrize("inst", ORACLE_SCALE, ids=[inst.name for inst in ORACLE_SCALE])
+def test_ideals_graded_leg_agrees_with_ideal_oracle(inst):
+    alg = inst.alg
+    leg = check_necessary_conditions(alg).parts[-1]
+    assert leg.check == "ideals-graded"
+    assert leg.verdict is Verdict.from_bool(all(graded for _, graded in ideal_oracle(alg)))
+    assert inst.name in IDEALS_GRADED_METHODS[leg.method]
+    if leg.method == "ungraded-ideal":
+        rows = [vector_from_json(alg.field, v) for v in leg.witness["ideal"]["basis"]]
+        ideal = Subspace.from_vectors(alg.field, alg.dim, rows)
+        assert 0 < ideal.dim < alg.dim
+        assert regular_bimodule_action(alg).is_invariant(ideal)
+        assert graded_subspace_from_flat(alg, ideal) is None
+
+
+def test_ideals_graded_over_q_runs_only_the_component_profile(monkeypatch):
+    calls = []
+    real = analysis.is_simple
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "is_simple", counted)
+    cases = [
+        (full_matrix_algebra(RATIONALS, 3), Verdict.TRUE, "controlled-components"),
+        (m3_example(RATIONALS), Verdict.SKIPPED, "oracle"),
+        (group_algebra(RATIONALS, cyclic_group(3)), Verdict.SKIPPED, "oracle"),
+    ]
+    for alg, verdict, method in cases:
+        calls.clear()
+        leg = check_necessary_conditions(alg).parts[-1]
+        assert (leg.verdict, leg.method) == (verdict, method)
+        necessary_calls = len(calls)
+        calls.clear()
+        check_controlled(alg)  # the component profile alone
+        assert necessary_calls == len(calls) > 0
 
 
 # --------------------------------------------------------------------------
