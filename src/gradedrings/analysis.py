@@ -468,8 +468,8 @@ def _ideals_graded_certificate(
     are the R_H, and every two-sided ideal is one of them, so graded.  Else,
     over a prime field, `is_simple` on the regular action (the call and seed
     of `check_simple`) either proves R simple, whose only ideals 0 and R are
-    graded, or finds an ideal that may not be graded.  Over Q the leg is
-    never decided otherwise, so that search is not run there.
+    graded, or finds an ideal that may not be graded.  Over Q that search
+    is not run, because it costs more there than the rest of the check.
     """
     if comp_verdict is Verdict.TRUE and iso_verdict is Verdict.TRUE:
         return CheckResult(
