@@ -67,16 +67,16 @@ def main(argv=None) -> int:
         if strong.holds():
             corr = subring_correspondence(alg, seed=args.seed, budget=args.budget)
             keyed = sorted(
-                tuple(sorted(s.flat().basis.entries)) for _, s in corr.items
+                tuple(sorted(s.flat().basis.entries)) for _, s in corr.data
             )
             orc_keyed = sorted(
                 tuple(sorted(s.basis.entries)) for s in subring_oracle(alg)
             )
             if keyed != orc_keyed:
                 disagreements.append(inst.name + " (subrings)")
-                print(f"    subring mismatch: {corr.count} vs {len(orc_keyed)}")
+                print(f"    subring mismatch: {len(keyed)} vs {len(orc_keyed)}")
             else:
-                print(f"    subrings: {corr.count} (both routes)")
+                print(f"    subrings: {len(keyed)} (both routes)")
 
     print(
         f"\n{len(corpus)} instances, {n_controlled} controlled, "

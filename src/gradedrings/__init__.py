@@ -12,10 +12,7 @@ brute-force oracle usable at tiny scale.
 from .algebra import Element, GradedAlgebra, validate_algebra
 from .analysis import (
     CheckResult,
-    ControlledReport,
     CrossedProductData,
-    CrossedReport,
-    SubringReport,
     centralizer_of_Re,
     center_of_Re,
     check_centralizer_condition,
@@ -67,9 +64,7 @@ from .serialize import algebra_from_json, algebra_to_json, load_algebra, save_al
 __all__ = [
     "BudgetError",
     "CheckResult",
-    "ControlledReport",
     "CrossedProductData",
-    "CrossedReport",
     "Element",
     "Field",
     "FiniteGroup",
@@ -80,7 +75,6 @@ __all__ = [
     "Matrix",
     "RATIONALS",
     "Subspace",
-    "SubringReport",
     "Verdict",
     "algebra_from_json",
     "algebra_to_json",

@@ -29,10 +29,14 @@ R_e-bimodule and the isomorphism verdict of each pair, computed once.
 R_e as a ring is the identity component acting on itself, so its
 simplicity is read there too.  Leg (v), every ideal graded, holds outright
 when the profile shows R controlled; otherwise it is decided from the
-simplicity test of R, and the brute-force ideal enumeration of `oracle`
-runs only when neither certifies.  This loses no independence: the checks
-used to repeat the same deterministic call on the same matrices with the
-same seed.  The brute-force oracle stays independent of all of it.
+simplicity test of R, and when neither certifies, by spinning every point
+of R into its cyclic ideal.  This loses no independence: the checks used
+to repeat the same deterministic call on the same matrices with the same
+seed.  Nothing here imports the brute-force oracle, which stays
+independent of all of it.
+
+Every check returns a `CheckResult`; what one check alone reports goes in
+its `fields`.
 """
 
 import random
@@ -60,9 +64,10 @@ from .bimodule import (
     graded_regular_action,
     is_simple,
     regular_bimodule_action,
+    spin,
 )
 from .builders import crossed_identity_failure, validate_automorphism
-from .errors import BudgetError, InternalInconsistency, InvalidInput
+from .errors import InternalInconsistency, InvalidInput
 from .groups import subgroups, validate_group
 from .linalg import Matrix, Subspace, nullspace, span_candidates
 from .serialize import vector_to_json
@@ -79,7 +84,9 @@ class CheckResult:
 
     witness carries whatever certifies a False (or occasionally a True)
     verdict: coefficient vectors, component names, failing pairs.  parts
-    holds sub-results for compound checks.
+    holds sub-results for compound checks.  fields holds the JSON entries
+    of one check alone, which `to_json` merges in; data holds the typed
+    object behind them for callers, and is never serialized.
     """
 
     check: str
@@ -90,6 +97,8 @@ class CheckResult:
     seed: Optional[int] = None
     budget: Optional[int] = None
     parts: list = dataclass_field(default_factory=list)
+    fields: dict = dataclass_field(default_factory=dict)
+    data: object = None
 
     def holds(self) -> bool:
         return self.verdict is Verdict.TRUE
@@ -108,6 +117,7 @@ class CheckResult:
             out["budget"] = self.budget
         if self.parts:
             out["parts"] = [p.to_json() for p in self.parts]
+        out.update(self.fields)
         return out
 
 
@@ -366,45 +376,9 @@ def _unless_undecided(verdicts: list) -> Verdict:
     return Verdict.INCONCLUSIVE if Verdict.INCONCLUSIVE in verdicts else Verdict.TRUE
 
 
-@dataclass
-class ControlledReport:
-    """Verdict plus the per-component evidence behind it.
-
-    simplicity maps each group element to the simplicity verdict of its
-    component as a bimodule over the identity component; iso records the
-    pairwise isomorphism tests for g < h.
-    """
-
-    verdict: Verdict
-    simplicity: Dict[int, Verdict]
-    iso: Dict[Tuple[int, int], Verdict]
-    witness: Optional[dict]
-    seed: int
-    budget: int
-    method: str = "components-and-isomorphisms"
-    group_names: tuple = ()
-
-    def to_json(self) -> dict:
-        names = self.group_names
-        out = {
-            "check": "controlled",
-            "verdict": self.verdict.value,
-            "method": self.method,
-            "simplicity": {names[g]: v.value for g, v in sorted(self.simplicity.items())},
-            "isomorphic": [
-                [names[g], names[h], v.value] for (g, h), v in sorted(self.iso.items())
-            ],
-            "seed": self.seed,
-            "budget": self.budget,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
 def check_controlled(
     alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
-) -> ControlledReport:
+) -> CheckResult:
     """Decide whether subsets of G classify the R_e-sub-bimodules of R.
 
     The criterion tested: every component is a simple bimodule over the
@@ -418,16 +392,8 @@ def check_controlled(
 
 def _controlled_report(
     alg: GradedAlgebra, profile: _ComponentProfile, seed: int, budget: int
-) -> ControlledReport:
+) -> CheckResult:
     G = alg.group
-    simplicity = {
-        g: profile.simple[g].verdict if g in profile.simple else Verdict.FALSE
-        for g in range(G.order)
-    }
-    iso = {
-        pair: profile.iso.get(pair, Verdict.SKIPPED)
-        for pair in combinations(range(G.order), 2)
-    }
     comp_verdict, bad = profile.components_simple(G.order)
     iso_verdict, pair = _non_isomorphic(profile.iso)
     witness = None
@@ -442,8 +408,17 @@ def _controlled_report(
     elif pair is not None:
         witness = {"kind": "isomorphic-pair", "pair": [G.names[g] for g in pair]}
     verdict = Verdict.FALSE if witness else _unless_undecided([comp_verdict, iso_verdict])
-    return ControlledReport(
-        verdict, simplicity, iso, witness, seed, budget, group_names=G.names
+    simplicity = {
+        G.names[g]: (profile.simple[g].verdict if g in profile.simple else Verdict.FALSE).value
+        for g in range(G.order)
+    }
+    isomorphic = [
+        [G.names[g], G.names[h], profile.iso.get((g, h), Verdict.SKIPPED).value]
+        for g, h in combinations(range(G.order), 2)
+    ]
+    return CheckResult(
+        "controlled", verdict, method="components-and-isomorphisms", witness=witness,
+        seed=seed, budget=budget, fields={"simplicity": simplicity, "isomorphic": isomorphic},
     )
 
 
@@ -459,10 +434,10 @@ def subset_action(alg: GradedAlgebra, subset) -> BimoduleAction:
 # --------------------------------------------------------------------------
 
 
-def _ideals_graded_certificate(
+def _ideals_graded(
     alg: GradedAlgebra, comp_verdict: Verdict, iso_verdict: Verdict, seed: int, budget: int
-) -> Optional[CheckResult]:
-    """Leg (v) decided by a proof, or None when no certificate applies.
+) -> CheckResult:
+    """Leg (v), by the first of three exact routes that applies.
 
     When legs (i) and (ii) hold, R is G-controlled: its R_e-sub-bimodules
     are the R_H, and every two-sided ideal is one of them, so graded.  Else,
@@ -470,51 +445,57 @@ def _ideals_graded_certificate(
     of `check_simple`) either proves R simple, whose only ideals 0 and R are
     graded, or finds an ideal that may not be graded.  Over Q that search
     is not run, because it costs more there than the rest of the check.
+    Failing both, `_ideals_graded_by_spins` decides.
     """
     if comp_verdict is Verdict.TRUE and iso_verdict is Verdict.TRUE:
         return CheckResult(
             "ideals-graded", Verdict.TRUE, method="controlled-components",
             detail="every ideal is a sum of components", seed=seed, budget=budget,
         )
-    if alg.field.p == 0:
-        return None
-    rep = is_simple(regular_bimodule_action(alg), seed=seed, budget=budget)
-    if rep.verdict is Verdict.TRUE:
-        return CheckResult(
-            "ideals-graded", Verdict.TRUE, method="simple-ring",
-            detail="the only ideals are 0 and R", seed=seed, budget=budget,
-        )
-    if rep.witness is not None and graded_subspace_from_flat(alg, rep.witness) is None:
-        return CheckResult(
-            "ideals-graded", Verdict.FALSE, method="ungraded-ideal",
-            witness={"ideal": _enc_subspace(alg.field, rep.witness)}, seed=seed, budget=budget,
-        )
-    return None
+    if alg.field.p:
+        rep = is_simple(regular_bimodule_action(alg), seed=seed, budget=budget)
+        if rep.verdict is Verdict.TRUE:
+            return CheckResult(
+                "ideals-graded", Verdict.TRUE, method="simple-ring",
+                detail="the only ideals are 0 and R", seed=seed, budget=budget,
+            )
+        if rep.witness is not None and graded_subspace_from_flat(alg, rep.witness) is None:
+            return CheckResult(
+                "ideals-graded", Verdict.FALSE, method="ungraded-ideal",
+                witness={"ideal": _enc_subspace(alg.field, rep.witness)}, seed=seed,
+                budget=budget,
+            )
+    return _ideals_graded_by_spins(alg, seed, budget)
 
 
-def _ideals_graded_by_oracle(alg: GradedAlgebra) -> CheckResult:
-    """Leg (v) by enumerating every ideal, at oracle scale over GF(p)."""
+def _ideals_graded_by_spins(alg: GradedAlgebra, seed: int, budget: int) -> CheckResult:
+    """Leg (v) by spinning every point v of R into its cyclic ideal RvR.
+
+    Every ideal is a sum of cyclic ones, so every ideal is graded exactly
+    when every RvR is.  The points are the candidates of `span_candidates`
+    over all of R; when they do not sweep it (past the budget, or over Q
+    once R is bigger than a line) the leg is Skipped.
+    """
     f = alg.field
-    if f.p == 0:
+    rows = Matrix.identity(f, alg.dim).entries
+    candidates, complete = span_candidates(f, rows, random.Random(seed), 0, budget)
+    if not complete:
         return CheckResult(
-            "ideals-graded", Verdict.SKIPPED, method="oracle",
-            detail="ideal enumeration needs a finite prime field",
+            "ideals-graded", Verdict.SKIPPED, method="cyclic-ideals",
+            detail="the points of R are not swept within the budget", seed=seed,
+            budget=budget,
         )
-    from .oracle import DEFAULT_BUDGET, ideal_oracle
-
-    try:
-        ideals = ideal_oracle(alg, budget=DEFAULT_BUDGET)
-    except BudgetError as exc:
-        return CheckResult("ideals-graded", Verdict.SKIPPED, method="oracle", detail=str(exc))
-    bad = next((sub for sub, graded in ideals if not graded), None)
-    if bad is None:
-        return CheckResult(
-            "ideals-graded", Verdict.TRUE, method="oracle",
-            detail=f"all {len(ideals)} ideals graded", budget=DEFAULT_BUDGET,
-        )
+    action = regular_bimodule_action(alg)
+    for vec in candidates:
+        ideal = spin(action, vec)
+        if graded_subspace_from_flat(alg, ideal) is None:
+            return CheckResult(
+                "ideals-graded", Verdict.FALSE, method="cyclic-ideals",
+                witness={"ideal": _enc_subspace(f, ideal)}, seed=seed, budget=budget,
+            )
     return CheckResult(
-        "ideals-graded", Verdict.FALSE, method="oracle",
-        witness={"ideal": _enc_subspace(f, bad)}, budget=DEFAULT_BUDGET,
+        "ideals-graded", Verdict.TRUE, method="cyclic-ideals",
+        detail="every cyclic ideal RvR is graded", seed=seed, budget=budget,
     )
 
 
@@ -526,11 +507,10 @@ def check_necessary_conditions(
     (i) components pairwise non-isomorphic, (ii) every component a simple
     bimodule, (iii) the identity component a simple ring, (iv) the
     centralizer of R_e reduced to its center, (v) every two-sided ideal
-    graded.  Condition (v) is certified first (`_ideals_graded_certificate`:
-    by (i) and (ii), or over a prime field by the simplicity test of R);
-    only when no certificate applies is every ideal enumerated, at oracle
-    scale (the oracle's DEFAULT_BUDGET) over prime fields, and the
-    condition reported Skipped otherwise.
+    graded.  Condition (v) is decided by `_ideals_graded`: by (i) and (ii),
+    or over a prime field by the simplicity test of R, or else by spinning
+    every point of R within the budget, and reported Skipped when that
+    sweep is out of reach.
     """
     G = alg.group
     f = alg.field
@@ -589,10 +569,7 @@ def check_necessary_conditions(
         )
     )
 
-    ideal_part = _ideals_graded_certificate(alg, comp_verdict, iso_verdict, seed, budget)
-    if ideal_part is None:
-        ideal_part = _ideals_graded_by_oracle(alg)
-    parts.append(ideal_part)
+    parts.append(_ideals_graded(alg, comp_verdict, iso_verdict, seed, budget))
 
     evaluated = [p.verdict for p in parts if p.verdict is not Verdict.SKIPPED]
     if any(v is Verdict.FALSE for v in evaluated):
@@ -644,31 +621,6 @@ class CrossedProductData:
         }
 
 
-@dataclass
-class CrossedReport:
-    verdict: Verdict
-    proof_scope: str
-    data: Optional[CrossedProductData]
-    per_component: Dict[int, str]
-    seed: int
-    budget: int
-    group_names: tuple = ()
-
-    def to_json(self, alg: Optional[GradedAlgebra] = None) -> dict:
-        names = self.group_names
-        out = {
-            "check": "crossed-product",
-            "verdict": self.verdict.value,
-            "proof_scope": self.proof_scope,
-            "components": {names[g]: s for g, s in sorted(self.per_component.items())},
-            "seed": self.seed,
-            "budget": self.budget,
-        }
-        if self.data is not None and alg is not None:
-            out["data"] = self.data.to_json(alg)
-        return out
-
-
 def _side_traces(action: BimoduleAction) -> list:
     """tr L_b and tr R_b for every basis element b, reduced in the field.
 
@@ -684,7 +636,7 @@ def _side_traces(action: BimoduleAction) -> list:
 
 def detect_crossed_product(
     alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
-) -> CrossedReport:
+) -> CheckResult:
     """Find an invertible element in every component, or rule that out.
 
     Each component's candidates come from `span_candidates`.  When they
@@ -695,7 +647,8 @@ def detect_crossed_product(
     ideal containing 1 once a unit exists); and the one-sided
     multiplication traces on R_g must match those on R_e (`_side_traces`).
     Failing all three, the search samples in the style of Schwartz-Zippel
-    and a fruitless run ends Unknown, never No.
+    and a fruitless run ends Unknown, never No.  The report's data is the
+    `CrossedProductData` when the verdict is True, and None otherwise.
     """
     G = alg.group
     f = alg.field
@@ -704,6 +657,17 @@ def detect_crossed_product(
     per: Dict[int, str] = {e: "unit"}
     units: Dict[int, Element] = {e: alg.one()}
     e_traces = _side_traces(component_action(alg, e))
+
+    def report(verdict: Verdict, scope: str, data: Optional[CrossedProductData] = None):
+        fields = {
+            "proof_scope": scope,
+            "components": {G.names[g]: text for g, text in sorted(per.items())},
+        }
+        if data is not None:
+            fields["data"] = data.to_json(alg)
+        return CheckResult(
+            "crossed-product", verdict, seed=seed, budget=budget, fields=fields, data=data
+        )
 
     for g in range(G.order):
         if g == e:
@@ -715,25 +679,16 @@ def detect_crossed_product(
             # settle the component by itself.
             if alg.comp_dims[g] != alg.comp_dims[e]:
                 per[g] = "no invertible element: component dimension differs from R_e"
-                return CrossedReport(
-                    Verdict.FALSE, "character", None, per, seed, budget,
-                    group_names=G.names,
-                )
+                return report(Verdict.FALSE, "character")
             prod = component_product(
                 GradedSubspace.full(alg, (g,)), GradedSubspace.full(alg, (G.inv(g),))
             )
             if prod.component(e).dim != alg.comp_dims[e]:
                 per[g] = "no invertible element: R_g R_{g^-1} is a proper ideal of R_e"
-                return CrossedReport(
-                    Verdict.FALSE, "degenerate-pair", None, per, seed, budget,
-                    group_names=G.names,
-                )
+                return report(Verdict.FALSE, "degenerate-pair")
             if _side_traces(component_action(alg, g)) != e_traces:
                 per[g] = "no invertible element: one-sided traces differ from R_e"
-                return CrossedReport(
-                    Verdict.FALSE, "character", None, per, seed, budget,
-                    group_names=G.names,
-                )
+                return report(Verdict.FALSE, "character")
         found = None
         for vec in candidates:
             x = alg.element({g: vec})
@@ -743,23 +698,15 @@ def detect_crossed_product(
         if found is None:
             if complete:
                 per[g] = "no invertible element: exhaustive sweep of the component"
-                return CrossedReport(
-                    Verdict.FALSE, "exhaustive", None, per, seed, budget,
-                    group_names=G.names,
-                )
+                return report(Verdict.FALSE, "exhaustive")
             per[g] = "search exhausted without an invertible element"
-            return CrossedReport(
-                Verdict.INCONCLUSIVE, "schwartz-zippel", None, per, seed, budget,
-                group_names=G.names,
-            )
+            return report(Verdict.INCONCLUSIVE, "schwartz-zippel")
         per[g] = "found"
         units[g] = found
 
     data = _twisting_from_units(alg, units)
     verify_crossed_identities(alg, data)
-    return CrossedReport(
-        Verdict.TRUE, "constructive", data, per, seed, budget, group_names=G.names
-    )
+    return report(Verdict.TRUE, "constructive", data)
 
 
 def _twisting_from_units(alg: GradedAlgebra, units: Dict[int, Element]) -> CrossedProductData:
@@ -1026,40 +973,9 @@ def check_picard_injective(
     )
 
 
-@dataclass
-class SubringReport:
-    """The graded unital subrings containing the identity component."""
-
-    verdict: Verdict
-    items: List[Tuple[tuple, GradedSubspace]]
-    seed: int
-
-    @property
-    def count(self) -> int:
-        return len(self.items)
-
-    def to_json(self) -> dict:
-        return {
-            "check": "subrings",
-            "verdict": self.verdict.value,
-            "count": self.count,
-            "subrings": [
-                {
-                    "subset": list(names),
-                    "total_dim": sub.total_dim,
-                    "dims": {
-                        sub.alg.group.names[g]: s.dim for g, s in sorted(sub.comps.items())
-                    },
-                }
-                for names, sub in self.items
-            ],
-            "seed": self.seed,
-        }
-
-
 def subring_correspondence(
     alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536
-) -> SubringReport:
+) -> CheckResult:
     """Subgroups of G versus subrings between R_e and R.
 
     Requires a controlled, strongly graded algebra (both are re-derived
@@ -1067,7 +983,8 @@ def subring_correspondence(
     subrings containing R_e are exactly the sums R_H over subgroups H, so
     the report lists one entry R_H per subgroup H.  R_H holds the unit,
     which lies in R_e, and is closed under the product, which maps
-    R_g x R_h into R_gh.
+    R_g x R_h into R_gh.  The report's data is the list of pairs
+    (element names of H, R_H as a GradedSubspace).
     """
     ctrl = check_controlled(alg, seed=seed, budget=budget)
     if ctrl.verdict is not Verdict.TRUE:
@@ -1082,7 +999,18 @@ def subring_correspondence(
     G = alg.group
     items = [(tuple(G.names[g] for g in h), GradedSubspace.full(alg, h)) for h in subgroups(G)]
     items.sort(key=lambda it: (len(it[0]), it[0]))
-    return SubringReport(Verdict.TRUE, items, seed)
+    subrings = [
+        {
+            "subset": list(names),
+            "total_dim": sub.total_dim,
+            "dims": {G.names[g]: s.dim for g, s in sorted(sub.comps.items())},
+        }
+        for names, sub in items
+    ]
+    return CheckResult(
+        "subrings", Verdict.TRUE, seed=seed, fields={"count": len(items), "subrings": subrings},
+        data=items,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 
 from .algebra import GradedAlgebra
 from .analysis import (
-    CrossedReport,
+    CheckResult,
     check_centralizer_condition,
     check_controlled,
     check_crossed_controlled,
@@ -310,7 +310,7 @@ def cmd_build(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def run_check(alg: GradedAlgebra, prop: str, *, seed: int, budget: int):
+def run_check(alg: GradedAlgebra, prop: str, *, seed: int, budget: int) -> CheckResult:
     if prop == "valid":
         return check_valid(alg)
     if prop == "strong":
@@ -341,8 +341,7 @@ def run_check(alg: GradedAlgebra, prop: str, *, seed: int, budget: int):
 def cmd_check(args) -> int:
     alg = load_algebra(args.path)
     report = run_check(alg, args.property, seed=args.seed, budget=args.budget)
-    obj = report.to_json(alg) if isinstance(report, CrossedReport) else report.to_json()
-    emit_report(obj, args.json)
+    emit_report(report.to_json(), args.json)
     return _EXIT_BY_VERDICT[report.verdict]
 
 

@@ -452,17 +452,14 @@ def subring_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> List[
     """Unital subrings of R containing the identity component.
 
     Any such subring is in particular an R_e-sub-bimodule, so the
-    enumeration filters the sub-bimodule lattice for containment of R_e
-    and closure under multiplication.
+    enumeration filters the sub-bimodule lattice for containment of R_e,
+    which holds the unit, and closure under multiplication.
     """
     subs = enumerate_sub_bimodules(alg, budget=budget)
     e = alg.group.identity
-    one_flat = alg.flatten(alg.one())
     e_rows = [alg.flatten(alg.basis_element(e, i)) for i in range(alg.comp_dims[e])]
     out = []
     for s in subs:
-        if not s.contains(one_flat):
-            continue
         if not all(s.contains(row) for row in e_rows):
             continue
         closed = True

@@ -110,7 +110,7 @@ def test_criterion_1_m3_regression():
         assert gsub_i.component(0).contains_subspace(swapped_j.component(0))
 
     rep = detect_crossed_product(m3_example(GF(2)))
-    assert rep.verdict is Verdict.FALSE and rep.proof_scope == "exhaustive"
+    assert rep.verdict is Verdict.FALSE and rep.fields["proof_scope"] == "exhaustive"
 
     elapsed = time.time() - started
     assert elapsed < 5.0, f"matrix regression took {elapsed:.2f}s"
@@ -140,7 +140,7 @@ def test_criterion_2_oracle_agreement():
         n_controlled += 1
         if check_strongly_graded(inst.alg).holds():
             corr = subring_correspondence(inst.alg)
-            ours = sorted(s.flat().basis.entries for _, s in corr.items)
+            ours = sorted(s.flat().basis.entries for _, s in corr.data)
             oracle = sorted(s.basis.entries for s in subring_oracle(inst.alg))
             if ours != oracle:
                 disagreements.append(f"{inst.name}: subrings")
@@ -303,11 +303,11 @@ def test_criterion_4_positive_instances():
 
     tower = galois_skew_example(2, 4)
     corr = subring_correspondence(tower)
-    assert corr.count == 3
+    assert corr.fields["count"] == 3
     wanted = sorted(
         tuple(sorted(tower.group.names[g] for g in sub)) for sub in subgroups(cyclic_group(4))
     )
-    got = sorted(tuple(sorted(names)) for names, _ in corr.items)
+    got = sorted(tuple(sorted(names)) for names, _ in corr.data)
     assert got == wanted
     _report(4, "positive controlled instances", started)
 

@@ -159,8 +159,8 @@ def test_controlled_m3_negative(m3_gf2, m3_q):
 def test_controlled_positive(gf4skew):
     rep = check_controlled(gf4skew)
     assert rep.verdict is Verdict.TRUE
-    assert all(v is Verdict.TRUE for v in rep.simplicity.values())
-    assert all(v is Verdict.FALSE for v in rep.iso.values())
+    assert set(rep.fields["simplicity"].values()) == {"true"}
+    assert {v for _, _, v in rep.fields["isomorphic"]} == {"false"}
 
 
 def test_controlled_group_algebra_negative(gf2_z2):
@@ -216,7 +216,7 @@ def test_necessary_conditions_skip_ideals_over_q(m3_q):
     assert rep.verdict is Verdict.FALSE  # decided parts already refute
 
 
-# which certificate decides leg (v) on each oracle-scale instance
+# which route decides leg (v) on each oracle-scale instance
 IDEALS_GRADED_METHODS = {
     "ungraded-ideal": {
         "gf2-z2", "gf2-z3", "gf2-z4", "gf2-v4", "gf2-s3", "gf2-z5",
@@ -232,7 +232,7 @@ IDEALS_GRADED_METHODS = {
         "galois-2-2", "galois-3-2", "galois-3-2-twisted", "gf2-point",
         "gf2-m2", "gf3-m2", "gf2-field-ext",
     },
-    "oracle": {"gf2-dual-numbers", "gf3-dual-numbers", "gf2-upper-triangular"},
+    "cyclic-ideals": {"gf2-dual-numbers", "gf3-dual-numbers", "gf2-upper-triangular"},
 }
 ORACLE_SCALE = oracle_scale_corpus()
 
@@ -250,11 +250,36 @@ def test_ideals_graded_leg_agrees_with_ideal_oracle(inst):
     assert leg.verdict is Verdict.from_bool(all(graded for _, graded in ideal_oracle(alg)))
     assert inst.name in IDEALS_GRADED_METHODS[leg.method]
     if leg.method == "ungraded-ideal":
-        rows = [vector_from_json(alg.field, v) for v in leg.witness["ideal"]["basis"]]
-        ideal = Subspace.from_vectors(alg.field, alg.dim, rows)
-        assert 0 < ideal.dim < alg.dim
-        assert regular_bimodule_action(alg).is_invariant(ideal)
-        assert graded_subspace_from_flat(alg, ideal) is None
+        _assert_ungraded_ideal(alg, leg.witness)
+
+
+def _assert_ungraded_ideal(alg, witness):
+    rows = [vector_from_json(alg.field, v) for v in witness["ideal"]["basis"]]
+    ideal = Subspace.from_vectors(alg.field, alg.dim, rows)
+    assert 0 < ideal.dim < alg.dim
+    assert regular_bimodule_action(alg).is_invariant(ideal)
+    assert graded_subspace_from_flat(alg, ideal) is None
+
+
+@pytest.mark.parametrize("inst", ORACLE_SCALE, ids=[inst.name for inst in ORACLE_SCALE])
+def test_ideals_graded_spin_sweep_agrees_with_ideal_oracle(inst):
+    # called directly, so the FALSE branch runs where the certificates
+    # would decide first
+    alg = inst.alg
+    leg = analysis._ideals_graded_by_spins(alg, 0, 65536)
+    assert leg.method == "cyclic-ideals"
+    assert leg.verdict is Verdict.from_bool(all(graded for _, graded in ideal_oracle(alg)))
+    if leg.verdict is Verdict.FALSE:
+        _assert_ungraded_ideal(alg, leg.witness)
+
+
+def test_ideals_graded_spin_sweep_skips_what_it_cannot_sweep():
+    for alg, budget in (
+        (dual_numbers_graded(GF(2)), 1),
+        (group_algebra(RATIONALS, cyclic_group(3)), 65536),
+    ):
+        leg = analysis._ideals_graded_by_spins(alg, 0, budget)
+        assert (leg.verdict, leg.method) == (Verdict.SKIPPED, "cyclic-ideals")
 
 
 def test_ideals_graded_over_q_runs_only_the_component_profile(monkeypatch):
@@ -268,8 +293,8 @@ def test_ideals_graded_over_q_runs_only_the_component_profile(monkeypatch):
     monkeypatch.setattr(analysis, "is_simple", counted)
     cases = [
         (full_matrix_algebra(RATIONALS, 3), Verdict.TRUE, "controlled-components"),
-        (m3_example(RATIONALS), Verdict.SKIPPED, "oracle"),
-        (group_algebra(RATIONALS, cyclic_group(3)), Verdict.SKIPPED, "oracle"),
+        (m3_example(RATIONALS), Verdict.SKIPPED, "cyclic-ideals"),
+        (group_algebra(RATIONALS, cyclic_group(3)), Verdict.SKIPPED, "cyclic-ideals"),
     ]
     for alg, verdict, method in cases:
         calls.clear()
@@ -289,19 +314,19 @@ def test_ideals_graded_over_q_runs_only_the_component_profile(monkeypatch):
 def test_crossed_product_m3_exhaustive(m3_gf2):
     rep = detect_crossed_product(m3_gf2)
     assert rep.verdict is Verdict.FALSE
-    assert rep.proof_scope == "exhaustive"
+    assert rep.fields["proof_scope"] == "exhaustive"
 
 
 def test_crossed_product_m3_rational(m3_q):
     rep = detect_crossed_product(m3_q)
     assert rep.verdict is Verdict.FALSE
-    assert rep.proof_scope == "character"
+    assert rep.fields["proof_scope"] == "character"
 
 
 def test_crossed_product_positive_with_data(gf4skew):
     rep = detect_crossed_product(gf4skew)
     assert rep.verdict is Verdict.TRUE
-    assert rep.proof_scope == "constructive"
+    assert rep.fields["proof_scope"] == "constructive"
     assert rep.data is not None
     verify_crossed_identities(gf4skew, rep.data)
     assert verify_crossed_reconstruction(gf4skew, rep.data) is None
@@ -415,19 +440,19 @@ def test_picard_gate_needs_strong_gradation():
 def test_subring_correspondence_gf4(gf4skew):
     rep = subring_correspondence(gf4skew)
     assert rep.verdict is Verdict.TRUE
-    assert rep.count == 2
-    names = [n for n, _ in rep.items]
+    assert rep.fields["count"] == 2
+    names = [n for n, _ in rep.data]
     assert names == [("0",), ("0", "1")]
-    dims = [s.total_dim for _, s in rep.items]
+    dims = [s.total_dim for _, s in rep.data]
     assert dims == [2, 4]
 
 
 def test_subring_correspondence_z4_tower():
     alg = galois_skew_example(2, 4)
     rep = subring_correspondence(alg)
-    assert rep.count == 3
-    assert [n for n, _ in rep.items] == [("0",), ("0", "2"), ("0", "1", "2", "3")]
-    assert [s.total_dim for _, s in rep.items] == [4, 8, 16]
+    assert rep.fields["count"] == 3
+    assert [n for n, _ in rep.data] == [("0",), ("0", "2"), ("0", "1", "2", "3")]
+    assert [s.total_dim for _, s in rep.data] == [4, 8, 16]
 
 
 def test_subring_gate_refuses_uncontrolled(m3_gf2, gf2_z2):
@@ -506,8 +531,8 @@ def test_simple_past_budget_is_inconclusive():
 def test_controlled_past_budget_is_inconclusive():
     rep = check_controlled(galois_skew_example(2, 4), budget=8)
     assert rep.verdict is Verdict.INCONCLUSIVE
-    assert set(rep.simplicity.values()) == {Verdict.INCONCLUSIVE}
-    assert set(rep.iso.values()) == {Verdict.FALSE}
+    assert set(rep.fields["simplicity"].values()) == {"inconclusive"}
+    assert {v for _, _, v in rep.fields["isomorphic"]} == {"false"}
 
 
 def test_is_inner_past_budget_samples_the_intertwiners():
@@ -555,7 +580,7 @@ def test_crossed_product_with_outer_action_past_budget(make, budget):
     alg = make()
     rep = detect_crossed_product(alg, budget=budget)
     assert rep.verdict is Verdict.TRUE
-    assert rep.proof_scope == "constructive"
+    assert rep.fields["proof_scope"] == "constructive"
     verify_crossed_identities(alg, rep.data)
     assert verify_crossed_reconstruction(alg, rep.data) is None
 

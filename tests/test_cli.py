@@ -4,8 +4,9 @@ import json
 import pytest
 
 from gradedrings.algebra import GradedAlgebra
+from gradedrings.analysis import CheckResult
 from gradedrings.builders import galois_skew_example, group_algebra
-from gradedrings.cli import ORACLE_WHATS, main, parse_field, parse_group
+from gradedrings.cli import ORACLE_WHATS, PROPERTIES, main, parse_field, parse_group, run_check
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group
 from gradedrings.linalg import GF, RATIONALS
@@ -162,6 +163,16 @@ def test_check_reports_echo_seed_and_budget(gf4_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["seed"] == 5
     assert obj["budget"] == 4096
+
+
+def test_every_property_reports_a_check_result():
+    # the 4-dim Galois skew ring is a controlled, strongly graded crossed
+    # product, so no property refuses it
+    alg = galois_skew_example(2, 2)
+    for prop in PROPERTIES:
+        report = run_check(alg, prop, seed=0, budget=65536)
+        assert type(report) is CheckResult, prop
+        assert report.to_json()["verdict"] == "true", prop
 
 
 def test_check_missing_file_exit_2(capsys):

@@ -1,0 +1,49 @@
+"""The brute-force oracle and the analysis never import one another.
+
+The oracle is ground truth for the analysis only while neither calls the
+other.  Checked with `ast` over the source, imports inside functions
+included.
+"""
+import ast
+import os
+
+import pytest
+
+PACKAGE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "gradedrings"
+)
+
+
+def _package_imports(module: str) -> set:
+    """Names of the gradedrings modules that `module` imports anywhere."""
+    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("gradedrings.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                if not name.startswith("gradedrings"):
+                    continue
+                name = name[len("gradedrings"):].lstrip(".")
+            if name:
+                out.add(name.split(".")[0])
+            else:  # from . import x
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module,other", [("analysis", "oracle"), ("oracle", "analysis")])
+def test_module_does_not_import_the_other(module, other):
+    assert other not in _package_imports(module)
+
+
+def test_the_scan_sees_package_imports():
+    assert {"algebra", "bimodule", "linalg"} <= _package_imports("analysis")
+    assert {"algebra", "bimodule", "linalg"} <= _package_imports("oracle")
