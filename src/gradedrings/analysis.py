@@ -434,7 +434,7 @@ def subset_action(alg: GradedAlgebra, subset) -> BimoduleAction:
 # --------------------------------------------------------------------------
 
 
-def _ideals_graded(
+def _ideals_graded_certificate(
     alg: GradedAlgebra, comp_verdict: Verdict, iso_verdict: Verdict, seed: int, budget: int
 ) -> CheckResult:
     """Leg (v), by the first of three exact routes that applies.
@@ -507,9 +507,10 @@ def check_necessary_conditions(
     (i) components pairwise non-isomorphic, (ii) every component a simple
     bimodule, (iii) the identity component a simple ring, (iv) the
     centralizer of R_e reduced to its center, (v) every two-sided ideal
-    graded.  Condition (v) is decided by `_ideals_graded`: by (i) and (ii),
-    or over a prime field by the simplicity test of R, or else by spinning
-    every point of R within the budget, and reported Skipped when that
+    graded.  Condition (v) is certified first (`_ideals_graded_certificate`:
+    by (i) and (ii), or over a prime field by the simplicity test of R);
+    only when no certificate applies is every point of R spun into its
+    ideal, within the budget, and the condition reported Skipped when that
     sweep is out of reach.
     """
     G = alg.group
@@ -569,7 +570,7 @@ def check_necessary_conditions(
         )
     )
 
-    parts.append(_ideals_graded(alg, comp_verdict, iso_verdict, seed, budget))
+    parts.append(_ideals_graded_certificate(alg, comp_verdict, iso_verdict, seed, budget))
 
     evaluated = [p.verdict for p in parts if p.verdict is not Verdict.SKIPPED]
     if any(v is Verdict.FALSE for v in evaluated):
