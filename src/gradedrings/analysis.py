@@ -9,11 +9,12 @@ graded subrings sitting between the identity component and the whole ring.
 
 Verdicts are three-valued.  `check_simple` and `check_graded_simple` are
 one test, `is_simple`, on the regular action and on the regular action
-with the projections onto the components added.  Every other search over
-a span (units of a component, invertible twisted intertwiners) takes
-its candidates from `linalg.span_candidates`: all projective points when
-they fit the budget, which makes a fruitless search a proof, and else the
-basis plus `bimodule.SAMPLES` random vectors.  Over a prime field every
+with the projections onto the components added.  A unit of a component
+and an invertible twisted intertwiner are found by the one search for an
+invertible matrix, `bimodule.find_invertible_combo`, whose candidates
+come from `linalg.span_candidates`: all projective points when they fit
+the budget, which makes a fruitless search a proof, and else the basis
+plus `bimodule.SAMPLES` random vectors.  Over a prime field every
 check below is conclusive at the scales this package targets, because
 those sweeps are affordable; over the rationals (where only a line can be
 swept) a check either certifies its answer (kernel computations, dense
@@ -54,13 +55,13 @@ from .algebra import (
     validate_algebra,
 )
 from .bimodule import (
-    SAMPLES,
     BimoduleAction,
     SimplicityReport,
     Verdict,
     are_isomorphic_simple,
     bimodules_isomorphic,
     component_action,
+    find_invertible_combo,
     graded_regular_action,
     is_simple,
     regular_bimodule_action,
@@ -640,20 +641,23 @@ def detect_crossed_product(
 ) -> CheckResult:
     """Find an invertible element in every component, or rule that out.
 
-    Each component's candidates come from `span_candidates`.  When they
-    sweep it (its projective points fit the budget, or it is a line over
-    Q), No carries proof scope "exhaustive".  Otherwise three exact
-    obstructions can still certify No over any field: R_g must have the
-    dimension of R_e; the pairing R_g R_{g^-1} must be all of R_e (it is an
-    ideal containing 1 once a unit exists); and the one-sided
-    multiplication traces on R_g must match those on R_e (`_side_traces`).
-    Failing all three, the search samples in the style of Schwartz-Zippel
-    and a fruitless run ends Unknown, never No.  The report's data is the
-    `CrossedProductData` when the verdict is True, and None otherwise.
+    A unit's inverse is homogeneous, so u in R_g is a unit exactly when
+    its block x -> u x : R_{g^-1} -> R_e is square and nonsingular, and
+    `find_invertible_combo` searches these blocks; a non-square span
+    settles every candidate at once.  When the candidates sweep R_g (it
+    fits the budget, or is a line over Q), No has proof scope "exhaustive".
+    Otherwise three exact obstructions can still certify No over any
+    field: R_g must have the dimension of R_e; the pairing R_g R_{g^-1}, the
+    blocks' column space, must be R_e (an ideal containing 1 once a unit
+    exists); and the one-sided multiplication traces on R_g must match
+    those on R_e (`_side_traces`).  Failing all three, the search samples
+    in the style of Schwartz-Zippel and ends Unknown, never No.  The data
+    is the `CrossedProductData` of a True verdict, and None otherwise.
     """
     G = alg.group
     f = alg.field
     e = G.identity
+    de = alg.comp_dims[e]
     rng = random.Random(seed)
     per: Dict[int, str] = {e: "unit"}
     units: Dict[int, Element] = {e: alg.one()}
@@ -673,37 +677,28 @@ def detect_crossed_product(
     for g in range(G.order):
         if g == e:
             continue
-        rows = Matrix.identity(f, alg.comp_dims[g]).entries
-        candidates, complete = span_candidates(f, rows, rng, SAMPLES, budget)
-        if not complete:
+        blocks = alg.mult_ops(g, G.inv(g))[0]
+        coeffs, complete = find_invertible_combo(f, blocks, rng, budget=budget)
+        if coeffs is None and complete:
+            per[g] = "no invertible element: exhaustive sweep of the component"
+            return report(Verdict.FALSE, "exhaustive")
+        if coeffs is None:
             # Exact obstructions, worth checking only when the sweep cannot
             # settle the component by itself.
-            if alg.comp_dims[g] != alg.comp_dims[e]:
+            if alg.comp_dims[g] != de:
                 per[g] = "no invertible element: component dimension differs from R_e"
                 return report(Verdict.FALSE, "character")
-            prod = component_product(
-                GradedSubspace.full(alg, (g,)), GradedSubspace.full(alg, (G.inv(g),))
-            )
-            if prod.component(e).dim != alg.comp_dims[e]:
+            products = [col for b in blocks for col in b.transpose().entries]
+            if Subspace.from_vectors(f, de, products).dim != de:
                 per[g] = "no invertible element: R_g R_{g^-1} is a proper ideal of R_e"
                 return report(Verdict.FALSE, "degenerate-pair")
             if _side_traces(component_action(alg, g)) != e_traces:
                 per[g] = "no invertible element: one-sided traces differ from R_e"
                 return report(Verdict.FALSE, "character")
-        found = None
-        for vec in candidates:
-            x = alg.element({g: vec})
-            if is_invertible(x) is not None:
-                found = x
-                break
-        if found is None:
-            if complete:
-                per[g] = "no invertible element: exhaustive sweep of the component"
-                return report(Verdict.FALSE, "exhaustive")
             per[g] = "search exhausted without an invertible element"
             return report(Verdict.INCONCLUSIVE, "schwartz-zippel")
         per[g] = "found"
-        units[g] = found
+        units[g] = alg.element({g: coeffs})
 
     data = _twisting_from_units(alg, units)
     verify_crossed_identities(alg, data)
@@ -801,8 +796,8 @@ def is_inner(
     element.  V = 0 settles Outer over any field.  When the base ring is
     simple any nonzero member of V is automatically invertible (its left
     annihilator would be a proper nonzero ideal), so a nonzero V settles
-    Inner.  Otherwise V is searched for an invertible member through
-    `span_candidates`: a sweep settles Outer, a fruitless sample does not.
+    Inner.  Otherwise `find_invertible_combo` searches the maps L_x on V:
+    a sweep settles Outer, a fruitless sample does not.
     base_simple is the caller's simplicity verdict on the base ring.
     """
     validate_automorphism(base, sigma, "sigma")
@@ -820,27 +815,22 @@ def is_inner(
             detail="no nonzero twisted intertwiner", seed=seed, budget=budget,
         )
 
-    if base_simple is Verdict.TRUE:
-        x = base.from_flat(V.basis.row(0))
-        if is_invertible(x) is None:
-            raise InternalInconsistency(
-                "twisted intertwiner over a simple base ring is not invertible"
-            )
+    # over a simple base ring any nonzero intertwiner is a unit: try one
+    simple = base_simple is Verdict.TRUE
+    span = V.basis.entries[:1] if simple else V.basis.entries
+    mults = [base.left_matrix(base.from_flat(v)) for v in span]
+    coeffs, complete = find_invertible_combo(f, mults, random.Random(seed), budget=budget)
+    if simple and coeffs is None:
+        raise InternalInconsistency(
+            "twisted intertwiner over a simple base ring is not invertible"
+        )
+    if coeffs is not None:
         return CheckResult(
-            "inner", Verdict.TRUE, method="intertwiner-space",
-            detail="simple base ring, any nonzero intertwiner is invertible",
-            witness={"element": vector_to_json(f, base.flatten(x))},
+            "inner", Verdict.TRUE, method="intertwiner-space" if simple else "intertwiner-search",
+            detail="simple base ring, any nonzero intertwiner is invertible" if simple else "",
+            witness={"element": vector_to_json(f, f.combine(coeffs, span))},
             seed=seed, budget=budget,
         )
-
-    rng = random.Random(seed)
-    candidates, complete = span_candidates(f, V.basis.entries, rng, SAMPLES, budget)
-    for vec in candidates:
-        if is_invertible(base.from_flat(vec)) is not None:
-            return CheckResult(
-                "inner", Verdict.TRUE, method="intertwiner-search",
-                witness={"element": vector_to_json(f, vec)}, seed=seed, budget=budget,
-            )
     if complete:
         return CheckResult(
             "inner", Verdict.FALSE, method="intertwiner-search",

@@ -30,10 +30,11 @@ spin as witness.
 Whether a span is swept or sampled is decided in one place,
 `linalg.span_candidates`: the spin search sweeps M within the budget and
 samples it past it, the nullspace lines of Norton's test (at most
-NULLSPACE_BUDGET points) are a sweep or nothing, and
-`find_invertible_combo` sweeps a hom space within its budget and samples
-SAMPLES combinations past it.  The three constants below are the only
-search sizes; callers choose the seed and the budget.
+NULLSPACE_BUDGET points) are a sweep or nothing, and the one search for
+an invertible element, `find_invertible_combo`, sweeps a span of matrices
+within its budget and samples SAMPLES combinations past it.  The search
+sizes are the constants below and, in `is_simple`, the p <= 64 threshold
+and the sixteen sampled shifts; callers choose the seed and the budget.
 """
 from __future__ import annotations
 
@@ -544,23 +545,23 @@ def action_traces(a: BimoduleAction) -> tuple:
     return tuple(t for l in a.left_ops for t in dots(rights, l.flatten()))
 
 
-def _is_invertible_matrix(m: Matrix) -> bool:
-    return m.shape[0] == m.shape[1] and nullspace(m).dim == 0
-
-
 def find_invertible_combo(field: Field, mats: list, rng, *, budget: int):
     """Search the span of mats for an invertible member.
 
-    Returns (matrix, exhausted): exhausted True means the span was swept
-    completely, so a None result proves there is no invertible element.
+    Returns (coefficients over mats or None, exhausted), trying the
+    candidates of `span_candidates` on coefficient vectors: exhausted True
+    means they sweep the span, so None proves there is no invertible
+    element.  Non-square matrices, or none, settle every candidate at once.
     """
-    candidates, exhausted = span_candidates(
-        field, [m.flatten() for m in mats], rng, SAMPLES, budget
-    )
-    for vec in candidates:
-        cand = Matrix._unflatten(field, vec, mats[0].cols)
-        if _is_invertible_matrix(cand):
-            return cand, exhausted
+    rows = Matrix.identity(field, len(mats)).entries
+    candidates, exhausted = span_candidates(field, rows, rng, SAMPLES, budget)
+    if not mats or mats[0].rows != mats[0].cols:
+        return None, exhausted
+    flats = [m.flatten() for m in mats]
+    for coeffs in candidates:
+        cand = Matrix._unflatten(field, tuple(field.combine(coeffs, flats)), mats[0].cols)
+        if nullspace(cand).dim == 0:
+            return coeffs, exhausted
     return None, exhausted
 
 
@@ -600,8 +601,10 @@ def bimodules_isomorphic(
     if not homs:
         return IsoReport(Verdict.FALSE, "hom-space", hom_dim=0)
     rng = random.Random(seed)
-    wit, exhausted = find_invertible_combo(a.field, homs, rng, budget=budget)
-    if wit is not None:
+    coeffs, exhausted = find_invertible_combo(a.field, homs, rng, budget=budget)
+    if coeffs is not None:
+        flat = tuple(a.field.combine(coeffs, [h.flatten() for h in homs]))
+        wit = Matrix._unflatten(a.field, flat, a.dim)
         return IsoReport(Verdict.TRUE, "invertible-hom", wit, hom_dim=len(homs))
     if exhausted:
         return IsoReport(Verdict.FALSE, "hom-sweep", hom_dim=len(homs))

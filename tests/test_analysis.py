@@ -1,8 +1,11 @@
 """Decision procedures on known instances, witnesses included."""
+import time
+
 import pytest
 
 from gradedrings import analysis
 from gradedrings.algebra import GradedAlgebra, graded_subspace_from_flat
+from gradedrings.algebra import is_invertible
 from gradedrings.analysis import (
     CrossedProductData,
     center_of_Re,
@@ -36,6 +39,7 @@ from gradedrings.builders import (
     group_algebra,
     inner_automorphism_matrix,
     m3_example,
+    matrix_units_algebra,
     skew_group_ring,
 )
 from gradedrings.corpus import (
@@ -47,7 +51,9 @@ from gradedrings.corpus import (
 )
 from gradedrings.errors import InternalInconsistency, InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
+from gradedrings.groups import symmetric_group
 from gradedrings.linalg import GF, RATIONALS, Matrix, Subspace
+from gradedrings.linalg import nullspace, projective_count, projective_vectors
 from gradedrings.oracle import ideal_oracle
 from gradedrings.serialize import vector_from_json
 
@@ -313,6 +319,37 @@ def test_ideals_graded_over_q_runs_only_the_component_profile(monkeypatch):
 
 def test_crossed_product_m3_exhaustive(m3_gf2):
     rep = detect_crossed_product(m3_gf2)
+    assert rep.verdict is Verdict.FALSE
+    assert rep.fields["proof_scope"] == "exhaustive"
+
+
+@pytest.mark.parametrize("inst", ORACLE_SCALE, ids=[inst.name for inst in ORACLE_SCALE])
+def test_units_of_a_component_are_its_nonsingular_pairing_blocks(inst):
+    # the inverse of a unit u in R_g lies in R_{g^-1}, so u is a unit exactly
+    # when x -> u x maps R_{g^-1} onto R_e bijectively: the block that
+    # detect_crossed_product searches
+    alg = inst.alg
+    f, G = alg.field, alg.group
+    for g in range(G.order):
+        d = alg.comp_dims[g]
+        if g == G.identity or projective_count(f.p, d) > 121:
+            continue
+        blocks = alg.mult_ops(g, G.inv(g))[0]
+        width = alg.comp_dims[G.inv(g)]
+        for c in projective_vectors(f, Matrix.identity(f, d).entries):
+            rows = [f.combine(c, [b.row(i) for b in blocks]) for i in range(blocks[0].rows)]
+            block = Matrix(f, rows, cols=width)
+            nonsingular = block.rows == block.cols and nullspace(block).dim == 0
+            assert (is_invertible(alg.element({g: c})) is not None) == nonsingular, (g, c)
+
+
+def test_crossed_product_sweep_of_non_square_blocks_is_immediate():
+    # R_(021) is a plane over GF(65521) whose blocks are 3 x 2: its 65,522
+    # projective points fit the budget, and none of them needs forming
+    alg = matrix_units_algebra(GF(65521), symmetric_group(3), (0, 1, 2))
+    start = time.perf_counter()
+    rep = detect_crossed_product(alg)
+    assert time.perf_counter() - start < 1.0
     assert rep.verdict is Verdict.FALSE
     assert rep.fields["proof_scope"] == "exhaustive"
 

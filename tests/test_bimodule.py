@@ -19,6 +19,7 @@ from gradedrings.bimodule import (
     bimodules_isomorphic,
     component_action,
     envelope,
+    find_invertible_combo,
     hom_matrices,
     hom_space,
     is_simple,
@@ -367,3 +368,22 @@ def test_isomorphism_past_budget_samples_the_hom_space():
         w = rep.witness
         assert not nullspace(w).dim
         assert all(w @ op == op @ w for op in diag.ops)
+        homs = hom_matrices(diag, diag)
+        coeffs, _ = find_invertible_combo(f, homs, random.Random(0), budget=budget)
+        assert Matrix(f, [[coeffs[0], 0], [0, coeffs[1]]]) == w
+
+
+@pytest.mark.parametrize("budget", [1, 4096])
+def test_invertible_search_forms_no_candidate_without_square_matrices(budget, monkeypatch):
+    # a span of non-square matrices, or the zero span, has no invertible
+    # member, so no combination is formed and no random scalar is drawn
+    f = GF(3)
+    calls = []
+    monkeypatch.setattr(bimodule, "nullspace", lambda m: calls.append(m))
+    tall = [Matrix(f, [[1, 0], [0, 1], [1, 1]]), Matrix(f, [[0, 1], [1, 0], [2, 0]])]
+    for mats, exhausted in ((tall, budget >= 4), ([], True)):
+        rng = random.Random(7)
+        state = rng.getstate()
+        assert find_invertible_combo(f, mats, rng, budget=budget) == (None, exhausted)
+        assert rng.getstate() == state
+    assert calls == []
