@@ -180,17 +180,17 @@ class GradedAlgebra:
 
         Returns (left_ops, right_ops): for each basis element b_{h,k}, the
         d_{hg} x d_g matrix of x -> b_{h,k} * x : R_g -> R_{hg} and the
-        d_{gh} x d_g matrix of x -> x * b_{h,k} : R_g -> R_{gh}.
+        d_{gh} x d_g matrix of x -> x * b_{h,k} : R_g -> R_{gh}, also for d_g = 0.
         """
-        dg = self.comp_dims[g]
-        cols = Matrix.from_columns
+        dg, dims, table = self.comp_dims[g], self.comp_dims, self.group.table
+        cols = lambda vecs, t: Matrix(self.field, vecs, dims[t]).transpose()
         lefts = tuple(
-            cols(self.field, [self.product_coeffs(h, k, g, j) for j in range(dg)])
-            for k in range(self.comp_dims[h])
+            cols([self.product_coeffs(h, k, g, j) for j in range(dg)], table[h][g])
+            for k in range(dims[h])
         )
         rights = tuple(
-            cols(self.field, [self.product_coeffs(g, j, h, k) for j in range(dg)])
-            for k in range(self.comp_dims[h])
+            cols([self.product_coeffs(g, j, h, k) for j in range(dg)], table[g][h])
+            for k in range(dims[h])
         )
         return lefts, rights
 

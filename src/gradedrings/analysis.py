@@ -219,8 +219,6 @@ def check_nondegenerate(alg: GradedAlgebra) -> CheckResult:
 
 def _commutant_component(alg: GradedAlgebra, g: int) -> Subspace:
     """Solutions x in R_g of b x = x b for every b in R_e."""
-    if alg.comp_dims[g] == 0:
-        return Subspace.zero(alg.field, 0)
     diffs = [left.sub(right) for left, right in zip(*alg.component_ops(g))]
     return nullspace(_stack_all(diffs))
 
@@ -641,18 +639,18 @@ def detect_crossed_product(
 ) -> CheckResult:
     """Find an invertible element in every component, or rule that out.
 
-    A unit's inverse is homogeneous, so u in R_g is a unit exactly when
-    its block x -> u x : R_{g^-1} -> R_e is square and nonsingular, and
-    `find_invertible_combo` searches these blocks; a non-square span
-    settles every candidate at once.  When the candidates sweep R_g (it
-    fits the budget, or is a line over Q), No has proof scope "exhaustive".
-    Otherwise three exact obstructions can still certify No over any
-    field: R_g must have the dimension of R_e; the pairing R_g R_{g^-1}, the
-    blocks' column space, must be R_e (an ideal containing 1 once a unit
-    exists); and the one-sided multiplication traces on R_g must match
-    those on R_e (`_side_traces`).  Failing all three, the search samples
-    in the style of Schwartz-Zippel and ends Unknown, never No.  The data
-    is the `CrossedProductData` of a True verdict, and None otherwise.
+    In a valid algebra a unit's inverse is homogeneous, so u in R_g is a
+    unit exactly when its block x -> u x : R_{g^-1} -> R_e is square and
+    nonsingular, and `find_invertible_combo` searches these blocks; a
+    non-square span settles every candidate at once.  When the candidates
+    sweep R_g (it fits the budget, or is a line over Q), No has proof scope
+    "exhaustive".  Otherwise three exact obstructions can still certify No
+    over any field: R_g must have the dimension of R_e; the pairing
+    R_g R_{g^-1}, the blocks' column space, must be R_e (an ideal containing
+    1 once a unit exists); and the one-sided multiplication traces on R_g
+    must match those on R_e (`_side_traces`).  Failing all three, the search
+    samples in the style of Schwartz-Zippel and ends Unknown, never No.  The
+    data is the `CrossedProductData` of a True verdict, and None otherwise.
     """
     G = alg.group
     f = alg.field
@@ -815,20 +813,25 @@ def is_inner(
             detail="no nonzero twisted intertwiner", seed=seed, budget=budget,
         )
 
-    # over a simple base ring any nonzero intertwiner is a unit: try one
-    simple = base_simple is Verdict.TRUE
-    span = V.basis.entries[:1] if simple else V.basis.entries
-    mults = [base.left_matrix(base.from_flat(v)) for v in span]
-    coeffs, complete = find_invertible_combo(f, mults, random.Random(seed), budget=budget)
-    if simple and coeffs is None:
-        raise InternalInconsistency(
-            "twisted intertwiner over a simple base ring is not invertible"
+    if base_simple is Verdict.TRUE:
+        x = base.from_flat(V.basis.row(0))
+        if is_invertible(x) is None:
+            raise InternalInconsistency(
+                "twisted intertwiner over a simple base ring is not invertible"
+            )
+        return CheckResult(
+            "inner", Verdict.TRUE, method="intertwiner-space",
+            detail="simple base ring, any nonzero intertwiner is invertible",
+            witness={"element": vector_to_json(f, base.flatten(x))},
+            seed=seed, budget=budget,
         )
+
+    mults = [base.left_matrix(base.from_flat(v)) for v in V.basis.entries]
+    coeffs, complete = find_invertible_combo(f, mults, random.Random(seed), budget=budget)
     if coeffs is not None:
         return CheckResult(
-            "inner", Verdict.TRUE, method="intertwiner-space" if simple else "intertwiner-search",
-            detail="simple base ring, any nonzero intertwiner is invertible" if simple else "",
-            witness={"element": vector_to_json(f, f.combine(coeffs, span))},
+            "inner", Verdict.TRUE, method="intertwiner-search",
+            witness={"element": vector_to_json(f, f.combine(coeffs, V.basis.entries))},
             seed=seed, budget=budget,
         )
     if complete:

@@ -510,10 +510,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     u._check_compatible(v)
     cu = annihilator(u).basis
     cv = annihilator(v).basis
-    stacked = cu.stack(cv)
-    if stacked.rows == 0:
-        return Subspace.full(u.field, u.ambient_dim)
-    return nullspace(stacked)
+    return nullspace(cu.stack(cv))
 
 
 def annihilator(u: Subspace) -> Subspace:

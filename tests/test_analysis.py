@@ -354,6 +354,26 @@ def test_crossed_product_sweep_of_non_square_blocks_is_immediate():
     assert rep.fields["proof_scope"] == "exhaustive"
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(65521), RATIONALS], ids=str)
+def test_crossed_product_of_a_component_with_zero_inverse_component(field):
+    # F[x]/(x^2) graded by Z/3 with x in R_1: x x lies in R_2 = 0, so the
+    # blocks of R_1 map the zero space R_2 into R_e and are 1 x 0
+    one = field.one
+    structure = {(0, 0, 0, 0): (one,), (0, 0, 1, 0): (one,), (1, 0, 0, 0): (one,)}
+    alg = GradedAlgebra(field, cyclic_group(3), (1, 1, 0), structure, (one,))
+    assert check_valid(alg).holds()
+    assert [b.shape for b in alg.mult_ops(1, 2)[0]] == [(1, 0)]
+    rep = detect_crossed_product(alg)
+    assert rep.verdict is Verdict.FALSE
+    assert rep.fields["proof_scope"] == "exhaustive"
+    # past the budget the pairing obstruction decides: R_1 R_2 = 0
+    rep = detect_crossed_product(alg, budget=0)
+    assert rep.verdict is Verdict.FALSE
+    assert rep.fields["proof_scope"] == "degenerate-pair"
+    with pytest.raises(InvalidInput):
+        check_crossed_controlled(alg)
+
+
 def test_crossed_product_m3_rational(m3_q):
     rep = detect_crossed_product(m3_q)
     assert rep.verdict is Verdict.FALSE

@@ -115,6 +115,14 @@ def test_golden_report(name, prop, golden, files):
     assert got == want, f"report changed:\nexit {rc}\n{stdout}{stderr}"
 
 
+def test_crossed_product_exits_on_corrupted_files(files):
+    # The unit search runs on unchecked input, so a corrupted file ends in a
+    # verdict or in an internal inconsistency (exit 4), pinned here as it
+    # stands; checking validity first would make every one of them exit 2.
+    got = {name: run_report(files[name], "crossed-product")[0] for name in CORRUPTED}
+    assert got == {"galois-2-2-flipped": 4, "m3-gf2-broken-unit": 1, "m3-q-wrong-product": 0}
+
+
 def regenerate() -> None:
     table = {}
     with tempfile.TemporaryDirectory() as root:

@@ -132,6 +132,13 @@ def test_sum_intersect_modular_law():
     assert s.contains_subspace(u) and s.contains_subspace(v)
 
 
+@pytest.mark.parametrize("f", [GF(2), GF(7), RATIONALS], ids=str)
+def test_intersection_of_full_spaces_is_full(f):
+    for n in (0, 1, 3):
+        full = Subspace.full(f, n)
+        assert subspace_intersect(full, full) == full
+
+
 def test_annihilator_dimension():
     f = GF(5)
     u = Subspace.from_vectors(f, 4, [(1, 2, 3, 4)])
