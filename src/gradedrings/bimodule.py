@@ -55,9 +55,9 @@ from .linalg import (
     _is_prime,
     annihilator,
     nullspace,
-    solve,
     span_candidates,
 )
+from .poly import is_irreducible, minimal_polynomial
 
 # Random draws of a sampled search: Norton trials on envelope elements, and
 # the combinations `span_candidates` adds when a span is past its budget.
@@ -260,6 +260,17 @@ def is_simple(
     rank, env = envelope(action)
     if rank == m * m:
         return SimplicityReport(Verdict.TRUE, "dense-envelope", trials=sampled)
+    # its own generator, so a certificate that fails leaves every later draw
+    # as it was
+    degree = _field_commutant(action, env, random.Random(seed))
+    if degree:
+        return SimplicityReport(
+            Verdict.TRUE,
+            "field-commutant",
+            trials=sampled,
+            detail=f"the commutant is a field of degree {degree} and the "
+            f"envelope has rank {rank} = {m}^2/{degree}",
+        )
 
     thetas = (_random_envelope_element(action, env, rng) for _ in range(SAMPLES))
     report, used = _norton_trials(action, thetas, shifts, rng)
@@ -267,6 +278,48 @@ def is_simple(
         report = _exhaustive_spin(action, rng, budget)
     report.trials = sampled + used
     return report
+
+
+def _field_commutant(action: BimoduleAction, env: list, rng) -> int:
+    """The degree d of the commutant C when Burnside's theorem over C proves M simple, else 0.
+
+    Everything the operators generate commutes with C.  When C is a field
+    of degree d, End_C(M) has dimension m^2/d over the ground field, so an
+    envelope of rank m^2/d is all of End_C(M) and M is simple.  The rank
+    is checked first, for free: d = m^2/rank must be an integer of at least
+    2 that divides m.  Then dim C = d, and C = F[c] is a field when some c
+    drawn from C has an irreducible minimal polynomial of degree d; at
+    most QUICK_TRIALS are drawn.  When d = m, c is drawn from the envelope
+    instead and C is never built: a c with an irreducible minimal
+    polynomial of degree m leaves no proper subspace invariant, and its
+    commutant F[c] is the field C.  Over GF(p) a reducible minimal
+    polynomial ends the search, as C is then no field.  Over Q the k-th
+    draw is scaled to an integer matrix A, whose minimal polynomial mu is
+    monic with integer coefficients, and read mod the k-th of the
+    RESIDUE_PRIMES, q: the minimal polynomial of A mod q divides mu mod q,
+    so when it has degree d (which bounds deg mu, as Q[c] lies in a
+    d-dimensional algebra) the two are equal, and when it is irreducible so
+    is mu over Z, hence over Q (Gauss's lemma).
+    """
+    m, f = action.dim, action.field
+    d, rest = divmod(m * m, len(env)) if env else (0, 1)
+    if rest or d < 2 or m % d:
+        return 0
+    homs = env if d == m else hom_matrices(action, action)
+    if len(homs) != d:
+        return 0
+    for q in RESIDUE_PRIMES[:QUICK_TRIALS]:
+        c = _random_combination(f, homs, rng)
+        if not f.p:
+            den = lcm(*(x.denominator for row in c.entries for x in row))
+            c = Matrix(Field(q), [[int(x * den) for x in row] for row in c.entries])
+        mu = minimal_polynomial(c)
+        if is_irreducible(c.field.p, mu):
+            if len(mu) == d + 1:
+                return d
+        elif f.p:
+            return 0
+    return 0
 
 
 def _norton_trials(action: BimoduleAction, thetas, shifts, rng):
@@ -408,29 +461,6 @@ def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, rng):
 
 
 # --- eigenvalue search helpers ----------------------------------------------
-
-
-def minimal_polynomial(mat: Matrix) -> list:
-    """Coefficients [c_0, ..., c_k] of the monic minimal polynomial."""
-    f = mat.field
-    n = mat.shape[0]
-    if n == 0:
-        return [f.one]
-    powers = [Matrix.identity(f, n)]
-    basis = EchelonBasis(f, n * n)
-    basis.add(powers[0].flatten())
-    while True:
-        nxt = powers[-1] @ mat
-        flat = nxt.flatten()
-        if not basis.add(flat):
-            cols = Matrix.from_columns(f, [p.flatten() for p in powers])
-            sol = solve(cols, Matrix._trusted(f, tuple((x,) for x in flat), 1))
-            if sol is None:
-                raise InternalInconsistency("dependent power with no expression")
-            coeffs = [f.neg(sol.entries[i][0]) for i in range(len(powers))]
-            coeffs.append(f.one)
-            return coeffs
-        powers.append(nxt)
 
 
 def rational_eigenvalues(mat: Matrix) -> list:

@@ -18,73 +18,7 @@ from .algebra import Element, GradedAlgebra, is_invertible
 from .errors import InvalidInput
 from .groups import FiniteGroup, cyclic_group, trivial_group
 from .linalg import GF, Field, Matrix
-
-
-# --- polynomial helpers over GF(p), dense little-endian coefficient lists ----
-
-
-def _poly_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(p: int, a: Sequence[int], m: Sequence[int]) -> list:
-    """a mod m for monic m."""
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
-        if lead:
-            shift = len(r) - 1 - dm
-            for i, c in enumerate(m):
-                if c:
-                    r[shift + i] = (r[shift + i] - lead * c) % p
-        r.pop()
-    return _poly_trim(r)
-
-
-def _monic_polys(p: int, deg: int):
-    def rec(k):
-        if k == 0:
-            yield []
-            return
-        for rest in rec(k - 1):
-            for c in range(p):
-                yield [c] + rest
-
-    for tail in rec(deg):
-        yield tail + [1]
-
-
-def _is_irreducible(p: int, f: Sequence[int]) -> bool:
-    deg = len(f) - 1
-    if deg <= 0:
-        return False
-    if f[0] == 0:
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not _poly_mod(p, f, g):
-                return False
-    return True
-
-
-def lowest_irreducible(p: int, n: int) -> list:
-    """The first monic irreducible of degree n over GF(p), in the order
-    given by reading the non-leading coefficients as a base-p integer."""
-    if n == 1:
-        return [0, 1]
-    for k in range(1, p**n):
-        coeffs = []
-        v = k
-        for _ in range(n):
-            coeffs.append(v % p)
-            v //= p
-        f = coeffs + [1]
-        if _is_irreducible(p, f):
-            return f
-    raise InvalidInput(f"no irreducible of degree {n} over GF({p})")  # unreachable
+from .poly import lowest_irreducible, poly_mod
 
 
 # --- base algebras ------------------------------------------------------------
@@ -143,7 +77,7 @@ def finite_field_algebra(p: int, n: int):
     modulus = lowest_irreducible(p, n)
 
     def reduced_power(e: int) -> list:
-        out = _poly_mod(p, [0] * e + [1], modulus)
+        out = poly_mod(p, [0] * e + [1], modulus)
         return out + [0] * (n - len(out))
 
     structure = {}
@@ -165,7 +99,7 @@ def finite_field_algebra(p: int, n: int):
     )
     frob_cols = []
     for i in range(n):
-        col = _poly_mod(p, [0] * (i * p) + [1], modulus)
+        col = poly_mod(p, [0] * (i * p) + [1], modulus)
         frob_cols.append(col + [0] * (n - len(col)))
     return alg, Matrix.from_columns(field, frob_cols)
 
@@ -376,8 +310,6 @@ def galois_skew_example(p: int, n: int) -> GradedAlgebra:
     """
     if n < 2:
         raise InvalidInput("need n >= 2 for a nontrivial Galois grading")
-    if p**n > 2**16:
-        raise InvalidInput("p^n too large for exact enumeration downstream")
     base, frob = finite_field_algebra(p, n)
     group = cyclic_group(n)
     sigma = [Matrix.identity(base.field, n)]

@@ -306,8 +306,11 @@ def _generic_sweep(f: Field, mats: List[Matrix], dim: int):
                 if w.contains(seed):
                     break
                 k = 0
-                for row in w.rows:
-                    eb.add(row)
+                if eb.rank:
+                    for row in w.rows:
+                        eb.add(row)
+                else:  # W's rows are already canonical: take them as they are
+                    eb.rows, eb.pivots = list(w.rows), list(w.pivots)
             else:
                 eb.add(u)
             if eb.rank == dim:

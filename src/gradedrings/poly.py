@@ -1,0 +1,124 @@
+"""Polynomials over GF(p) and minimal polynomials of matrices.
+
+A polynomial over GF(p) is a dense little-endian list of ints in
+range(p): [c_0, c_1, ..., c_k] is c_0 + c_1 x + ... + c_k x^k, with no
+trailing zero.  Irreducibility is tested by Ben-Or's criterion (1981; the
+gcd form of Rabin's 1980 test): a monic f of degree n is irreducible
+exactly when gcd(x^(p^i) - x, f) = 1 for i = 1, ..., n // 2, since every
+factor of x^(p^i) - x has degree dividing i and a reducible f has a factor
+of degree at most n // 2.  The one test serves `lowest_irreducible`, which
+picks the moduli of the finite-field builders, and the field-commutant
+certificate of `bimodule.is_simple`.
+"""
+from __future__ import annotations
+
+from typing import Sequence
+
+from .errors import InternalInconsistency, InvalidInput
+from .linalg import EchelonBasis, Matrix, solve
+
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_mod(p: int, a: Sequence[int], m: Sequence[int]) -> list:
+    """a mod m for monic m."""
+    r = list(a)
+    dm = len(m) - 1
+    while len(r) - 1 >= dm and r:
+        lead = r[-1]
+        if lead:
+            shift = len(r) - 1 - dm
+            for i, c in enumerate(m):
+                if c:
+                    r[shift + i] = (r[shift + i] - lead * c) % p
+        r.pop()
+    return _trim(r)
+
+
+def _mulmod(p: int, a: Sequence[int], b: Sequence[int], m: Sequence[int]) -> list:
+    """a * b mod monic m."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return poly_mod(p, [c % p for c in prod], m)
+
+
+def _gcd(p: int, a: Sequence[int], b: Sequence[int]) -> list:
+    """The monic gcd of a and b ([] when both are 0)."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, poly_mod(p, a, b)
+    return a
+
+
+def is_irreducible(p: int, f: Sequence[int]) -> bool:
+    """Whether monic f of positive degree is irreducible over GF(p) (Ben-Or)."""
+    n = len(f) - 1
+    if n <= 0:
+        return False
+    h = [0, 1]  # x^(p^i) mod f, starting from i = 0
+    for _ in range(n // 2):
+        # h^p mod f by square and multiply
+        acc, base, e = [1], h, p
+        while e:
+            if e & 1:
+                acc = _mulmod(p, acc, base, f)
+            e >>= 1
+            if e:
+                base = _mulmod(p, base, base, f)
+        h = acc
+        diff = h + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % p
+        if len(_gcd(p, f, diff)) > 1:
+            return False
+    return True
+
+
+def lowest_irreducible(p: int, n: int) -> list:
+    """The first monic irreducible of degree n over GF(p), in the order
+    given by reading the non-leading coefficients as a base-p integer."""
+    if n == 1:
+        return [0, 1]
+    for k in range(1, p**n):
+        coeffs = []
+        v = k
+        for _ in range(n):
+            coeffs.append(v % p)
+            v //= p
+        f = coeffs + [1]
+        if is_irreducible(p, f):
+            return f
+    raise InvalidInput(f"no irreducible of degree {n} over GF({p})")  # unreachable
+
+
+def minimal_polynomial(mat: Matrix) -> list:
+    """Coefficients [c_0, ..., c_k] of the monic minimal polynomial."""
+    f = mat.field
+    n = mat.shape[0]
+    if n == 0:
+        return [f.one]
+    powers = [Matrix.identity(f, n)]
+    basis = EchelonBasis(f, n * n)
+    basis.add(powers[0].flatten())
+    while True:
+        nxt = powers[-1] @ mat
+        flat = nxt.flatten()
+        if not basis.add(flat):
+            cols = Matrix.from_columns(f, [p.flatten() for p in powers])
+            sol = solve(cols, Matrix._trusted(f, tuple((x,) for x in flat), 1))
+            if sol is None:
+                raise InternalInconsistency("dependent power with no expression")
+            coeffs = [f.neg(sol.entries[i][0]) for i in range(len(powers))]
+            coeffs.append(f.one)
+            return coeffs
+        powers.append(nxt)

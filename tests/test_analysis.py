@@ -575,18 +575,31 @@ def test_inner_skew_rings_over_q_finish(make):
 
 
 def test_simple_past_budget_is_inconclusive():
-    # GF(16) over itself: the commutant is a field, so Norton's test never
-    # decides and only the projective sweep (15 points) can
+    # GF(16) over itself: no shift is singular, but the commutant is a
+    # field, so the sweep's budget does not matter
     base, _ = finite_field_algebra(2, 4)
-    assert check_simple(base).verdict is Verdict.TRUE
     rep = check_simple(base, budget=8)
+    assert rep.verdict is Verdict.TRUE
+    assert rep.method == "field-commutant"
+    # F[t]/(t^2 - 1) over GF(65521) is F x F: its commutant is not a field,
+    # the sampled shifts miss both eigenvalues, and 1 and t generate it, so
+    # only the projective sweep (65,522 points) can decide
+    split = _cyclic_group_algebra_ungraded(GF(65521), 2)
+    assert check_simple(split).verdict is Verdict.FALSE
+    rep = check_simple(split, budget=8)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.method == "budget"
     assert "exceeds 8 points" in rep.detail
 
 
 def test_controlled_past_budget_is_inconclusive():
-    rep = check_controlled(galois_skew_example(2, 4), budget=8)
+    # (F x F) ⋊ Z/2 over GF(65521), F x F in the basis 1, t and the swap of
+    # its idempotents as t -> -t: both components split like F x F above
+    f = GF(65521)
+    base = _cyclic_group_algebra_ungraded(f, 2)
+    alg = skew_group_ring(base, cyclic_group(2), [Matrix.identity(f, 2), Matrix(f, [[1, 0], [0, -1]])])
+    assert check_controlled(alg).verdict is Verdict.FALSE
+    rep = check_controlled(alg, budget=8)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert set(rep.fields["simplicity"].values()) == {"inconclusive"}
     assert {v for _, _, v in rep.fields["isomorphic"]} == {"false"}
@@ -646,3 +659,34 @@ def test_crossed_controlled_on_gaussian_skew_ring():
     # refused as "not a crossed product" while the trace obstruction was wrong
     rep = check_crossed_controlled(_gaussian_rationals_skew_z2())
     assert rep.verdict is not Verdict.FALSE
+
+
+def _sqrt2_skew_z2():
+    """Q(sqrt 2) ⋊ Z/2 under sqrt 2 -> -sqrt 2 (isomorphic to M2(Q))."""
+    f = RATIONALS
+    # basis 1, s: s*s = 2
+    structure = {(0, 0, 0, 0): [1, 0], (0, 0, 0, 1): [0, 1], (0, 1, 0, 0): [0, 1], (0, 1, 0, 1): [2, 0]}
+    base = GradedAlgebra(f, trivial_group(), (2,), structure, [1, 0])
+    conj = Matrix(f, [[1, 0], [0, -1]])
+    return skew_group_ring(base, cyclic_group(2), [Matrix.identity(f, 2), conj])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_gaussian_rationals_skew_z2, _sqrt2_skew_z2, lambda: galois_skew_example(5, 7)],
+    ids=["q-i-conjugation", "q-sqrt2-conjugation", "galois-5-7"],
+)
+def test_galois_skew_rings_are_controlled(make):
+    # Azumaya's case: every component is a simple bimodule whose commutant
+    # is the extension field, which no shift of Norton's test can see;
+    # galois(5,7) has 5^7 points per component, past any spin sweep
+    rep = check_controlled(make())
+    assert rep.verdict is Verdict.TRUE
+    assert set(rep.fields["simplicity"].values()) == {"true"}
+
+
+def test_component_of_galois_3_11_is_decided():
+    # 3^11 - 1 nonzero vectors: past the default budget of the spin sweep
+    rep = is_simple(component_action(galois_skew_example(3, 11), 1))
+    assert rep.verdict is Verdict.TRUE
+    assert rep.method == "field-commutant"

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedrings.algebra import GradedAlgebra, validate_algebra
 from gradedrings.analysis import check_controlled, check_simple
 from gradedrings import bimodule
 from gradedrings.bimodule import (
+    QUICK_TRIALS,
     BimoduleAction,
     Verdict,
     _random_combination,
@@ -35,8 +37,9 @@ from gradedrings.builders import (
 )
 from gradedrings.corpus import dual_numbers_graded
 from gradedrings.errors import InvalidInput
-from gradedrings.groups import cyclic_group
+from gradedrings.groups import cyclic_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, nullspace
+from gradedrings.poly import minimal_polynomial
 
 
 def test_verdict_semantics():
@@ -64,12 +67,13 @@ def test_spin_monotone_and_invariant(m3_gf2):
 
 def test_is_simple_positive(gf4skew):
     # each component of the Galois skew ring is a simple bimodule; its
-    # envelope is GF(4), so no shifted sample is singular and the envelope
-    # fallbacks decide
+    # envelope and its commutant are GF(4), so no shifted sample is
+    # singular, and Burnside's theorem over the commutant decides
     for g in range(2):
         rep = is_simple(component_action(gf4skew, g))
         assert rep.verdict is Verdict.TRUE
-        assert rep.method == "exhaustive-spin"
+        assert rep.method == "field-commutant"
+        assert rep.trials <= QUICK_TRIALS
 
 
 def test_is_simple_negative_with_witness(m3_gf2):
@@ -387,3 +391,79 @@ def test_invertible_search_forms_no_candidate_without_square_matrices(budget, mo
         assert find_invertible_combo(f, mats, rng, budget=budget) == (None, exhausted)
         assert rng.getstate() == state
     assert calls == []
+
+
+def _gf4_blocks(entries):
+    """A 2x2 matrix over GF(4) = GF(2)[w]/(w^2 + w + 1) as a 4x4 matrix over GF(2).
+
+    Entries are pairs (a, b) for a + b w; w acts on the basis 1, w by
+    1 -> w, w -> 1 + w.
+    """
+    def block(a, b):
+        return [[a, b], [b, (a + b) % 2]]
+
+    rows = [[0] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            blk = block(*entries[i][j])
+            for r in range(2):
+                for c in range(2):
+                    rows[2 * i + r][2 * j + c] = blk[r][c]
+    return Matrix(GF(2), rows)
+
+
+def test_field_commutant_needs_the_full_rank():
+    # upper triangular 2x2 matrices over GF(4) on GF(4)^2, seen over GF(2):
+    # the commutant is GF(4), of degree 2, but the envelope has rank 6, not
+    # 16/2, and GF(4) e_1 is a proper invariant subspace
+    zero, one, w = (0, 0), (1, 0), (0, 1)
+    lefts = [
+        _gf4_blocks([[c, zero], [zero, zero]]) for c in (one, w)
+    ] + [
+        _gf4_blocks([[zero, c], [zero, zero]]) for c in (one, w)
+    ] + [
+        _gf4_blocks([[zero, zero], [zero, c]]) for c in (one, w)
+    ]
+    act = BimoduleAction(GF(2), 4, lefts, [Matrix.identity(GF(2), 4)])
+    assert envelope(act)[0] == 6
+    assert len(hom_matrices(act, act)) == 2
+    for seed in range(4):
+        rep = is_simple(act, seed=seed)
+        assert rep.verdict is Verdict.FALSE
+        assert rep.method != "field-commutant"
+
+
+def _biquadratic_field():
+    """Q(sqrt 2, sqrt 3) on the basis 1, s2, s3, s6, trivially graded."""
+    # b_i b_j = c * b_k with the products of square roots
+    table = {
+        (0, 0): (1, 0), (1, 1): (2, 0), (2, 2): (3, 0), (3, 3): (6, 0),
+        (1, 2): (1, 3), (1, 3): (2, 2), (2, 3): (3, 1),
+    }
+    structure = {}
+    for i in range(4):
+        for j in range(4):
+            c, k = table.get((min(i, j), max(i, j)), (1, i + j))
+            vec = [0] * 4
+            vec[k] = c
+            structure[(0, i, 0, j)] = vec
+    return GradedAlgebra(RATIONALS, trivial_group(), (4,), structure, [1, 0, 0, 0])
+
+
+def test_field_commutant_stays_honest_when_reducible_mod_every_prime():
+    # the commutant is Q(sqrt 2, sqrt 3), a field of degree 4, but its
+    # Galois group V4 has no 4-cycle, so the minimal polynomial of every
+    # element (x^4 - 10x^2 + 1 for sqrt 2 + sqrt 3) is reducible mod every
+    # prime and Gauss's lemma never applies
+    alg = _biquadratic_field()
+    assert validate_algebra(alg).ok
+    act = regular_bimodule_action(alg)
+    s2_plus_s3 = Matrix(RATIONALS, [[0, 2, 3, 0], [1, 0, 0, 3], [1, 0, 0, 2], [0, 1, 1, 0]])
+    assert minimal_polynomial(s2_plus_s3) == [1, 0, -10, 0, 1]
+    l2, l3 = act.left_ops[1].entries, act.left_ops[2].entries
+    assert s2_plus_s3 == Matrix(
+        RATIONALS, [[a + b for a, b in zip(r2, r3)] for r2, r3 in zip(l2, l3)]
+    )
+    rep = is_simple(act)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.method == "rational-sampling"

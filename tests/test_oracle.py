@@ -5,7 +5,13 @@ import pytest
 
 from gradedrings import oracle
 from gradedrings.analysis import check_controlled, check_graded_simple, check_simple
-from gradedrings.bimodule import Verdict
+from gradedrings.bimodule import (
+    Verdict,
+    component_action,
+    graded_regular_action,
+    is_simple,
+    regular_bimodule_action,
+)
 from gradedrings.builders import (
     galois_skew_example,
     group_algebra,
@@ -340,3 +346,63 @@ def test_elementary_gradings_agree_with_oracles(name, field, group, degrees):
     assert check_controlled(alg).verdict is Verdict.from_bool(controlled_oracle(alg))
     assert check_simple(alg).verdict is Verdict.from_bool(len(ideals) == 2)
     assert check_graded_simple(alg).verdict is Verdict.from_bool(len(graded) == 2)
+
+
+# --------------------------------------------------------------------------
+# the field-commutant certificate of is_simple, checked by the oracle
+# --------------------------------------------------------------------------
+
+
+def _certified_actions(alg, seed):
+    """(kind, g, action) of every action on which is_simple says field-commutant."""
+    actions = [
+        ("component", g, component_action(alg, g))
+        for g in range(alg.group.order)
+        if alg.comp_dims[g]
+    ]
+    actions += [("regular", None, regular_bimodule_action(alg))]
+    actions += [("graded", None, graded_regular_action(alg))]
+    return [
+        (kind, g, act)
+        for kind, g, act in actions
+        if is_simple(act, seed=seed).method == "field-commutant"
+    ]
+
+
+def _oracle_says_simple(alg, kind, g) -> bool:
+    if kind == "regular":
+        return len(ideal_oracle(alg)) == 2
+    if kind == "graded":
+        return len(_graded_ideal_bases_of(alg)) == 2
+    # the sub-bimodules of R_g are the oracle's sub-bimodules inside its block
+    lo, hi = alg.offsets[g], alg.offsets[g] + alg.comp_dims[g]
+    inside = [
+        s
+        for s in enumerate_sub_bimodules(alg)
+        if all(not x for row in s.basis.entries for x in row[:lo] + row[hi:])
+    ]
+    return len(inside) == 2
+
+
+def _graded_ideal_bases_of(alg):
+    return [s for s, graded in ideal_oracle(alg) if graded]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(GRADED_SIMPLE_CASES))
+def test_field_commutant_certificate_agrees_with_the_oracle(name, seed):
+    alg = GRADED_SIMPLE_CASES[name]
+    for kind, g, act in _certified_actions(alg, seed):
+        assert _oracle_says_simple(alg, kind, g), (name, kind, g)
+
+
+def test_field_commutant_certificate_is_exercised():
+    fired = {
+        name: sorted((kind, g) for kind, g, _ in _certified_actions(GRADED_SIMPLE_CASES[name], 0))
+        for name in ("galois-2-2", "galois-3-2-twisted", "gf2-field-ext")
+    }
+    assert fired == {
+        "galois-2-2": [("component", 0), ("component", 1)],
+        "galois-3-2-twisted": [("component", 0), ("component", 1)],
+        "gf2-field-ext": [("component", 0), ("graded", None), ("regular", None)],
+    }

@@ -1,8 +1,10 @@
 """The brute-force oracle and the analysis never import one another.
 
 The oracle is ground truth for the analysis only while neither calls the
-other.  Checked with `ast` over the source, imports inside functions
-included.
+other, and while the oracle shares no theory with the certificates it
+checks: it uses neither `bimodule.is_simple` nor the polynomial module
+behind the field-commutant certificate.  Checked with `ast` over the
+source, imports inside functions included.
 """
 import ast
 import os
@@ -14,10 +16,14 @@ PACKAGE = os.path.join(
 )
 
 
+def _tree(module: str):
+    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
+        return ast.parse(fh.read(), module)
+
+
 def _package_imports(module: str) -> set:
     """Names of the gradedrings modules that `module` imports anywhere."""
-    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), module)
+    tree = _tree(module)
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -47,3 +53,19 @@ def test_module_does_not_import_the_other(module, other):
 def test_the_scan_sees_package_imports():
     assert {"algebra", "bimodule", "linalg"} <= _package_imports("analysis")
     assert {"algebra", "bimodule", "linalg"} <= _package_imports("oracle")
+
+
+def test_oracle_shares_no_theory_with_the_simplicity_certificates():
+    assert "poly" not in _package_imports("oracle")
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(_tree("oracle"))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(_tree("oracle"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "is_simple" not in names | imported

@@ -1,0 +1,76 @@
+"""Polynomials over GF(p): Ben-Or's irreducibility test and minimal polynomials."""
+import itertools
+
+import pytest
+
+from gradedrings.linalg import GF, RATIONALS, Matrix
+from gradedrings.poly import is_irreducible, lowest_irreducible, minimal_polynomial, poly_mod
+
+
+def _divides(p, g, f):
+    """Whether monic g divides f over GF(p), by schoolbook long division."""
+    r = list(f)
+    for shift in range(len(f) - len(g), -1, -1):
+        lead = r[shift + len(g) - 1]
+        for i, c in enumerate(g):
+            r[shift + i] = (r[shift + i] - lead * c) % p
+    return not any(r)
+
+
+def _irreducible_by_trial_division(p, f):
+    """f has no monic factor of degree 1 .. deg f // 2."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if _divides(p, list(tail) + [1], f):
+                return False
+    return True
+
+
+def _lowest_by_trial_division(p, n):
+    for k in range(p**n):
+        f = [(k // p**i) % p for i in range(n)] + [1]
+        if (n == 1 or k) and _irreducible_by_trial_division(p, f):
+            return f
+
+
+CASES = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 12) if p**n <= 5**5]
+
+
+@pytest.mark.parametrize("p,n", CASES, ids=[f"GF({p})-deg{n}" for p, n in CASES])
+def test_lowest_irreducible_matches_trial_division(p, n):
+    assert lowest_irreducible(p, n) == _lowest_by_trial_division(p, n)
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 7), (3, 5), (5, 3), (7, 3)])
+def test_is_irreducible_matches_trial_division(p, max_deg):
+    for n in range(1, max_deg + 1):
+        for tail in itertools.product(range(p), repeat=n):
+            f = list(tail) + [1]
+            assert is_irreducible(p, f) is _irreducible_by_trial_division(p, f), f
+
+
+def test_is_irreducible_catches_squares_and_linear_factors():
+    # (x^2 + x + 1)^2 has no root over GF(2) but a factor of degree n/2
+    assert not is_irreducible(2, [1, 0, 1, 0, 1])
+    assert not is_irreducible(65521, [0, 1, 0, 1])  # x^3 + x
+    # x^2 - a over GF(65521) is irreducible exactly when a is no square
+    for a in range(2, 20):
+        square = pow(a, 65520 // 2, 65521) == 1
+        assert is_irreducible(65521, [65521 - a, 0, 1]) is not square
+    assert not is_irreducible(5, [1])
+
+
+def test_poly_mod_reduces_by_a_monic_modulus():
+    # x^4 mod x^2 + x + 1 over GF(2) is x
+    assert poly_mod(2, [0, 0, 0, 0, 1], [1, 1, 1]) == [0, 1]
+    assert poly_mod(3, [1, 2], [0, 0, 1]) == [1, 2]
+
+
+def test_minimal_polynomial_over_both_fields():
+    # a rotation by a quarter turn: x^2 + 1
+    assert minimal_polynomial(Matrix(RATIONALS, [[0, -1], [1, 0]])) == [1, 0, 1]
+    # the identity: x - 1, over GF(5) as 4 + x
+    assert minimal_polynomial(Matrix.identity(GF(5), 3)) == [4, 1]
+    jordan = Matrix(GF(3), [[2, 1], [0, 2]])
+    assert minimal_polynomial(jordan) == [1, 2, 1]  # (x - 2)^2 = x^2 + 2x + 1
