@@ -12,7 +12,11 @@ fallback, so a True or False is a theorem about the input, never a sample.
 `is_simple` tries these certificates in order and names the deciding one
 as `method`: `dimension` (M is a line); over GF(p) with p <= 64, Norton's
 test on QUICK_TRIALS envelope elements sampled without an envelope basis;
-`dense-envelope` (True: the L_i R_j span End(M)); Norton's test on SAMPLES
+`dense-envelope` (True: the L_i R_j span End(M)); `field-commutant` (True:
+the commutant is a field C of degree d and the envelope has rank m^2/d, so
+it is End_C(M), Burnside's theorem over C; when d = m, an envelope element
+with an irreducible minimal polynomial of degree m decides alone), tried
+before Norton's test over GF(p) and after it over Q; Norton's test on SAMPLES
 elements drawn from the envelope basis; then the spin search, which spins
 the basis rows and after them either every projective vector of M
 (`exhaustive-spin`, True or False with a witness) or, past the budget,
@@ -63,11 +67,13 @@ from .poly import is_irreducible, minimal_polynomial
 # the combinations `span_candidates` adds when a span is past its budget.
 SAMPLES = 64
 # Envelope elements sampled without an envelope basis, tried before the
-# envelope is built, and random vectors spun when M is past its budget.
+# envelope is built, commutant elements the field-commutant certificate
+# draws, and random vectors spun when M is past its budget.
 QUICK_TRIALS = 8
 # Most projective points of a nullspace whose lines Norton's test spins.
 NULLSPACE_BUDGET = 4096
-# Moduli of the residue search for rational eigenvalues.
+# Moduli of the residue search for rational eigenvalues, and of the
+# field-commutant certificate over Q.
 RESIDUE_PRIMES = tuple(q for q in range(1009, 2000) if _is_prime(q))
 
 
@@ -260,28 +266,27 @@ def is_simple(
     rank, env = envelope(action)
     if rank == m * m:
         return SimplicityReport(Verdict.TRUE, "dense-envelope", trials=sampled)
-    # its own generator, so a certificate that fails leaves every later draw
-    # as it was
-    degree = _field_commutant(action, env, random.Random(seed))
-    if degree:
-        return SimplicityReport(
-            Verdict.TRUE,
-            "field-commutant",
-            trials=sampled,
-            detail=f"the commutant is a field of degree {degree} and the "
-            f"envelope has rank {rank} = {m}^2/{degree}",
-        )
 
+    # A field commutant leaves Norton's test no singular shift, so over
+    # GF(p) the certificate goes first.  Over Q, Norton's rational shifts
+    # refute a non-simple module in a few trials, where the certificate's
+    # draws and rational hom space cost more, so it goes second.
     thetas = (_random_envelope_element(action, env, rng) for _ in range(SAMPLES))
-    report, used = _norton_trials(action, thetas, shifts, rng)
+    used = 0
+    report = _field_commutant(action, env, seed) if f.p else None
+    if report is None:
+        report, used = _norton_trials(action, thetas, shifts, rng)
+    if report is None and not f.p:
+        report = _field_commutant(action, env, seed)
     if report is None:
         report = _exhaustive_spin(action, rng, budget)
     report.trials = sampled + used
     return report
 
 
-def _field_commutant(action: BimoduleAction, env: list, rng) -> int:
-    """The degree d of the commutant C when Burnside's theorem over C proves M simple, else 0.
+def _field_commutant(action: BimoduleAction, env: list, seed: int):
+    """A TRUE `field-commutant` report when Burnside's theorem over the
+    commutant C proves M simple, else None.
 
     Everything the operators generate commutes with C.  When C is a field
     of degree d, End_C(M) has dimension m^2/d over the ground field, so an
@@ -291,23 +296,28 @@ def _field_commutant(action: BimoduleAction, env: list, rng) -> int:
     drawn from C has an irreducible minimal polynomial of degree d; at
     most QUICK_TRIALS are drawn.  When d = m, c is drawn from the envelope
     instead and C is never built: a c with an irreducible minimal
-    polynomial of degree m leaves no proper subspace invariant, and its
-    commutant F[c] is the field C.  Over GF(p) a reducible minimal
+    polynomial of degree m leaves no proper subspace invariant, and C lies
+    in its commutant, the field F[c] (C is all of F[c] when the operators
+    lie in the envelope, as when a combination of either family is the
+    identity).  Over GF(p) a reducible minimal
     polynomial ends the search, as C is then no field.  Over Q the k-th
     draw is scaled to an integer matrix A, whose minimal polynomial mu is
     monic with integer coefficients, and read mod the k-th of the
     RESIDUE_PRIMES, q: the minimal polynomial of A mod q divides mu mod q,
     so when it has degree d (which bounds deg mu, as Q[c] lies in a
     d-dimensional algebra) the two are equal, and when it is irreducible so
-    is mu over Z, hence over Q (Gauss's lemma).
+    is mu over Z, hence over Q (Gauss's lemma).  The draws come from a
+    generator of their own, so a certificate that fails leaves every later
+    draw of `is_simple` as it was.
     """
-    m, f = action.dim, action.field
-    d, rest = divmod(m * m, len(env)) if env else (0, 1)
+    m, f, rank = action.dim, action.field, len(env)
+    d, rest = divmod(m * m, rank) if rank else (0, 1)
     if rest or d < 2 or m % d:
-        return 0
+        return None
     homs = env if d == m else hom_matrices(action, action)
     if len(homs) != d:
-        return 0
+        return None
+    rng = random.Random(seed)
     for q in RESIDUE_PRIMES[:QUICK_TRIALS]:
         c = _random_combination(f, homs, rng)
         if not f.p:
@@ -316,10 +326,11 @@ def _field_commutant(action: BimoduleAction, env: list, rng) -> int:
         mu = minimal_polynomial(c)
         if is_irreducible(c.field.p, mu):
             if len(mu) == d + 1:
-                return d
+                detail = f"the commutant is a field and the envelope has rank {rank} = {m}^2/{d}"
+                return SimplicityReport(Verdict.TRUE, "field-commutant", detail=detail)
         elif f.p:
-            return 0
-    return 0
+            return None
+    return None
 
 
 def _norton_trials(action: BimoduleAction, thetas, shifts, rng):

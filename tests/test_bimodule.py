@@ -393,37 +393,48 @@ def test_invertible_search_forms_no_candidate_without_square_matrices(budget, mo
     assert calls == []
 
 
-def _gf4_blocks(entries):
-    """A 2x2 matrix over GF(4) = GF(2)[w]/(w^2 + w + 1) as a 4x4 matrix over GF(2).
+def _quadratic_blocks(field, mult, entries):
+    """A 2x2 matrix over a quadratic extension K of field, as a 4x4 matrix over field.
 
-    Entries are pairs (a, b) for a + b w; w acts on the basis 1, w by
-    1 -> w, w -> 1 + w.
+    Entries are pairs (a, b) for a + b s, where s generates K, and
+    mult(a, b) is the 2x2 matrix of multiplication by a + b s on the basis
+    1, s.
     """
-    def block(a, b):
-        return [[a, b], [b, (a + b) % 2]]
-
     rows = [[0] * 4 for _ in range(4)]
     for i in range(2):
         for j in range(2):
-            blk = block(*entries[i][j])
+            blk = mult(*entries[i][j])
             for r in range(2):
                 for c in range(2):
                     rows[2 * i + r][2 * j + c] = blk[r][c]
-    return Matrix(GF(2), rows)
+    return Matrix(field, rows)
+
+
+def _gf4_blocks(entries):
+    # GF(4) = GF(2)[w]/(w^2 + w + 1): w maps 1 -> w and w -> 1 + w
+    return _quadratic_blocks(GF(2), lambda a, b: [[a, b], [b, (a + b) % 2]], entries)
+
+
+def _matrix_units_over(blocks, triangular=False):
+    """blocks(E_ij times 1 and times s), for the pairs (i, j) of M_2 or its upper triangle."""
+    zero, one, s = (0, 0), (1, 0), (0, 1)
+    out = []
+    for i in range(2):
+        for j in range(2):
+            if triangular and i > j:
+                continue
+            for c in (one, s):
+                entries = [[zero, zero], [zero, zero]]
+                entries[i][j] = c
+                out.append(blocks(entries))
+    return out
 
 
 def test_field_commutant_needs_the_full_rank():
     # upper triangular 2x2 matrices over GF(4) on GF(4)^2, seen over GF(2):
     # the commutant is GF(4), of degree 2, but the envelope has rank 6, not
     # 16/2, and GF(4) e_1 is a proper invariant subspace
-    zero, one, w = (0, 0), (1, 0), (0, 1)
-    lefts = [
-        _gf4_blocks([[c, zero], [zero, zero]]) for c in (one, w)
-    ] + [
-        _gf4_blocks([[zero, c], [zero, zero]]) for c in (one, w)
-    ] + [
-        _gf4_blocks([[zero, zero], [zero, c]]) for c in (one, w)
-    ]
+    lefts = _matrix_units_over(_gf4_blocks, triangular=True)
     act = BimoduleAction(GF(2), 4, lefts, [Matrix.identity(GF(2), 4)])
     assert envelope(act)[0] == 6
     assert len(hom_matrices(act, act)) == 2
@@ -467,3 +478,23 @@ def test_field_commutant_stays_honest_when_reducible_mod_every_prime():
     rep = is_simple(act)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.method == "rational-sampling"
+
+
+@pytest.mark.parametrize(
+    "field,mult",
+    [
+        (RATIONALS, lambda a, b: [[a, -b], [b, a]]),  # Q(i)
+        (GF(67), lambda a, b: [[a, 2 * b], [b, a]]),  # GF(67)(sqrt 2); 2 is no square mod 67
+    ],
+    ids=["q-i", "gf67-sqrt2"],
+)
+def test_field_commutant_of_degree_below_the_dimension(field, mult):
+    # M_2(K) on K^2, seen over the ground field: a simple module whose
+    # commutant K has degree 2 < 4, so C is built as a hom space; over Q
+    # and for p > 64 no quick Norton trial runs first
+    lefts = _matrix_units_over(lambda entries: _quadratic_blocks(field, mult, entries))
+    act = BimoduleAction(field, 4, lefts, [Matrix.identity(field, 4)])
+    rep = is_simple(act)
+    assert rep.verdict is Verdict.TRUE
+    assert rep.method == "field-commutant"
+    assert rep.detail == "the commutant is a field and the envelope has rank 8 = 4^2/2"
