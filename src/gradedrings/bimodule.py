@@ -593,17 +593,33 @@ def find_invertible_combo(field: Field, mats: list, rng, *, budget: int):
     candidates of `span_candidates` on coefficient vectors: exhausted True
     means they sweep the span, so None proves there is no invertible
     element.  Non-square matrices, or none, settle every candidate at once.
+    When a sweep's first candidate fails, the sweep stops if the columns
+    of all the mats together do not span the whole space: every member's
+    image lies in their span, so none is onto.  A sweep draws no rng, so
+    stopping early changes nothing a later search draws.
     """
     rows = Matrix.identity(field, len(mats)).entries
     candidates, exhausted = span_candidates(field, rows, rng, SAMPLES, budget)
     if not mats or mats[0].rows != mats[0].cols:
         return None, exhausted
     flats = [m.flatten() for m in mats]
-    for coeffs in candidates:
+    for tried, coeffs in enumerate(candidates):
         cand = Matrix._unflatten(field, tuple(field.combine(coeffs, flats)), mats[0].cols)
         if nullspace(cand).dim == 0:
             return coeffs, exhausted
+        if exhausted and tried == 0 and not images_span(field, mats):
+            return None, True
     return None, exhausted
+
+
+def images_span(field: Field, mats: list) -> bool:
+    """Whether the images of the mats together span their common codomain."""
+    acc = EchelonBasis(field, mats[0].rows)
+    for m in mats:
+        for col in m.transpose().entries:
+            if acc.add(col) and acc.is_full():
+                return True
+    return False
 
 
 @dataclass

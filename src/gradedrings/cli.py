@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,7 +57,7 @@ from .oracle import (
     ideal_oracle,
     subring_oracle,
 )
-from .serialize import algebra_to_json, load_algebra, scalar_from_json
+from .serialize import MAX_TOTAL_DIM, algebra_to_json, load_algebra, scalar_from_json
 
 PROPERTIES = (
     "valid",
@@ -100,27 +101,44 @@ def parse_field(text: str) -> Field:
     raise InvalidInput(f"cannot parse field {text!r}; use q or gf<p>")
 
 
-def _atomic_group(tok: str) -> FiniteGroup:
-    if tok in ("trivial", "1", "e"):
-        return trivial_group()
-    if tok == "v4":
-        return klein_four_group()
-    if tok.startswith("s") and tok[1:].isdigit():
-        return symmetric_group(int(tok[1:]))
-    if tok.startswith("z") and tok[1:].isdigit():
-        return cyclic_group(int(tok[1:]))
-    raise InvalidInput(f"unknown group {tok!r}; use z<n>, v4, s<n>, or trivial")
+def _group_atoms(text: str) -> list:
+    """(order, constructor) of each factor of a group name; nothing is built.
+
+    Names are z<n>, v4, s<n>, trivial, and products such as z2xz2.
+    """
+    toks = [t for t in text.strip().lower().split("x") if t]
+    if not toks:
+        raise InvalidInput(f"cannot parse group {text!r}")
+    atoms = []
+    for tok in toks:
+        if tok in ("trivial", "1", "e"):
+            atoms.append((1, trivial_group))
+        elif tok == "v4":
+            atoms.append((4, klein_four_group))
+        elif tok[:1] in ("s", "z") and tok[1:].isdigit():
+            n = int(tok[1:])
+            if tok[0] == "z":
+                atoms.append((n, lambda n=n: cyclic_group(n)))
+            else:
+                # n! passes MAX_TOTAL_DIM long before n does, so cap n
+                atoms.append((math.factorial(min(n, MAX_TOTAL_DIM)), lambda n=n: symmetric_group(n)))
+        else:
+            raise InvalidInput(f"unknown group {tok!r}; use z<n>, v4, s<n>, or trivial")
+    return atoms
 
 
 def parse_group(text: str) -> FiniteGroup:
     """Group names like z4, v4, s3, trivial, and products such as z2xz2."""
-    toks = [t for t in text.strip().lower().split("x") if t]
-    if not toks:
-        raise InvalidInput(f"cannot parse group {text!r}")
-    out = _atomic_group(toks[0])
-    for tok in toks[1:]:
-        out = direct_product(out, _atomic_group(tok))
+    atoms = _group_atoms(text)
+    out = atoms[0][1]()
+    for _, make in atoms[1:]:
+        out = direct_product(out, make())
     return out
+
+
+def group_order(text: str) -> int:
+    """The order of the named group, read from its name alone."""
+    return math.prod(order for order, _ in _group_atoms(text))
 
 
 def _load_json_file(path: str):
@@ -275,16 +293,28 @@ def emit_report(obj: dict, as_json: bool) -> None:
 # --------------------------------------------------------------------------
 
 
+def _refuse_oversize(kind: str, total_dim: int) -> None:
+    """Refuse a build whose output `load_algebra` would refuse, before building it."""
+    if total_dim > MAX_TOTAL_DIM:
+        raise InvalidInput(
+            f"build {kind} would have total dimension {total_dim}, "
+            f"over the limit of {MAX_TOTAL_DIM}"
+        )
+
+
 def cmd_build(args) -> int:
     kind = args.kind
     if kind == "group-algebra":
+        _refuse_oversize(kind, group_order(args.group))
         alg = group_algebra(parse_field(args.field), parse_group(args.group))
     elif kind == "m3":
         alg = m3_example(parse_field(args.field))
     elif kind == "galois-skew":
+        _refuse_oversize(kind, max(args.n, 0) ** 2)
         alg = galois_skew_example(args.p, args.n)
     elif kind in ("skew-group", "crossed-product"):
         base = load_algebra(args.base)
+        _refuse_oversize(kind, base.dim * group_order(args.group))
         group = parse_group(args.group)
         sigma = _load_sigma(args.sigma, base, group)
         if kind == "skew-group":

@@ -1,6 +1,7 @@
 """Structure-constant algebras: elements, flattening, graded subspaces."""
 import random
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedrings import algebra
 from gradedrings.algebra import (
     Element,
     GradedAlgebra,
@@ -16,7 +18,7 @@ from gradedrings.algebra import (
     is_invertible,
     validate_algebra,
 )
-from gradedrings.builders import full_matrix_algebra, group_algebra, m3_example
+from gradedrings.builders import full_matrix_algebra, galois_skew_example, group_algebra, m3_example
 from gradedrings.corpus import Instance, oracle_scale_corpus
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, symmetric_group, trivial_group
@@ -127,6 +129,62 @@ def test_validate_algebra_flags_nonassociative():
     }
     alg = GradedAlgebra(f, trivial_group(), (2,), structure, (1, 0))
     assert not validate_algebra(alg).ok
+
+
+# --- the left-nucleus certificate --------------------------------------------
+
+NUCLEUS_CASES = (
+    galois_skew_example(2, 3),
+    galois_skew_example(3, 2),
+    m3_example(GF(3)),
+    m3_example(RATIONALS),
+)
+
+
+def _scan_alone(alg):
+    """validate_algebra with the certificate turned off: unit laws, then the full scan."""
+    with mock.patch.object(algebra, "_left_nucleus_generators", lambda *args: None):
+        return validate_algebra(alg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_nucleus_certificate_agrees_with_the_full_scan(data):
+    # one structure entry b_a * b_b changed; with keep_unit, neither factor
+    # is in the unit's support, so the unit laws still hold
+    alg = data.draw(st.sampled_from(NUCLEUS_CASES), label="algebra")
+    f, e = alg.field, alg.group.identity
+    keep_unit = data.draw(st.booleans(), label="keep_unit")
+    unit_support = {alg.offsets[e] + i for i, c in enumerate(alg.unit_coeffs) if c}
+    pool = [k for k in range(alg.dim) if not (keep_unit and k in unit_support)]
+    a = data.draw(st.sampled_from(pool), label="a")
+    b = data.draw(st.sampled_from(pool), label="b")
+    (g, i), (h, j) = alg.basis_of_flat(a), alg.basis_of_flat(b)
+    old = list(alg.product_coeffs(g, i, h, j))
+    t = data.draw(st.integers(0, len(old) - 1), label="coordinate")
+    values = st.integers(0, f.p - 1) if f.p else st.fractions(-2, 2, max_denominator=2)
+    new = f.coerce(data.draw(values.filter(lambda v: f.coerce(v) != old[t]), label="value"))
+    old[t] = new
+    structure = dict(alg.structure_items())
+    structure[(g, i, h, j)] = tuple(old)
+    bad = GradedAlgebra(f, alg.group, alg.comp_dims, structure, alg.unit_coeffs)
+    got, want = validate_algebra(bad), _scan_alone(bad)
+    assert (got.ok, got.problems, got.witness) == (want.ok, want.problems, want.witness)
+    assert (got.nucleus_generators is not None) == got.ok
+    if keep_unit:
+        assert not any(p.startswith("unit law") for p in got.problems)
+
+
+def test_nucleus_certificate_makes_few_products(monkeypatch):
+    # the full scan makes 94,680 Element products on galois(2,6); the
+    # certificate checks |S| = 2 members against the 36^2 basis pairs
+    alg = galois_skew_example(2, 6)
+    calls = []
+    mul = Element.__mul__
+    monkeypatch.setattr(Element, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    diag = validate_algebra(alg)
+    assert diag.ok and len(diag.nucleus_generators) == 2
+    assert len(calls) < 10_000
 
 
 # --- the sparse structure table ---------------------------------------------

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gradedrings import analysis
+from gradedrings import analysis, bimodule
 from gradedrings.algebra import GradedAlgebra, graded_subspace_from_flat
 from gradedrings.algebra import is_invertible
 from gradedrings.analysis import (
@@ -66,6 +66,23 @@ from gradedrings.serialize import vector_from_json
 def test_check_valid(m3_gf2, gf4skew, q_z2):
     for alg in (m3_gf2, gf4skew, q_z2):
         assert check_valid(alg).holds()
+
+
+@pytest.mark.parametrize(
+    "alg,labels",
+    [
+        (galois_skew_example(2, 6), "x*u[0], 1*u[1]"),
+        (full_matrix_algebra(RATIONALS, 5), "e11, e12, e13, e14, e15, e21, e31, e41, e51"),
+        (group_algebra(RATIONALS, cyclic_group(3)), "u[1]"),
+    ],
+    ids=["galois-2-6", "M5-Q", "Q-Z3"],
+)
+def test_check_valid_by_the_left_nucleus(alg, labels):
+    rep = check_valid(alg)
+    assert rep.verdict is Verdict.TRUE and rep.method == "left-nucleus"
+    assert rep.detail == (
+        f"unit laws hold; the left nucleus contains 1 and S = {{{labels}}}, which generate R"
+    )
 
 
 def test_strongly_graded_positive(m3_gf2, gf4skew, gf2_z2):
@@ -352,6 +369,28 @@ def test_crossed_product_sweep_of_non_square_blocks_is_immediate():
     assert time.perf_counter() - start < 1.0
     assert rep.verdict is Verdict.FALSE
     assert rep.fields["proof_scope"] == "exhaustive"
+
+
+def test_crossed_product_sweep_of_a_nilpotent_component_stops_at_once(monkeypatch):
+    # F[x]/(x^4) over GF(65521), graded by Z/2: R_1 = span(x, x^3) has
+    # square 2 x 2 blocks whose columns span only x^2, so after the first
+    # candidate fails no other of the 65,522 points is formed
+    f = GF(65521)
+    structure = {
+        (0, 0, 0, 0): (1, 0), (0, 0, 0, 1): (0, 1), (0, 0, 1, 0): (1, 0), (0, 0, 1, 1): (0, 1),
+        (0, 1, 0, 0): (0, 1), (0, 1, 1, 0): (0, 1),  # x^2 * x = x^3
+        (1, 0, 0, 0): (1, 0), (1, 1, 0, 0): (0, 1),
+        (1, 0, 0, 1): (0, 1), (1, 0, 1, 0): (0, 1),  # x * x^2 = x^3, x * x = x^2
+    }
+    alg = GradedAlgebra(f, cyclic_group(2), (2, 2), structure, (1, 0))
+    assert check_valid(alg).holds()
+    calls = []
+    nullspace = bimodule.nullspace
+    monkeypatch.setattr(bimodule, "nullspace", lambda m: calls.append(m) or nullspace(m))
+    rep = detect_crossed_product(alg)
+    assert rep.verdict is Verdict.FALSE
+    assert rep.fields["proof_scope"] == "exhaustive"
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(65521), RATIONALS], ids=str)

@@ -2,6 +2,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -391,6 +392,42 @@ def test_invertible_search_forms_no_candidate_without_square_matrices(budget, mo
         assert find_invertible_combo(f, mats, rng, budget=budget) == (None, exhausted)
         assert rng.getstate() == state
     assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(1, 3).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n),
+                    min_size=1,
+                    max_size=3,
+                )
+            ),
+        )
+    )
+)
+def test_invertible_search_sweep_matches_brute_force(case):
+    # a sweep of a span of square matrices finds an invertible member
+    # exactly when one of the p^k combinations is nonsingular
+    p, flats = case
+    f = GF(p)
+    n = round(len(flats[0]) ** 0.5)
+    mats = [Matrix._unflatten(f, tuple(flat), n) for flat in flats]
+    coeffs, exhausted = find_invertible_combo(f, mats, random.Random(0), budget=4096)
+    assert exhausted
+
+    def combo(c):
+        return Matrix._unflatten(f, tuple(f.combine(c, flats)), n)
+
+    exists = any(
+        nullspace(combo(c)).dim == 0 for c in product(range(p), repeat=len(mats))
+    )
+    assert (coeffs is not None) == exists
+    if coeffs is not None:
+        assert nullspace(combo(coeffs)).dim == 0
 
 
 def _quadratic_blocks(field, mult, entries):

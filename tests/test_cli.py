@@ -1,10 +1,11 @@
 """Command line contract: exit codes, determinism, file round-trips."""
 import inspect
 import json
+import time
 
 import pytest
 
-from gradedrings import cli
+from gradedrings import builders, cli
 from gradedrings.algebra import GradedAlgebra
 from gradedrings.analysis import CheckResult
 from gradedrings.bimodule import Verdict
@@ -13,7 +14,7 @@ from gradedrings.cli import ORACLE_WHATS, PROPERTIES, main, parse_field, parse_g
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group
 from gradedrings.linalg import GF, RATIONALS
-from gradedrings.serialize import MAX_TOTAL_DIM, algebra_to_obj, load_algebra
+from gradedrings.serialize import MAX_TOTAL_DIM, algebra_to_obj, load_algebra, save_algebra
 
 
 @pytest.fixture()
@@ -69,6 +70,50 @@ def test_build_to_stdout_is_canonical(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["field"] == {"type": "Q"}
+
+
+def test_group_order_reads_the_name():
+    assert cli.group_order("z2xs3") == 12
+    assert cli.group_order("v4xtrivial") == 4
+    assert cli.group_order("s100000") > MAX_TOTAL_DIM
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["galois-skew", "--p", "2", "--n", "33"],
+        ["group-algebra", "--field", "gf2", "--group", "z100000"],
+        ["group-algebra", "--field", "q", "--group", "s9"],
+        ["group-algebra", "--field", "gf2", "--group", "x".join(["z2"] * 11)],
+    ],
+    ids=["galois-skew", "cyclic", "symmetric", "product"],
+)
+def test_build_refuses_oversize_before_building(argv, monkeypatch, capsys):
+    def built(*args, **kwargs):
+        raise AssertionError("an oversize request built something")
+
+    for name in ("cyclic_group", "symmetric_group", "group_algebra", "galois_skew_example"):
+        monkeypatch.setattr(cli, name, built)
+    monkeypatch.setattr(builders, "cyclic_group", built)
+    start = time.perf_counter()
+    assert main(["build", *argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"over the limit of {MAX_TOTAL_DIM}" in err
+
+
+def test_build_skew_group_refuses_oversize_before_building(tmp_path, monkeypatch, capsys):
+    # base dimension 4 times |Z/300| = 1200; sigma is never read
+    base_path = tmp_path / "base.json"
+    save_algebra(group_algebra(GF(2), cyclic_group(4)), base_path)
+    monkeypatch.setattr(cli, "cyclic_group", lambda n: pytest.fail("built a group"))
+    for kind in ("skew-group", "crossed-product"):
+        argv = ["build", kind, "--base", str(base_path), "--group", "z300", "--sigma", "unread.json"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: build {kind} would have total dimension 1200, over the limit of {MAX_TOTAL_DIM}\n"
+        )
 
 
 def test_build_missing_params_exit_2(capsys):
