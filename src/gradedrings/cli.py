@@ -116,7 +116,10 @@ def _group_atoms(text: str) -> list:
         elif tok == "v4":
             atoms.append((4, klein_four_group))
         elif tok[:1] in ("s", "z") and tok[1:].isdigit():
-            n = int(tok[1:])
+            try:
+                n = int(tok[1:])
+            except ValueError:  # digits int() refuses: too many, or not decimal
+                raise InvalidInput(f"cannot read the size of group {tok[:16]!r}") from None
             if tok[0] == "z":
                 atoms.append((n, lambda n=n: cyclic_group(n)))
             else:

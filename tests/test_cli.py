@@ -76,6 +76,9 @@ def test_group_order_reads_the_name():
     assert cli.group_order("z2xs3") == 12
     assert cli.group_order("v4xtrivial") == 4
     assert cli.group_order("s100000") > MAX_TOTAL_DIM
+    for name in ("z" + "9" * 5000, "z\u00b2"):  # past int()'s digit limit; a digit int() refuses
+        with pytest.raises(InvalidInput):
+            cli.group_order(name)
 
 
 @pytest.mark.parametrize(
