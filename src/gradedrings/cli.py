@@ -101,6 +101,24 @@ def parse_field(text: str) -> Field:
     raise InvalidInput(f"cannot parse field {text!r}; use q or gf<p>")
 
 
+def _atomic_group(tok: str) -> tuple:
+    """(order, constructor) of one factor z<n>, v4, s<n> or trivial; nothing is built."""
+    if tok in ("trivial", "1", "e"):
+        return 1, trivial_group
+    if tok == "v4":
+        return 4, klein_four_group
+    if tok[:1] in ("s", "z") and tok[1:].isdigit():
+        try:
+            n = int(tok[1:])
+        except ValueError:  # digits int() refuses: too many, or not decimal
+            raise InvalidInput(f"cannot read the size of group {tok[:16]!r}") from None
+        if tok[0] == "z":
+            return n, lambda: cyclic_group(n)
+        # n! passes MAX_TOTAL_DIM long before n does, so cap n
+        return math.factorial(min(n, MAX_TOTAL_DIM)), lambda: symmetric_group(n)
+    raise InvalidInput(f"unknown group {tok!r}; use z<n>, v4, s<n>, or trivial")
+
+
 def _group_atoms(text: str) -> list:
     """(order, constructor) of each factor of a group name; nothing is built.
 
@@ -109,25 +127,7 @@ def _group_atoms(text: str) -> list:
     toks = [t for t in text.strip().lower().split("x") if t]
     if not toks:
         raise InvalidInput(f"cannot parse group {text!r}")
-    atoms = []
-    for tok in toks:
-        if tok in ("trivial", "1", "e"):
-            atoms.append((1, trivial_group))
-        elif tok == "v4":
-            atoms.append((4, klein_four_group))
-        elif tok[:1] in ("s", "z") and tok[1:].isdigit():
-            try:
-                n = int(tok[1:])
-            except ValueError:  # digits int() refuses: too many, or not decimal
-                raise InvalidInput(f"cannot read the size of group {tok[:16]!r}") from None
-            if tok[0] == "z":
-                atoms.append((n, lambda n=n: cyclic_group(n)))
-            else:
-                # n! passes MAX_TOTAL_DIM long before n does, so cap n
-                atoms.append((math.factorial(min(n, MAX_TOTAL_DIM)), lambda n=n: symmetric_group(n)))
-        else:
-            raise InvalidInput(f"unknown group {tok!r}; use z<n>, v4, s<n>, or trivial")
-    return atoms
+    return [_atomic_group(tok) for tok in toks]
 
 
 def parse_group(text: str) -> FiniteGroup:
