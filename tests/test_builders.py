@@ -17,7 +17,7 @@ from gradedrings.builders import (
     twisted_group_algebra,
     validate_automorphism,
 )
-from gradedrings.corpus import checkerboard_m2
+from gradedrings.corpus import checkerboard_m2, inner_conjugation_skew, standard_corpus
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, klein_four_group
 from gradedrings.linalg import GF, RATIONALS, Matrix
@@ -99,6 +99,25 @@ def test_skew_group_ring_rejects_wrong_order_action():
         )
 
 
+def test_rejection_texts_name_the_failing_index():
+    # each failure lies past the first index its loop visits
+    base, _ = finite_field_algebra(2, 3)
+    s = Matrix.from_columns(GF(2), [(1, 0, 0), (0, 1, 0), (0, 1, 1)])  # x^2 -> x + x^2
+    with pytest.raises(InvalidInput, match=r"^sigma is not multiplicative at basis pair \(1, 1\)$"):
+        validate_automorphism(base, s)
+    eye = Matrix.identity(GF(3), 4)
+    with pytest.raises(InvalidInput) as info:
+        crossed_product(
+            full_matrix_algebra(GF(3), 2), cyclic_group(2), [eye, eye], {(1, 1): (1, 0, 0, 2)}
+        )
+    assert str(info.value) == (
+        "twisted composition sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh fails at (1,1) "
+        "on basis element 1"
+    )
+    with pytest.raises(InvalidInput, match=r"^cocycle identity fails at triple \(1,1,2\)$"):
+        twisted_group_algebra(GF(5), cyclic_group(3), {(1, 1): 2})
+
+
 def test_twisted_group_algebra_cocycle_validation():
     f = GF(3)
     z2 = cyclic_group(2)
@@ -178,6 +197,61 @@ def _matrix_unit_algebra(key):
 def test_matrix_unit_algebras_are_pinned(key):
     text = algebra_to_json(_matrix_unit_algebra(key))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MATRIX_UNIT_DIGESTS[key]
+
+
+# SHA-256 of algebra_to_json for the algebras built by crossed_product
+# (directly, or through skew_group_ring, twisted_group_algebra and
+# inner_automorphism_matrix), recorded before the builder moved from
+# element products to multiplication operators.  Keys without a builder
+# prefix are standard_corpus names.
+CROSSED_PRODUCT_DIGESTS = {
+    "galois_skew_example-2-2": "7203991b065a2cd37ed182beee24dd9eba8a44a3801c3856481fbb1d5a8fa08a",
+    "galois_skew_example-2-3": "5f2939b827fde052cd40cc610edc01aa49abf9464f23d35c8ab5addd2a4ebbdf",
+    "galois_skew_example-2-4": "d478ac106c78259a44d139080af90e84d6dcfa11b7296b7d4c09edfe2ed95125",
+    "galois_skew_example-3-2": "320218a026e0cacca78bf7673e3c088a5ad884db4a5cde52d2cd56a082dcfc7a",
+    "galois_skew_example-3-3": "ba06762152fd973841180485e7b57d215ffa71961529c91f0144b4aa6f9dc683",
+    "twisted_group_algebra-q-z2": "363c168ce05a581f042afe4ce801a771f322383c0250af6fd86d5950d9559a49",
+    "inner_conjugation_skew-q": "a9f2b73ca9f3fa7533cd12f81832c7f3c442bbf0b3d8f21506ac1f457480638f",
+    "gf3-z2-twisted": "aadeff07766dd6c87ce04f218c0508bbbff957274c6e5056941c8b5fec6fb129",
+    "gf3-z3-coboundary": "eeb07e702039d061897abd1c2e953dfbf1bc8902c8b84d86f29d870800c939b9",
+    "gf3-z4-twisted": "c8c620bbf81ccfb292a056946f1c4113e2bca8c0e0b9c49e77813ec8abb5bfda",
+    "gf3-v4-twisted": "dbf435ed5cee59f2c02dcad45dd7cd092ffccca3d2fb382aad628d0f3f83f642",
+    "gf3-v4-coboundary": "cf0ee1b3e3867a26115021e12a96a0b70a10f13b844c40141048ec5caa441b99",
+    "galois-2-2": "7203991b065a2cd37ed182beee24dd9eba8a44a3801c3856481fbb1d5a8fa08a",
+    "galois-3-2": "320218a026e0cacca78bf7673e3c088a5ad884db4a5cde52d2cd56a082dcfc7a",
+    "gf2-m2-inner": "561514abb572d3df203d4386ff344359cc2edcda6d4e97c8dfc6dd47644e5029",
+    "gf3-m2-inner": "dae94c31edce819221364dcc61a7864f04860552c5da1f30103299238abde4b6",
+    "gf2-untwisted-ext": "707f4e74a0e05bf4f5cae30c7e0e60c7ca9a2fbf86020ebfdf334d6e050f92dd",
+    "gf2-split-swap": "a62fc71f189daa17242868134b3e4bfc5dab10e8ecb333a53186cd684e9c4c24",
+    "gf3-split-swap": "2dcdc2c9aba7d5aeb504bd70a9718c58da5a8932782677b39819b04f38be9e3f",
+    "galois-3-2-twisted": "e64d690fb95ac05e9c199fcdf0e0f9da3e47be711a21219515274e6d3c1aded0",
+}
+
+GALOIS_SIZES = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
+CROSSED_PRODUCT_BUILDS = {
+    **{f"galois_skew_example-{p}-{n}": (galois_skew_example, p, n) for p, n in GALOIS_SIZES},
+    "twisted_group_algebra-q-z2": (twisted_group_algebra, RATIONALS, cyclic_group(2), {(1, 1): -1}),
+    "inner_conjugation_skew-q": (inner_conjugation_skew, RATIONALS),
+}
+
+
+CROSSED_KINDS = {"twisted-group-algebra", "skew-group", "crossed-product"}
+CORPUS_CROSSED = {inst.name: inst.alg for inst in standard_corpus() if inst.kind in CROSSED_KINDS}
+
+
+def test_crossed_product_digests_cover_the_corpus():
+    assert set(CORPUS_CROSSED) == set(CROSSED_PRODUCT_DIGESTS) - set(CROSSED_PRODUCT_BUILDS)
+
+
+@pytest.mark.parametrize("key", sorted(CROSSED_PRODUCT_DIGESTS))
+def test_crossed_product_builds_are_pinned(key):
+    if key in CROSSED_PRODUCT_BUILDS:
+        builder, *args = CROSSED_PRODUCT_BUILDS[key]
+        alg = builder(*args)
+    else:
+        alg = CORPUS_CROSSED[key]
+    text = algebra_to_json(alg)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CROSSED_PRODUCT_DIGESTS[key]
 
 
 def test_matrix_unit_labels_in_row_column_order():

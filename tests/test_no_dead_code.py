@@ -1,9 +1,12 @@
-"""No dead private helpers and no unused imports in the package.
+"""No dead definitions and no unused imports in the package.
 
-Two checks over the source of `gradedrings`, using only `ast`:
+Three checks over the source of `gradedrings`, using only `ast`:
 
 - every module-level function or class whose name starts with `_` is
   referenced somewhere in the package besides its own definition;
+- every other module-level function or class is referenced besides its
+  own definition somewhere in the package, `tests/`, `scripts/` or
+  `perfbench/`;
 - every imported name (except `from __future__`) is used in the module that
   imports it.  `__init__.py` is exempt: its imports are the public API.
 
@@ -16,14 +19,26 @@ import re
 
 import pytest
 
-PACKAGE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "gradedrings"
-)
-MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
-TREES = {
-    name: ast.parse(open(os.path.join(PACKAGE, name), encoding="utf-8").read(), name)
-    for name in MODULES
-}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "gradedrings")
+
+
+def _python_files(directory):
+    return sorted(f for f in os.listdir(directory) if f.endswith(".py"))
+
+
+def _parse(path):
+    return ast.parse(open(path, encoding="utf-8").read(), path)
+
+
+MODULES = _python_files(PACKAGE)
+TREES = {name: _parse(os.path.join(PACKAGE, name)) for name in MODULES}
+# the Python files outside the package whose code may use its public names
+OUTSIDE = [
+    os.path.join(ROOT, folder, name)
+    for folder in ("tests", "scripts", "perfbench")
+    for name in _python_files(os.path.join(ROOT, folder))
+]
 
 
 def _annotations(tree):
@@ -76,21 +91,38 @@ def _imports(tree):
                 yield alias.asname or alias.name
 
 
-PRIVATE = sorted(
+USED_OUTSIDE = set().union(*(_used_names(_parse(path)) for path in OUTSIDE))
+
+DEFINITIONS = sorted(
     (module, node.name)
     for module, tree in TREES.items()
     for node in tree.body
-    if _is_definition(node) and node.name.startswith("_")
+    if _is_definition(node)
 )
+PRIVATE = [(m, n) for m, n in DEFINITIONS if n.startswith("_")]
+PUBLIC = [(m, n) for m, n in DEFINITIONS if not n.startswith("_")]
+
+
+def _used_in_package(module, name) -> bool:
+    return any(
+        name in used and not (other == module and _is_definition(node, name))
+        for other, statements in STATEMENTS.items()
+        for node, used in statements
+    )
 
 
 @pytest.mark.parametrize("module,name", PRIVATE, ids=[f"{m}:{n}" for m, n in PRIVATE])
 def test_private_definition_is_referenced(module, name):
-    for other, statements in STATEMENTS.items():
-        for node, used in statements:
-            if name in used and not (other == module and _is_definition(node, name)):
-                return
-    pytest.fail(f"gradedrings/{module}: {name} is defined but never referenced")
+    assert _used_in_package(module, name), (
+        f"gradedrings/{module}: {name} is defined but never referenced"
+    )
+
+
+@pytest.mark.parametrize("module,name", PUBLIC, ids=[f"{m}:{n}" for m, n in PUBLIC])
+def test_public_definition_is_referenced(module, name):
+    assert name in USED_OUTSIDE or _used_in_package(module, name), (
+        f"gradedrings/{module}: {name} is defined but never referenced"
+    )
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__.py"])
