@@ -49,7 +49,6 @@ from .algebra import (
     Element,
     GradedAlgebra,
     GradedSubspace,
-    component_product,
     graded_subspace_from_flat,
     is_invertible,
     validate_algebra,
@@ -63,7 +62,7 @@ from .bimodule import (
     component_action,
     find_invertible_combo,
     graded_regular_action,
-    images_span,
+    image_rank,
     is_simple,
     regular_bimodule_action,
     spin,
@@ -144,16 +143,17 @@ def _stack_all(mats: List[Matrix]) -> Matrix:
 def check_strongly_graded(alg: GradedAlgebra) -> CheckResult:
     """Does R_g R_h = R_{gh} hold for every pair of group elements?
 
-    Pure subspace arithmetic, so the verdict is always True or False; the
-    witness names the first failing pair in group-element order.
+    R_g R_h is the sum of the images of left multiplication by R_g's basis
+    on R_h, so its dimension is the rank of those images (`image_rank` of
+    the left blocks of `mult_ops(g, h)`).  Pure linear algebra, so the
+    verdict is always True or False; the witness names the first failing
+    pair in group-element order.
     """
     G = alg.group
     for g in range(G.order):
-        sg = GradedSubspace.full(alg, (g,))
         for h in range(G.order):
             k = G.table[g][h]
-            prod = component_product(sg, GradedSubspace.full(alg, (h,)))
-            got = prod.component(k).dim
+            got = image_rank(alg.field, alg.mult_ops(g, h)[0])
             if got != alg.comp_dims[k]:
                 return CheckResult(
                     "strongly-graded",
@@ -687,7 +687,7 @@ def detect_crossed_product(
             if alg.comp_dims[g] != de:
                 per[g] = "no invertible element: component dimension differs from R_e"
                 return report(Verdict.FALSE, "character")
-            if not images_span(f, blocks):
+            if image_rank(f, blocks) < de:
                 per[g] = "no invertible element: R_g R_{g^-1} is a proper ideal of R_e"
                 return report(Verdict.FALSE, "degenerate-pair")
             if _side_traces(component_action(alg, g)) != e_traces:
@@ -800,12 +800,10 @@ def is_inner(
     """
     validate_automorphism(base, sigma, "sigma")
     f = base.field
-    d = base.dim
-    diffs = []
-    for k in range(d):
-        sb = base.from_flat(sigma.column(k))
-        bk = base.basis_element(*base.basis_of_flat(k))
-        diffs.append(base.left_matrix(sb).sub(base.right_matrix(bk)))
+    diffs = [
+        base.left_matrix(base.from_flat(sigma.column(k))).sub(right)
+        for k, right in enumerate(base.flat_right_ops())
+    ]
     V = nullspace(_stack_all(diffs))
     if V.dim == 0:
         return CheckResult(

@@ -607,19 +607,24 @@ def find_invertible_combo(field: Field, mats: list, rng, *, budget: int):
         cand = Matrix._unflatten(field, tuple(field.combine(coeffs, flats)), mats[0].cols)
         if nullspace(cand).dim == 0:
             return coeffs, exhausted
-        if exhausted and tried == 0 and not images_span(field, mats):
+        if exhausted and tried == 0 and image_rank(field, mats) < mats[0].rows:
             return None, True
     return None, exhausted
 
 
-def images_span(field: Field, mats: list) -> bool:
-    """Whether the images of the mats together span their common codomain."""
+def image_rank(field: Field, mats: list) -> int:
+    """Dimension of the sum of the images of maps into one codomain (0 for no maps).
+
+    Stops adding columns once they span the codomain.
+    """
+    if not mats:
+        return 0
     acc = EchelonBasis(field, mats[0].rows)
     for m in mats:
         for col in m.transpose().entries:
             if acc.add(col) and acc.is_full():
-                return True
-    return False
+                return acc.rank
+    return acc.rank
 
 
 @dataclass

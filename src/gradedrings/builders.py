@@ -8,7 +8,12 @@ matrix_units_algebra (an elementary grading: e_ij in degree d_i^-1 d_j).
 Crossed products check their data with crossed_identity_failure, the one
 statement of the identities on (sigma, alpha), and reject bad input by the
 identity and the elements where it fails; analysis checks the data it
-extracts from a ring with the same function.
+extracts from a ring with the same function.  With L_x and R_x the left
+and right multiplications of the base, an automorphism and the twisted
+composition are checked as operator equations on the base (sigma L_i =
+L_sigma(b_i) sigma, R_alpha sigma_g sigma_h = L_alpha sigma_gh), and the
+structure entries of b_i u_g * b_j u_h are the columns of
+R_alpha(g,h) L_i sigma_g.
 """
 from __future__ import annotations
 
@@ -132,8 +137,10 @@ def _as_base_element(base: GradedAlgebra, coeffs) -> Element:
     return base.element({0: coeffs})
 
 
-def _apply(base: GradedAlgebra, s: Matrix, a: Element) -> Element:
-    return base.from_flat(s.apply(base.flatten(a)))
+def _first_differing_column(a: Matrix, b: Matrix) -> Optional[int]:
+    """The lowest j where columns j of a and b differ, or None."""
+    pairs = zip(a.transpose().entries, b.transpose().entries)
+    return next((j for j, (x, y) in enumerate(pairs) if x != y), None)
 
 
 def validate_automorphism(base: GradedAlgebra, s: Matrix, who: str = "sigma"):
@@ -147,16 +154,11 @@ def validate_automorphism(base: GradedAlgebra, s: Matrix, who: str = "sigma"):
     unit = base.flatten(base.one())
     if s.apply(unit) != unit:
         raise InvalidInput(f"{who} does not fix the unit")
-    for i in range(d):
-        for j in range(d):
-            lhs = base.from_flat(
-                s.apply(base.flatten(base.basis_element(0, i) * base.basis_element(0, j)))
-            )
-            rhs = base.from_flat(s.apply(base.flatten(base.basis_element(0, i)))) * base.from_flat(
-                s.apply(base.flatten(base.basis_element(0, j)))
-            )
-            if lhs != rhs:
-                raise InvalidInput(f"{who} is not multiplicative at basis pair ({i}, {j})")
+    # s(b_i b_j) = s(b_i) s(b_j) for all j: s L_i = L_{s(b_i)} s
+    for i, left in enumerate(base.flat_left_ops()):
+        j = _first_differing_column(s @ left, base.left_matrix(base.from_flat(s.column(i))) @ s)
+        if j is not None:
+            raise InvalidInput(f"{who} is not multiplicative at basis pair ({i}, {j})")
 
 
 def crossed_identity_failure(
@@ -169,8 +171,9 @@ def crossed_identity_failure(
     group.  The identities, checked in this order on basis elements b:
     sigma_e = 1; alpha(e,g) = alpha(g,e) = 1; twisted composition
     sigma_g sigma_h(b) alpha(g,h) = alpha(g,h) sigma_gh(b), i.e.
-    sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh; and the cocycle identity
-    alpha(g,h) alpha(gh,t) = sigma_g(alpha(h,t)) alpha(g,ht).
+    sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh, compared as the operators
+    R_alpha sigma_g sigma_h and L_alpha sigma_gh (column i is b_i); and the
+    cocycle identity alpha(g,h) alpha(gh,t) = sigma_g(alpha(h,t)) alpha(g,ht).
     """
     names = group.names
     e = group.identity
@@ -185,22 +188,21 @@ def crossed_identity_failure(
     for g in range(n):
         for h in range(n):
             a = alpha[(g, h)]
-            gh = group.table[g][h]
-            for i in range(base.dim):
-                x = base.basis_element(0, i)
-                lhs = _apply(base, sigma[g], _apply(base, sigma[h], x)) * a
-                if lhs != a * _apply(base, sigma[gh], x):
-                    return (
-                        "twisted composition sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh fails "
-                        f"at ({names[g]},{names[h]}) on basis element {i}"
-                    )
+            lhs = base.right_matrix(a) @ sigma[g] @ sigma[h]
+            i = _first_differing_column(lhs, base.left_matrix(a) @ sigma[group.table[g][h]])
+            if i is not None:
+                return (
+                    "twisted composition sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh fails "
+                    f"at ({names[g]},{names[h]}) on basis element {i}"
+                )
     for g in range(n):
         for h in range(n):
             gh = group.table[g][h]
             for t in range(n):
                 ht = group.table[h][t]
                 lhs = alpha[(g, h)] * alpha[(gh, t)]
-                if lhs != _apply(base, sigma[g], alpha[(h, t)]) * alpha[(g, ht)]:
+                sa = base.from_flat(sigma[g].apply(base.flatten(alpha[(h, t)])))
+                if lhs != sa * alpha[(g, ht)]:
                     return f"cocycle identity fails at triple ({names[g]},{names[h]},{names[t]})"
     return None
 
@@ -253,17 +255,14 @@ def crossed_product(
     if failure is not None:
         raise InvalidInput(failure)
 
+    # b_i u_g * b_j u_h = b_i sigma_g(b_j) alpha(g,h) u_gh: column j of R_alpha L_i sigma_g
     structure = {}
     for g in range(n):
+        twisted = [left @ sigma[g] for left in base.flat_left_ops()]
         for h in range(n):
-            gh = group.table[g][h]
-            a_gh = alpha_elems[(g, h)]
-            for j in range(d):
-                sb = _apply(base, sigma[g], base.basis_element(0, j))
-                right = sb * a_gh
-                for i in range(d):
-                    prod = base.basis_element(0, i) * right
-                    vec = prod.coeffs(0)
+            right = base.right_matrix(alpha_elems[(g, h)])
+            for i, op in enumerate(twisted):
+                for j, vec in enumerate((right @ op).transpose().entries):
                     if any(vec):
                         structure[(g, i, h, j)] = vec
     labels = {}
@@ -339,7 +338,4 @@ def inner_automorphism_matrix(base: GradedAlgebra, u: Element) -> Matrix:
     inv = is_invertible(u)
     if inv is None:
         raise InvalidInput("conjugating element is not invertible")
-    cols = [
-        base.flatten(u * base.basis_element(0, i) * inv) for i in range(base.dim)
-    ]
-    return Matrix.from_columns(base.field, cols)
+    return base.left_matrix(u) @ base.right_matrix(inv)

@@ -14,10 +14,12 @@ from gradedrings.algebra import (
     Element,
     GradedAlgebra,
     GradedSubspace,
+    component_product,
     graded_subspace_from_flat,
     is_invertible,
     validate_algebra,
 )
+from gradedrings.bimodule import image_rank
 from gradedrings.builders import full_matrix_algebra, galois_skew_example, group_algebra, m3_example
 from gradedrings.corpus import Instance, oracle_scale_corpus
 from gradedrings.errors import InvalidInput
@@ -365,3 +367,16 @@ def test_operators_match_element_products(inst):
             idx = [alg.offsets[g] + j for g in subset for j in range(alg.comp_dims[g])]
             cut = lambda y: tuple(alg.flatten(y)[k] for k in idx)  # noqa: E731
             assert alg.subset_ops(subset) == _reference_ops(alg, component(e), members, cut), subset
+
+
+@pytest.mark.parametrize("inst", OPERATOR_INSTANCES, ids=[i.name for i in OPERATOR_INSTANCES])
+def test_left_block_image_rank_is_the_component_product(inst):
+    # check_strongly_graded reads dim R_g R_h as this rank; component_product
+    # spans the same space from Element products
+    alg = inst.alg
+    G = alg.group
+    for g in range(G.order):
+        for h in range(G.order):
+            prod = component_product(GradedSubspace.full(alg, (g,)), GradedSubspace.full(alg, (h,)))
+            want = prod.component(G.table[g][h]).dim
+            assert image_rank(alg.field, alg.mult_ops(g, h)[0]) == want, (g, h)
