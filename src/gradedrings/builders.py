@@ -171,9 +171,8 @@ def crossed_identity_failure(
     group.  The identities, checked in this order on basis elements b:
     sigma_e = 1; alpha(e,g) = alpha(g,e) = 1; twisted composition
     sigma_g sigma_h(b) alpha(g,h) = alpha(g,h) sigma_gh(b), i.e.
-    sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh, compared as the operators
-    R_alpha sigma_g sigma_h and L_alpha sigma_gh (column i is b_i); and the
-    cocycle identity alpha(g,h) alpha(gh,t) = sigma_g(alpha(h,t)) alpha(g,ht).
+    sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh; and the cocycle identity
+    alpha(g,h) alpha(gh,t) = sigma_g(alpha(h,t)) alpha(g,ht).
     """
     names = group.names
     e = group.identity
