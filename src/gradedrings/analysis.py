@@ -7,14 +7,18 @@ controlled property, crossed-product recognition, outerness of the induced
 automorphisms, injectivity of the component class map, and the lattice of
 graded subrings sitting between the identity component and the whole ring.
 
-Verdicts are three-valued.  `check_simple` and `check_graded_simple` are
-one test, `is_simple`, on the regular action and on the regular action
-with the projections onto the components added.  A unit of a component
-and an invertible twisted intertwiner are found by the one search for an
-invertible matrix, `bimodule.find_invertible_combo`, whose candidates
-come from `linalg.span_candidates`: all projective points when they fit
-the budget, which makes a fruitless search a proof, and else the basis
-plus `bimodule.SAMPLES` random vectors.  Over a prime field every
+Verdicts are three-valued.  Four checks first try an exact theorem about
+R_e and its centralizer: `check_graded_simple` (`nondegenerate-simple-base`),
+`check_simple` (`strong-controlled`), `check_controlled` and
+`check_picard_injective` (`strong-centralizer`, and `picard-kernel` when
+R_e is not shown simple or G is trivial).  Where none applies, `check_simple` and
+`check_graded_simple` are one test, `is_simple`, on the regular action and
+on the regular action with the projections onto the components added.  A
+unit of a component and an invertible twisted intertwiner are found by the
+one search for an invertible matrix, `bimodule.find_invertible_combo`,
+whose candidates come from `linalg.span_candidates`: all projective points
+when they fit the budget, which makes a fruitless search a proof, and else
+the basis plus `bimodule.SAMPLES` random vectors.  Over a prime field every
 check below is conclusive at the scales this package targets, because
 those sweeps are affordable; over the rationals (where only a line can be
 swept) a check either certifies its answer (kernel computations, dense
@@ -22,18 +26,20 @@ envelopes, rational eigenvalue splits, trace obstructions) or honestly
 returns Inconclusive.  Callers choose the seed and the budget; the search
 sizes are module constants.
 
-`check_controlled` (and so `subring_correspondence`),
-`check_picard_injective`, legs (i)-(iii) and (v) of
-`check_necessary_conditions` and the legs of `check_crossed_controlled`
-all read one component profile: the simplicity of each component as an
-R_e-bimodule and the isomorphism verdict of each pair, computed once.
-R_e as a ring is the identity component acting on itself, so its
-simplicity is read there too.  Leg (v), every ideal graded, holds outright
-when the profile shows R controlled; otherwise it is decided from the
-simplicity test of R, and when neither certifies, by spinning every point
-of R into its cyclic ideal.  This loses no independence: the checks used
-to repeat the same deterministic call on the same matrices with the same
-seed.  Nothing here imports the brute-force oracle, which stays
+Legs (i)-(iii) and (v) of `check_necessary_conditions` and the legs of
+`check_crossed_controlled` read one component profile: the simplicity of
+each component as an R_e-bimodule and the isomorphism verdict of each
+pair, computed once.  `check_controlled` (and so `subring_correspondence`)
+and `check_picard_injective` read it only where their theorem step does
+not apply, so the crossed-product criteria still compare independent
+computations.  R_e as a ring is the identity component acting on itself,
+so its simplicity is read there too, and the theorem steps take it from
+the same call (`_base_simplicity`).  Leg (v), every ideal graded, holds
+outright when the profile shows R controlled; otherwise it is decided from
+the simplicity test of R, and when neither certifies, by spinning every
+point of R into its cyclic ideal.  This loses no independence: the checks
+used to repeat the same deterministic call on the same matrices with the
+same seed.  Nothing here imports the brute-force oracle, which stays
 independent of all of it.
 
 Every check returns a `CheckResult`; what one check alone reports goes in
@@ -140,31 +146,48 @@ def _stack_all(mats: List[Matrix]) -> Matrix:
 # --------------------------------------------------------------------------
 
 
+def _product_dim(alg: GradedAlgebra, g: int, h: int) -> int:
+    """dim R_g R_h: the rank of the images of left multiplication by R_g's
+    basis on R_h (`image_rank` of the left blocks of `mult_ops(g, h)`)."""
+    return image_rank(alg.field, alg.mult_ops(g, h)[0])
+
+
+def _is_strongly_graded(alg: GradedAlgebra) -> bool:
+    """Does 1 lie in R_g R_{g^-1} for every g?  |G| rank tests.
+
+    That is enough: 1 in R_{h^-1} R_h gives R_{gh} = R_{gh} 1, inside
+    R_{gh} R_{h^-1} R_h, inside R_g R_h.  R_g R_{g^-1} lies in R_e, so it
+    holds 1 exactly when its dimension is dim R_e.
+    """
+    G = alg.group
+    de = alg.comp_dims[G.identity]
+    return all(_product_dim(alg, g, G.inv(g)) == de for g in range(G.order))
+
+
 def check_strongly_graded(alg: GradedAlgebra) -> CheckResult:
     """Does R_g R_h = R_{gh} hold for every pair of group elements?
 
-    R_g R_h is the sum of the images of left multiplication by R_g's basis
-    on R_h, so its dimension is the rank of those images (`image_rank` of
-    the left blocks of `mult_ops(g, h)`).  Pure linear algebra, so the
-    verdict is always True or False; the witness names the first failing
-    pair in group-element order.
+    Decided by `_is_strongly_graded`.  Pure linear algebra, so the verdict
+    is always True or False; on False the pairs are rescanned and the
+    witness names the first failing one in group-element order.
     """
     G = alg.group
-    for g in range(G.order):
-        for h in range(G.order):
-            k = G.table[g][h]
-            got = image_rank(alg.field, alg.mult_ops(g, h)[0])
-            if got != alg.comp_dims[k]:
-                return CheckResult(
-                    "strongly-graded",
-                    Verdict.FALSE,
-                    method="component-products",
-                    witness={
-                        "pair": [G.names[g], G.names[h]],
-                        "product_dim": got,
-                        "component_dim": alg.comp_dims[k],
-                    },
-                )
+    if not _is_strongly_graded(alg):
+        for g in range(G.order):
+            for h in range(G.order):
+                k = G.table[g][h]
+                got = _product_dim(alg, g, h)
+                if got != alg.comp_dims[k]:
+                    return CheckResult(
+                        "strongly-graded",
+                        Verdict.FALSE,
+                        method="component-products",
+                        witness={
+                            "pair": [G.names[g], G.names[h]],
+                            "product_dim": got,
+                            "component_dim": alg.comp_dims[k],
+                        },
+                    )
     return CheckResult(
         "strongly-graded",
         Verdict.TRUE,
@@ -273,6 +296,66 @@ def check_centralizer_condition(alg: GradedAlgebra) -> CheckResult:
 
 
 # --------------------------------------------------------------------------
+# theorem steps from R_e and its centralizer
+# --------------------------------------------------------------------------
+
+
+def _base_simplicity(alg: GradedAlgebra, seed: int, budget: int) -> SimplicityReport:
+    """Is R_e a simple ring?  The identity component's `is_simple` call of
+    `_component_profile`, which R_e as a bimodule over itself is."""
+    e = alg.group.identity
+    return is_simple(component_action(alg, e), seed=seed + e, budget=budget)
+
+
+def _center_refutes(alg: GradedAlgebra) -> bool:
+    """Is R_e shown not simple by its center, without `is_simple`?
+
+    The center of a simple ring is a field, so a basis element z of Z(R_e)
+    whose multiplication x -> zx on R_e is singular refutes it.
+    """
+    f = alg.field
+    e = alg.group.identity
+    flats = [op.flatten() for op in alg.component_ops(e)[0]]
+    return any(
+        nullspace(Matrix._unflatten(f, tuple(f.combine(z, flats)), alg.comp_dims[e])).dim
+        for z in center_of_Re(alg).basis.entries
+    )
+
+
+def _centralizer_kernel(alg: GradedAlgebra) -> set:
+    """K = {k : C_R(R_e) meets R_k}, which holds e since it holds 1.
+
+    On a strongly graded R with R_e simple, every R_g is an invertible,
+    hence simple, R_e-bimodule, and R_g = R_h exactly when g^-1 h lies in
+    K: R_g = R_h when R_e = R_{g^-1 h}, a bimodule map R_e -> R_k is
+    x -> xc for some c in C_R(R_e) meet R_k, and by Schur's lemma a nonzero
+    one is an isomorphism.
+    """
+    e = alg.group.identity
+    return {e} | {k for k in range(alg.group.order) if k != e and _commutant_component(alg, k).dim}
+
+
+def _kernel_pairs(alg: GradedAlgebra, kernel: Dict[int, Verdict]) -> dict:
+    """Isomorphism verdict of every pair g < h of a strongly graded R.
+
+    kernel maps each k to whether R_k = R_e as R_e-bimodules.  As
+    R_{g^-1} is invertible, R_g = R_h exactly when R_e = R_{g^-1 h}.
+    """
+    G = alg.group
+    return {(g, h): kernel[G.table[G.inv(g)][h]] for g, h in combinations(range(G.order), 2)}
+
+
+def _centralizer_profile(alg: GradedAlgebra) -> "_ComponentProfile":
+    """The component profile of a strongly graded R whose R_e is simple:
+    every component simple, and the pairs from `_centralizer_kernel`."""
+    order = alg.group.order
+    kernel = _centralizer_kernel(alg)
+    simple = {g: SimplicityReport(Verdict.TRUE, "invertible-bimodule") for g in range(order)}
+    pairs = _kernel_pairs(alg, {k: Verdict.from_bool(k in kernel) for k in range(order)})
+    return _ComponentProfile(simple, pairs)
+
+
+# --------------------------------------------------------------------------
 # simplicity, graded and plain
 # --------------------------------------------------------------------------
 
@@ -304,16 +387,54 @@ def _ideal_check(
 
 
 def check_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> CheckResult:
-    """Is R simple as a ring (no two-sided ideal except 0 and R)?"""
+    """Is R simple as a ring (no two-sided ideal except 0 and R)?
+
+    On a nontrivial grading, first the theorem step `strong-controlled` (on
+    a trivial one it would repeat the test below): a strongly graded R whose
+    R_e is simple and whose centralizer C_R(R_e) lies in R_e is controlled,
+    hence simple.  Its components are then simple and pairwise
+    non-isomorphic (`_centralizer_kernel`), so an ideal, being an
+    R_e-sub-bimodule, is a sum of components, and one holding R_g holds
+    R_{g^-1} R_g = R_e, which contains 1.  Otherwise `is_simple` on the
+    regular action decides.
+    """
+    if (
+        alg.group.order > 1
+        and not _center_refutes(alg)
+        and _is_strongly_graded(alg)
+        and _centralizer_kernel(alg) == {alg.group.identity}
+        and _base_simplicity(alg, seed, budget).verdict is Verdict.TRUE
+    ):
+        return CheckResult(
+            "simple", Verdict.TRUE, method="strong-controlled",
+            detail="R is strongly graded, R_e is simple and C_R(R_e) lies in R_e, "
+            "so R is controlled, hence simple",
+            seed=seed, budget=budget,
+        )
     return _ideal_check("simple", alg, regular_bimodule_action(alg), seed, budget)
 
 
 def check_graded_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> CheckResult:
     """Is every graded two-sided ideal of R either 0 or R?
 
-    `is_simple` on `graded_regular_action`, whose invariant subspaces are
-    the graded ideals: each certificate is a proof about graded ideals.
+    On a nontrivial grading, first the theorem step
+    `nondegenerate-simple-base`: with a nondegenerate grading and R_e
+    simple, a graded ideal I holding some x != 0 in R_g holds x R_{g^-1},
+    a nonzero ideal of R_e, so it holds 1.  Otherwise `is_simple` on
+    `graded_regular_action`, whose invariant subspaces are the graded
+    ideals: each certificate is a proof about graded ideals.
     """
+    if (
+        alg.group.order > 1
+        and not _center_refutes(alg)
+        and check_nondegenerate(alg).holds()
+        and _base_simplicity(alg, seed, budget).verdict is Verdict.TRUE
+    ):
+        return CheckResult(
+            "graded-simple", Verdict.TRUE, method="nondegenerate-simple-base",
+            detail="the grading is nondegenerate and R_e is simple",
+            seed=seed, budget=budget,
+        )
     return _ideal_check("graded-simple", alg, graded_regular_action(alg), seed, budget)
 
 
@@ -326,9 +447,10 @@ def check_graded_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 6553
 class _ComponentProfile:
     """Simplicity and isomorphism evidence shared by the component checks.
 
-    simple maps each nonzero component g to its `is_simple` report as an
-    R_e-bimodule (seed + g); iso maps each pair g < h of nonzero components
-    to their isomorphism verdict (seed + 101*g + h).
+    simple maps each nonzero component g to its simplicity report as an
+    R_e-bimodule (`is_simple` with seed + g, or `invertible-bimodule` in
+    `_centralizer_profile`); iso maps each pair g < h of nonzero components
+    to their isomorphism verdict.
     """
 
     simple: Dict[int, SimplicityReport]
@@ -342,26 +464,38 @@ class _ComponentProfile:
         return _unless_undecided([rep.verdict for rep in self.simple.values()]), None
 
 
-def _component_profile(alg: GradedAlgebra, *, seed: int, budget: int) -> _ComponentProfile:
+def _component_profile(
+    alg: GradedAlgebra, *, seed: int, budget: int, base: Optional[SimplicityReport] = None
+) -> _ComponentProfile:
     """Simplicity of every nonzero component and isomorphism of every pair.
 
     Two simple components are compared by Schur's lemma, exact over any
-    field; any other pair goes through the invertible-hom search.
+    field; any other pair goes through the invertible-hom search.  base,
+    when given, is R_e's report from `_base_simplicity`, which is not
+    computed again.
     """
+    e = alg.group.identity
     support = [g for g in range(alg.group.order) if alg.comp_dims[g]]
     actions = {g: component_action(alg, g) for g in support}
     simple = {
-        g: is_simple(actions[g], seed=seed + g, budget=budget) for g in support
+        g: base if g == e and base is not None
+        else is_simple(actions[g], seed=seed + g, budget=budget)
+        for g in support
     }
     iso = {}
     for g, h in combinations(support, 2):
         if simple[g].verdict is Verdict.TRUE and simple[h].verdict is Verdict.TRUE:
             iso[(g, h)] = Verdict.from_bool(are_isomorphic_simple(actions[g], actions[h]))
         else:
-            iso[(g, h)] = bimodules_isomorphic(
-                actions[g], actions[h], seed=seed + 101 * g + h, budget=budget
-            ).verdict
+            iso[(g, h)] = _hom_search(actions, g, h, seed, budget)
     return _ComponentProfile(simple, iso)
+
+
+def _hom_search(actions: dict, g: int, h: int, seed: int, budget: int) -> Verdict:
+    """Are R_g and R_h (g < h) isomorphic?  The invertible-hom search, seed + 101*g + h."""
+    return bimodules_isomorphic(
+        actions[g], actions[h], seed=seed + 101 * g + h, budget=budget
+    ).verdict
 
 
 def _non_isomorphic(pairs: dict) -> Tuple[Verdict, Optional[Tuple[int, int]]]:
@@ -384,14 +518,28 @@ def check_controlled(
     The criterion tested: every component is a simple bimodule over the
     identity component, and no two distinct components are isomorphic.
     A zero component fails immediately (it would glue two subsets to the
-    same sub-bimodule).
+    same sub-bimodule).  On a strongly graded R with R_e simple this is the
+    paper's characterization, read off the centralizer
+    (`strong-centralizer`, `_centralizer_kernel`); otherwise the component
+    profile decides.
     """
-    profile = _component_profile(alg, seed=seed, budget=budget)
+    return _controlled(alg, seed, budget, _is_strongly_graded(alg))
+
+
+def _controlled(alg: GradedAlgebra, seed: int, budget: int, strong: bool) -> CheckResult:
+    """`check_controlled`, with the verdict of `_is_strongly_graded` given."""
+    base = _base_simplicity(alg, seed, budget)
+    if strong and base.verdict is Verdict.TRUE:
+        return _controlled_report(
+            alg, _centralizer_profile(alg), seed, budget, method="strong-centralizer"
+        )
+    profile = _component_profile(alg, seed=seed, budget=budget, base=base)
     return _controlled_report(alg, profile, seed, budget)
 
 
 def _controlled_report(
-    alg: GradedAlgebra, profile: _ComponentProfile, seed: int, budget: int
+    alg: GradedAlgebra, profile: _ComponentProfile, seed: int, budget: int,
+    method: str = "components-and-isomorphisms",
 ) -> CheckResult:
     G = alg.group
     comp_verdict, bad = profile.components_simple(G.order)
@@ -417,7 +565,7 @@ def _controlled_report(
         for g, h in combinations(range(G.order), 2)
     ]
     return CheckResult(
-        "controlled", verdict, method="components-and-isomorphisms", witness=witness,
+        "controlled", verdict, method=method, witness=witness,
         seed=seed, budget=budget, fields={"simplicity": simplicity, "isomorphic": isomorphic},
     )
 
@@ -948,17 +1096,38 @@ def check_picard_injective(
     Defined for strongly graded algebras, where every component is an
     invertible bimodule and g -> [R_g] is a group homomorphism into the
     Picard group of R_e; injectivity is exactly the absence of an
-    isomorphism R_g = R_h for g != h, which is what gets tested pair by
-    pair.
+    isomorphism R_g = R_h for g != h.  So R_g = R_h exactly when g^-1 h
+    lies in the kernel K, and only K is decided: from the centralizer when
+    R_e is simple (`strong-centralizer`, `_centralizer_kernel`), else by
+    the invertible-hom search on the |G| - 1 pairs (e, k) (`picard-kernel`;
+    on a trivial grading there is none, and R_e is not tested).
+    When that search leaves a pair undecided, every pair is tested
+    (`pairwise-isomorphism`).  The pairs are read in the same order either
+    way, so the witness is the first isomorphic pair.
     """
-    strong = check_strongly_graded(alg)
-    if strong.verdict is not Verdict.TRUE:
+    if not _is_strongly_graded(alg):
         raise InvalidInput("the component class map needs a strongly graded algebra")
     G = alg.group
-    profile = _component_profile(alg, seed=seed, budget=budget)
-    verdict, pair = _non_isomorphic(profile.iso)
+    e = G.identity
+    if (
+        G.order > 1
+        and not _center_refutes(alg)
+        and _base_simplicity(alg, seed, budget).verdict is Verdict.TRUE
+    ):
+        method, pairs = "strong-centralizer", _centralizer_profile(alg).iso
+    else:
+        actions = {g: component_action(alg, g) for g in range(G.order)}
+        kernel = {e: Verdict.TRUE}
+        for k in range(G.order):
+            if k != e:
+                kernel[k] = _hom_search(actions, min(e, k), max(e, k), seed, budget)
+        method, pairs = "picard-kernel", _kernel_pairs(alg, kernel)
+        if not all(v.decided for v in kernel.values()):
+            method = "pairwise-isomorphism"
+            pairs = _component_profile(alg, seed=seed, budget=budget).iso
+    verdict, pair = _non_isomorphic(pairs)
     return CheckResult(
-        "picard-injective", verdict, method="pairwise-isomorphism",
+        "picard-injective", verdict, method=method,
         detail="no two distinct components are isomorphic" if verdict is Verdict.TRUE else "",
         witness=None if pair is None else {"pair": [G.names[g] for g in pair]},
         seed=seed, budget=budget,
@@ -978,14 +1147,14 @@ def subring_correspondence(
     R_g x R_h into R_gh.  The report's data is the list of pairs
     (element names of H, R_H as a GradedSubspace).
     """
-    ctrl = check_controlled(alg, seed=seed, budget=budget)
+    strong = _is_strongly_graded(alg)
+    ctrl = _controlled(alg, seed, budget, strong)
     if ctrl.verdict is not Verdict.TRUE:
         raise InvalidInput(
             "subring correspondence needs a controlled gradation (got "
             f"{ctrl.verdict.value})"
         )
-    strong = check_strongly_graded(alg)
-    if strong.verdict is not Verdict.TRUE:
+    if not strong:
         raise InvalidInput("subring correspondence needs a strongly graded algebra")
 
     G = alg.group

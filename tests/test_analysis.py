@@ -47,6 +47,7 @@ from gradedrings.corpus import (
     dual_numbers_graded,
     inner_conjugation_skew,
     oracle_scale_corpus,
+    standard_corpus,
     twisted_galois_z2,
 )
 from gradedrings.errors import InternalInconsistency, InvalidInput
@@ -325,7 +326,7 @@ def test_ideals_graded_over_q_runs_only_the_component_profile(monkeypatch):
         assert (leg.verdict, leg.method) == (verdict, method)
         necessary_calls = len(calls)
         calls.clear()
-        check_controlled(alg)  # the component profile alone
+        analysis._component_profile(alg, seed=0, budget=65536)
         assert necessary_calls == len(calls) > 0
 
 
@@ -607,10 +608,12 @@ def _m2_rationals_skew_z3():
 def test_inner_skew_rings_over_q_finish(make):
     # neither ring is simple (an inner action splits off a group algebra)
     # and both are graded simple; Norton's test over Q may not decide, but
-    # the rational eigenvalue search must not stall on huge constant terms
+    # the rational eigenvalue search must not stall on huge constant terms.
+    # Graded simplicity follows from the nondegenerate grading and R_e = M2(Q)
     alg = make()
     assert check_simple(alg).verdict in (Verdict.FALSE, Verdict.INCONCLUSIVE)
-    assert check_graded_simple(alg).verdict in (Verdict.TRUE, Verdict.INCONCLUSIVE)
+    rep = check_graded_simple(alg)
+    assert (rep.verdict, rep.method) == (Verdict.TRUE, "nondegenerate-simple-base")
 
 
 def test_simple_past_budget_is_inconclusive():
@@ -694,6 +697,12 @@ def test_crossed_product_with_outer_action_past_budget(make, budget):
     assert verify_crossed_reconstruction(alg, rep.data) is None
 
 
+def test_gaussian_skew_ring_is_simple():
+    # strongly graded, R_e = Q(i) simple, and nothing outside R_e centralizes it
+    rep = check_simple(_gaussian_rationals_skew_z2())
+    assert (rep.verdict, rep.method) == (Verdict.TRUE, "strong-controlled")
+
+
 def test_crossed_controlled_on_gaussian_skew_ring():
     # refused as "not a crossed product" while the trace obstruction was wrong
     rep = check_crossed_controlled(_gaussian_rationals_skew_z2())
@@ -729,3 +738,121 @@ def test_component_of_galois_3_11_is_decided():
     rep = is_simple(component_action(galois_skew_example(3, 11), 1))
     assert rep.verdict is Verdict.TRUE
     assert rep.method == "field-commutant"
+
+
+# --------------------------------------------------------------------------
+# theorem steps against the routes they stand in front of
+# --------------------------------------------------------------------------
+
+
+# every corpus instance and the five ladder-gfp rings
+STEP_CASES = [(inst.name, inst.alg) for inst in standard_corpus()] + [
+    ("galois-2-4", galois_skew_example(2, 4)),
+    ("galois-2-6", galois_skew_example(2, 6)),
+    ("galois-3-3", galois_skew_example(3, 3)),
+    ("m3-gf2", m3_example(GF(2))),
+    ("m3-gf3", m3_example(GF(3))),
+]
+
+
+def _without_method(rep) -> dict:
+    out = rep.to_json()
+    del out["method"]
+    return out
+
+
+@pytest.mark.parametrize("alg", [a for _, a in STEP_CASES], ids=[n for n, _ in STEP_CASES])
+def test_theorem_steps_agree_with_the_routes_behind_them(alg):
+    seed, budget = 0, 65536
+    graded = check_graded_simple(alg)
+    if graded.method == "nondegenerate-simple-base":
+        route = analysis._ideal_check(
+            "graded-simple", alg, bimodule.graded_regular_action(alg), seed, budget
+        )
+        assert route.verdict is graded.verdict is Verdict.TRUE
+    simple = check_simple(alg)
+    if simple.method == "strong-controlled":
+        route = analysis._ideal_check("simple", alg, regular_bimodule_action(alg), seed, budget)
+        assert route.verdict is simple.verdict is Verdict.TRUE
+    profile = analysis._component_profile(alg, seed=seed, budget=budget)
+    controlled = check_controlled(alg)
+    if controlled.method == "strong-centralizer":
+        route = analysis._controlled_report(alg, profile, seed, budget)
+        assert _without_method(controlled) == _without_method(route)
+    if check_strongly_graded(alg).holds():
+        picard = check_picard_injective(alg)
+        assert picard.method in ("strong-centralizer", "picard-kernel")
+        verdict, pair = analysis._non_isomorphic(profile.iso)
+        assert picard.verdict is verdict
+        assert picard.witness == (None if pair is None else {"pair": [alg.group.names[g] for g in pair]})
+
+
+def test_theorem_steps_fire_on_the_ladder():
+    cases = dict(STEP_CASES)
+    for name in ("galois-2-4", "galois-2-6", "galois-3-3"):
+        alg = cases[name]
+        assert check_graded_simple(alg).method == "nondegenerate-simple-base"
+        assert check_simple(alg).method == "strong-controlled"
+        assert check_controlled(alg).method == "strong-centralizer"
+        assert check_picard_injective(alg).method == "strong-centralizer"
+    for name in ("m3-gf2", "m3-gf3"):
+        # R_e = M2 x F is not simple: the Picard kernel is searched
+        assert check_picard_injective(cases[name]).method == "picard-kernel"
+    fired = {
+        method: sum(check(alg).method == method for _, alg in STEP_CASES)
+        for method, check in (
+            ("nondegenerate-simple-base", check_graded_simple),
+            ("strong-controlled", check_simple),
+            ("strong-centralizer", check_controlled),
+        )
+    }
+    assert all(count >= 5 for count in fired.values()), fired
+
+
+def test_strong_grading_witness_is_the_first_failing_pair():
+    # the |G| tests on (g, g^-1) decide; a False rescans every pair in order
+    for _, alg in STEP_CASES:
+        G = alg.group
+        failing = [
+            (g, h)
+            for g in range(G.order)
+            for h in range(G.order)
+            if analysis._product_dim(alg, g, h) != alg.comp_dims[G.table[g][h]]
+        ]
+        rep = check_strongly_graded(alg)
+        assert rep.holds() == (not failing)
+        if failing:
+            assert rep.witness["pair"] == [G.names[x] for x in failing[0]]
+
+
+def test_controlled_skips_the_component_profile(monkeypatch):
+    calls = []
+    real = analysis._component_profile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_component_profile", counted)
+    alg = galois_skew_example(2, 4)
+    assert check_crossed_controlled(alg).holds()
+    assert len(calls) == 1
+    calls.clear()
+    assert check_controlled(alg).holds()
+    assert calls == []
+
+
+def test_picard_kernel_falls_back_when_a_pair_is_undecided():
+    # A = F[s, t]/(s, t)^2 over GF(65521), twisted by s, t -> -s, -t: R_1
+    # has the traces of R_e = A, and every hom R_e -> R_1 is x -> xc with c
+    # in the radical, a plane of 65,522 lines that only the full sweep rules out
+    f = GF(65521)
+    ones = {(0, 0, 0, 0): [1, 0, 0], (0, 0, 0, 1): [0, 1, 0], (0, 0, 0, 2): [0, 0, 1]}
+    ones.update({(0, 1, 0, 0): [0, 1, 0], (0, 2, 0, 0): [0, 0, 1]})
+    base = GradedAlgebra(f, trivial_group(), (3,), ones, [1, 0, 0])
+    sigma = Matrix(f, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    alg = skew_group_ring(base, cyclic_group(2), [Matrix.identity(f, 3), sigma])
+    rep = check_picard_injective(alg)
+    assert (rep.verdict, rep.method) == (Verdict.TRUE, "picard-kernel")
+    rep = check_picard_injective(alg, budget=8)
+    assert (rep.verdict, rep.method) == (Verdict.INCONCLUSIVE, "pairwise-isomorphism")

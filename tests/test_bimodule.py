@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gradedrings.algebra import GradedAlgebra, validate_algebra
 from gradedrings.analysis import check_controlled, check_simple
+from gradedrings import analysis
 from gradedrings import bimodule
 from gradedrings.bimodule import (
     QUICK_TRIALS,
@@ -243,7 +244,9 @@ def test_traces_are_computed_once_per_component(monkeypatch):
         return original(action)
 
     monkeypatch.setattr(bimodule, "action_traces", counting)
-    rep = check_controlled(galois_skew_example(2, 4))
+    alg = galois_skew_example(2, 4)
+    profile = analysis._component_profile(alg, seed=0, budget=65536)
+    rep = analysis._controlled_report(alg, profile, 0, 65536)
     assert rep.verdict is Verdict.TRUE
     assert sorted(calls) == ["R_0", "R_1", "R_2", "R_3"]
 

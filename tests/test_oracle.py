@@ -4,7 +4,12 @@ import functools
 import pytest
 
 from gradedrings import oracle
-from gradedrings.analysis import check_controlled, check_graded_simple, check_simple
+from gradedrings.analysis import (
+    check_controlled,
+    check_graded_simple,
+    check_picard_injective,
+    check_simple,
+)
 from gradedrings.bimodule import (
     Verdict,
     component_action,
@@ -315,12 +320,17 @@ GRADED_SIMPLE_CASES.update(
 
 
 @functools.lru_cache(maxsize=None)
+def _ideals(name):
+    """`ideal_oracle` of one case."""
+    return ideal_oracle(GRADED_SIMPLE_CASES[name])
+
+
 def _graded_ideal_bases(name):
     """The oracle's graded ideals of one case, as JSON bases."""
     alg = GRADED_SIMPLE_CASES[name]
     return [
         [vector_to_json(alg.field, row) for row in sub.basis.entries]
-        for sub, graded in ideal_oracle(alg)
+        for sub, graded in _ideals(name)
         if graded
     ]
 
@@ -336,6 +346,25 @@ def test_graded_simple_agrees_with_ideal_oracle(name, seed):
     if rep.verdict is Verdict.FALSE:
         assert rep.witness["graded"]
         assert rep.witness["basis"] in graded
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_SIMPLE_CASES))
+def test_theorem_steps_agree_with_the_oracles(name):
+    # where a step fires, against definition-level enumeration (0 and R
+    # are always among the oracle's ideals)
+    alg = GRADED_SIMPLE_CASES[name]
+    ideals = _ideals(name)
+    if check_graded_simple(alg).method == "nondegenerate-simple-base":
+        assert sum(graded for _, graded in ideals) == 2
+    if check_simple(alg).method == "strong-controlled":
+        assert len(ideals) == 2
+    controlled = check_controlled(alg)
+    if controlled.method == "strong-centralizer":
+        # R_e simple makes every component simple: controlled is then
+        # exactly "no two components isomorphic", the Picard verdict
+        expected = Verdict.from_bool(controlled_oracle(alg))
+        assert controlled.verdict is expected
+        assert check_picard_injective(alg).verdict is expected
 
 
 @pytest.mark.parametrize("name,field,group,degrees", ELEMENTARY, ids=[c[0] for c in ELEMENTARY])
