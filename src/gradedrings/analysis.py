@@ -398,11 +398,12 @@ def check_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> C
     R_{g^-1} R_g = R_e, which contains 1.  Otherwise `is_simple` on the
     regular action decides.
     """
+    e = alg.group.identity
     if (
         alg.group.order > 1
         and not _center_refutes(alg)
         and _is_strongly_graded(alg)
-        and _centralizer_kernel(alg) == {alg.group.identity}
+        and not any(_commutant_component(alg, k).dim for k in range(alg.group.order) if k != e)
         and _base_simplicity(alg, seed, budget).verdict is Verdict.TRUE
     ):
         return CheckResult(

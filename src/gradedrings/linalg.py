@@ -10,8 +10,9 @@ equality of spans is structural equality.
 Scalars are checked once, where they enter: `Matrix(...)`, `Matrix.apply`,
 `EchelonBasis.add`/`reduce` and `Subspace.contains` (and, above this module,
 `Element(...)` and the seeds of `spin`) pass each vector they are given
-through `Field.vector`, one call per vector.  It refuses bool, float, str and
-every other scalar that is not an int (or, over Q, a Fraction) with
+through `Field.vector`, one call per vector; `EchelonBasis._insert` skips it,
+for callers whose rows are canonical already.  It refuses bool, float, str
+and every other scalar that is not an int (or, over Q, a Fraction) with
 InvalidInput, and returns canonical entries.  What a kernel computes from
 canonical operands is canonical already, so it is wrapped as it is
 (`Matrix._trusted`, `Element._trusted`), with no second pass.
@@ -548,8 +549,12 @@ class EchelonBasis:
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec's residue if independent.  Returns True if rank grew."""
+        return self._insert(self.field.vector(vec))
+
+    def _insert(self, vec: Sequence) -> bool:
+        """`add` on a vector whose entries are canonical already, unchecked."""
         field = self.field
-        v = _residue(field, self.rows, self.pivots, field.vector(vec))
+        v = _residue(field, self.rows, self.pivots, vec)
         lead = next(filter(None, v), None)
         if lead is None:
             return False

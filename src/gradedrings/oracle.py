@@ -28,6 +28,13 @@ visits every seed and consults no theorem about graded rings.  The memo
 is an array of closure ids indexed by the seed's code (the packed int, or
 the base-p code), a few bytes per seed; it is allocated only after the
 p^n seed vectors have passed the budget, so it stays within the budget.
+
+Subrings are enumerated on the quotient R/R_e.  A unital subring holding
+R_e is an R_e-sub-bimodule holding R_e, and by the correspondence theorem
+for modules those are exactly the lifts R_e + W of the sub-bimodules W of
+R/R_e; each lift is then tested for closure under multiplication.  The
+correspondence theorem is about modules alone, not graded rings, so this
+route stays brute force too.  LATTICE_CAP bounds the quotient's lattice.
 """
 
 import itertools
@@ -157,13 +164,12 @@ def _operator_span(f: Field, lefts, rights, dim: int) -> List[Matrix]:
     return mats
 
 
-def _seed_sweep(alg: GradedAlgebra, lefts, rights):
-    """Each seed vector, one per projective ray, with its closure under E.
+def _seed_sweep(f: Field, n: int, lefts, rights):
+    """Each seed vector of f^n, one per projective ray, with its closure under E.
 
     The caller has passed _require_seed_budget.  The sweep itself is lazy:
     see _packed_sweep and _generic_sweep.
     """
-    f, n = alg.field, alg.dim
     mats = _operator_span(f, lefts, rights, n)
     if f.p == 2:
         return _packed_sweep(mats, n)
@@ -281,7 +287,8 @@ def _generic_sweep(f: Field, mats: List[Matrix], dim: int):
     the closure rows are the canonical RREF basis as tuples.  Follows the
     memo rule of the module docstring, with the memo indexed by the base-p
     code of a vector scaled to a leading 1.  The products run on the raw
-    entry tuples, which are already canonical.
+    entry tuples, which are already canonical, so the rows go into the
+    EchelonBasis by its unchecked insert.
     """
     p = f.p
     dots, scale, inv = f.dots, f.scale, f.inv
@@ -308,11 +315,11 @@ def _generic_sweep(f: Field, mats: List[Matrix], dim: int):
                 k = 0
                 if eb.rank:
                     for row in w.rows:
-                        eb.add(row)
+                        eb._insert(row)
                 else:  # W's rows are already canonical: take them as they are
                     eb.rows, eb.pivots = list(w.rows), list(w.pivots)
             else:
-                eb.add(u)
+                eb._insert(u)
             if eb.rank == dim:
                 break
         if not k:
@@ -329,16 +336,15 @@ def _closure_subspace(f: Field, rows, dim: int) -> Subspace:
     return Subspace(f, dim, Matrix._trusted(f, tuple(map(tuple, rows)), dim), _canonical=True)
 
 
-def _cyclic_lattice(alg: GradedAlgebra, lefts, rights, budget: int) -> List[Subspace]:
-    """All subspaces invariant under the given multiplication operators.
+def _cyclic_lattice(f: Field, n: int, lefts, rights, budget: int) -> List[Subspace]:
+    """All subspaces of f^n invariant under the given multiplication operators.
 
     Every invariant subspace is a sum of cyclic ones, so the sweep spins
     one vector per projective ray and then closes the resulting set under
     pairwise sums.
     """
-    f, n = alg.field, alg.dim
     cyclic = set()
-    for _, rows in _seed_sweep(alg, lefts, rights):
+    for _, rows in _seed_sweep(f, n, lefts, rights):
         cyclic.add(rows)
         if len(cyclic) > LATTICE_CAP:
             raise BudgetError(
@@ -378,13 +384,15 @@ def enumerate_sub_bimodules(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET)
     recovers the component form exactly when one exists.
     """
     _require_seed_budget(alg, budget)
-    return _cyclic_lattice(alg, *alg.identity_ops(), budget)
+    return _cyclic_lattice(alg.field, alg.dim, *alg.identity_ops(), budget)
 
 
 def ideal_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> List[Tuple[Subspace, bool]]:
     """All two-sided ideals, each flagged graded or not."""
     _require_seed_budget(alg, budget)
-    ideals = _cyclic_lattice(alg, alg.flat_left_ops(), alg.flat_right_ops(), budget)
+    ideals = _cyclic_lattice(
+        alg.field, alg.dim, alg.flat_left_ops(), alg.flat_right_ops(), budget
+    )
     return [(s, graded_subspace_from_flat(alg, s) is not None) for s in ideals]
 
 
@@ -425,7 +433,7 @@ def controlled_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> bo
     if any(d == 0 for d in alg.comp_dims):
         return False
     _require_seed_budget(alg, budget)
-    sweep = _seed_sweep(alg, *alg.identity_ops())
+    sweep = _seed_sweep(f, alg.dim, *alg.identity_ops())
     spans = [(alg.offsets[g], alg.comp_dims[g]) for g in range(alg.group.order)]
     if f.p == 2:
         masks = [(((1 << d) - 1) << off, d) for off, d in spans]
@@ -451,29 +459,91 @@ def controlled_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> bo
     return True
 
 
+def _quotient_by_identity_component(alg: GradedAlgebra):
+    """R/R_e as an R_e-bimodule: (kept flat indices, lefts, rights).
+
+    The operators are identity_ops() with R_e's rows and columns deleted.
+    They are well defined only when each one maps R_e into itself, that is
+    when the deleted block of R_e's columns outside R_e's rows is zero.
+    """
+    f, e = alg.field, alg.group.identity
+    lo, hi = alg.offsets[e], alg.offsets[e] + alg.comp_dims[e]
+    keep = [k for k in range(alg.dim) if not lo <= k < hi]
+    cut = []
+    for ops in alg.identity_ops():
+        mats = []
+        for op in ops:
+            rows = op.entries
+            if any(rows[r][c] for r in keep for c in range(lo, hi)):
+                raise InvalidInput("R_e is not closed under multiplication by R_e")
+            mats.append(
+                Matrix._trusted(f, tuple(tuple(rows[r][c] for c in keep) for r in keep), len(keep))
+            )
+        cut.append(tuple(mats))
+    return keep, cut[0], cut[1]
+
+
+def _closed_under_products(table, w: Subspace) -> bool:
+    """Is R_e + W closed under multiplication, W a sub-bimodule of R/R_e?
+
+    table[i][j] holds the nonzero (k, x) of b_i b_j in the quotient's
+    coordinates.  R_e + W is an R_e-sub-bimodule holding R_e, so only the
+    products of W's rows remain, and one lies in R_e + W exactly when its
+    quotient coordinates lie in W.
+    """
+    rows = w.basis.entries
+    m = w.ambient_dim
+    for u in rows:
+        terms = [(table[i], a) for i, a in enumerate(u) if a]
+        for v in rows:
+            x = [0] * m
+            for ti, a in terms:
+                for j, b in enumerate(v):
+                    if b:
+                        ab = a * b
+                        for k, c in ti[j]:
+                            x[k] += ab * c
+            if not w.contains(x):
+                return False
+    return True
+
+
+def _lift(n: int, keep, w: Subspace) -> Subspace:
+    """R_e + W inside R: W's rows put back at the kept coordinates, and a
+    unit vector at each of R_e's."""
+    rows = []
+    for row in w.basis.entries:
+        full = [0] * n
+        for k, x in zip(keep, row):
+            full[k] = x
+        rows.append(full)
+    kept = set(keep)
+    rows += [[int(c == k) for c in range(n)] for k in range(n) if k not in kept]
+    return Subspace.from_vectors(w.field, n, rows)
+
+
 def subring_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> List[Subspace]:
     """Unital subrings of R containing the identity component.
 
-    Any such subring is in particular an R_e-sub-bimodule, so the
-    enumeration filters the sub-bimodule lattice for containment of R_e,
-    which holds the unit, and closure under multiplication.
+    Any such subring is in particular an R_e-sub-bimodule holding R_e,
+    which holds the unit.  By the correspondence theorem for modules these
+    are exactly the lifts R_e + W of the sub-bimodules W of the quotient
+    R/R_e, so the enumeration runs on the quotient's lattice and keeps the
+    lifts closed under multiplication.  That theorem is about modules
+    alone, not graded rings, so the route stays brute force.  The quotient
+    needs R_e closed under its own operators; InvalidInput otherwise.
     """
-    subs = enumerate_sub_bimodules(alg, budget=budget)
-    e = alg.group.identity
-    e_rows = [alg.flatten(alg.basis_element(e, i)) for i in range(alg.comp_dims[e])]
-    out = []
-    for s in subs:
-        if not all(s.contains(row) for row in e_rows):
-            continue
-        closed = True
-        for u in s.basis.entries:
-            xu = alg.from_flat(u)
-            for v in s.basis.entries:
-                if not s.contains(alg.flatten(xu * alg.from_flat(v))):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            out.append(s)
+    _require_seed_budget(alg, budget)
+    f = alg.field
+    keep, lefts, rights = _quotient_by_identity_component(alg)
+    left_ops = [alg.flat_left_ops()[i].entries for i in keep]
+    table = [
+        [tuple((k, op[r][j]) for k, r in enumerate(keep) if op[r][j]) for j in keep]
+        for op in left_ops
+    ]
+    out = [
+        _lift(alg.dim, keep, w)
+        for w in _cyclic_lattice(f, len(keep), lefts, rights, budget)
+        if _closed_under_products(table, w)
+    ]
     return sorted(out, key=_subspace_key)

@@ -2,8 +2,10 @@
 import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedrings import oracle
+from gradedrings import algebra, oracle
 from gradedrings.analysis import (
     check_controlled,
     check_graded_simple,
@@ -184,6 +186,59 @@ def test_subring_oracle_trivial_group():
     assert subs[0].dim == 4
 
 
+def _reference_subring_oracle(alg):
+    """The subrings by filtering the whole sub-bimodule lattice.
+
+    Keeps each R_e-sub-bimodule that holds R_e's basis and holds the
+    product of every pair of its basis rows, formed as Elements.
+    """
+    e = alg.group.identity
+    e_rows = [alg.flatten(alg.basis_element(e, i)) for i in range(alg.comp_dims[e])]
+    out = []
+    for s in enumerate_sub_bimodules(alg):
+        if all(s.contains(row) for row in e_rows) and all(
+            s.contains(alg.flatten(alg.from_flat(u) * alg.from_flat(v)))
+            for u in s.basis.entries
+            for v in s.basis.entries
+        ):
+            out.append(s)
+    return out
+
+
+def test_subring_oracle_makes_no_element_products(monkeypatch):
+    # gf3-s3 = GF(3)[S3]: R_e acts by scalars, so every subspace of the
+    # quotient GF(3)^5 is a candidate, 2,664 of them (56,632 in all of R)
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == "gf3-s3")
+    alg.identity_ops()  # the flat operators, built once per algebra from Elements
+    calls = {"mul": 0, "closure": 0}
+    mul, closed = algebra.Element.__mul__, oracle._closed_under_products
+
+    def counted_mul(x, y):
+        calls["mul"] += 1
+        return mul(x, y)
+
+    def counted_closed(*args):
+        calls["closure"] += 1
+        return closed(*args)
+
+    monkeypatch.setattr(algebra.Element, "__mul__", counted_mul)
+    monkeypatch.setattr(oracle, "_closed_under_products", counted_closed)
+    subring_oracle(alg)
+    assert calls["mul"] == 0
+    assert 0 < calls["closure"] <= count_subspaces(3, 5) == 2664
+
+
+def test_subring_oracle_refuses_an_identity_component_that_is_not_closed(monkeypatch):
+    # left multiplication by 1 that sends 1 to 1 + g: R_e is not closed
+    # under its own operators, so R/R_e is no bimodule
+    alg = group_algebra(GF(2), cyclic_group(2))
+    lefts = list(alg.flat_left_ops())
+    lefts[0] = Matrix(GF(2), [[1, 0], [1, 1]])
+    monkeypatch.setattr(alg, "_flat_left", tuple(lefts))
+    with pytest.raises(InvalidInput, match="R_e is not closed"):
+        subring_oracle(alg)
+
+
 # --------------------------------------------------------------------------
 # packed fast path agrees with the generic one
 # --------------------------------------------------------------------------
@@ -283,6 +338,28 @@ def test_packed_and_generic_sweeps_agree_seed_by_seed(inst):
         assert packed == generic
 
 
+@given(
+    st.sampled_from([2, 3, 5]).flatmap(
+        lambda p: st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(p),
+                st.just(n),
+                st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=8),
+            )
+        )
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_unchecked_insert_matches_add_on_canonical_rows(case):
+    # the sweep's insert skips add's entry check and nothing else
+    p, n, vecs = case
+    checked, unchecked = EchelonBasis(GF(p), n), EchelonBasis(GF(p), n)
+    for v in vecs:
+        assert checked.add(tuple(v)) == unchecked._insert(list(v))
+    assert list(map(tuple, checked.rows)) == list(map(tuple, unchecked.rows))
+    assert checked.pivots == unchecked.pivots
+
+
 @pytest.mark.parametrize(
     "name,cap,needle",
     [
@@ -365,6 +442,19 @@ def test_theorem_steps_agree_with_the_oracles(name):
         expected = Verdict.from_bool(controlled_oracle(alg))
         assert controlled.verdict is expected
         assert check_picard_injective(alg).verdict is expected
+
+
+SUBRING_CASES = [(inst.name, inst.alg) for inst in SWEEPABLE] + [
+    (name, matrix_units_algebra(field, group, degrees)) for name, field, group, degrees in ELEMENTARY
+]
+
+
+@pytest.mark.parametrize("name,alg", SUBRING_CASES, ids=[name for name, _ in SUBRING_CASES])
+def test_subring_oracle_matches_the_whole_lattice_filter(name, alg):
+    got = subring_oracle(alg)
+    assert [s.basis.entries for s in got] == [
+        s.basis.entries for s in _reference_subring_oracle(alg)
+    ]
 
 
 @pytest.mark.parametrize("name,field,group,degrees", ELEMENTARY, ids=[c[0] for c in ELEMENTARY])
