@@ -469,18 +469,15 @@ def _quotient_by_identity_component(alg: GradedAlgebra):
     f, e = alg.field, alg.group.identity
     lo, hi = alg.offsets[e], alg.offsets[e] + alg.comp_dims[e]
     keep = [k for k in range(alg.dim) if not lo <= k < hi]
-    cut = []
-    for ops in alg.identity_ops():
-        mats = []
-        for op in ops:
-            rows = op.entries
-            if any(rows[r][c] for r in keep for c in range(lo, hi)):
-                raise InvalidInput("R_e is not closed under multiplication by R_e")
-            mats.append(
-                Matrix._trusted(f, tuple(tuple(rows[r][c] for c in keep) for r in keep), len(keep))
-            )
-        cut.append(tuple(mats))
-    return keep, cut[0], cut[1]
+
+    def cut(op: Matrix) -> Matrix:
+        rows = op.entries
+        if any(rows[r][c] for r in keep for c in range(lo, hi)):
+            raise InvalidInput("R_e is not closed under multiplication by R_e")
+        return Matrix._trusted(f, tuple(tuple(rows[r][c] for c in keep) for r in keep), len(keep))
+
+    lefts, rights = ([cut(op) for op in ops] for ops in alg.identity_ops())
+    return keep, lefts, rights
 
 
 def _closed_under_products(table, w: Subspace) -> bool:
