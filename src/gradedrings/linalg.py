@@ -115,7 +115,7 @@ class Field:
     __slots__ = ("p", "zero", "one", "dots", "submul", "scale", "vector")
 
     def __init__(self, p: int = 0):
-        if p != 0 and (not _is_prime(p) or p >= 2**31):
+        if p != 0 and (p >= 2**31 or not _is_prime(p)):
             raise InvalidInput(f"field characteristic must be 0 or a prime < 2**31, got {p}")
         self.p = p
         if p:

@@ -57,9 +57,10 @@ from .linalg import (
 
 DEFAULT_BUDGET = 10 ** 6
 
-# Join closure over the distinct cyclic sub-bimodules is quadratic in the
-# lattice size, so the lattice itself gets a hard cap independent of the
-# seed-vector budget.
+# Hard cap on the invariant-subspace lattice, independent of the seed-vector
+# budget.  It bounds memory: the join checks it after each generator, and one
+# generator at most doubles the lattice, so no more than about twice the cap
+# is held before BudgetError.
 LATTICE_CAP = 4096
 
 
@@ -340,8 +341,11 @@ def _cyclic_lattice(f: Field, n: int, lefts, rights, budget: int) -> List[Subspa
     """All subspaces of f^n invariant under the given multiplication operators.
 
     Every invariant subspace is a sum of cyclic ones, so the sweep spins
-    one vector per projective ray and then closes the resulting set under
-    pairwise sums.
+    one vector per projective ray, and the lattice is then joined one
+    cyclic closure at a time, smallest first: after k generators it holds
+    exactly the sums of subsets of the first k, a set closed under sums,
+    so a generator already in it adds nothing and is skipped, and each
+    other one adds its sum with every member.
     """
     cyclic = set()
     for _, rows in _seed_sweep(f, n, lefts, rights):
@@ -354,21 +358,13 @@ def _cyclic_lattice(f: Field, n: int, lefts, rights, budget: int) -> List[Subspa
     if all(len(rows) <= 1 for rows in cyclic):
         # Scalar action: every subspace is invariant.
         return enumerate_subspaces(n, f, budget)
-    known = {Subspace.zero(f, n)}
-    known.update(_closure_subspace(f, rows, n) for rows in cyclic)
-    queue = list(known)
-    while queue:
-        w = queue.pop()
-        for u in list(known):
-            s = subspace_sum(u, w)
-            if s not in known:
-                known.add(s)
-                queue.append(s)
-                if len(known) > LATTICE_CAP:
-                    raise BudgetError(
-                        f"invariant-subspace lattice exceeds {LATTICE_CAP} members"
-                    )
-    return sorted(known, key=_subspace_key)
+    lattice = {Subspace.zero(f, n)}
+    for c in sorted((_closure_subspace(f, rows, n) for rows in cyclic), key=_subspace_key):
+        if c not in lattice:
+            lattice |= {subspace_sum(s, c) for s in lattice}
+            if len(lattice) > LATTICE_CAP:
+                raise BudgetError(f"invariant-subspace lattice exceeds {LATTICE_CAP} members")
+    return sorted(lattice, key=_subspace_key)
 
 
 # --------------------------------------------------------------------------

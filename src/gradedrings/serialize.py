@@ -129,6 +129,11 @@ def algebra_from_obj(obj) -> GradedAlgebra:
         isinstance(row, list) and all(type(x) is int for x in row) for row in table
     ):
         raise InvalidInput("Cayley table must be a list of rows of integer element indices")
+    if not isinstance(rows, list):
+        raise InvalidInput("structure must be a list of rows")
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InvalidInput("meta must be a JSON object")
     group = FiniteGroup(names, table)
     try:
         comp_dims = [comps[name] for name in group.names]
@@ -154,7 +159,6 @@ def algebra_from_obj(obj) -> GradedAlgebra:
         if key in structure:
             raise InvalidInput(f"duplicate structure row for {key}")
         structure[key] = vector_from_json(field, coeffs)
-    meta = obj.get("meta")
     return GradedAlgebra(
         field,
         group,

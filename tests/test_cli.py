@@ -285,6 +285,18 @@ def _set_table_entry(value):
     return edit
 
 
+def _set(key, value):
+    def edit(obj):
+        obj[key] = value
+    return edit
+
+
+def _set_p(value):
+    def edit(obj):
+        obj["field"]["p"] = value
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit,needle",
     [
@@ -300,11 +312,19 @@ def _set_table_entry(value):
         (_set_table_entry("x"), "Cayley table"),
         (_set_table_entry(1.7), "Cayley table"),
         (_set_table_entry(True), "Cayley table"),
+        (_set("meta", [1, 2]), "meta must be a JSON object"),
+        (_set("meta", "x"), "meta must be a JSON object"),
+        (_set("meta", 5), "meta must be a JSON object"),
+        # read as "no products", {} would give an algebra that fails `valid`
+        (_set("structure", {}), "structure must be a list"),
+        # refused by its size, before any trial division
+        (_set_p(100000000000000003), "prime < 2**31"),
     ],
     ids=[
         "dim-string", "dim-float", "dim-bool", "dim-negative", "total-dim-over-cap",
         "index-float", "index-bool", "index-negative",
         "table-string", "table-float", "table-bool",
+        "meta-list", "meta-string", "meta-int", "structure-object", "p-huge",
     ],
 )
 def test_malformed_sizes_rejected_exit_2(tmp_path, capsys, edit, needle):

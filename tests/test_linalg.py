@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedrings import linalg
 from gradedrings.errors import InvalidInput
 from gradedrings.linalg import (
     GF,
@@ -47,6 +48,16 @@ def test_field_construction():
         Field(4)
     with pytest.raises(InvalidInput):
         GF(0)
+
+
+def test_field_refuses_a_large_characteristic_before_testing_primality(monkeypatch):
+    # trial division on a Mersenne prime near 2**61 would take minutes
+    def no_trial_division(n):
+        raise AssertionError(f"primality tested on {n}")
+
+    monkeypatch.setattr(linalg, "_is_prime", no_trial_division)
+    with pytest.raises(InvalidInput, match="< 2\\*\\*31"):
+        Field(2**61 - 1)
 
 
 def test_field_arithmetic_gf5():

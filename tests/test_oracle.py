@@ -24,6 +24,7 @@ from gradedrings.builders import (
     group_algebra,
     m3_example,
     matrix_units_algebra,
+    skew_group_ring,
 )
 from gradedrings.corpus import checkerboard_m2, dual_numbers_graded, oracle_scale_corpus
 from gradedrings.errors import BudgetError, InvalidInput
@@ -365,6 +366,32 @@ def test_lattice_cap_raises(monkeypatch, name, cap, needle):
         ideal_oracle(alg)
 
 
+@pytest.mark.parametrize("name", ["gf2-v4", "gf3-v4", "gf2-m3"])
+def test_lattice_cap_raises_exactly_past_the_lattice_size(monkeypatch, name):
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == name)
+    size = len(ideal_oracle(alg))
+    monkeypatch.setattr(oracle, "LATTICE_CAP", size)
+    assert len(ideal_oracle(alg)) == size
+    monkeypatch.setattr(oracle, "LATTICE_CAP", size - 1)
+    with pytest.raises(BudgetError):
+        ideal_oracle(alg)
+
+
+def test_split_base_group_ring_past_the_cap():
+    # (GF(2) x GF(2))[Z/4]: the split_base_swap base with the trivial action.
+    # R's lattice (67^2 = 4,489 members) is past LATTICE_CAP; the ideals and
+    # the subrings, found on the quotient R/R_e, are not
+    f = GF(2)
+    base = algebra.GradedAlgebra(
+        f, trivial_group(), (2,), {(0, 0, 0, 0): (1, 0), (0, 1, 0, 1): (0, 1)}, (1, 1)
+    )
+    alg = skew_group_ring(base, cyclic_group(4), [Matrix.identity(f, 2)] * 4)
+    with pytest.raises(BudgetError, match="lattice exceeds 4096"):
+        enumerate_sub_bimodules(alg)
+    assert len(subring_oracle(alg)) == 36
+    assert len(ideal_oracle(alg)) == 25
+
+
 # --------------------------------------------------------------------------
 # elementary gradings of matrix rings outside the corpus
 # --------------------------------------------------------------------------
@@ -443,6 +470,27 @@ def test_subring_oracle_matches_the_whole_lattice_filter(name):
     assert [s.basis.entries for s in subring_oracle(alg)] == [
         s.basis.entries for s in _reference_subring_oracle(alg)
     ]
+
+
+@pytest.mark.parametrize("name", ["m3-gf2-z3-012", "m3-gf2-s3", "m3-gf2-v4-012"])
+def test_diagonal_identity_component_gives_every_sum_of_unit_lines(monkeypatch, name):
+    # R_e is diagonal, so the 9 matrix-unit lines are pairwise non-isomorphic
+    # simple R_e-bimodules: the sub-bimodules are exactly their 2^9 sums
+    alg = GRADED_SIMPLE_CASES[name]
+    units = Matrix.identity(alg.field, alg.dim).entries
+    calls = 0
+
+    def counted_sum(a, b):
+        nonlocal calls
+        calls += 1
+        return subspace_sum(a, b)
+
+    monkeypatch.setattr(oracle, "subspace_sum", counted_sum)
+    subs = enumerate_sub_bimodules(alg)
+    assert len(subs) == 2 ** 9
+    for s in subs:
+        assert sum(map(s.contains, units)) == s.dim
+    assert calls <= 1024
 
 
 @pytest.mark.parametrize("name,field,group,degrees", ELEMENTARY, ids=[c[0] for c in ELEMENTARY])

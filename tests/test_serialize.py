@@ -106,6 +106,23 @@ def test_malformed_inputs_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "key,value,needle",
+    [
+        ("meta", [1, 2], "meta must be a JSON object"),
+        ("meta", "x", "meta must be a JSON object"),
+        ("meta", 5, "meta must be a JSON object"),
+        ("structure", {}, "structure must be a list"),
+        ("structure", 5, "structure must be a list"),
+    ],
+)
+def test_wrongly_typed_entries_rejected(key, value, needle):
+    obj = json.loads(algebra_to_json(CORPUS[0].alg))
+    obj[key] = value
+    with pytest.raises(InvalidInput, match=needle):
+        algebra_from_json(json.dumps(obj))
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(InvalidInput):
         load_algebra(tmp_path / "absent.json")
