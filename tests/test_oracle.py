@@ -386,7 +386,7 @@ def test_split_base_group_ring_past_the_cap():
         f, trivial_group(), (2,), {(0, 0, 0, 0): (1, 0), (0, 1, 0, 1): (0, 1)}, (1, 1)
     )
     alg = skew_group_ring(base, cyclic_group(4), [Matrix.identity(f, 2)] * 4)
-    with pytest.raises(BudgetError, match="lattice exceeds 4096"):
+    with pytest.raises(BudgetError, match="lattice exceeds"):
         enumerate_sub_bimodules(alg)
     assert len(subring_oracle(alg)) == 36
     assert len(ideal_oracle(alg)) == 25
