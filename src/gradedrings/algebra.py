@@ -1,24 +1,26 @@
 """Finite-dimensional group-graded algebras given by structure constants.
 
 An algebra R = (+)_g R_g over a field F is stored as one dimension per group
-element plus the nonzero products of graded basis elements: b_{g,i} b_{h,j}
-is kept as its coefficient vector in the basis of R_{gh} when it is not zero,
-and every product not kept is zero.  The gradation is therefore structural:
-products of homogeneous elements land in the right component by
-construction, and what remains to verify is associativity and the unit laws
-(validate_algebra).
+element plus one flat sparse product table.  The graded basis is numbered
+component by component (R_g's starts at offsets[g]); _place[k] is the
+(g, i) of flat index k, and _table[i][j] holds b_i b_j as {flat k: c},
+nonzero products with nonzero coefficients only.  The constructor fills it
+from coefficient vectors over R_gh keyed by (g, i, h, j), so the gradation
+is structural: products of homogeneous elements land in the right
+component by construction, and what remains to verify is associativity and
+the unit laws (validate_algebra).  An Element is a sparse vector in the
+same flat coordinates, {flat k: nonzero canonical c}.
 
-GradedAlgebra alone turns that table into operators, all in the column
-convention (column j is the image of the j-th source basis vector):
-mult_ops(h, g) is multiplication by R_h's basis on R_g from either side,
-component_ops(g) = mult_ops(e, g); flat_left_ops/flat_right_ops act on all
-of R, identity_ops() is their slice at R_e's basis, subset_ops(S) that
-slice cut to R_S, and projection_ops() gives the flat projections
-pi_g : R -> R_g of the nonzero components.  A subspace of R is graded
-exactly when every pi_g maps it into itself.
-
-Elements are sparse dicts component -> coefficient tuple.  The structure is
-immutable after construction, so the lazily cached operators stay valid.
+Everything reads the one table.  GradedAlgebra alone turns it into
+operators, all in the column convention (column j is the image of the j-th
+source basis vector): mult_ops(h, g) is multiplication by R_h's basis on
+R_g from either side, component_ops(g) = mult_ops(e, g);
+flat_left_ops/flat_right_ops act on all of R, identity_ops() is their slice
+at R_e's basis, subset_ops(S) that slice cut to R_S, and projection_ops()
+gives the flat projections pi_g : R -> R_g of the nonzero components.  A
+subspace of R is graded exactly when every pi_g maps it into itself.  The
+structure is immutable after construction, so the lazily cached operators
+stay valid.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidInput
-from .groups import FiniteGroup
+from .groups import FiniteGroup, trivial_group
 from .linalg import EchelonBasis, Field, Matrix, Subspace, solve_vector
 
 
@@ -54,10 +56,10 @@ class GradedAlgebra:
         self.group = group
         self.comp_dims = dims
         self.dim = sum(dims)
-        self.offsets = tuple(sum(dims[:g]) for g in range(group.order))
+        self.offsets = offsets = tuple(sum(dims[:g]) for g in range(group.order))
+        self._place = tuple((g, i) for g, d in enumerate(dims) for i in range(d))
 
-        # (g, i, h) -> {j: coefficients of b_{g,i} * b_{h,j}}, nonzero ones only
-        products: dict = {}
+        table = [{} for _ in range(self.dim)]
         for key, coeffs in structure.items():
             try:
                 g, i, h, j = key
@@ -73,18 +75,18 @@ class GradedAlgebra:
                 raise InvalidInput(
                     f"product coefficients at {key!r} must have length {dims[k]}"
                 )
-            if any(vec):
-                products.setdefault((g, i, h), {})[j] = vec
-        self._products = products
+            prod = {offsets[k] + r: c for r, c in enumerate(vec) if c}
+            if prod:
+                table[offsets[g] + i][offsets[h] + j] = prod
+        self._table = table
 
         u = field.vector(unit)
         if len(u) != dims[group.identity]:
             raise InvalidInput("unit must be a coefficient vector over the identity component")
         self.unit_coeffs = u
+        self._unit = {offsets[group.identity] + r: c for r, c in enumerate(u) if c}
 
-        if basis_labels is None:
-            basis_labels = {}
-        self._labels = dict(basis_labels)
+        self._labels = dict(basis_labels or {})
         self.meta = dict(meta) if meta else {}
         self._flat_left = None
         self._flat_right = None
@@ -95,85 +97,116 @@ class GradedAlgebra:
     def label(self, g: int, i: int) -> str:
         return self._labels.get((g, i), f"{self.group.names[g]}:{i}")
 
+    def _span(self, g: int) -> range:
+        """The flat indices of R_g's basis."""
+        return range(self.offsets[g], self.offsets[g] + self.comp_dims[g])
+
+    def _component(self, terms: Mapping, g: int) -> tuple:
+        """The coefficients over R_g's basis of a sparse flat vector."""
+        zero = self.field.zero
+        return tuple(terms.get(k, zero) for k in self._span(g))
+
     def product_coeffs(self, g: int, i: int, h: int, j: int) -> tuple:
         """Coefficients of b_{g,i} * b_{h,j} in the basis of R_{gh}."""
-        vec = self._products.get((g, i, h), {}).get(j)
-        if vec is not None:
-            return vec
-        return (self.field.zero,) * self.comp_dims[self.group.table[g][h]]
+        prod = self._table[self.offsets[g] + i].get(self.offsets[h] + j, {})
+        return self._component(prod, self.group.table[g][h])
 
     def structure_items(self):
         """Nonzero structure entries as ((g, i, h, j), coeffs), sorted."""
-        return sorted(
-            ((g, i, h, j), vec)
-            for (g, i, h), row in self._products.items()
-            for j, vec in row.items()
-        )
+        place, gtab = self._place, self.group.table
+        return [
+            (place[a] + place[b], self._component(prod, gtab[place[a][0]][place[b][0]]))
+            for a, row in enumerate(self._table)
+            for b, prod in sorted(row.items())
+        ]
 
     def basis_of_flat(self, idx: int) -> tuple:
-        for g in range(self.group.order - 1, -1, -1):
-            if idx >= self.offsets[g]:
-                return g, idx - self.offsets[g]
-        raise InvalidInput("flat index out of range")
+        if not 0 <= idx < self.dim:
+            raise InvalidInput("flat index out of range")
+        return self._place[idx]
 
     # --- elements ----------------------------------------------------------
 
     def element(self, comps: Mapping) -> "Element":
-        return Element(self, comps)
+        """The element with coefficient vector comps[g] over each R_g given."""
+        terms = {}
+        for g, coeffs in comps.items():
+            g = int(g)
+            if not (0 <= g < self.group.order):
+                raise InvalidInput(f"no component {g}")
+            vec = self.field.vector(coeffs)
+            if len(vec) != self.comp_dims[g]:
+                raise InvalidInput(
+                    f"component {self.group.names[g]} expects {self.comp_dims[g]} coefficients"
+                )
+            terms.update((k, c) for k, c in zip(self._span(g), vec) if c)
+        return Element(self, terms)
 
     def basis_element(self, g: int, i: int) -> "Element":
-        zero, one = self.field.zero, self.field.one
-        coeffs = tuple(one if k == i else zero for k in range(self.comp_dims[g]))
-        return Element._trusted(self, {g: coeffs})
+        if not (0 <= g < self.group.order and 0 <= i < self.comp_dims[g]):
+            raise InvalidInput(f"no basis element ({g}, {i})")
+        return Element(self, {self.offsets[g] + i: self.field.one})
 
     def zero(self) -> "Element":
-        return Element._trusted(self, {})
+        return Element(self, {})
 
     def one(self) -> "Element":
-        return Element._trusted(self, {self.group.identity: self.unit_coeffs})
+        return Element(self, self._unit)
 
     def from_flat(self, vec: Sequence) -> "Element":
         if len(vec) != self.dim:
             raise InvalidInput("flat vector has wrong length")
-        comps = {}
-        for g in range(self.group.order):
-            d = self.comp_dims[g]
-            if d:
-                comps[g] = tuple(vec[self.offsets[g] : self.offsets[g] + d])
-        return Element(self, comps)
+        return Element(self, {k: c for k, c in enumerate(self.field.vector(vec)) if c})
 
     def flatten(self, x: "Element") -> tuple:
         vec = [self.field.zero] * self.dim
-        for g, coeffs in x.comps.items():
-            off = self.offsets[g]
-            for i, c in enumerate(coeffs):
-                vec[off + i] = c
+        for k, c in x.terms.items():
+            vec[k] = c
         return tuple(vec)
 
     # --- multiplication operators -------------------------------------------
 
+    def _matrix(self, columns: Mapping, off: int, rows: int, cols: int) -> Matrix:
+        """The rows x cols matrix with column j the sparse vector columns[j] (zero if absent).
+
+        Row r holds flat index off + r; the entries are canonical already.
+        """
+        zero = self.field.zero
+        out = [[zero] * cols for _ in range(rows)]
+        for j, col in columns.items():
+            for k, c in col.items():
+                out[k - off][j] = c
+        return Matrix._trusted(self.field, tuple(map(tuple, out)), cols)
+
     def left_matrix(self, x: "Element") -> Matrix:
         """Matrix of v -> x*v on the flattened algebra (column convention)."""
-        cols = [self.flatten(x * b) for b in self._flat_basis()]
-        return Matrix.from_columns(self.field, cols)
+        cols = {j: (x * b).terms for j, b in enumerate(self._flat_basis())}
+        return self._matrix(cols, 0, self.dim, self.dim)
 
     def right_matrix(self, x: "Element") -> Matrix:
-        cols = [self.flatten(b * x) for b in self._flat_basis()]
-        return Matrix.from_columns(self.field, cols)
+        cols = {j: (b * x).terms for j, b in enumerate(self._flat_basis())}
+        return self._matrix(cols, 0, self.dim, self.dim)
 
     def _flat_basis(self) -> list:
         """The basis elements in flat order."""
-        return [self.basis_element(*self.basis_of_flat(k)) for k in range(self.dim)]
+        one = self.field.one
+        return [Element(self, {k: one}) for k in range(self.dim)]
 
     def flat_left_ops(self) -> tuple:
         """Left multiplication by each flat basis element, as n x n matrices."""
         if self._flat_left is None:
-            self._flat_left = tuple(self.left_matrix(b) for b in self._flat_basis())
+            n = self.dim
+            self._flat_left = tuple(self._matrix(row, 0, n, n) for row in self._table)
         return self._flat_left
 
     def flat_right_ops(self) -> tuple:
         if self._flat_right is None:
-            self._flat_right = tuple(self.right_matrix(b) for b in self._flat_basis())
+            n = self.dim
+            cols = [{} for _ in range(n)]  # cols[i][j] = b_j b_i
+            for j, row in enumerate(self._table):
+                for i, prod in row.items():
+                    cols[i][j] = prod
+            self._flat_right = tuple(self._matrix(col, 0, n, n) for col in cols)
         return self._flat_right
 
     def mult_ops(self, h: int, g: int) -> tuple:
@@ -183,15 +216,19 @@ class GradedAlgebra:
         d_{hg} x d_g matrix of x -> b_{h,k} * x : R_g -> R_{hg} and the
         d_{gh} x d_g matrix of x -> x * b_{h,k} : R_g -> R_{gh}, also for d_g = 0.
         """
-        dg, dims, table = self.comp_dims[g], self.comp_dims, self.group.table
-        cols = lambda vecs, t: Matrix(self.field, vecs, dims[t]).transpose()
+        table, gtab = self._table, self.group.table
+        source = self._span(g)
+
+        def op(cols, t):
+            return self._matrix(cols, self.offsets[t], self.comp_dims[t], len(source))
+
         lefts = tuple(
-            cols([self.product_coeffs(h, k, g, j) for j in range(dg)], table[h][g])
-            for k in range(dims[h])
+            op({j: table[b][a] for j, a in enumerate(source) if a in table[b]}, gtab[h][g])
+            for b in self._span(h)
         )
         rights = tuple(
-            cols([self.product_coeffs(g, j, h, k) for j in range(dg)], table[g][h])
-            for k in range(dims[h])
+            op({j: table[a][b] for j, a in enumerate(source) if b in table[a]}, gtab[g][h])
+            for b in self._span(h)
         )
         return lefts, rights
 
@@ -209,16 +246,12 @@ class GradedAlgebra:
 
     def projection_ops(self) -> tuple:
         """The flat projection pi_g : R -> R_g of each nonzero component."""
-        zero, one = self.field.zero, self.field.one
-        out = []
-        for off, d in zip(self.offsets, self.comp_dims):
-            if d:
-                rows = tuple(
-                    tuple(one if c == r and off <= r < off + d else zero for c in range(self.dim))
-                    for r in range(self.dim)
-                )
-                out.append(Matrix._trusted(self.field, rows, self.dim))
-        return tuple(out)
+        one, n = self.field.one, self.dim
+        return tuple(
+            self._matrix({k: {k: one} for k in self._span(g)}, 0, n, n)
+            for g, d in enumerate(self.comp_dims)
+            if d
+        )
 
     def subset_ops(self, subset) -> tuple:
         """identity_ops() cut to R_S, the sum of the components in S.
@@ -229,9 +262,7 @@ class GradedAlgebra:
         members = sorted({int(g) for g in subset})
         if members and not (0 <= members[0] and members[-1] < self.group.order):
             raise InvalidInput(f"subset {tuple(subset)!r} has a bad group index")
-        idx = [
-            k for g in members for k in range(self.offsets[g], self.offsets[g] + self.comp_dims[g])
-        ]
+        idx = [k for g in members for k in self._span(g)]
 
         def cut(op):
             rows = op.entries
@@ -246,19 +277,18 @@ class GradedAlgebra:
 
     def identity_component_algebra(self) -> "GradedAlgebra":
         """The identity component as an algebra over the trivial group."""
-        from .groups import trivial_group
-
         e = self.group.identity
-        d = self.comp_dims[e]
+        span = self._span(e)
         structure = {
-            (0, i, 0, j): vec
-            for (g, i, h), row in self._products.items()
-            if g == h == e
-            for j, vec in row.items()
+            (0, a - span.start, 0, b - span.start): self._component(prod, e)
+            for a in span
+            for b, prod in self._table[a].items()
+            if b in span
         }
-        labels = {(0, i): self.label(e, i) for i in range(d)}
+        labels = {(0, i): self.label(e, i) for i in range(len(span))}
+        dims = (len(span),)
         return GradedAlgebra(
-            self.field, trivial_group(), (d,), structure, self.unit_coeffs, basis_labels=labels
+            self.field, trivial_group(), dims, structure, self.unit_coeffs, basis_labels=labels
         )
 
     def __repr__(self):
@@ -266,75 +296,57 @@ class GradedAlgebra:
         return f"GradedAlgebra({self.field}, dim {self.dim} = {dims})"
 
 
+def _reduced(field: Field, sums: dict) -> dict:
+    """The nonzero entries of a dict of exact sums of canonical scalars, made canonical."""
+    return {k: c for k, c in zip(sums, field.vector(sums.values())) if c}
+
+
 class Element:
-    """A sparse algebra element: dict group index -> coefficient tuple."""
+    """A sparse algebra element: {flat basis index: nonzero canonical coefficient}.
 
-    __slots__ = ("alg", "comps")
+    The constructor wraps its terms unchecked; GradedAlgebra.element,
+    from_flat and basis_element make elements from outside data.
+    """
 
-    def __init__(self, alg: GradedAlgebra, comps: Mapping):
-        clean = {}
-        for g, coeffs in comps.items():
-            g = int(g)
-            if not (0 <= g < alg.group.order):
-                raise InvalidInput(f"no component {g}")
-            vec = alg.field.vector(coeffs)
-            if len(vec) != alg.comp_dims[g]:
-                raise InvalidInput(
-                    f"component {alg.group.names[g]} expects {alg.comp_dims[g]} coefficients"
-                )
-            if any(vec):
-                clean[g] = vec
+    __slots__ = ("alg", "terms")
+
+    def __init__(self, alg: GradedAlgebra, terms: dict):
         self.alg = alg
-        self.comps = clean
-
-    @classmethod
-    def _trusted(cls, alg: GradedAlgebra, comps: dict) -> "Element":
-        """Wrap canonical coefficient tuples, unchecked; zero components are dropped."""
-        x = object.__new__(cls)
-        x.alg = alg
-        x.comps = {g: v for g, v in comps.items() if any(v)}
-        return x
+        self.terms = terms
 
     def _check_same(self, other: "Element"):
         if self.alg is not other.alg:
             raise InvalidInput("elements of different algebras")
 
     def coeffs(self, g: int) -> tuple:
-        got = self.comps.get(g)
-        if got is not None:
-            return got
-        return (self.alg.field.zero,) * self.alg.comp_dims[g]
+        return self.alg._component(self.terms, g)
 
     def support(self) -> tuple:
-        return tuple(sorted(self.comps))
+        place = self.alg._place
+        return tuple(sorted({place[k][0] for k in self.terms}))
 
     def project(self, g: int) -> "Element":
         if not (0 <= g < self.alg.group.order):
             raise InvalidInput(f"no component {g}")
-        if g in self.comps:
-            return Element._trusted(self.alg, {g: self.comps[g]})
-        return self.alg.zero()
+        span = self.alg._span(g)
+        return Element(self.alg, {k: c for k, c in self.terms.items() if k in span})
 
     def is_zero(self) -> bool:
-        return not self.comps
+        return not self.terms
 
     def flat(self) -> tuple:
         return self.alg.flatten(self)
 
     def __add__(self, other: "Element") -> "Element":
         self._check_same(other)
-        f = self.alg.field
-        out = dict(self.comps)
-        for g, coeffs in other.comps.items():
-            if g in out:
-                out[g] = tuple(map(f.add, out[g], coeffs))
-            else:
-                out[g] = coeffs
-        return Element._trusted(self.alg, out)
+        sums = dict(self.terms)
+        for k, c in other.terms.items():
+            sums[k] = sums.get(k, 0) + c
+        return Element(self.alg, _reduced(self.alg.field, sums))
 
     def __neg__(self) -> "Element":
-        f = self.alg.field
-        return Element._trusted(self.alg, {g: tuple(map(f.neg, v)) for g, v in self.comps.items()})
+        neg = self.alg.field.neg
+        return Element(self.alg, {k: neg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -342,57 +354,40 @@ class Element:
     def scale(self, c) -> "Element":
         f = self.alg.field
         c = f.coerce(c)
-        return Element._trusted(self.alg, {g: tuple(f.scale(c, v)) for g, v in self.comps.items()})
+        return Element(self.alg, _reduced(f, {k: c * v for k, v in self.terms.items()}))
 
     def __rmul__(self, c) -> "Element":
         return self.scale(c)
 
     def __mul__(self, other) -> "Element":
+        """sum of x_i y_j b_i b_j over the table, reduced once at the end."""
         if not isinstance(other, Element):
             return self.scale(other)
         self._check_same(other)
-        alg = self.alg
-        gtab = alg.group.table
-        products = alg._products
-        # per target component: the products x_i y_j and the structure
-        # vectors they weight, summed in one pass by Field.combine
-        terms: dict = {}
-        for g, xg in self.comps.items():
-            for h, yh in other.comps.items():
-                k = gtab[g][h]
-                if k not in terms:
-                    terms[k] = ([], [])
-                cs, vecs = terms[k]
-                for i, xi in enumerate(xg):
-                    row = products.get((g, i, h)) if xi else None
-                    if row is None:
-                        continue
-                    for j, vec in row.items():
-                        yj = yh[j]
-                        if yj:
-                            cs.append(xi * yj)
-                            vecs.append(vec)
-        combine = alg.field.combine
-        return Element._trusted(
-            alg, {k: tuple(combine(cs, vecs)) for k, (cs, vecs) in terms.items() if cs}
-        )
+        table = self.alg._table
+        sums: dict = {}
+        for i, xi in self.terms.items():
+            row = table[i]
+            if not row:
+                continue
+            for j, yj in other.terms.items():
+                prod = row.get(j)
+                if prod is not None:
+                    c = xi * yj
+                    for k, v in prod.items():
+                        sums[k] = sums.get(k, 0) + c * v
+        return Element(self.alg, _reduced(self.alg.field, sums))
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.alg is other.alg and self.comps == other.comps
+        return isinstance(other, Element) and self.alg is other.alg and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.comps.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        if not self.comps:
-            return "0"
-        parts = []
-        for g in sorted(self.comps):
-            for i, c in enumerate(self.comps[g]):
-                if c:
-                    lbl = self.alg.label(g, i)
-                    parts.append(lbl if c == self.alg.field.one else f"{c}*{lbl}")
-        return " + ".join(parts)
+        alg = self.alg
+        terms = ((self.terms[k], alg.label(*alg._place[k])) for k in sorted(self.terms))
+        return " + ".join(lbl if c == alg.field.one else f"{c}*{lbl}" for c, lbl in terms) or "0"
 
 
 @dataclass
@@ -416,7 +411,7 @@ def validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
     span of 1 closed under left multiplication by S is all of R, then N = R
     and R is associative: |S| n^2 triples instead of n^3.  When a member of
     S fails, the full scan runs and names the first failing triple in scan
-    order.  Each basis product b*c is computed once and serves both.
+    order.  Each basis product b*c is read once from the table and serves both.
     """
     problems = []
     one = alg.one()
@@ -426,7 +421,7 @@ def validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
             g, i = alg.basis_of_flat(k)
             problems.append(f"unit law fails at basis element {alg.label(g, i)}")
             return AlgebraDiagnostics(False, problems)
-    prods = [[b * c for c in basis] for b in basis]
+    prods = [[Element(alg, row.get(j, {})) for j in range(alg.dim)] for row in alg._table]
     gens = _left_nucleus_generators(alg, basis, prods)
     if gens is not None:
         return AlgebraDiagnostics(True, problems, nucleus_generators=gens)
@@ -435,7 +430,7 @@ def validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
 
 def _associates(a: Element, ab: Element, c: Element, bc: Element) -> bool:
     """(ab)c == a(bc); when ab and bc are both zero, so are both sides."""
-    return not (ab.comps or bc.comps) or ab * c == a * bc
+    return not (ab.terms or bc.terms) or ab * c == a * bc
 
 
 def _left_nucleus_generators(alg: GradedAlgebra, basis: list, prods: list) -> Optional[tuple]:
@@ -566,7 +561,7 @@ class GradedSubspace:
     def contains(self, x: Element) -> bool:
         if x.alg is not self.alg:
             raise InvalidInput("element of a different algebra")
-        return all(self.component(g).contains(coeffs) for g, coeffs in x.comps.items())
+        return all(self.component(g).contains(x.coeffs(g)) for g in x.support())
 
     def __eq__(self, other):
         return (
@@ -618,8 +613,8 @@ def component_product(s: GradedSubspace, t: GradedSubspace) -> GradedSubspace:
             if acc is None:
                 acc = accs[k] = EchelonBasis(alg.field, dk)
             for u in sg.basis.entries:
-                xu = Element(alg, {g: u})
+                xu = alg.element({g: u})
                 for v in th.basis.entries:
-                    prod = xu * Element(alg, {h: v})
+                    prod = xu * alg.element({h: v})
                     acc.add(prod.coeffs(k))
     return GradedSubspace(alg, {k: acc.to_subspace() for k, acc in accs.items() if acc.rank})

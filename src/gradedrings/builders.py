@@ -187,8 +187,10 @@ def crossed_identity_failure(
     for g in range(n):
         for h in range(n):
             a = alpha[(g, h)]
-            lhs = base.right_matrix(a) @ sigma[g] @ sigma[h]
-            i = _first_differing_column(lhs, base.left_matrix(a) @ sigma[group.table[g][h]])
+            lhs, rhs = sigma[g] @ sigma[h], sigma[group.table[g][h]]
+            if a != one:  # R_1 and L_1 are the identity
+                lhs, rhs = base.right_matrix(a) @ lhs, base.left_matrix(a) @ rhs
+            i = _first_differing_column(lhs, rhs)
             if i is not None:
                 return (
                     "twisted composition sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh fails "
@@ -254,14 +256,16 @@ def crossed_product(
     if failure is not None:
         raise InvalidInput(failure)
 
-    # b_i u_g * b_j u_h = b_i sigma_g(b_j) alpha(g,h) u_gh: column j of R_alpha L_i sigma_g
+    # b_i u_g * b_j u_h = b_i sigma_g(b_j) alpha(g,h) u_gh: column j of R_alpha L_i sigma_g,
+    # where R_alpha = I when alpha(g,h) = 1, as in every skew group ring
     structure = {}
     for g in range(n):
         twisted = [left @ sigma[g] for left in base.flat_left_ops()]
         for h in range(n):
-            right = base.right_matrix(alpha_elems[(g, h)])
-            for i, op in enumerate(twisted):
-                for j, vec in enumerate((right @ op).transpose().entries):
+            a = alpha_elems[(g, h)]
+            ops = twisted if a == one else [base.right_matrix(a) @ op for op in twisted]
+            for i, op in enumerate(ops):
+                for j, vec in enumerate(op.transpose().entries):
                     if any(vec):
                         structure[(g, i, h, j)] = vec
     labels = {}

@@ -8,14 +8,15 @@ construction, and a subspace is stored as its reduced row-echelon basis, so
 equality of spans is structural equality.
 
 Scalars are checked once, where they enter: `Matrix(...)`, `Matrix.apply`,
-`EchelonBasis.add`/`reduce` and `Subspace.contains` (and, above this module,
-`Element(...)` and the seeds of `spin`) pass each vector they are given
-through `Field.vector`, one call per vector; `EchelonBasis._insert` skips it,
+`EchelonBasis.add`/`reduce` and `Subspace.contains` (and, above this
+module, the `GradedAlgebra` constructor, `GradedAlgebra.element`/`from_flat`
+and the seeds of `spin`) pass each vector they are given through
+`Field.vector`, one call per vector; `EchelonBasis._insert` skips it,
 for callers whose rows are canonical already.  It refuses bool, float, str
 and every other scalar that is not an int (or, over Q, a Fraction) with
 InvalidInput, and returns canonical entries.  What a kernel computes from
 canonical operands is canonical already, so it is wrapped as it is
-(`Matrix._trusted`, `Element._trusted`), with no second pass.
+(`Matrix._trusted`, the `Element` constructor), with no second pass.
 
 `Field` owns the difference between GF(p) and Q.  Besides the scalar
 operations it holds four row primitives, picked once when the field is made:

@@ -69,6 +69,19 @@ def vector_from_json(field: Field, vec):
     return tuple(scalar_from_json(field, c) for c in vec)
 
 
+def _decoded_vector(field: Field, vec) -> list:
+    """A coefficient vector of an algebra file, decoded but not checked.
+
+    Rational strings become Fractions; every other value is left for the
+    GradedAlgebra constructor, whose Field.vector is the one scalar check.
+    """
+    if not isinstance(vec, list):
+        raise InvalidInput("coefficient vector must be a list")
+    if field.p:
+        return vec
+    return [scalar_from_json(field, c) if isinstance(c, str) else c for c in vec]
+
+
 def _field_to_obj(field: Field) -> dict:
     if field.p:
         return {"type": "GF", "p": field.p}
@@ -158,13 +171,13 @@ def algebra_from_obj(obj) -> GradedAlgebra:
             raise InvalidInput(f"structure index must be a non-negative integer, got {key!r}")
         if key in structure:
             raise InvalidInput(f"duplicate structure row for {key}")
-        structure[key] = vector_from_json(field, coeffs)
+        structure[key] = _decoded_vector(field, coeffs)
     return GradedAlgebra(
         field,
         group,
         comp_dims,
         structure,
-        vector_from_json(field, unit),
+        _decoded_vector(field, unit),
         meta=meta,
     )
 

@@ -21,7 +21,7 @@ from gradedrings.algebra import (
 )
 from gradedrings.bimodule import image_rank
 from gradedrings.builders import full_matrix_algebra, galois_skew_example, group_algebra, m3_example
-from gradedrings.corpus import Instance, oracle_scale_corpus
+from gradedrings.corpus import Instance, dead_component_line, oracle_scale_corpus
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, symmetric_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, Matrix, Subspace
@@ -80,6 +80,19 @@ def test_left_right_matrices_agree_with_products(m3_gf2):
         y = alg.from_flat([rng.randrange(2) for _ in range(9)])
         assert alg.left_matrix(x).apply(alg.flatten(y)) == alg.flatten(x * y)
         assert alg.right_matrix(x).apply(alg.flatten(y)) == alg.flatten(y * x)
+
+
+def test_basis_of_flat_refuses_indices_outside_the_basis(m3_gf2):
+    assert m3_gf2.basis_of_flat(8) == (1, 3)
+    dead = dead_component_line(GF(2))  # R_2 = 0: flat index 1 would name no basis element
+    assert dead.comp_dims[2] == 0 and dead.basis_of_flat(0) == (0, 0)
+    for alg, idx in ((m3_gf2, 9), (m3_gf2, 100), (m3_gf2, -1), (dead, 1)):
+        with pytest.raises(InvalidInput, match="flat index out of range"):
+            alg.basis_of_flat(idx)
+    # b_{0,5} of m3 would be flat index 5, which is b_{1,0}
+    for g, i in ((0, 5), (0, -1), (2, 0), (3, 0)):
+        with pytest.raises(InvalidInput, match="no basis element"):
+            (dead if g > 1 else m3_gf2).basis_element(g, i)
 
 
 def test_mixed_algebra_elements_rejected(gf2_z2, m3_gf2):
@@ -210,12 +223,9 @@ def _reference_product(alg, x, y):
     return tuple(out)
 
 
-@given(st.integers(0, 2**30 - 1), st.sampled_from([GF(3), RATIONALS]))
-@settings(max_examples=40, deadline=None)
-def test_products_follow_sparse_table(seed, field):
-    # random tables, not associative in general; about a third of the given
-    # vectors are zero and must read back as zero products
-    rng = random.Random(seed)
+def _random_algebra(field, rng):
+    """(alg, structure): a random table, not associative in general, in
+    which about a third of the given vectors are zero."""
     group = rng.choice([trivial_group(), cyclic_group(2), cyclic_group(3), symmetric_group(3)])
     dims = [rng.randint(0, 3) for _ in range(group.order)]
     dims[group.identity] = max(1, dims[group.identity])
@@ -228,7 +238,15 @@ def test_products_follow_sparse_table(seed, field):
                 vec = [0 if zero else _random_scalar(field, rng) for _ in range(d)]
                 structure[(g, i, h, j)] = vec
     unit = [1] + [0] * (dims[group.identity] - 1)
-    alg = GradedAlgebra(field, group, dims, structure, unit)
+    return GradedAlgebra(field, group, dims, structure, unit), structure
+
+
+@given(st.integers(0, 2**30 - 1), st.sampled_from([GF(3), RATIONALS]))
+@settings(max_examples=40, deadline=None)
+def test_products_follow_sparse_table(seed, field):
+    # zero vectors in the given table must read back as zero products
+    rng = random.Random(seed)
+    alg, structure = _random_algebra(field, rng)
 
     items = alg.structure_items()
     assert [key for key, _ in items] == sorted(key for key, _ in items)
@@ -243,6 +261,45 @@ def test_products_follow_sparse_table(seed, field):
             alg.from_flat([_random_scalar(field, rng) for _ in range(alg.dim)]) for _ in range(2)
         )
         assert alg.flatten(x * y) == _reference_product(alg, x, y)
+
+
+@given(st.integers(0, 2**30 - 1), st.sampled_from([GF(3), RATIONALS]))
+@settings(max_examples=40, deadline=None)
+def test_element_arithmetic_follows_dense_vectors(seed, field):
+    # Element keeps only the nonzero flat coordinates; every operation must
+    # agree with dense flat arithmetic by the Field primitives
+    rng = random.Random(seed)
+    alg, _ = _random_algebra(field, rng)
+    f, G = field, alg.group
+
+    def sparse_vector():
+        return f.vector(0 if rng.random() < 0.5 else _random_scalar(f, rng) for _ in range(alg.dim))
+
+    u, v = sparse_vector(), sparse_vector()
+    x, y = alg.from_flat(u), alg.from_flat(v)
+    assert alg.flatten(x) == u and x.flat() == u and x.is_zero() == (not any(u))
+    assert alg.flatten(x + y) == tuple(map(f.add, u, v))
+    assert alg.flatten(x - y) == tuple(map(f.sub, u, v))
+    assert alg.flatten(-x) == tuple(map(f.neg, u))
+    c = _random_scalar(f, rng)
+    assert alg.flatten(x.scale(c)) == tuple(f.scale(f.coerce(c), u))
+    assert alg.flatten(c * x) == alg.flatten(x.scale(c))
+    for g in range(G.order):
+        lo, hi = alg.offsets[g], alg.offsets[g] + alg.comp_dims[g]
+        assert x.coeffs(g) == u[lo:hi]
+        assert alg.flatten(x.project(g)) == tuple(
+            a if lo <= k < hi else f.zero for k, a in enumerate(u)
+        )
+    assert x.support() == tuple(
+        g for g in range(G.order) if any(u[alg.offsets[g] : alg.offsets[g] + alg.comp_dims[g]])
+    )
+    assert (x == y) == (u == v)
+    twin = alg.from_flat(list(u))
+    assert twin == x and hash(twin) == hash(x)
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+    zero = x + (-x)
+    assert zero == alg.zero() and hash(zero) == hash(alg.zero()) and zero.is_zero()
+    assert alg.flatten(x * y) == _reference_product(alg, x, y)
 
 
 def test_sparse_table_allocates_no_dense_table():

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from gradedrings.algebra import validate_algebra
+from gradedrings.algebra import GradedAlgebra, validate_algebra
 from gradedrings.builders import (
     crossed_product,
     finite_field_algebra,
@@ -252,6 +252,18 @@ def test_crossed_product_builds_are_pinned(key):
         alg = CORPUS_CROSSED[key]
     text = algebra_to_json(alg)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CROSSED_PRODUCT_DIGESTS[key]
+
+
+def test_skew_group_ring_build_applies_no_cocycle(monkeypatch):
+    # every alpha(g,h) of a skew group ring is 1, whose right multiplication
+    # is the identity: the build must not form it
+    calls = []
+    right = GradedAlgebra.right_matrix
+    monkeypatch.setattr(
+        GradedAlgebra, "right_matrix", lambda alg, x: calls.append(x) or right(alg, x)
+    )
+    galois_skew_example(2, 4)
+    assert calls == []
 
 
 def test_matrix_unit_labels_in_row_column_order():

@@ -342,6 +342,36 @@ def test_malformed_sizes_rejected_exit_2(tmp_path, capsys, edit, needle):
     assert needle in captured.err
 
 
+MALFORMED_SCALARS = [
+    (field, value, where)
+    for field, values in (
+        ("gf2", [1.5, True, "1", None, [1]]),
+        ("q", [0.5, "1/0", "abc", True, None]),
+    )
+    for value in values
+    for where in ("structure", "unit")
+]
+
+
+@pytest.mark.parametrize(
+    "field,value,where",
+    MALFORMED_SCALARS,
+    ids=[f"{f}-{json.dumps(v)}-{w}" for f, v, w in MALFORMED_SCALARS],
+)
+def test_malformed_scalars_rejected_exit_2(tmp_path, capsys, field, value, where):
+    # the load path only decodes rational strings; the GradedAlgebra
+    # constructor checks every scalar, in structure rows and unit alike
+    obj = algebra_to_obj(group_algebra(parse_field(field), cyclic_group(2)))
+    vec = obj["structure"][0][4] if where == "structure" else obj["unit"]
+    vec[0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path), "--property", "valid"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_internal_inconsistency_exit_4(tmp_path, capsys):
     # b_{0,0} * b_{0,0} flipped from 1 to the generator of GF(4): the data is
     # no longer associative, and the unit found for R_1 stops being invertible

@@ -2,11 +2,12 @@
 
 Three checks over the source of `gradedrings`, using only `ast`:
 
-- every module-level function or class whose name starts with `_` is
-  referenced somewhere in the package besides its own definition;
-- every other module-level function or class is referenced besides its
-  own definition somewhere in the package, `tests/`, `scripts/` or
-  `perfbench/`;
+- every module-level function or class, and every method of a
+  module-level class, whose name starts with `_` is referenced somewhere in
+  the package besides its own definition (dunder methods are exempt);
+- every other module-level function or class, and every other method, is
+  referenced besides its own definition somewhere in the package,
+  `tests/`, `scripts/` or `perfbench/`;
 - every imported name (except `from __future__`) is used in the module that
   imports it.  `__init__.py` is exempt: its imports are the public API.
 
@@ -16,6 +17,7 @@ A name counts as used when it appears as a `Name`, as the attribute of an
 import ast
 import os
 import re
+from collections import Counter
 
 import pytest
 
@@ -53,18 +55,23 @@ def _annotations(tree):
             yield ann
 
 
-def _used_names(tree) -> set:
-    used = set()
+def _name_uses(tree) -> list:
+    """Every use of a name in tree, once per occurrence."""
+    uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            uses.append(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            uses.append(node.attr)
     for ann in _annotations(tree):
         for node in ast.walk(ann):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.update(re.findall(r"\w+", node.value))
-    return used
+                uses.extend(re.findall(r"\w+", node.value))
+    return uses
+
+
+def _used_names(tree) -> set:
+    return set(_name_uses(tree))
 
 
 # module -> [(top-level statement, names it uses)]
@@ -122,6 +129,47 @@ def test_private_definition_is_referenced(module, name):
 def test_public_definition_is_referenced(module, name):
     assert name in USED_OUTSIDE or _used_in_package(module, name), (
         f"gradedrings/{module}: {name} is defined but never referenced"
+    )
+
+
+def _is_dunder(name) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+# (module, class, method node) for the methods of module-level classes
+METHOD_NODES = [
+    (module, cls.name, item)
+    for module, tree in TREES.items()
+    for cls in tree.body
+    if isinstance(cls, ast.ClassDef)
+    for item in cls.body
+    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name)
+]
+PACKAGE_USES = Counter(name for tree in TREES.values() for name in _name_uses(tree))
+
+
+def _method_used_in_package(node) -> bool:
+    """Used in the package more often than within the method's own body."""
+    return PACKAGE_USES[node.name] > _name_uses(node).count(node.name)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [n for _, _, n in METHOD_NODES if n.name.startswith("_")],
+    ids=[f"{m}:{c}.{n.name}" for m, c, n in METHOD_NODES if n.name.startswith("_")],
+)
+def test_private_method_is_referenced(node):
+    assert _method_used_in_package(node), f"method {node.name} is defined but never referenced"
+
+
+@pytest.mark.parametrize(
+    "node",
+    [n for _, _, n in METHOD_NODES if not n.name.startswith("_")],
+    ids=[f"{m}:{c}.{n.name}" for m, c, n in METHOD_NODES if not n.name.startswith("_")],
+)
+def test_public_method_is_referenced(node):
+    assert node.name in USED_OUTSIDE or _method_used_in_package(node), (
+        f"method {node.name} is defined but never referenced"
     )
 
 

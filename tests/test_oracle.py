@@ -210,7 +210,7 @@ def test_subring_oracle_makes_no_element_products(monkeypatch):
     # gf3-s3 = GF(3)[S3]: R_e acts by scalars, so every subspace of the
     # quotient GF(3)^5 is a candidate, 2,664 of them (56,632 in all of R)
     alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == "gf3-s3")
-    alg.identity_ops()  # the flat operators, built once per algebra from Elements
+    alg.identity_ops()  # the flat operators, read once per algebra from the product table
     calls = {"mul": 0, "closure": 0}
     mul, closed = algebra.Element.__mul__, oracle._closed_under_products
 
