@@ -15,7 +15,8 @@ Structure rows list the nonzero basis products b_{g,i} * b_{h,j} as
 coefficient vectors over the target component R_{gh}; omitted rows mean the
 product is zero.  Rows are emitted sorted by (g, i, h, j).  Rationals are
 written as "num/den" strings so nothing ever passes through floats; GF(p)
-scalars are plain integers in [0, p).
+scalars are plain integers in [0, p).  Loading only decodes the scalars of
+an algebra file; the GradedAlgebra constructor checks each of them once.
 
 Serialization is canonical: dumps(loads(text)) == text for any text this
 module produced, which is what lets the CLI promise byte-identical output
@@ -44,16 +45,20 @@ def scalar_to_json(field: Field, x):
     return f"{frac.numerator}/{frac.denominator}"
 
 
+def _fraction(v: str) -> Fraction:
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"bad rational scalar {v!r}") from exc
+
+
 def scalar_from_json(field: Field, v):
     if field.p:
         if not isinstance(v, int):
             raise InvalidInput(f"GF({field.p}) scalar must be an integer, got {v!r}")
         return field.coerce(v)
     if isinstance(v, str):
-        try:
-            return field.coerce(Fraction(v))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"bad rational scalar {v!r}") from exc
+        return _fraction(v)
     if isinstance(v, int):
         return field.coerce(v)
     raise InvalidInput(f"rational scalar must be a string or integer, got {v!r}")
@@ -79,7 +84,7 @@ def _decoded_vector(field: Field, vec) -> list:
         raise InvalidInput("coefficient vector must be a list")
     if field.p:
         return vec
-    return [scalar_from_json(field, c) if isinstance(c, str) else c for c in vec]
+    return [_fraction(c) if isinstance(c, str) else c for c in vec]
 
 
 def _field_to_obj(field: Field) -> dict:
