@@ -14,20 +14,21 @@ degrading to sampling.
 
 Every invariant subspace is found by closing each seed vector v, one per
 projective ray, under the algebra E spanned by the operator products L R
-(_operator_span), so closure(v) = E v.  The two sweeps (_packed_sweep on
-bitmasks over GF(2), _generic_sweep over odd p) remember each seed's
-closure and reuse it under one memo rule: for each basis matrix M of E in
-turn, let u = M v, scaled to a leading 1.  A zero u is skipped.  If u was
-swept earlier, W = closure(u) = E M v lies in E v because E is closed
-under products (on data that fails validation it need not be, and the
-oracle's answer means nothing there); so if v is in W then closure(v) = W
-and the seed is done, and otherwise W's rows join the span.  An unswept u joins the span alone.
-The span stops growing at full rank.  The rule uses nothing but the
-definition of the closure, so the oracle stays brute force: it still
-visits every seed and consults no theorem about graded rings.  The memo
-is an array of closure ids indexed by the seed's code (the packed int, or
-the base-p code), a few bytes per seed; it is allocated only after the
-p^n seed vectors have passed the budget, so it stays within the budget.
+(_operator_span), so closure(v) = E v.  One sweep (_seed_sweep) does this
+over every field, on one row format per field: an int bitmask over GF(2),
+a bitsliced pair of int masks over GF(3), tuples on an EchelonBasis for
+larger p.  It reuses each seed's closure under one memo rule: for each
+basis matrix M of E in turn, let u = M v, scaled to a leading 1.  A zero
+u is skipped.  If u was swept earlier, W = closure(u) = E M v lies in E v
+because E is closed under products (on data that fails validation it need
+not be, and the oracle's answer means nothing there); so if v is in W
+then closure(v) = W and the seed is done, and otherwise W's rows join the
+span.  An unswept u joins the span alone.  The span stops growing at full
+rank.  The rule uses only the definition of the closure, so the oracle
+stays brute force: it visits every seed and consults no theorem about
+graded rings.  The memo is an array of closure ids indexed by the base-p
+code of a vector with a leading 1, a few bytes per seed, allocated only
+after the p^n seed vectors have passed the budget.
 
 Subrings are enumerated on the quotient R/R_e.  A unital subring holding
 R_e is an R_e-sub-bimodule holding R_e, and by the correspondence theorem
@@ -39,7 +40,7 @@ route stays brute force too.  LATTICE_CAP bounds the quotient's lattice.
 
 import itertools
 from array import array
-from operator import mul
+from operator import mul, xor
 from typing import List, Tuple
 
 from .algebra import GradedAlgebra, graded_subspace_from_flat
@@ -115,18 +116,11 @@ def enumerate_subspaces(dim: int, f: Field, budget: int = DEFAULT_BUDGET) -> Lis
     total = count_subspaces(f.p, dim)
     if total > budget:
         raise BudgetError(f"{total} subspaces of GF({f.p})^{dim} exceed budget {budget}")
-    elems = list(range(f.p))
     out = []
     for k in range(dim + 1):
         for pivots in itertools.combinations(range(dim), k):
-            pivot_set = set(pivots)
-            free = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, dim)
-                if c not in pivot_set
-            ]
-            for values in itertools.product(elems, repeat=len(free)):
+            free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, dim) if c not in pivots]
+            for values in itertools.product(range(f.p), repeat=len(free)):
                 rows = [[0] * dim for _ in range(k)]
                 for r, pc in enumerate(pivots):
                     rows[r][pc] = 1
@@ -165,176 +159,201 @@ def _operator_span(f: Field, lefts, rights, dim: int) -> List[Matrix]:
     return mats
 
 
-def _seed_sweep(f: Field, n: int, lefts, rights):
-    """Each seed vector of f^n, one per projective ray, with its closure under E.
+def _mask(v) -> int:
+    """The int with bit i set where v's coordinate i is nonzero."""
+    return sum(1 << i for i, x in enumerate(v) if x)
 
-    The caller has passed _require_seed_budget.  The sweep itself is lazy:
-    see _packed_sweep and _generic_sweep.
+
+class _TupleRows:
+    """Rows as tuples of residues, on an EchelonBasis: the rows of p >= 5.
+
+    Each row format gives _seed_sweep the same operations: seeds() yields the
+    seeds in the order of projective_vectors, images(seed, code) each nonzero
+    M seed for M a basis matrix of E, scaled to a leading 1, both with their
+    codes; insert grows a basis, and contains, full and canonical read one.
     """
-    mats = _operator_span(f, lefts, rights, n)
-    if f.p == 2:
-        return _packed_sweep(mats, n)
-    return _generic_sweep(f, mats, n)
+
+    def __init__(self, f: Field, n: int, mats):
+        self.f, self.n, self.codes, self.lo = f, n, f.p ** n, n // 2
+        self.weights, self.weight = [f.p ** (n - 1 - i) for i in range(n)], [0]
+        for w in self.weights:  # weight[mask]: the sum of weights[i] over the bits i of mask
+            self.weight += [x + w for x in self.weight]
+        self.mats = [Matrix.identity(f, n)] + mats
+        self.tables = [None] * len(self.mats)
+
+    def seeds(self):
+        for v in projective_vectors(self.f, self.mats[0].entries):
+            yield sum(map(mul, v, self.weights)), v
+
+    def images(self, seed, code):
+        for m in self.mats[1:]:
+            u = self.monic(self.f.dots(m.entries, seed))
+            if u:
+                yield u
+
+    def monic(self, u):
+        lead = next((x for x in u if x), 0)
+        if lead:
+            u = u if lead == 1 else self.f.scale(self.f.inv(lead), u)
+            return sum(map(mul, u, self.weights)), u
+
+    def basis(self):
+        return EchelonBasis(self.f, self.n)
+
+    insert, contains = staticmethod(EchelonBasis._insert), staticmethod(EchelonBasis.contains)
+    full, support = staticmethod(EchelonBasis.is_full), staticmethod(_mask)
+
+    @staticmethod
+    def canonical(eb):
+        return tuple(map(tuple, eb.rows))
+
+    def unpack(self, row) -> tuple:
+        """A monic row's coordinates, read from its code."""
+        code = self.monic(row)[0]
+        return tuple(code // w % self.f.p for w in self.weights)
 
 
-def _closure_id(ids: dict, closures: list, key, entry) -> int:
-    """Id of the closure with this key; a new key appends its entry.
+class _BitRows(_TupleRows):
+    """GF(2) rows packed into an int, bit i for coordinate i.  A basis is a
+    dict from each row's pivot bit, its lowest set bit, to the row.  Seeds
+    and images are read from tables of each matrix (the identity for the
+    seeds) applied to every vector on the first n - lo and on the last lo
+    coordinates, in code order, built when first used."""
 
-    Ids are 1-based positions in closures, so 0 can mean "not swept".
-    """
-    k = ids.get(key)
-    if k is None:
-        closures.append(entry)
-        k = ids[key] = len(closures)
-    return k
+    pack, support, add, basis = staticmethod(_mask), staticmethod(int), staticmethod(xor), dict
+
+    def _tables(self, i: int):
+        add, cols = self.add, [self.pack(c) for c in zip(*self.mats[i].entries)]
+        out = self.tables[i] = []
+        for coords in (range(self.n - self.lo), range(self.n - self.lo, self.n)):
+            vecs = [self.pack((0,) * self.n)]
+            for j in coords:
+                multiples = list(itertools.accumulate([cols[j]] * (self.f.p - 1), add, initial=vecs[0]))
+                vecs = [add(v, u) for v in vecs for u in multiples]
+            out.append(vecs)
+        return out
+
+    def seeds(self):
+        (high, low), p, base = self._tables(0), self.f.p, self.f.p ** self.lo
+        for k in reversed(range(self.n)):
+            for code in range(p ** k, 2 * p ** k):
+                yield code, self.add(high[code // base], low[code % base])
+
+    def images(self, seed, code):
+        h, l = divmod(code, self.f.p ** self.lo)
+        for i in range(1, len(self.mats)):
+            high, low = self.tables[i] or self._tables(i)
+            u = self.monic(self.add(high[h], low[l]))
+            if u:
+                yield u
+
+    def monic(self, y):
+        if y:
+            return self.weight[y], y
+
+    def reduce(self, basis, y):
+        """(b, y): y reduced at the basis' pivots until its lowest nonzero
+        bit b is none of them, and b = 0 when y reduces to 0."""
+        while y & -y in basis:
+            y ^= basis[y & -y]
+        return y & -y, y
+
+    @staticmethod
+    def clear(y, row, b):
+        """y minus y_b times row, where y_b is not 0 and row is 1 at b."""
+        return y ^ row
+
+    def insert(self, basis, y):
+        b, y = self.reduce(basis, y)
+        if b:
+            basis[b] = self.monic(y)[1]
+
+    def contains(self, w, v) -> bool:
+        return not self.reduce(w, v)[0]
+
+    def full(self, basis) -> bool:
+        return len(basis) == self.n
+
+    def canonical(self, basis):
+        # back-substitute from the largest pivot down: the rows used are final
+        # and zero at every other pivot, so each clears one coordinate
+        pivots = sum(basis)
+        for c in sorted(basis, reverse=True):
+            bits = self.support(basis[c]) & pivots & ~c
+            while bits:
+                b = bits & -bits
+                basis[c] = self.clear(basis[c], basis[b], b)
+                bits ^= b
+        return tuple(basis[b] for b in sorted(basis))
 
 
-# Over GF(2) the seed sweeps dominate the oracle's runtime, so vectors are
-# packed into integers (bit i = coordinate i) and the closure runs on
-# bitmasks.  A closure is held as its fully reduced echelon rows sorted by
-# pivot (the lowest set bit), which is its canonical RREF basis.
+class _TritRows(_BitRows):
+    """GF(3) rows bitsliced into a pair (plus, minus) of ints: bit i of plus
+    (minus) says that coordinate i is 1 (-1).  A sum takes six boolean
+    operations and a negation swaps the pair."""
+
+    @staticmethod
+    def pack(v):
+        return _mask(x == 1 for x in v), _mask(x == 2 for x in v)
+
+    @staticmethod
+    def add(y, c):
+        (yp, ym), (cp, cm) = y, c
+        t = (yp | cm) ^ (ym | cp)
+        return (ym | cm) ^ t, (yp | cp) ^ t
+
+    def monic(self, y):
+        if y[0] | y[1]:
+            y = y[::-1] if y[1] & (y[0] | y[1]) & -(y[0] | y[1]) else y
+            return self.weight[y[0]] + 2 * self.weight[y[1]], y
+
+    def reduce(self, basis, y):
+        b = (y[0] | y[1]) & -(y[0] | y[1])
+        while b in basis:
+            y = self.clear(y, basis[b], b)
+            b = (y[0] | y[1]) & -(y[0] | y[1])
+        return b, y
+
+    def clear(self, y, row, b):
+        return self.add(y, row[::-1] if y[0] & b else row)
+
+    @staticmethod
+    def support(v) -> int:
+        return v[0] | v[1]
 
 
-def _packed_columns(mat: Matrix, dim: int) -> List[int]:
-    cols = []
-    for c in range(dim):
-        mask = 0
-        for r in range(dim):
-            if mat.entries[r][c]:
-                mask |= 1 << r
-        cols.append(mask)
-    return cols
-
-
-def _packed_apply(cols: List[int], v: int) -> int:
-    y = 0
-    while v:
-        low = v & -v
-        y ^= cols[low.bit_length() - 1]
-        v ^= low
-    return y
-
-
-def _packed_insert(by_pivot: dict, y: int) -> None:
-    """Reduce y by the rows keyed by their lowest bit; keep a nonzero rest."""
-    while y:
-        piv = (y & -y).bit_length() - 1
-        row = by_pivot.get(piv)
-        if row is None:
-            by_pivot[piv] = y
-            return
-        y ^= row
-
-
-def _packed_canonical(by_pivot: dict) -> Tuple[int, ...]:
-    # Back-substitute from the largest pivot down; a row's bits below its
-    # own pivot are already zero, so each row being used is final.
-    for p in sorted(by_pivot, reverse=True):
-        row = by_pivot[p]
-        bit = 1 << p
-        for q in by_pivot:
-            if q < p and by_pivot[q] & bit:
-                by_pivot[q] ^= row
-    return tuple(by_pivot[p] for p in sorted(by_pivot))
-
-
-def _packed_contains(rows: Tuple[int, ...], v: int) -> bool:
-    for row in rows:
-        if v & row & -row:
-            v ^= row
-    return not v
-
-
-def _packed_sweep(mats: List[Matrix], dim: int):
-    """Yield (seed, closure rows) for every nonzero seed of GF(2)^dim.
-
-    Follows the memo rule of the module docstring; the memo is indexed by
-    the packed seed itself.
-    """
-    colmats = [_packed_columns(m, dim) for m in mats]
-    memo = array("I", [0]) * (1 << dim)
-    closures: List[Tuple[int, ...]] = []
-    ids: dict = {}
-    for seed in range(1, 1 << dim):
-        by_pivot: dict = {}
+def _seed_sweep(rows):
+    """Yield (seed, closure rows) for every projective seed, in rows' format,
+    by the memo rule of the module docstring.  The caller has passed
+    _require_seed_budget."""
+    memo = array("I", [0]) * rows.codes
+    closures, ids = [], {}
+    images, insert, contains, full = rows.images, rows.insert, rows.contains, rows.full
+    for code, seed in rows.seeds():
+        basis = rows.basis()
         k = 0
-        for cols in colmats:
-            u = _packed_apply(cols, seed)
-            if not u:
-                continue
-            k = memo[u]
-            if k:
-                rows = closures[k - 1]
-                if _packed_contains(rows, seed):
-                    break
-                k = 0
-                for row in rows:
-                    _packed_insert(by_pivot, row)
-            else:
-                _packed_insert(by_pivot, u)
-            if len(by_pivot) == dim:
+        for u_code, u in images(seed, code):
+            k = memo[u_code]
+            if k and contains(closures[k - 1][1], seed):
+                break
+            for row in closures[k - 1][0] if k else (u,):  # W's rows, or u alone
+                insert(basis, row)
+            k = 0
+            if full(basis):
                 break
         if not k:
-            rows = _packed_canonical(by_pivot)
-            k = _closure_id(ids, closures, rows, rows)
-        memo[seed] = k
-        yield seed, closures[k - 1]
-
-
-def _generic_sweep(f: Field, mats: List[Matrix], dim: int):
-    """Yield (seed, closure rows) for every projective seed of GF(p)^dim.
-
-    Seeds come from projective_vectors, so their first nonzero entry is 1;
-    the closure rows are the canonical RREF basis as tuples.  Follows the
-    memo rule of the module docstring, with the memo indexed by the base-p
-    code of a vector scaled to a leading 1.  The products run on the raw
-    entry tuples, which are already canonical, so the rows go into the
-    EchelonBasis by its unchecked insert.
-    """
-    p = f.p
-    dots, scale, inv = f.dots, f.scale, f.inv
-    weights = [p ** (dim - 1 - i) for i in range(dim)]
-    memo = array("I", [0]) * p ** dim
-    closures: List[Tuple[tuple, EchelonBasis]] = []
-    ids: dict = {}
-    ops = [m.entries for m in mats]
-    for seed in projective_vectors(f, Matrix.identity(f, dim).entries):
-        eb = EchelonBasis(f, dim)
-        k = 0
-        for op in ops:
-            u = dots(op, seed)
-            lead = next((x for x in u if x), 0)
-            if not lead:
-                continue
-            if lead != 1:
-                u = scale(inv(lead), u)
-            k = memo[sum(map(mul, u, weights))]
-            if k:
-                w = closures[k - 1][1]
-                if w.contains(seed):
-                    break
-                k = 0
-                if eb.rank:
-                    for row in w.rows:
-                        eb._insert(row)
-                else:  # W's rows are already canonical: take them as they are
-                    eb.rows, eb.pivots = list(w.rows), list(w.pivots)
-            else:
-                eb._insert(u)
-            if eb.rank == dim:
-                break
-        if not k:
-            rows = tuple(map(tuple, eb.rows))
-            k = _closure_id(ids, closures, rows, (rows, eb))
-        memo[sum(map(mul, seed, weights))] = k
+            out = rows.canonical(basis)
+            k = ids.get(out)
+            if k is None:  # ids are 1-based, so 0 in the memo means "not swept"
+                closures.append((out, basis))
+                k = ids[out] = len(closures)
+        memo[code] = k
         yield seed, closures[k - 1][0]
 
 
-def _closure_subspace(f: Field, rows, dim: int) -> Subspace:
-    """The Subspace of a closure's canonical rows, packed or not."""
-    if f.p == 2:
-        rows = [[(r >> i) & 1 for i in range(dim)] for r in rows]
-    return Subspace(f, dim, Matrix._trusted(f, tuple(map(tuple, rows)), dim), _canonical=True)
+def _row_format(f: Field, n: int, lefts, rights):
+    """The sweep's rows for f^n, holding the basis of E that the operators span."""
+    return {2: _BitRows, 3: _TritRows}.get(f.p, _TupleRows)(f, n, _operator_span(f, lefts, rights, n))
 
 
 def _cyclic_lattice(f: Field, n: int, lefts, rights, budget: int) -> List[Subspace]:
@@ -347,19 +366,20 @@ def _cyclic_lattice(f: Field, n: int, lefts, rights, budget: int) -> List[Subspa
     so a generator already in it adds nothing and is skipped, and each
     other one adds its sum with every member.
     """
+    fmt = _row_format(f, n, lefts, rights)
     cyclic = set()
-    for _, rows in _seed_sweep(f, n, lefts, rights):
+    for _, rows in _seed_sweep(fmt):
         cyclic.add(rows)
         if len(cyclic) > LATTICE_CAP:
             raise BudgetError(
-                f"more than {LATTICE_CAP} cyclic invariant subspaces; "
-                "instance is beyond oracle scale"
+                f"more than {LATTICE_CAP} cyclic invariant subspaces; instance is beyond oracle scale"
             )
     if all(len(rows) <= 1 for rows in cyclic):
         # Scalar action: every subspace is invariant.
         return enumerate_subspaces(n, f, budget)
     lattice = {Subspace.zero(f, n)}
-    for c in sorted((_closure_subspace(f, rows, n) for rows in cyclic), key=_subspace_key):
+    closures = (Matrix._trusted(f, tuple(map(fmt.unpack, rows)), n) for rows in cyclic)
+    for c in sorted((Subspace(f, n, m, _canonical=True) for m in closures), key=_subspace_key):
         if c not in lattice:
             lattice |= {subspace_sum(s, c) for s in lattice}
             if len(lattice) > LATTICE_CAP:
@@ -386,10 +406,8 @@ def enumerate_sub_bimodules(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET)
 def ideal_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> List[Tuple[Subspace, bool]]:
     """All two-sided ideals, each flagged graded or not."""
     _require_seed_budget(alg, budget)
-    ideals = _cyclic_lattice(
-        alg.field, alg.dim, alg.flat_left_ops(), alg.flat_right_ops(), budget
-    )
-    return [(s, graded_subspace_from_flat(alg, s) is not None) for s in ideals]
+    lattice = _cyclic_lattice(alg.field, alg.dim, alg.flat_left_ops(), alg.flat_right_ops(), budget)
+    return [(s, graded_subspace_from_flat(alg, s) is not None) for s in lattice]
 
 
 def _subsets_isomorphic(alg: GradedAlgebra, s_set, t_set, budget: int) -> bool:
@@ -406,9 +424,7 @@ def _subsets_isomorphic(alg: GradedAlgebra, s_set, t_set, budget: int) -> bool:
     if homs.dim == 0:
         return False
     if f.p ** homs.dim > budget:
-        raise BudgetError(
-            f"isomorphism search space {f.p}^{homs.dim} exceeds budget {budget}"
-        )
+        raise BudgetError(f"isomorphism search space {f.p}^{homs.dim} exceeds budget {budget}")
     for flat in projective_vectors(f, homs.basis.entries):
         if nullspace(Matrix._unflatten(f, flat, a.dim)).dim == 0:
             return True
@@ -429,26 +445,15 @@ def controlled_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> bo
     if any(d == 0 for d in alg.comp_dims):
         return False
     _require_seed_budget(alg, budget)
-    sweep = _seed_sweep(f, alg.dim, *alg.identity_ops())
-    spans = [(alg.offsets[g], alg.comp_dims[g]) for g in range(alg.group.order)]
-    if f.p == 2:
-        masks = [(((1 << d) - 1) << off, d) for off, d in spans]
-
-        def support_dim(seed):
-            return sum(d for mask, d in masks if seed & mask)
-    else:
-
-        def support_dim(seed):
-            return sum(d for off, d in spans if any(seed[off : off + d]))
-
-    for seed, rows in sweep:
-        if len(rows) != support_dim(seed):
+    fmt = _row_format(f, alg.dim, *alg.identity_ops())
+    masks = [(((1 << d) - 1) << alg.offsets[g], d) for g, d in enumerate(alg.comp_dims)]
+    for seed, rows in _seed_sweep(fmt):
+        support = fmt.support(seed)
+        if len(rows) != sum(d for mask, d in masks if support & mask):
             return False
 
     order = alg.group.order
-    subsets = []
-    for r in range(1, order + 1):
-        subsets.extend(itertools.combinations(range(order), r))
+    subsets = [s for r in range(1, order + 1) for s in itertools.combinations(range(order), r)]
     for s_set, t_set in itertools.combinations(subsets, 2):
         if _subsets_isomorphic(alg, s_set, t_set, budget):
             return False
@@ -504,14 +509,9 @@ def _closed_under_products(table, w: Subspace) -> bool:
 def _lift(n: int, keep, w: Subspace) -> Subspace:
     """R_e + W inside R: W's rows put back at the kept coordinates, and a
     unit vector at each of R_e's."""
-    rows = []
-    for row in w.basis.entries:
-        full = [0] * n
-        for k, x in zip(keep, row):
-            full[k] = x
-        rows.append(full)
-    kept = set(keep)
-    rows += [[int(c == k) for c in range(n)] for k in range(n) if k not in kept]
+    pos = {k: i for i, k in enumerate(keep)}
+    rows = [[row[pos[k]] if k in pos else 0 for k in range(n)] for row in w.basis.entries]
+    rows += [[int(c == k) for c in range(n)] for k in range(n) if k not in pos]
     return Subspace.from_vectors(w.field, n, rows)
 
 

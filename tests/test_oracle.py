@@ -1,5 +1,6 @@
 """Brute-force oracles: exhaustive enumeration at tiny scale."""
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -304,9 +305,13 @@ def _assert_lattice_matches(got, ref):
         assert set(got) == ref
 
 
-@pytest.mark.parametrize("inst", SWEEPABLE, ids=[inst.name for inst in SWEEPABLE])
-def test_lattices_match_definition_level_closure(inst):
-    alg = inst.alg
+# GF(5)[Z/4] (625 seeds) keeps the tuple rows of p >= 5 under the same check
+LATTICE_CASES = [(inst.name, inst.alg) for inst in SWEEPABLE]
+LATTICE_CASES.append(("gf5-z4", group_algebra(GF(5), cyclic_group(4))))
+
+
+@pytest.mark.parametrize("alg", [a for _, a in LATTICE_CASES], ids=[n for n, _ in LATTICE_CASES])
+def test_lattices_match_definition_level_closure(alg):
     ideals = [s for s, _ in ideal_oracle(alg)]
     _assert_lattice_matches(
         ideals, _reference_lattice(alg, alg.flat_left_ops() + alg.flat_right_ops())
@@ -315,28 +320,101 @@ def test_lattices_match_definition_level_closure(inst):
     _assert_lattice_matches(enumerate_sub_bimodules(alg), _reference_lattice(alg, lefts + rights))
 
 
-GF2_SWEEPABLE = [inst for inst in SWEEPABLE if inst.alg.field.p == 2]
+# every ring over GF(2) or GF(3) in the sweepable corpus, and two GF(3)
+# rings past its cut: gf3-m2-inner (3,280 seeds) and m3-gf3 (9,841)
+PACKED_CASES = [(inst.name, inst.alg) for inst in SWEEPABLE if inst.alg.field.p in (2, 3)]
+PACKED_CASES += [
+    ("gf3-m2-inner", next(i.alg for i in oracle_scale_corpus() if i.name == "gf3-m2-inner")),
+    ("m3-gf3", m3_example(GF(3))),
+]
 
 
-@pytest.mark.parametrize("inst", GF2_SWEEPABLE, ids=[inst.name for inst in GF2_SWEEPABLE])
-def test_packed_and_generic_sweeps_agree_seed_by_seed(inst):
-    alg = inst.alg
+@pytest.mark.parametrize("alg", [a for _, a in PACKED_CASES], ids=[n for n, _ in PACKED_CASES])
+def test_packed_and_generic_sweeps_agree_seed_by_seed(alg):
+    # the packed rows of GF(2) and GF(3) against the tuple rows of every
+    # other field, seed by seed, for both operator families
     f, n = alg.field, alg.dim
     for lefts, rights in (
         (alg.flat_left_ops(), alg.flat_right_ops()),
         alg.identity_ops(),
     ):
         mats = oracle._operator_span(f, lefts, rights, n)
-        packed = {
-            seed: oracle._closure_subspace(f, rows, n)
-            for seed, rows in oracle._packed_sweep(mats, n)
-        }
-        generic = {
-            sum(x << i for i, x in enumerate(vec)): Subspace.from_vectors(f, n, rows)
-            for vec, rows in oracle._generic_sweep(f, mats, n)
-        }
-        assert len(packed) == 2 ** n - 1
-        assert packed == generic
+        packed = oracle._BitRows(f, n, mats) if f.p == 2 else oracle._TritRows(f, n, mats)
+        # both hold each closure as its canonical rows
+        got = [
+            (packed.unpack(seed), tuple(map(packed.unpack, rows)))
+            for seed, rows in oracle._seed_sweep(packed)
+        ]
+        want = list(oracle._seed_sweep(oracle._TupleRows(f, n, mats)))
+        assert len(got) == (f.p ** n - 1) // (f.p - 1)
+        assert got == want
+        assert [seed for seed, _ in want] == list(projective_vectors(f, Matrix.identity(f, n).entries))
+
+
+def _trit_rows(n):
+    return st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple), max_size=8)
+
+
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bitsliced_gf3_rows_match_tuple_arithmetic(n, data):
+    f, rows = GF(3), oracle._TritRows(GF(3), n, [])
+    u, v = data.draw(_trit_rows(n).filter(lambda vs: len(vs) >= 2).map(lambda vs: vs[:2]))
+    pack = rows.pack
+    assert pack(u) != pack(v) or u == v
+    assert rows.add(pack(u), pack(v)) == pack(tuple((a + b) % 3 for a, b in zip(u, v)))
+    assert pack(u)[::-1] == pack(tuple(-a % 3 for a in u))  # negation swaps the pair
+    lead = next((a for a in u if a), 0)
+    if lead:  # a row with a leading 1 is read back from its code
+        assert rows.unpack(pack(tuple(a * lead % 3 for a in u))) == tuple(a * lead % 3 for a in u)
+    vecs = data.draw(_trit_rows(n))
+    basis, eb = {}, EchelonBasis(f, n)
+    for vec in vecs:
+        rows.insert(basis, rows.pack(vec))
+        eb.add(vec)
+        assert rows.contains(basis, rows.pack(vec))
+        assert rows.full(basis) == eb.is_full()
+    canonical = rows.canonical(basis)
+    assert [rows.unpack(r) for r in canonical] == [tuple(r) for r in eb.rows]
+    assert [(r[0] & -r[0]).bit_length() - 1 for r in canonical] == eb.pivots
+    for vec in itertools.product(range(3), repeat=min(n, 4)):
+        vec += (0,) * (n - len(vec))
+        assert rows.contains(basis, rows.pack(vec)) == eb.contains(vec)
+
+
+def test_gf3_sweeps_use_no_tuple_kernel(monkeypatch):
+    # gf3-m2-inner: the sweep runs on bitsliced rows alone; the set-up (the
+    # operator span) and the join may still use the tuple kernels
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == "gf3-m2-inner")
+    calls = {"dots": 0, "insert": 0, "sweeping": False}
+    dots, insert, sweep = alg.field.dots, EchelonBasis._insert, oracle._seed_sweep
+
+    def counted_dots(*args):
+        calls["dots"] += calls["sweeping"]
+        return dots(*args)
+
+    def counted_insert(*args):
+        calls["insert"] += calls["sweeping"]
+        return insert(*args)
+
+    def counted_sweep(*args):
+        it = sweep(*args)
+        while True:
+            calls["sweeping"] = True
+            try:
+                item = next(it)
+            except StopIteration:
+                return
+            finally:
+                calls["sweeping"] = False
+            yield item
+
+    monkeypatch.setattr(alg.field, "dots", counted_dots)
+    monkeypatch.setattr(EchelonBasis, "_insert", counted_insert)
+    monkeypatch.setattr(oracle, "_seed_sweep", counted_sweep)
+    assert len(enumerate_sub_bimodules(alg)) > 2
+    assert len(ideal_oracle(alg)) >= 2
+    assert calls == {"dots": 0, "insert": 0, "sweeping": False}
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.data())
