@@ -4,10 +4,10 @@
     python3 scripts/bench_json.py --label 9427a5b --seeds 1-3
     python3 scripts/bench_json.py --label head --workloads corpus-cli --seeds 11-15
 
-For each workload this runs `perfbench/repeat.py` (one fresh
+For each workload this makes `perfbench/repeat.py`'s runs (one fresh
 `run.py --trace 0` process per seed, `--seconds` as BENCHMARK.json's
-`run_seconds` unless given) and keeps, for every metric, the unit, the
-median, the first and third quartiles and the values of the runs.  The
+`run_seconds` unless given) and keeps from its summary, for every metric,
+the unit, the median, the first and third quartiles and the values.  The
 file also holds the Python version, the commit (`git rev-parse HEAD` of
 the checkout, or `--commit` where it is no git checkout), the seeds and
 the run seconds.  It is written to the root of the checkout.  At least
@@ -30,30 +30,25 @@ MIN_RUNS = 3
 
 
 def summary_of(workload: str, seeds: list, seconds: float) -> dict:
-    """repeat.py's summary of one workload: the JSON on its last line."""
-    cmd = [
-        sys.executable, os.path.join(ROOT, "perfbench", "repeat.py"), "--workload", workload,
-        "--seeds", ",".join(map(str, seeds)), "--seconds", str(seconds),
-    ]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{workload}: exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    """repeat.py's summary of one run per seed of the workload."""
+    results = [repeat.run_once(workload, seed, seconds, trace=0) for seed in seeds]
+    wrong = [seed for seed, r in zip(seeds, results) if not r["correct"]]
+    if wrong:
+        raise RuntimeError(f"{workload}: the runs at seeds {wrong} report correct: false")
+    return repeat.summarize(results)
 
 
 def bench_record(summaries: dict, *, commit: str, python: str, seeds: list, seconds: float) -> dict:
     """The BENCH file's content from repeat.py summaries, one per workload."""
     if len(seeds) < MIN_RUNS:
         raise ValueError(f"{len(seeds)} runs per workload; at least {MIN_RUNS} are needed")
-    workloads = {}
-    for workload, summary in summaries.items():
-        workloads[workload] = {
+    workloads = {
+        workload: {
             name: {key: s[key] for key in ("unit", "median", "q1", "q3", "values")}
             for name, s in summary.items()
         }
-        for name, s in workloads[workload].items():
-            if len(s["values"]) != len(seeds):
-                raise ValueError(f"{workload} {name}: {len(s['values'])} values for {len(seeds)} seeds")
+        for workload, summary in summaries.items()
+    }
     return {
         "commit": commit,
         "python": python,

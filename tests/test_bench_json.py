@@ -47,9 +47,7 @@ def test_record_keeps_median_quartiles_and_values(tmp_path):
     assert set(batch) == {"unit", "median", "q1", "q3", "values"}
 
 
-def test_record_needs_three_runs_of_every_metric():
+def test_record_needs_three_runs():
     two = {"ladder-q": bench_json.repeat.summarize(_runs([0.9, 0.7], [30, 31]))}
     with pytest.raises(ValueError, match="at least 3"):
         bench_json.bench_record(two, commit="c", python="3", seeds=[1, 2], seconds=1.0)
-    with pytest.raises(ValueError, match="2 values for 3 seeds"):
-        bench_json.bench_record(two, commit="c", python="3", seeds=[1, 2, 3], seconds=1.0)
