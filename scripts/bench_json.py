@@ -2,16 +2,15 @@
 """Write the benchmark's spread per workload to BENCH_<label>.json.
 
     python3 scripts/bench_json.py --label 9427a5b --seeds 1-3
-    python3 scripts/bench_json.py --label head --workloads corpus-cli --seeds 11-15
 
-For each workload this makes `perfbench/repeat.py`'s runs (one fresh
-`run.py --trace 0` process per seed, `--seconds` as BENCHMARK.json's
-`run_seconds` unless given) and keeps from its summary, for every metric,
-the unit, the median, the first and third quartiles and the values.  The
-file also holds the Python version, the commit (`git rev-parse HEAD` of
-the checkout, or `--commit` where it is no git checkout), the seeds and
-the run seconds.  It is written to the root of the checkout.  At least
-three seeds are needed, so that the quartiles mean something.
+For each of the three workloads this makes `perfbench/repeat.py`'s runs
+(one fresh `run.py --trace 0` process per seed, for BENCHMARK.json's
+`run_seconds`) and keeps from its summary, for every metric, the unit,
+the median, the first and third quartiles and the values.  The file also
+holds the Python version, the commit (`git rev-parse HEAD` of the
+checkout), the seeds and the run seconds.  It is written to the root of
+the checkout.  At least three seeds are needed, so that the quartiles
+mean something.
 """
 import argparse
 import json
@@ -64,33 +63,22 @@ def write_bench(path: str, record: dict) -> None:
         fh.write("\n")
 
 
-def git_commit() -> str:
-    proc = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
-    )
-    return proc.stdout.strip() if proc.returncode == 0 else ""
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     ap.add_argument("--seeds", default="1-3", help="e.g. 1-3 or 3,5,8")
-    ap.add_argument("--seconds", type=float, default=repeat.run_seconds())
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--commit", default=None, help="default: git rev-parse HEAD")
     args = ap.parse_args(argv)
 
-    seeds = repeat.parse_seeds(args.seeds)
-    commit = args.commit or git_commit()
-    if not commit:
-        ap.error("no git checkout here: give --commit")
+    seeds, seconds = repeat.parse_seeds(args.seeds), repeat.run_seconds()
+    commit = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
     summaries = {}
-    for workload in args.workloads.split(","):
-        summaries[workload] = summary_of(workload, seeds, args.seconds)
+    for workload in WORKLOADS:
+        summaries[workload] = summary_of(workload, seeds, seconds)
         print(f"{workload}: batch_s median {summaries[workload]['batch_s']['median']:.4g}", flush=True)
     record = bench_record(
-        summaries, commit=commit, python=platform.python_version(), seeds=seeds,
-        seconds=args.seconds,
+        summaries, commit=commit, python=platform.python_version(), seeds=seeds, seconds=seconds
     )
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     write_bench(path, record)

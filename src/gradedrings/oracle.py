@@ -27,8 +27,10 @@ span.  An unswept u joins the span alone.  The span stops growing at full
 rank.  The rule uses only the definition of the closure, so the oracle
 stays brute force: it visits every seed and consults no theorem about
 graded rings.  The memo is an array of closure ids indexed by the base-p
-code of a vector with a leading 1, a few bytes per seed, allocated only
-after the p^n seed vectors have passed the budget.
+code of a vector with a leading 1, 4 bytes for each of the p^n codes,
+allocated only after the p^n seed vectors have passed the budget.  The
+packed formats add a table of 2^n codes and, for each basis matrix of E
+that the sweep reaches, tables of p^(n - n//2) + p^(n//2) rows.
 
 Subrings are enumerated on the quotient R/R_e.  A unital subring holding
 R_e is an R_e-sub-bimodule holding R_e, and by the correspondence theorem
@@ -40,6 +42,7 @@ route stays brute force too.  LATTICE_CAP bounds the quotient's lattice.
 
 import itertools
 from array import array
+from functools import partial
 from operator import mul, xor
 from typing import List, Tuple
 
@@ -116,11 +119,18 @@ def enumerate_subspaces(dim: int, f: Field, budget: int = DEFAULT_BUDGET) -> Lis
     total = count_subspaces(f.p, dim)
     if total > budget:
         raise BudgetError(f"{total} subspaces of GF({f.p})^{dim} exceed budget {budget}")
+    elems = list(range(f.p))
     out = []
     for k in range(dim + 1):
         for pivots in itertools.combinations(range(dim), k):
-            free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, dim) if c not in pivots]
-            for values in itertools.product(range(f.p), repeat=len(free)):
+            pivot_set = set(pivots)
+            free = [
+                (r, c)
+                for r in range(k)
+                for c in range(pivots[r] + 1, dim)
+                if c not in pivot_set
+            ]
+            for values in itertools.product(elems, repeat=len(free)):
                 rows = [[0] * dim for _ in range(k)]
                 for r, pc in enumerate(pivots):
                     rows[r][pc] = 1
@@ -167,60 +177,65 @@ def _mask(v) -> int:
 class _TupleRows:
     """Rows as tuples of residues, on an EchelonBasis: the rows of p >= 5.
 
-    Each row format gives _seed_sweep the same operations: seeds() yields the
-    seeds in the order of projective_vectors, images(seed, code) each nonzero
-    M seed for M a basis matrix of E, scaled to a leading 1, both with their
-    codes; insert grows a basis, and contains, full and canonical read one.
+    Each row format gives _seed_sweep the same operations: seeds() yields
+    the seeds in the order of projective_vectors, images(seed, code) each
+    nonzero M seed for M a basis matrix of E, scaled to a leading 1, both
+    with their codes (the base-p number of the vector, coordinate 0 the most
+    significant); insert grows a basis, and contains, full and canonical
+    read one.  support gives a row's nonzero coordinates as bits, and unpack
+    its coordinates.
     """
-
-    def __init__(self, f: Field, n: int, mats):
-        self.f, self.n, self.codes, self.lo = f, n, f.p ** n, n // 2
-        self.weights, self.weight = [f.p ** (n - 1 - i) for i in range(n)], [0]
-        for w in self.weights:  # weight[mask]: the sum of weights[i] over the bits i of mask
-            self.weight += [x + w for x in self.weight]
-        self.mats = [Matrix.identity(f, n)] + mats
-        self.tables = [None] * len(self.mats)
-
-    def seeds(self):
-        for v in projective_vectors(self.f, self.mats[0].entries):
-            yield sum(map(mul, v, self.weights)), v
-
-    def images(self, seed, code):
-        for m in self.mats[1:]:
-            u = self.monic(self.f.dots(m.entries, seed))
-            if u:
-                yield u
-
-    def monic(self, u):
-        lead = next((x for x in u if x), 0)
-        if lead:
-            u = u if lead == 1 else self.f.scale(self.f.inv(lead), u)
-            return sum(map(mul, u, self.weights)), u
-
-    def basis(self):
-        return EchelonBasis(self.f, self.n)
 
     insert, contains = staticmethod(EchelonBasis._insert), staticmethod(EchelonBasis.contains)
     full, support = staticmethod(EchelonBasis.is_full), staticmethod(_mask)
+    unpack = staticmethod(tuple)  # the rows are tuples already
+
+    def __init__(self, f: Field, n: int, mats):
+        self.f, self.n, self.codes, self.ops = f, n, f.p ** n, [m.entries for m in mats]
+        self.weights = [f.p ** (n - 1 - i) for i in range(n)]
+
+    def seeds(self):
+        for v in projective_vectors(self.f, Matrix.identity(self.f, self.n).entries):
+            yield sum(map(mul, v, self.weights)), v
+
+    def images(self, seed, code):
+        f, weights = self.f, self.weights
+        for op in self.ops:
+            u = f.dots(op, seed)
+            lead = next((x for x in u if x), 0)
+            if lead:
+                u = u if lead == 1 else f.scale(f.inv(lead), u)
+                yield sum(map(mul, u, weights)), u
+
+    def basis(self):
+        return EchelonBasis(self.f, self.n)
 
     @staticmethod
     def canonical(eb):
         return tuple(map(tuple, eb.rows))
 
-    def unpack(self, row) -> tuple:
-        """A monic row's coordinates, read from its code."""
-        code = self.monic(row)[0]
-        return tuple(code // w % self.f.p for w in self.weights)
 
+class _BitRows:
+    """GF(2) rows packed into an int, bit i for coordinate i.
 
-class _BitRows(_TupleRows):
-    """GF(2) rows packed into an int, bit i for coordinate i.  A basis is a
-    dict from each row's pivot bit, its lowest set bit, to the row.  Seeds
-    and images are read from tables of each matrix (the identity for the
-    seeds) applied to every vector on the first n - lo and on the last lo
-    coordinates, in code order, built when first used."""
+    A basis is a dict from each row's pivot bit, its lowest set bit, to the
+    row.  Seeds and images are read from two tables per matrix (the identity
+    for the seeds): the matrix applied to every vector on the first n - lo
+    and on the last lo coordinates, lo = n // 2, in code order, built when
+    first used.  weight[mask], over all 2^n masks, is the code of the vector
+    with a 1 at each bit of mask.  Over GF(2) both are arrays of 4 bytes an
+    entry.
+    """
 
     pack, support, add, basis = staticmethod(_mask), staticmethod(int), staticmethod(xor), dict
+    table = partial(array, "I")
+
+    def __init__(self, f: Field, n: int, mats):
+        self.f, self.n, self.codes, self.lo = f, n, f.p ** n, n // 2
+        self.mats, self.tables = [Matrix.identity(f, n)] + mats, [None] * (len(mats) + 1)
+        self.weight = array("I", [0])
+        for i in range(n):
+            self.weight += array("I", [x + f.p ** (n - 1 - i) for x in self.weight])
 
     def _tables(self, i: int):
         add, cols = self.add, [self.pack(c) for c in zip(*self.mats[i].entries)]
@@ -230,7 +245,7 @@ class _BitRows(_TupleRows):
             for j in coords:
                 multiples = list(itertools.accumulate([cols[j]] * (self.f.p - 1), add, initial=vecs[0]))
                 vecs = [add(v, u) for v in vecs for u in multiples]
-            out.append(vecs)
+            out.append(self.table(vecs))
         return out
 
     def seeds(self):
@@ -286,11 +301,18 @@ class _BitRows(_TupleRows):
                 bits ^= b
         return tuple(basis[b] for b in sorted(basis))
 
+    def unpack(self, row) -> tuple:
+        """A monic row's coordinates, read from its code."""
+        code, p = self.monic(row)[0], self.f.p
+        return tuple(code // p ** (self.n - 1 - i) % p for i in range(self.n))
+
 
 class _TritRows(_BitRows):
     """GF(3) rows bitsliced into a pair (plus, minus) of ints: bit i of plus
     (minus) says that coordinate i is 1 (-1).  A sum takes six boolean
-    operations and a negation swaps the pair."""
+    operations and a negation swaps the pair.  The tables hold the pairs."""
+
+    table = tuple
 
     @staticmethod
     def pack(v):
@@ -372,7 +394,8 @@ def _cyclic_lattice(f: Field, n: int, lefts, rights, budget: int) -> List[Subspa
         cyclic.add(rows)
         if len(cyclic) > LATTICE_CAP:
             raise BudgetError(
-                f"more than {LATTICE_CAP} cyclic invariant subspaces; instance is beyond oracle scale"
+                f"more than {LATTICE_CAP} cyclic invariant subspaces; "
+                "instance is beyond oracle scale"
             )
     if all(len(rows) <= 1 for rows in cyclic):
         # Scalar action: every subspace is invariant.
@@ -406,8 +429,10 @@ def enumerate_sub_bimodules(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET)
 def ideal_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> List[Tuple[Subspace, bool]]:
     """All two-sided ideals, each flagged graded or not."""
     _require_seed_budget(alg, budget)
-    lattice = _cyclic_lattice(alg.field, alg.dim, alg.flat_left_ops(), alg.flat_right_ops(), budget)
-    return [(s, graded_subspace_from_flat(alg, s) is not None) for s in lattice]
+    ideals = _cyclic_lattice(
+        alg.field, alg.dim, alg.flat_left_ops(), alg.flat_right_ops(), budget
+    )
+    return [(s, graded_subspace_from_flat(alg, s) is not None) for s in ideals]
 
 
 def _subsets_isomorphic(alg: GradedAlgebra, s_set, t_set, budget: int) -> bool:
@@ -424,7 +449,9 @@ def _subsets_isomorphic(alg: GradedAlgebra, s_set, t_set, budget: int) -> bool:
     if homs.dim == 0:
         return False
     if f.p ** homs.dim > budget:
-        raise BudgetError(f"isomorphism search space {f.p}^{homs.dim} exceeds budget {budget}")
+        raise BudgetError(
+            f"isomorphism search space {f.p}^{homs.dim} exceeds budget {budget}"
+        )
     for flat in projective_vectors(f, homs.basis.entries):
         if nullspace(Matrix._unflatten(f, flat, a.dim)).dim == 0:
             return True
@@ -453,7 +480,9 @@ def controlled_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> bo
             return False
 
     order = alg.group.order
-    subsets = [s for r in range(1, order + 1) for s in itertools.combinations(range(order), r)]
+    subsets = []
+    for r in range(1, order + 1):
+        subsets.extend(itertools.combinations(range(order), r))
     for s_set, t_set in itertools.combinations(subsets, 2):
         if _subsets_isomorphic(alg, s_set, t_set, budget):
             return False
@@ -509,9 +538,14 @@ def _closed_under_products(table, w: Subspace) -> bool:
 def _lift(n: int, keep, w: Subspace) -> Subspace:
     """R_e + W inside R: W's rows put back at the kept coordinates, and a
     unit vector at each of R_e's."""
-    pos = {k: i for i, k in enumerate(keep)}
-    rows = [[row[pos[k]] if k in pos else 0 for k in range(n)] for row in w.basis.entries]
-    rows += [[int(c == k) for c in range(n)] for k in range(n) if k not in pos]
+    rows = []
+    for row in w.basis.entries:
+        full = [0] * n
+        for k, x in zip(keep, row):
+            full[k] = x
+        rows.append(full)
+    kept = set(keep)
+    rows += [[int(c == k) for c in range(n)] for k in range(n) if k not in kept]
     return Subspace.from_vectors(w.field, n, rows)
 
 
