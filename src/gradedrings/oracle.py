@@ -234,8 +234,8 @@ class _BitRows:
         self.f, self.n, self.codes, self.lo = f, n, f.p ** n, n // 2
         self.mats, self.tables = [Matrix.identity(f, n)] + mats, [None] * (len(mats) + 1)
         self.weight = array("I", [0])
-        for i in range(n):
-            self.weight += array("I", [x + f.p ** (n - 1 - i) for x in self.weight])
+        for w in (f.p ** (n - 1 - i) for i in range(n)):
+            self.weight += array("I", (x + w for x in self.weight))
 
     def _tables(self, i: int):
         add, cols = self.add, [self.pack(c) for c in zip(*self.mats[i].entries)]
