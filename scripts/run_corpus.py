@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sweep the built-in corpus and cross-validate checks against oracles.
+"""Sweep the oracle-scale corpus and cross-validate checks against oracles.
 
 For every instance this prints the controlled verdict from the decision
 procedure next to the brute-force oracle's answer, and compares leg (v) of
@@ -20,7 +20,7 @@ from gradedrings.analysis import (
     subring_correspondence,
 )
 from gradedrings.bimodule import Verdict
-from gradedrings.corpus import oracle_scale_corpus, standard_corpus
+from gradedrings.corpus import oracle_scale_corpus
 from gradedrings.oracle import controlled_oracle, ideal_oracle, subring_oracle
 
 
@@ -28,10 +28,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--budget", type=int, default=65536)
-    ap.add_argument("--include-m3", action="store_true", help="add the 9-dim matrix pin")
     args = ap.parse_args(argv)
 
-    corpus = oracle_scale_corpus() if args.include_m3 else standard_corpus()
+    corpus = oracle_scale_corpus()
     t0 = time.time()
     disagreements = []
     n_controlled = 0

@@ -14,7 +14,6 @@ from .analysis import (
     CheckResult,
     CrossedProductData,
     centralizer_of_Re,
-    center_of_Re,
     check_centralizer_condition,
     check_controlled,
     check_crossed_controlled,
@@ -29,7 +28,6 @@ from .analysis import (
     is_inner,
     subring_correspondence,
     verify_crossed_identities,
-    verify_crossed_reconstruction,
 )
 from .bimodule import Verdict
 from .builders import (
@@ -78,7 +76,6 @@ __all__ = [
     "Verdict",
     "algebra_from_json",
     "algebra_to_json",
-    "center_of_Re",
     "centralizer_of_Re",
     "check_centralizer_condition",
     "check_controlled",
@@ -115,7 +112,6 @@ __all__ = [
     "validate_algebra",
     "validate_group",
     "verify_crossed_identities",
-    "verify_crossed_reconstruction",
 ]
 
 __version__ = "0.1.0"

@@ -106,11 +106,6 @@ class GradedAlgebra:
         zero = self.field.zero
         return tuple(terms.get(k, zero) for k in self._span(g))
 
-    def product_coeffs(self, g: int, i: int, h: int, j: int) -> tuple:
-        """Coefficients of b_{g,i} * b_{h,j} in the basis of R_{gh}."""
-        prod = self._table[self.offsets[g] + i].get(self.offsets[h] + j, {})
-        return self._component(prod, self.group.table[g][h])
-
     def structure_items(self):
         """Nonzero structure entries as ((g, i, h, j), coeffs), sorted."""
         place, gtab = self._place, self.group.table
@@ -324,12 +319,6 @@ class Element:
     def support(self) -> tuple:
         place = self.alg._place
         return tuple(sorted({place[k][0] for k in self.terms}))
-
-    def project(self, g: int) -> "Element":
-        if not (0 <= g < self.alg.group.order):
-            raise InvalidInput(f"no component {g}")
-        span = self.alg._span(g)
-        return Element(self.alg, {k: c for k, c in self.terms.items() if k in span})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -596,25 +585,3 @@ def graded_subspace_from_flat(alg: GradedAlgebra, w: Subspace) -> Optional[Grade
         return None
     return GradedSubspace(alg, comps)
 
-
-def component_product(s: GradedSubspace, t: GradedSubspace) -> GradedSubspace:
-    """The graded span of products of the two graded subspaces."""
-    if s.alg is not t.alg:
-        raise InvalidInput("graded subspaces of different algebras")
-    alg = s.alg
-    accs: dict = {}
-    for g, sg in s.comps.items():
-        for h, th in t.comps.items():
-            k = alg.group.table[g][h]
-            dk = alg.comp_dims[k]
-            if dk == 0:
-                continue
-            acc = accs.get(k)
-            if acc is None:
-                acc = accs[k] = EchelonBasis(alg.field, dk)
-            for u in sg.basis.entries:
-                xu = alg.element({g: u})
-                for v in th.basis.entries:
-                    prod = xu * alg.element({h: v})
-                    acc.add(prod.coeffs(k))
-    return GradedSubspace(alg, {k: acc.to_subspace() for k, acc in accs.items() if acc.rank})

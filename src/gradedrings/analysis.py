@@ -34,13 +34,14 @@ and `check_picard_injective` read it only where their theorem step does
 not apply, so the crossed-product criteria still compare independent
 computations.  R_e as a ring is the identity component acting on itself,
 so its simplicity is read there too, and the theorem steps take it from
-the same call (`_base_simplicity`).  Leg (v), every ideal graded, holds
-outright when the profile shows R controlled; otherwise it is decided from
-the simplicity test of R, and when neither certifies, by spinning every
-point of R into its cyclic ideal.  This loses no independence: the checks
-used to repeat the same deterministic call on the same matrices with the
-same seed.  Nothing here imports the brute-force oracle, which stays
-independent of all of it.
+the same call (`_base_simplicity`), whose TRUE is a proof; any other
+verdict sends the check to its fallback.  Leg (v), every ideal graded,
+holds outright when the profile shows R controlled; otherwise it is
+decided from the simplicity test of R, and when neither certifies, by
+spinning every point of R into its cyclic ideal.  Sharing these calls
+loses no independence, since each check would make the same
+deterministic call on the same matrices with the same seed.  Nothing here
+imports the brute-force oracle, which stays independent of all of it.
 
 Every check returns a `CheckResult`; what one check alone reports goes in
 its `fields`.
@@ -259,11 +260,6 @@ def centralizer_of_Re(alg: GradedAlgebra) -> GradedSubspace:
     )
 
 
-def center_of_Re(alg: GradedAlgebra) -> Subspace:
-    """Z(R_e) inside the coordinates of the identity component."""
-    return _commutant_component(alg, alg.group.identity)
-
-
 def check_centralizer_condition(alg: GradedAlgebra) -> CheckResult:
     """Does C_R(R_e) = Z(R_e) hold, i.e. no centralizing element outside R_e?
 
@@ -305,21 +301,6 @@ def _base_simplicity(alg: GradedAlgebra, seed: int, budget: int) -> SimplicityRe
     `_component_profile`, which R_e as a bimodule over itself is."""
     e = alg.group.identity
     return is_simple(component_action(alg, e), seed=seed + e, budget=budget)
-
-
-def _center_refutes(alg: GradedAlgebra) -> bool:
-    """Is R_e shown not simple by its center, without `is_simple`?
-
-    The center of a simple ring is a field, so a basis element z of Z(R_e)
-    whose multiplication x -> zx on R_e is singular refutes it.
-    """
-    f = alg.field
-    e = alg.group.identity
-    flats = [op.flatten() for op in alg.component_ops(e)[0]]
-    return any(
-        nullspace(Matrix._unflatten(f, tuple(f.combine(z, flats)), alg.comp_dims[e])).dim
-        for z in center_of_Re(alg).basis.entries
-    )
 
 
 def _centralizer_kernel(alg: GradedAlgebra) -> set:
@@ -401,7 +382,6 @@ def check_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> C
     e = alg.group.identity
     if (
         alg.group.order > 1
-        and not _center_refutes(alg)
         and _is_strongly_graded(alg)
         and not any(_commutant_component(alg, k).dim for k in range(alg.group.order) if k != e)
         and _base_simplicity(alg, seed, budget).verdict is Verdict.TRUE
@@ -427,7 +407,6 @@ def check_graded_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 6553
     """
     if (
         alg.group.order > 1
-        and not _center_refutes(alg)
         and check_nondegenerate(alg).holds()
         and _base_simplicity(alg, seed, budget).verdict is Verdict.TRUE
     ):
@@ -569,13 +548,6 @@ def _controlled_report(
         "controlled", verdict, method=method, witness=witness,
         seed=seed, budget=budget, fields={"simplicity": simplicity, "isomorphic": isomorphic},
     )
-
-
-def subset_action(alg: GradedAlgebra, subset) -> BimoduleAction:
-    """R_S = direct sum of the components over S, as an R_e-bimodule."""
-    lefts, rights = alg.subset_ops(subset)
-    names = ",".join(alg.group.names[int(g)] for g in subset)
-    return BimoduleAction(alg.field, lefts[0].cols, lefts, rights, tag=f"R_{{{names}}}")
 
 
 # --------------------------------------------------------------------------
@@ -901,37 +873,6 @@ def verify_crossed_identities(alg: GradedAlgebra, data: CrossedProductData) -> N
         raise InternalInconsistency(f"extracted crossed-product data: {failure}")
 
 
-def verify_crossed_reconstruction(
-    alg: GradedAlgebra, data: CrossedProductData
-) -> Optional[dict]:
-    """Rebuild multiplication from (sigma, alpha) and compare with R.
-
-    In the basis b_{e,k} u_g the product must come out as
-    (b u_g)(c u_h) = b sigma_g(c) alpha(g,h) u_{gh}.  Returns None when all
-    basis products match, else a witness naming the first mismatch.
-    """
-    G = alg.group
-    e = G.identity
-    de = alg.comp_dims[e]
-    units = {g: alg.element({g: vec}) for g, vec in data.units.items()}
-    base_el = lambda k: alg.basis_element(e, k)
-    for g in range(G.order):
-        for h in range(G.order):
-            gh = G.table[g][h]
-            alpha_el = alg.element({e: data.alpha[(g, h)]})
-            for k in range(de):
-                for l in range(de):
-                    lhs = (base_el(k) * units[g]) * (base_el(l) * units[h])
-                    sig_c = alg.element({e: data.sigma[g].column(l)})
-                    rhs = base_el(k) * sig_c * alpha_el * units[gh]
-                    if lhs != rhs:
-                        return {
-                            "pair": [G.names[g], G.names[h]],
-                            "basis": [k, l],
-                        }
-    return None
-
-
 def is_inner(
     base: GradedAlgebra, sigma: Matrix, *, base_simple: Verdict, seed: int = 0,
     budget: int = 65536,
@@ -1110,11 +1051,7 @@ def check_picard_injective(
         raise InvalidInput("the component class map needs a strongly graded algebra")
     G = alg.group
     e = G.identity
-    if (
-        G.order > 1
-        and not _center_refutes(alg)
-        and _base_simplicity(alg, seed, budget).verdict is Verdict.TRUE
-    ):
+    if G.order > 1 and _base_simplicity(alg, seed, budget).verdict is Verdict.TRUE:
         method, pairs = "strong-centralizer", _centralizer_profile(alg).iso
     else:
         actions = {g: component_action(alg, g) for g in range(G.order)}

@@ -57,7 +57,7 @@ from .oracle import (
     ideal_oracle,
     subring_oracle,
 )
-from .serialize import MAX_TOTAL_DIM, algebra_to_json, load_algebra, scalar_from_json
+from .serialize import MAX_TOTAL_DIM, _decoded_vector, algebra_to_json, load_algebra
 
 PROPERTIES = (
     "valid",
@@ -177,9 +177,7 @@ def _load_sigma(path: str, base: GradedAlgebra, group: FiniteGroup) -> list:
             not isinstance(r, list) or len(r) != d for r in rows
         ):
             raise InvalidInput(f"{path}: automorphism for {name!r} must be a {d}x{d} matrix")
-        out.append(
-            Matrix(field, [[scalar_from_json(field, x) for x in r] for r in rows])
-        )
+        out.append(Matrix(field, [_decoded_vector(field, r) for r in rows]))
     return out
 
 
@@ -196,10 +194,10 @@ def _load_alpha(path: str, base: GradedAlgebra, group: FiniteGroup) -> dict:
         if len(parts) != 2 or parts[0] not in index or parts[1] not in index:
             raise InvalidInput(f"{path}: bad cocycle key {key!r}; use 'g,h' element names")
         if not isinstance(vec, list) or len(vec) != base.dim:
-            raise InvalidInput(f"{path}: cocycle value for {key!r} must have length {base.dim}")
-        out[(index[parts[0]], index[parts[1]])] = tuple(
-            scalar_from_json(field, x) for x in vec
-        )
+            raise InvalidInput(
+                f"{path}: cocycle value for {key!r} must be a list of {base.dim} scalars"
+            )
+        out[(index[parts[0]], index[parts[1]])] = _decoded_vector(field, vec)
     return out
 
 
@@ -419,16 +417,7 @@ def cmd_oracle(args) -> int:
                 "ideals": [
                     {
                         "dim": s.dim,
-                        "basis": [
-                            " + ".join(
-                                f"{base.label(0, i)}"
-                                if x == base.field.one
-                                else f"{x}*{base.label(0, i)}"
-                                for i, x in enumerate(row)
-                                if x
-                            )
-                            for row in s.basis.entries
-                        ],
+                        "basis": [str(base.from_flat(row)) for row in s.basis.entries],
                     }
                     for s, _ in inner
                 ],

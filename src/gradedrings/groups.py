@@ -144,24 +144,6 @@ def subgroups(g: FiniteGroup) -> list:
     return found
 
 
-def is_nilpotent(g: FiniteGroup) -> bool:
-    """Upper central series climb: Z_{i+1} = {x : [x, y] in Z_i for all y}."""
-    if g.identity is None or g._inverses is None:
-        raise InvalidInput("not a group (no identity or inverses)")
-    n = g.order
-    t = g.table
-
-    def commutator(x, y):
-        return t[t[t[x][y]][g.inv(x)]][g.inv(y)]
-
-    z = {g.identity}
-    while True:
-        nz = {x for x in range(n) if all(commutator(x, y) in z for y in range(n))}
-        if nz == z:
-            return len(z) == n
-        z = nz
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidInput("cyclic group needs n >= 1")

@@ -455,10 +455,6 @@ class Subspace:
         pivots = [row.index(one) for row in rows]
         return not any(_residue(self.field, rows, pivots, self.field.vector(vec)))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(self.contains(r) for r in other.basis.entries)
-
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise InvalidInput("subspaces live in different ambient spaces")
@@ -500,19 +496,6 @@ def nullspace(a: Matrix) -> Subspace:
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     u._check_compatible(v)
     return Subspace(u.field, u.ambient_dim, u.basis.stack(v.basis))
-
-
-def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the nullspaces of the stacked constraint systems.
-
-    A subspace equals the solution set of the constraints given by the
-    nullspace of its basis, so intersecting means stacking both constraint
-    sets and solving again.
-    """
-    u._check_compatible(v)
-    cu = annihilator(u).basis
-    cv = annihilator(v).basis
-    return nullspace(cu.stack(cv))
 
 
 def annihilator(u: Subspace) -> Subspace:

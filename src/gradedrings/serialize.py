@@ -52,33 +52,16 @@ def _fraction(v: str) -> Fraction:
         raise InvalidInput(f"bad rational scalar {v!r}") from exc
 
 
-def scalar_from_json(field: Field, v):
-    if field.p:
-        if not isinstance(v, int):
-            raise InvalidInput(f"GF({field.p}) scalar must be an integer, got {v!r}")
-        return field.coerce(v)
-    if isinstance(v, str):
-        return _fraction(v)
-    if isinstance(v, int):
-        return field.coerce(v)
-    raise InvalidInput(f"rational scalar must be a string or integer, got {v!r}")
-
-
 def vector_to_json(field: Field, vec):
     return [scalar_to_json(field, c) for c in vec]
 
 
-def vector_from_json(field: Field, vec):
-    if not isinstance(vec, list):
-        raise InvalidInput("coefficient vector must be a list")
-    return tuple(scalar_from_json(field, c) for c in vec)
-
-
 def _decoded_vector(field: Field, vec) -> list:
-    """A coefficient vector of an algebra file, decoded but not checked.
+    """A coefficient vector of an algebra, sigma or alpha file, decoded but not checked.
 
-    Rational strings become Fractions; every other value is left for the
-    GradedAlgebra constructor, whose Field.vector is the one scalar check.
+    Rational strings become Fractions; every other value is left for
+    Field.vector, the one scalar check, in the GradedAlgebra constructor,
+    `Matrix` or `GradedAlgebra.element`.
     """
     if not isinstance(vec, list):
         raise InvalidInput("coefficient vector must be a list")
@@ -141,6 +124,8 @@ def algebra_from_obj(obj) -> GradedAlgebra:
         unit = obj["unit"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"algebra document is missing a required entry: {exc}") from exc
+    if not isinstance(names, list) or not all(type(x) is str for x in names):
+        raise InvalidInput("group names must be a list of strings")
     # sizes and indices are compared by type(), not isinstance(): bool and
     # float are refused rather than truncated to an int
     if not isinstance(table, list) or not all(

@@ -1,0 +1,122 @@
+"""Reference computations and helpers shared by the tests.
+
+`product_coeffs`, `component_product` and `verify_crossed_reconstruction`
+recompute from the raw product table or from element products what the
+package computes from operators; the rest are small helpers.  The package
+itself never calls any of them.
+"""
+from fractions import Fraction
+
+from gradedrings.algebra import GradedSubspace
+from gradedrings.bimodule import BimoduleAction
+from gradedrings.errors import InvalidInput
+from gradedrings.linalg import EchelonBasis, annihilator, nullspace
+
+
+def product_coeffs(alg, g: int, i: int, h: int, j: int) -> tuple:
+    """Coefficients of b_{g,i} * b_{h,j} in the basis of R_{gh}, read from the table."""
+    prod = alg._table[alg.offsets[g] + i].get(alg.offsets[h] + j, {})
+    return alg._component(prod, alg.group.table[g][h])
+
+
+def component_product(s: GradedSubspace, t: GradedSubspace) -> GradedSubspace:
+    """The graded span of products of the two graded subspaces."""
+    if s.alg is not t.alg:
+        raise InvalidInput("graded subspaces of different algebras")
+    alg = s.alg
+    accs: dict = {}
+    for g, sg in s.comps.items():
+        for h, th in t.comps.items():
+            k = alg.group.table[g][h]
+            dk = alg.comp_dims[k]
+            if dk == 0:
+                continue
+            acc = accs.get(k)
+            if acc is None:
+                acc = accs[k] = EchelonBasis(alg.field, dk)
+            for u in sg.basis.entries:
+                xu = alg.element({g: u})
+                for v in th.basis.entries:
+                    prod = xu * alg.element({h: v})
+                    acc.add(prod.coeffs(k))
+    return GradedSubspace(alg, {k: acc.to_subspace() for k, acc in accs.items() if acc.rank})
+
+
+def subset_action(alg, subset) -> BimoduleAction:
+    """R_S = direct sum of the components over S, as an R_e-bimodule."""
+    lefts, rights = alg.subset_ops(subset)
+    names = ",".join(alg.group.names[int(g)] for g in subset)
+    return BimoduleAction(alg.field, lefts[0].cols, lefts, rights, tag=f"R_{{{names}}}")
+
+
+def verify_crossed_reconstruction(alg, data):
+    """Rebuild multiplication from (sigma, alpha) and compare with R.
+
+    In the basis b_{e,k} u_g the product must come out as
+    (b u_g)(c u_h) = b sigma_g(c) alpha(g,h) u_{gh}.  Returns None when all
+    basis products match, else a witness naming the first mismatch.
+    """
+    G = alg.group
+    e = G.identity
+    de = alg.comp_dims[e]
+    units = {g: alg.element({g: vec}) for g, vec in data.units.items()}
+    base_el = lambda k: alg.basis_element(e, k)
+    for g in range(G.order):
+        for h in range(G.order):
+            gh = G.table[g][h]
+            alpha_el = alg.element({e: data.alpha[(g, h)]})
+            for k in range(de):
+                for l in range(de):
+                    lhs = (base_el(k) * units[g]) * (base_el(l) * units[h])
+                    sig_c = alg.element({e: data.sigma[g].column(l)})
+                    rhs = base_el(k) * sig_c * alpha_el * units[gh]
+                    if lhs != rhs:
+                        return {
+                            "pair": [G.names[g], G.names[h]],
+                            "basis": [k, l],
+                        }
+    return None
+
+
+def is_nilpotent(g) -> bool:
+    """Upper central series climb: Z_{i+1} = {x : [x, y] in Z_i for all y}."""
+    if g.identity is None or g._inverses is None:
+        raise InvalidInput("not a group (no identity or inverses)")
+    n = g.order
+    t = g.table
+
+    def commutator(x, y):
+        return t[t[t[x][y]][g.inv(x)]][g.inv(y)]
+
+    z = {g.identity}
+    while True:
+        nz = {x for x in range(n) if all(commutator(x, y) in z for y in range(n))}
+        if nz == z:
+            return len(z) == n
+        z = nz
+
+
+def subspace_intersect(u, v):
+    """Intersection via the nullspaces of the stacked constraint systems.
+
+    A subspace equals the solution set of the constraints given by the
+    nullspace of its basis, so intersecting means stacking both constraint
+    sets and solving again.
+    """
+    u._check_compatible(v)
+    cu = annihilator(u).basis
+    cv = annihilator(v).basis
+    return nullspace(cu.stack(cv))
+
+
+def contains_subspace(s, other) -> bool:
+    """Does the subspace s contain every basis row of other?"""
+    s._check_compatible(other)
+    return all(s.contains(r) for r in other.basis.entries)
+
+
+def vector_from_json(field, vec) -> tuple:
+    """A coefficient vector of a report ("num/den" strings over Q), as canonical scalars."""
+    if not isinstance(vec, list):
+        raise InvalidInput("coefficient vector must be a list")
+    return field.vector(Fraction(c) if isinstance(c, str) else c for c in vec)

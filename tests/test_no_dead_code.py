@@ -7,12 +7,15 @@ Three checks over the source of `gradedrings`, using only `ast`:
   the package besides its own definition (dunder methods are exempt);
 - every other module-level function or class, and every other method, is
   referenced besides its own definition somewhere in the package,
-  `tests/`, `scripts/` or `perfbench/`;
+  `scripts/` or `perfbench/`.  Tests do not count: a definition only tests
+  call belongs in a test helper such as `tests/references.py`;
 - every imported name (except `from __future__`) is used in the module that
   imports it.  `__init__.py` is exempt: its imports are the public API.
 
 A name counts as used when it appears as a `Name`, as the attribute of an
 `Attribute`, or as a word of a string annotation such as `-> "Element"`.
+So the re-exports of `__init__.py` are not uses: an imported name is
+neither.
 """
 import ast
 import os
@@ -38,7 +41,7 @@ TREES = {name: _parse(os.path.join(PACKAGE, name)) for name in MODULES}
 # the Python files outside the package whose code may use its public names
 OUTSIDE = [
     os.path.join(ROOT, folder, name)
-    for folder in ("tests", "scripts", "perfbench")
+    for folder in ("scripts", "perfbench")
     for name in _python_files(os.path.join(ROOT, folder))
 ]
 

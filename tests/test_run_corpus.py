@@ -1,4 +1,4 @@
-"""`scripts/run_corpus.py --include-m3` finds no disagreement.
+"""`scripts/run_corpus.py` finds no disagreement.
 
 The script is the one place where `subring_correspondence` is compared
 with `subring_oracle`, next to the controlled and ideal cross-checks on
@@ -14,7 +14,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_corpus_sweep_agrees_with_the_oracles():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "run_corpus.py"), "--include-m3"],
+        [sys.executable, os.path.join(ROOT, "scripts", "run_corpus.py")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
