@@ -387,15 +387,16 @@ def test_malformed_scalars_rejected_exit_2(tmp_path, capsys, field, value, where
 
 
 def _build_from_files(tmp_path, field, sigma, alpha=None):
-    """exit code of `build` over the one-dimensional base `field`, group Z/2."""
+    """Exit code of `build skew-group`, or of `build crossed-product` when
+    alpha is given, over the one-dimensional base `field` and Z/2."""
     base_path = tmp_path / "base.json"
     save_algebra(group_algebra(parse_field(field), trivial_group()), base_path)
     (tmp_path / "sigma.json").write_text(json.dumps(sigma))
-    argv = ["build", "skew-group", "--base", str(base_path), "--group", "z2"]
+    kind = "skew-group" if alpha is None else "crossed-product"
+    argv = ["build", kind, "--base", str(base_path), "--group", "z2"]
     argv += ["--sigma", str(tmp_path / "sigma.json")]
     if alpha is not None:
         (tmp_path / "alpha.json").write_text(json.dumps(alpha))
-        argv[1] = "crossed-product"
         argv += ["--alpha", str(tmp_path / "alpha.json")]
     return main(argv)
 
