@@ -13,14 +13,15 @@ same flat coordinates, {flat k: nonzero canonical c}.
 
 Everything reads the one table.  GradedAlgebra alone turns it into
 operators, all in the column convention (column j is the image of the j-th
-source basis vector): mult_ops(h, g) is multiplication by R_h's basis on
-R_g from either side, component_ops(g) = mult_ops(e, g);
-flat_left_ops/flat_right_ops act on all of R, identity_ops() is their slice
-at R_e's basis, subset_ops(S) that slice cut to R_S, and projection_ops()
-gives the flat projections pi_g : R -> R_g of the nonzero components.  A
-subspace of R is graded exactly when every pi_g maps it into itself.  The
-structure is immutable after construction, so the lazily cached operators
-stay valid.
+source basis vector) and all through one builder, _ops: for each flat
+multiplier b, x -> bx and x -> xb on the span of some flat indices.
+mult_ops(h, g) is multiplication by R_h's basis on R_g from either side,
+component_ops(g) = mult_ops(e, g); flat_left_ops/flat_right_ops act on all
+of R, subset_ops(S) is R_S as an R_e-bimodule, identity_ops() =
+subset_ops(G) is R itself, and projection_ops() gives the flat projections
+pi_g : R -> R_g of the nonzero components.  A subspace of R is graded
+exactly when every pi_g maps it into itself.  The structure is immutable
+after construction, so the lazily cached operators stay valid.
 """
 from __future__ import annotations
 
@@ -88,8 +89,7 @@ class GradedAlgebra:
 
         self._labels = dict(basis_labels or {})
         self.meta = dict(meta) if meta else {}
-        self._flat_left = None
-        self._flat_right = None
+        self._flat = None
         self._component_ops = {}
 
     # --- basis bookkeeping -------------------------------------------------
@@ -161,26 +161,40 @@ class GradedAlgebra:
 
     # --- multiplication operators -------------------------------------------
 
-    def _matrix(self, columns: Mapping, off: int, rows: int, cols: int) -> Matrix:
-        """The rows x cols matrix with column j the sparse vector columns[j] (zero if absent).
+    def _matrix(self, columns: Sequence, target: Sequence) -> Matrix:
+        """The matrix with column j the sparse flat vector columns[j].
 
-        Row r holds flat index off + r; the entries are canonical already.
+        Row r holds flat index target[r], and every entry of a column lies
+        at a target index; the entries are canonical already.
         """
+        row_of = {k: r for r, k in enumerate(target)}
         zero = self.field.zero
-        out = [[zero] * cols for _ in range(rows)]
-        for j, col in columns.items():
+        out = [[zero] * len(columns) for _ in target]
+        for j, col in enumerate(columns):
             for k, c in col.items():
-                out[k - off][j] = c
-        return Matrix._trusted(self.field, tuple(map(tuple, out)), cols)
+                out[row_of[k]][j] = c
+        return Matrix._trusted(self.field, tuple(map(tuple, out)), len(columns))
+
+    def _ops(self, by, source, left_target, right_target) -> tuple:
+        """(lefts, rights): for each flat multiplier b in by, the matrices of
+        x -> b x and x -> x b on the span of the ascending flat indices
+        source, with rows for the flat indices of left_target and
+        right_target, read from the table."""
+        table, empty = self._table, {}
+        lefts = tuple(
+            self._matrix([table[b].get(a, empty) for a in source], left_target) for b in by
+        )
+        rights = tuple(
+            self._matrix([table[a].get(b, empty) for a in source], right_target) for b in by
+        )
+        return lefts, rights
 
     def left_matrix(self, x: "Element") -> Matrix:
         """Matrix of v -> x*v on the flattened algebra (column convention)."""
-        cols = {j: (x * b).terms for j, b in enumerate(self._flat_basis())}
-        return self._matrix(cols, 0, self.dim, self.dim)
+        return self._matrix([(x * b).terms for b in self._flat_basis()], range(self.dim))
 
     def right_matrix(self, x: "Element") -> Matrix:
-        cols = {j: (b * x).terms for j, b in enumerate(self._flat_basis())}
-        return self._matrix(cols, 0, self.dim, self.dim)
+        return self._matrix([(b * x).terms for b in self._flat_basis()], range(self.dim))
 
     def _flat_basis(self) -> list:
         """The basis elements in flat order."""
@@ -189,20 +203,16 @@ class GradedAlgebra:
 
     def flat_left_ops(self) -> tuple:
         """Left multiplication by each flat basis element, as n x n matrices."""
-        if self._flat_left is None:
-            n = self.dim
-            self._flat_left = tuple(self._matrix(row, 0, n, n) for row in self._table)
-        return self._flat_left
+        return self._flat_ops()[0]
 
     def flat_right_ops(self) -> tuple:
-        if self._flat_right is None:
-            n = self.dim
-            cols = [{} for _ in range(n)]  # cols[i][j] = b_j b_i
-            for j, row in enumerate(self._table):
-                for i, prod in row.items():
-                    cols[i][j] = prod
-            self._flat_right = tuple(self._matrix(col, 0, n, n) for col in cols)
-        return self._flat_right
+        return self._flat_ops()[1]
+
+    def _flat_ops(self) -> tuple:
+        if self._flat is None:
+            every = range(self.dim)
+            self._flat = self._ops(every, every, every, every)
+        return self._flat
 
     def mult_ops(self, h: int, g: int) -> tuple:
         """Multiplication by the basis of R_h, restricted to R_g.
@@ -211,21 +221,8 @@ class GradedAlgebra:
         d_{hg} x d_g matrix of x -> b_{h,k} * x : R_g -> R_{hg} and the
         d_{gh} x d_g matrix of x -> x * b_{h,k} : R_g -> R_{gh}, also for d_g = 0.
         """
-        table, gtab = self._table, self.group.table
-        source = self._span(g)
-
-        def op(cols, t):
-            return self._matrix(cols, self.offsets[t], self.comp_dims[t], len(source))
-
-        lefts = tuple(
-            op({j: table[b][a] for j, a in enumerate(source) if a in table[b]}, gtab[h][g])
-            for b in self._span(h)
-        )
-        rights = tuple(
-            op({j: table[a][b] for j, a in enumerate(source) if b in table[a]}, gtab[g][h])
-            for b in self._span(h)
-        )
-        return lefts, rights
+        span, gtab = self._span, self.group.table
+        return self._ops(span(h), span(g), span(gtab[h][g]), span(gtab[g][h]))
 
     def component_ops(self, g: int) -> tuple:
         """mult_ops(e, g): R_g as a bimodule over the identity component."""
@@ -235,38 +232,28 @@ class GradedAlgebra:
 
     def identity_ops(self) -> tuple:
         """The flat operators of the R_e basis: R as an R_e-bimodule."""
-        e = self.group.identity
-        span = slice(self.offsets[e], self.offsets[e] + self.comp_dims[e])
-        return self.flat_left_ops()[span], self.flat_right_ops()[span]
+        return self.subset_ops(range(self.group.order))
 
     def projection_ops(self) -> tuple:
         """The flat projection pi_g : R -> R_g of each nonzero component."""
-        one, n = self.field.one, self.dim
+        one, every = self.field.one, range(self.dim)
         return tuple(
-            self._matrix({k: {k: one} for k in self._span(g)}, 0, n, n)
-            for g, d in enumerate(self.comp_dims)
-            if d
+            self._matrix([{k: one} if k in span else {} for k in every], every)
+            for span in map(self._span, range(self.group.order))
+            if span
         )
 
     def subset_ops(self, subset) -> tuple:
-        """identity_ops() cut to R_S, the sum of the components in S.
+        """R_S, the sum of the components in S, as an R_e-bimodule.
 
-        R_e R_S R_e lies in R_S, so the rows and columns of R_S's flat
-        indices (ascending) are the operators of R_S as an R_e-bimodule.
+        R_e R_S R_e lies in R_S, so the operators of R_e's basis on R_S's
+        flat indices (ascending) have rows for those same indices.
         """
         members = sorted({int(g) for g in subset})
         if members and not (0 <= members[0] and members[-1] < self.group.order):
             raise InvalidInput(f"subset {tuple(subset)!r} has a bad group index")
         idx = [k for g in members for k in self._span(g)]
-
-        def cut(op):
-            rows = op.entries
-            return Matrix._trusted(
-                self.field, tuple(tuple(rows[r][c] for c in idx) for r in idx), len(idx)
-            )
-
-        lefts, rights = self.identity_ops()
-        return tuple(map(cut, lefts)), tuple(map(cut, rights))
+        return self._ops(self._span(self.group.identity), idx, idx, idx)
 
     # --- derived algebras ----------------------------------------------------
 

@@ -12,9 +12,10 @@ Scalars are checked once, where they enter: `Matrix(...)`, `Matrix.apply`,
 module, the `GradedAlgebra` constructor, `GradedAlgebra.element`/`from_flat`
 and the seeds of `spin`) pass each vector they are given through
 `Field.vector`, one call per vector; `EchelonBasis._insert` skips it,
-for callers whose rows are canonical already.  It refuses bool, float, str
-and every other scalar that is not an int (or, over Q, a Fraction) with
-InvalidInput, and returns canonical entries.  What a kernel computes from
+for callers whose rows are canonical already (`rref`, `solve` and
+`nullspace` on a Matrix's rows, the oracle's sweep).  It refuses bool,
+float, str and every other scalar that is not an int (or, over Q, a
+Fraction) with InvalidInput, and returns canonical entries.  What a kernel computes from
 canonical operands is canonical already, so it is wrapped as it is
 (`Matrix._trusted`, the `Element` constructor), with no second pass.
 
@@ -340,12 +341,15 @@ class Matrix:
 
 
 def _echelon(m: Matrix) -> "EchelonBasis":
-    """The RREF of m's rows, accumulated in an EchelonBasis."""
+    """The RREF of m's rows, accumulated in an EchelonBasis.
+
+    A Matrix's entries are canonical by construction, so its rows go in
+    unchecked."""
     eb = EchelonBasis(m.field, m.cols)
     for row in m.entries:
         if eb.is_full():
             break
-        eb.add(row)
+        eb._insert(row)
     return eb
 
 

@@ -13,24 +13,28 @@ stays predictable; crossing a budget raises BudgetError rather than
 degrading to sampling.
 
 Every invariant subspace is found by closing each seed vector v, one per
-projective ray, under the algebra E spanned by the operator products L R
-(_operator_span), so closure(v) = E v.  One sweep (_seed_sweep) does this
-over every field, on one row format per field: an int bitmask over GF(2),
-a bitsliced pair of int masks over GF(3), tuples on an EchelonBasis for
-larger p.  It reuses each seed's closure under one memo rule: for each
-basis matrix M of E in turn, let u = M v, scaled to a leading 1.  A zero
-u is skipped.  If u was swept earlier, W = closure(u) = E M v lies in E v
-because E is closed under products (on data that fails validation it need
-not be, and the oracle's answer means nothing there); so if v is in W
-then closure(v) = W and the seed is done, and otherwise W's rows join the
-span.  An unswept u joins the span alone.  The span stops growing at full
-rank.  The rule uses only the definition of the closure, so the oracle
-stays brute force: it visits every seed and consults no theorem about
-graded rings.  The memo is an array of closure ids indexed by the base-p
-code of a vector with a leading 1, 4 bytes for each of the p^n codes,
-allocated only after the p^n seed vectors have passed the budget.  The
-packed formats add a table of 2^n codes and, for each basis matrix of E
-that the sweep reaches, tables of p^(n - n//2) + p^(n//2) rows.
+projective ray, under the algebra E spanned by the operator products L R,
+so closure(v) = E v.  The left and right families each span the image of a
+unital algebra and commute with one another, so the products L R already
+span a multiplication-closed space containing the identity, and the one
+echelon pass of bimodule.envelope over them is a basis of E.  One sweep
+(_seed_sweep) does this over every field, on one row format per field: an
+int bitmask over GF(2), a bitsliced pair of int masks over GF(3), tuples
+on an EchelonBasis for larger p.  It reuses each seed's closure under one
+memo rule: for each basis matrix M of E in turn, let u = M v, scaled to a
+leading 1.  A zero u is skipped.  If u was swept earlier,
+W = closure(u) = E M v lies in E v because E is closed under products (on
+data that fails validation it need not be, and the oracle's answer means
+nothing there); so if v is in W then closure(v) = W and the seed is done,
+and otherwise W's rows join the span.  An unswept u joins the span alone.
+The span stops growing at full rank.  The rule uses only the definition of
+the closure, so the oracle stays brute force: it visits every seed and
+consults no theorem about graded rings.  The memo is an array of closure
+ids indexed by the base-p code of a vector with a leading 1, 4 bytes for
+each of the p^n codes, allocated only after the p^n seed vectors have
+passed the budget.  The packed formats add a table of 2^n codes and, for
+each basis matrix of E that the sweep reaches, tables of
+p^(n - n//2) + p^(n//2) rows.
 
 Subrings are enumerated on the quotient R/R_e.  A unital subring holding
 R_e is an R_e-sub-bimodule holding R_e, and by the correspondence theorem
@@ -47,7 +51,7 @@ from operator import mul, xor
 from typing import List, Tuple
 
 from .algebra import GradedAlgebra, graded_subspace_from_flat
-from .bimodule import BimoduleAction, hom_space
+from .bimodule import BimoduleAction, envelope, hom_space
 from .errors import BudgetError, InvalidInput
 from .linalg import (
     EchelonBasis,
@@ -149,24 +153,6 @@ def _subspace_key(s: Subspace):
 # --------------------------------------------------------------------------
 # closure machinery
 # --------------------------------------------------------------------------
-
-
-def _operator_span(f: Field, lefts, rights, dim: int) -> List[Matrix]:
-    """Independent spanning set of the algebra generated by the operators.
-
-    The left and right families each span the image of a unital algebra
-    and commute with one another, so the products L R already span a
-    multiplication-closed space containing the identity; one echelon pass
-    over them is a complete basis.
-    """
-    eb = EchelonBasis(f, dim * dim)
-    mats = []
-    for l in lefts:
-        for r in rights:
-            m = l @ r
-            if eb.add(m.flatten()):
-                mats.append(m)
-    return mats
 
 
 def _mask(v) -> int:
@@ -375,7 +361,8 @@ def _seed_sweep(rows):
 
 def _row_format(f: Field, n: int, lefts, rights):
     """The sweep's rows for f^n, holding the basis of E that the operators span."""
-    return {2: _BitRows, 3: _TritRows}.get(f.p, _TupleRows)(f, n, _operator_span(f, lefts, rights, n))
+    mats = envelope(BimoduleAction(f, n, lefts, rights))[1]
+    return {2: _BitRows, 3: _TritRows}.get(f.p, _TupleRows)(f, n, mats)
 
 
 def _cyclic_lattice(f: Field, n: int, lefts, rights, budget: int) -> List[Subspace]:
@@ -489,27 +476,6 @@ def controlled_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> bo
     return True
 
 
-def _quotient_by_identity_component(alg: GradedAlgebra):
-    """R/R_e as an R_e-bimodule: (kept flat indices, lefts, rights).
-
-    The operators are identity_ops() with R_e's rows and columns deleted.
-    They are well defined only when each one maps R_e into itself, that is
-    when the deleted block of R_e's columns outside R_e's rows is zero.
-    """
-    f, e = alg.field, alg.group.identity
-    lo, hi = alg.offsets[e], alg.offsets[e] + alg.comp_dims[e]
-    keep = [k for k in range(alg.dim) if not lo <= k < hi]
-
-    def cut(op: Matrix) -> Matrix:
-        rows = op.entries
-        if any(rows[r][c] for r in keep for c in range(lo, hi)):
-            raise InvalidInput("R_e is not closed under multiplication by R_e")
-        return Matrix._trusted(f, tuple(tuple(rows[r][c] for c in keep) for r in keep), len(keep))
-
-    lefts, rights = ([cut(op) for op in ops] for ops in alg.identity_ops())
-    return keep, lefts, rights
-
-
 def _closed_under_products(table, w: Subspace) -> bool:
     """Is R_e + W closed under multiplication, W a sub-bimodule of R/R_e?
 
@@ -557,12 +523,14 @@ def subring_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> List[
     are exactly the lifts R_e + W of the sub-bimodules W of the quotient
     R/R_e, so the enumeration runs on the quotient's lattice and keeps the
     lifts closed under multiplication.  That theorem is about modules
-    alone, not graded rings, so the route stays brute force.  The quotient
-    needs R_e closed under its own operators; InvalidInput otherwise.
+    alone, not graded rings, so the route stays brute force.  As an
+    R_e-bimodule, R/R_e is the sum of the other components.
     """
     _require_seed_budget(alg, budget)
-    f = alg.field
-    keep, lefts, rights = _quotient_by_identity_component(alg)
+    f, e = alg.field, alg.group.identity
+    others = [g for g in range(alg.group.order) if g != e]
+    lefts, rights = alg.subset_ops(others)
+    keep = [alg.offsets[g] + i for g in others for i in range(alg.comp_dims[g])]
     left_ops = [alg.flat_left_ops()[i].entries for i in keep]
     table = [
         [tuple((k, op[r][j]) for k, r in enumerate(keep) if op[r][j]) for j in keep]

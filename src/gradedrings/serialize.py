@@ -142,6 +142,9 @@ def algebra_from_obj(obj) -> GradedAlgebra:
         comp_dims = [comps[name] for name in group.names]
     except (KeyError, TypeError) as exc:
         raise InvalidInput("components must map every group element name to a dimension") from exc
+    extra = sorted(set(comps) - set(group.names))
+    if extra:
+        raise InvalidInput(f"components name {extra[0]!r}, which is no group element")
     for name, d in zip(group.names, comp_dims):
         if type(d) is not int or d < 0:
             raise InvalidInput(

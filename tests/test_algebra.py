@@ -413,6 +413,8 @@ def test_operators_match_element_products(inst):
             if h == e:
                 assert alg.component_ops(g) == (lefts, rights)
     basis = [alg.basis_element(*alg.basis_of_flat(k)) for k in range(alg.dim)]
+    flat = _reference_ops(alg, basis, basis, alg.flatten)
+    assert (alg.flat_left_ops(), alg.flat_right_ops()) == flat
     assert alg.identity_ops() == _reference_ops(alg, component(e), basis, alg.flatten)
     for r in range(G.order + 1):
         for subset in combinations(range(G.order), r):

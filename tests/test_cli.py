@@ -330,6 +330,8 @@ def _set_p(value):
         (_set("meta", 5), "meta must be a JSON object"),
         # read as "no products", {} would give an algebra that fails `valid`
         (_set("structure", {}), "structure must be a list"),
+        # a name outside the group was dropped, and the rest read as valid
+        (_set("components", {"0": 1, "1": 1, "2": 0}), "'2', which is no group element"),
         # refused by its size, before any trial division
         (_set_p(100000000000000003), "prime < 2**31"),
     ],
@@ -338,7 +340,8 @@ def _set_p(value):
         "index-float", "index-bool", "index-negative",
         "table-string", "table-float", "table-bool",
         "names-int", "names-null", "names-string", "names-object", "names-ints",
-        "meta-list", "meta-string", "meta-int", "structure-object", "p-huge",
+        "meta-list", "meta-string", "meta-int", "structure-object", "components-extra-name",
+        "p-huge",
     ],
 )
 def test_malformed_sizes_rejected_exit_2(tmp_path, capsys, edit, needle):
@@ -529,7 +532,7 @@ def test_oracle_refuses_over_budget_before_building_operators(m3_path, monkeypat
     def refuse(self, *args):
         raise AssertionError("operators built before the budget check")
 
-    for name in ("flat_left_ops", "flat_right_ops", "mult_ops"):
+    for name in ("flat_left_ops", "flat_right_ops", "mult_ops", "_ops"):
         monkeypatch.setattr(GradedAlgebra, name, refuse)
     # 2^9 seed vectors against a budget of 100
     assert main(["oracle", m3_path, "--what", what, "--budget", "100"]) == 2

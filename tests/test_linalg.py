@@ -380,6 +380,24 @@ def test_kernel_results_are_not_rechecked(field, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_eliminations_insert_matrix_rows_unchecked(field, monkeypatch):
+    # a Matrix's entries are canonical by construction, so rref, nullspace
+    # and solve never pass its rows through EchelonBasis.add's check
+    rng = random.Random(14)
+    a = random_matrix(field, 4, 5, rng)
+    b = random_matrix(field, 4, 2, rng)
+    calls = []
+    real = EchelonBasis.add
+    monkeypatch.setattr(EchelonBasis, "add", lambda self, v: calls.append(v) or real(self, v))
+
+    assert rref(a)[1] == rref(a.transpose())[1]
+    assert all(not any(a.apply(v)) for v in nullspace(a).basis.entries)
+    x = solve(a, b)
+    assert x is None or a @ x == b
+    assert calls == []
+
+
 def test_empty_rational_sums_are_fractions():
     a = Matrix(RATIONALS, [(), ()])
     b = Matrix(RATIONALS, [], cols=3)
