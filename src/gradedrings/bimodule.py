@@ -199,7 +199,7 @@ def envelope(action: BimoduleAction):
     for l in action.left_ops:
         for r in action.right_ops:
             prod = l @ r
-            if basis.add(prod.flatten()):
+            if basis._insert(prod.flatten()):
                 mats.append(prod)
             if basis.is_full():
                 return basis.rank, mats

@@ -13,7 +13,8 @@ module, the `GradedAlgebra` constructor, `GradedAlgebra.element`/`from_flat`
 and the seeds of `spin`) pass each vector they are given through
 `Field.vector`, one call per vector; `EchelonBasis._insert` skips it,
 for callers whose rows are canonical already (`rref`, `solve` and
-`nullspace` on a Matrix's rows, the oracle's sweep).  It refuses bool,
+`nullspace` on a Matrix's rows, `envelope` and `minimal_polynomial` on
+the rows of their products, the oracle's sweep).  It refuses bool,
 float, str and every other scalar that is not an int (or, over Q, a
 Fraction) with InvalidInput, and returns canonical entries.  What a kernel computes from
 canonical operands is canonical already, so it is wrapped as it is
@@ -29,12 +30,20 @@ them.  `EchelonBasis` is the only elimination code, and `rref`, `solve` and
 `nullspace` are built on it; its reduction sums plain exact products and
 lets `vector` canonicalize the result.  `Matrix.mul`, `Matrix.apply` and
 `Field.combine` (a linear combination of rows) are the one product path.
+`Matrix.mul` follows the same rule for both fields: it reads the right
+factor's rows once as (column, value) pairs of their nonzero entries,
+adds each nonzero entry (i, k) of the left factor times row k into row i
+of the result, and canonicalizes each result row once with `vector`
+(Gustavson's row-by-row sparse product), so operators that are mostly
+zeros, such as the multiplication operators of a basis, cost only their
+nonzero products.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from fractions import Fraction
+from itertools import chain, compress, count
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -247,13 +256,22 @@ class Matrix:
             raise InvalidInput(f"mixed fields: {self.field} vs {other.field}")
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """self @ other, by the row-by-row sparse product of the module docstring."""
         self._check_same_field(other)
         if self.cols != other.rows:
             raise InvalidInput(f"shape mismatch for product: {self.shape} x {other.shape}")
-        dots = self.field.dots
-        bt = tuple(zip(*other.entries)) if other.entries else ((),) * other.cols
-        out = tuple(tuple(dots(bt, row)) for row in self.entries)
-        return Matrix._trusted(self.field, out, other.cols)
+        field = self.field
+        zero, vector, cols = field.zero, field.vector, other.cols
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [zero] * cols
+            for c, pairs in zip(row, sparse):
+                if c:
+                    for j, x in pairs:
+                        acc[j] += c * x
+            out.append(vector(acc))
+        return Matrix._trusted(field, tuple(out), cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.mul(other)
@@ -323,7 +341,7 @@ class Matrix:
 
     def flatten(self) -> tuple:
         """Row-major flattening."""
-        return tuple(x for r in self.entries for x in r)
+        return tuple(chain.from_iterable(self.entries))
 
     def __eq__(self, other):
         return (
@@ -543,10 +561,10 @@ class EchelonBasis:
         """`add` on a vector whose entries are canonical already, unchecked."""
         field = self.field
         v = _residue(field, self.rows, self.pivots, vec)
-        lead = next(filter(None, v), None)
-        if lead is None:
+        c = next(compress(count(), v), None)
+        if c is None:
             return False
-        c = v.index(lead)
+        lead = v[c]
         if lead != 1:
             v = field.scale(field.inv(lead), v)
         submul = field.submul

@@ -109,11 +109,11 @@ def minimal_polynomial(mat: Matrix) -> list:
         return [f.one]
     powers = [Matrix.identity(f, n)]
     basis = EchelonBasis(f, n * n)
-    basis.add(powers[0].flatten())
+    basis._insert(powers[0].flatten())
     while True:
         nxt = powers[-1] @ mat
         flat = nxt.flatten()
-        if not basis.add(flat):
+        if not basis._insert(flat):
             cols = Matrix.from_columns(f, [p.flatten() for p in powers])
             sol = solve(cols, Matrix._trusted(f, tuple((x,) for x in flat), 1))
             if sol is None:

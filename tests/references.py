@@ -2,7 +2,8 @@
 
 `product_coeffs`, `component_product` and `verify_crossed_reconstruction`
 recompute from the raw product table or from element products what the
-package computes from operators; the rest are small helpers.  The package
+package computes from operators, and `matrix_product` recomputes a matrix
+product one entry at a time; the rest are small helpers.  The package
 itself never calls any of them.
 """
 from fractions import Fraction
@@ -40,6 +41,21 @@ def component_product(s: GradedSubspace, t: GradedSubspace) -> GradedSubspace:
                     prod = xu * alg.element({h: v})
                     acc.add(prod.coeffs(k))
     return GradedSubspace(alg, {k: acc.to_subspace() for k, acc in accs.items() if acc.rank})
+
+
+def matrix_product(a, b) -> tuple:
+    """The entries of a @ b, each a sum of scalar products by `Field.add`/`mul`."""
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            x = f.zero
+            for k in range(a.cols):
+                x = f.add(x, f.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(x)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def subset_action(alg, subset) -> BimoduleAction:

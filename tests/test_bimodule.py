@@ -284,6 +284,20 @@ def test_envelope_rank_m3(m3_gf2):
     assert len(mats) == 81
 
 
+def test_envelope_of_m4_q_tests_few_fraction_entries_for_zero(monkeypatch):
+    # the 256 products L_i R_j of M4(Q) have 4 nonzeros in each of their 16
+    # rows; a product kernel that tests every entry of every dot product
+    # for zero made 1,163,136 Fraction truth tests here, the sparse one
+    # makes about a fifth of that
+    action = regular_bimodule_action(full_matrix_algebra(RATIONALS, 4))
+    calls = []
+    real = Fraction.__bool__
+    monkeypatch.setattr(Fraction, "__bool__", lambda x: calls.append(None) or real(x))
+    rank, _ = envelope(action)
+    assert rank == 256
+    assert len(calls) <= 1_163_136 // 4
+
+
 def test_identity_action_matches_component_slices(m3_gf2):
     act = BimoduleAction(m3_gf2.field, m3_gf2.dim, *m3_gf2.identity_ops())
     assert act.dim == 9

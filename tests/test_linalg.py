@@ -25,7 +25,7 @@ from gradedrings.linalg import (
     span_candidates,
     subspace_sum,
 )
-from references import contains_subspace, subspace_intersect
+from references import contains_subspace, matrix_product, subspace_intersect
 
 FIELDS = [GF(2), GF(3), GF(7), RATIONALS]
 
@@ -93,6 +93,70 @@ def test_matrix_shapes_and_products():
     assert a.transpose().shape == (2, 3)
     assert Matrix.identity(f, 2).is_identity()
     assert a.apply((1, 1)) == (0, 1, 1)
+
+
+PRODUCT_FIELDS = [GF(2), GF(3), GF(1009), RATIONALS]
+
+
+def sparse_matrix(field, rows, cols, density, rng):
+    """A rows x cols matrix whose entries are nonzero with probability density;
+    over Q the nonzero entries are +-1 and +-1/2, so sums often cancel."""
+    small = [1, -1, Fraction(1, 2), Fraction(-1, 2)]
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        return rng.choice(small) if field.p == 0 else rng.randrange(1, field.p)
+
+    return Matrix(field, [[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def assert_canonical(m):
+    if m.field.p:
+        assert all(type(x) is int and 0 <= x < m.field.p for row in m.entries for x in row)
+    else:
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(PRODUCT_FIELDS),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.sampled_from([0.0, 0.2, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_matrix_product_matches_entrywise_reference(field, n, k, m, density, seed):
+    rng = random.Random(seed)
+    a = sparse_matrix(field, n, k, density, rng)
+    b = sparse_matrix(field, k, m, density, rng)
+    if n:
+        zero_row = Matrix(field, [[0] * k], cols=k)
+        a = a.stack(zero_row)
+    prod = a @ b
+    assert prod.shape == (a.rows, m)
+    assert prod.entries == matrix_product(a, b)
+    assert_canonical(prod)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+def test_matrix_product_of_empty_shapes(field):
+    for n, k, m in [(0, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0), (3, 0, 0)]:
+        a = Matrix(field, [[1] * k for _ in range(n)], cols=k)
+        b = Matrix(field, [[1] * m for _ in range(k)], cols=m)
+        prod = a @ b
+        assert prod.shape == (n, m)
+        assert prod.entries == ((field.zero,) * m,) * n
+        assert_canonical(prod)
+
+
+def test_rational_products_that_cancel_are_canonical_zeros():
+    a = Matrix(RATIONALS, [[1, 1, Fraction(1, 2)], [0, 2, -1]])
+    b = Matrix(RATIONALS, [[1, Fraction(1, 3)], [-1, Fraction(-1, 6)], [0, Fraction(-1, 3)]])
+    prod = a @ b
+    assert prod.entries == ((0, 0), (-2, 0))
+    assert_canonical(prod)
 
 
 def test_solve_known_system():
@@ -395,6 +459,24 @@ def test_eliminations_insert_matrix_rows_unchecked(field, monkeypatch):
     assert all(not any(a.apply(v)) for v in nullspace(a).basis.entries)
     x = solve(a, b)
     assert x is None or a @ x == b
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_product_rows_go_into_echelon_bases_unchecked(field, monkeypatch):
+    # envelope and minimal_polynomial eliminate rows of Matrix.mul's
+    # products, which are canonical, so they skip EchelonBasis.add's check
+    from gradedrings.bimodule import envelope, regular_bimodule_action
+    from gradedrings.builders import full_matrix_algebra
+    from gradedrings.poly import minimal_polynomial
+
+    action = regular_bimodule_action(full_matrix_algebra(field, 2))
+    calls = []
+    real = EchelonBasis.add
+    monkeypatch.setattr(EchelonBasis, "add", lambda self, v: calls.append(v) or real(self, v))
+
+    assert envelope(action)[0] == 16
+    assert minimal_polynomial(action.left_ops[1]) == [field.zero, field.zero, field.one]
     assert calls == []
 
 
