@@ -286,9 +286,9 @@ def test_envelope_rank_m3(m3_gf2):
 
 def test_envelope_of_m4_q_tests_few_fraction_entries_for_zero(monkeypatch):
     # the 256 products L_i R_j of M4(Q) have 4 nonzeros in each of their 16
-    # rows; a product kernel that tests every entry of every dot product
-    # for zero made 1,163,136 Fraction truth tests here, the sparse one
-    # makes about a fifth of that
+    # rows; a kernel that tests both factors of every term of every dot
+    # product for zero makes 1,163,136 Fraction truth tests here, and the
+    # bound is a quarter of that
     action = regular_bimodule_action(full_matrix_algebra(RATIONALS, 4))
     calls = []
     real = Fraction.__bool__
