@@ -1,9 +1,11 @@
 """Golden reports: `check --json --seed 0` and `oracle --json` output pinned by SHA-256.
 
 Covers every `check` property and every `oracle` target on every
-oracle-scale corpus instance plus two rational inputs, so a refactor of the
-analysis, bimodule or linear-algebra layers cannot change a single report
-byte unnoticed.  Three corrupted files are pinned for `valid` alone, so the
+oracle-scale corpus instance, on two rational inputs (m3-q, q-z3), and on
+the benchmark ladder's other rings (galois-2-4, galois-2-6, galois-3-3,
+m3-gf3, mat3-q, mat4-q, mat5-q), where the theorem steps decide, so a
+refactor of the analysis, bimodule or linear-algebra layers cannot change a
+single report byte unnoticed.  Three corrupted files are pinned for `valid` alone, so the
 validity scan keeps naming the same first failure.  Each entry of `golden_reports.json` is keyed
 `<instance>/<property>` (or `<instance>/oracle-<target>`) and holds the exit
 code and the SHA-256 of stdout followed by stderr.
@@ -37,6 +39,13 @@ def instances() -> dict:
     out = {inst.name: inst.alg for inst in oracle_scale_corpus()}
     out["m3-q"] = m3_example(RATIONALS)
     out["q-z3"] = group_algebra(RATIONALS, cyclic_group(3))
+    # the benchmark ladder's rings outside the corpus, where the theorem steps fire
+    out["galois-2-4"] = galois_skew_example(2, 4)
+    out["galois-2-6"] = galois_skew_example(2, 6)
+    out["galois-3-3"] = galois_skew_example(3, 3)
+    out["m3-gf3"] = m3_example(GF(3))
+    for n in (3, 4, 5):
+        out[f"mat{n}-q"] = full_matrix_algebra(RATIONALS, n)
     return out
 
 
