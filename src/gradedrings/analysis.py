@@ -43,12 +43,20 @@ loses no independence, since each check would make the same
 deterministic call on the same matrices with the same seed.  Nothing here
 imports the brute-force oracle, which stays independent of all of it.
 
+A compound verdict is the strong (Kleene) conjunction of its parts,
+`Verdict.all_of`: False if any part is False, else Inconclusive if any
+is, else True, with Skipped parts ignored.  The controlled criterion,
+every component simple and no two isomorphic, is built once as two parts
+(`_controlled_parts`): legs (ii) and (i) of `check_necessary_conditions`,
+and the conjunction behind `check_controlled` and leg (a) of
+`check_crossed_controlled`.
+
 Every check returns a `CheckResult`; what one check alone reports goes in
 its `fields`.
 """
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
@@ -438,10 +446,11 @@ class _ComponentProfile:
 
     def components_simple(self, order: int) -> Tuple[Verdict, Optional[int]]:
         """Is every component nonzero and simple?  With the first that is not."""
-        for g in range(order):
-            if g not in self.simple or self.simple[g].verdict is Verdict.FALSE:
-                return Verdict.FALSE, g
-        return _unless_undecided([rep.verdict for rep in self.simple.values()]), None
+        verdicts = [
+            self.simple[g].verdict if g in self.simple else Verdict.FALSE for g in range(order)
+        ]
+        bad = next((g for g, v in enumerate(verdicts) if v is Verdict.FALSE), None)
+        return Verdict.all_of(verdicts), bad
 
 
 def _component_profile(
@@ -480,14 +489,8 @@ def _hom_search(actions: dict, g: int, h: int, seed: int, budget: int) -> Verdic
 
 def _non_isomorphic(pairs: dict) -> Tuple[Verdict, Optional[Tuple[int, int]]]:
     """Is no pair isomorphic?  With the first pair that is."""
-    for pair, v in sorted(pairs.items()):
-        if v is Verdict.TRUE:
-            return Verdict.FALSE, pair
-    return _unless_undecided(list(pairs.values())), None
-
-
-def _unless_undecided(verdicts: list) -> Verdict:
-    return Verdict.INCONCLUSIVE if Verdict.INCONCLUSIVE in verdicts else Verdict.TRUE
+    first = min((pair for pair, v in pairs.items() if v is Verdict.TRUE), default=None)
+    return Verdict.all_of(~v for v in pairs.values()), first
 
 
 def check_controlled(
@@ -517,25 +520,62 @@ def _controlled(alg: GradedAlgebra, seed: int, budget: int, strong: bool) -> Che
     return _controlled_report(alg, profile, seed, budget)
 
 
+def _controlled_parts(
+    alg: GradedAlgebra, profile: _ComponentProfile, seed: int, budget: int
+) -> Tuple[CheckResult, CheckResult]:
+    """The controlled criterion as the parts `components-simple` and
+    `pairwise-non-isomorphic` of `check_necessary_conditions`.
+
+    A zero component fails the first, and is isomorphic only to another
+    zero component.
+    """
+    G = alg.group
+    comp_verdict, bad = profile.components_simple(G.order)
+    comp_witness = None
+    if bad is not None and bad not in profile.simple:
+        comp_witness = {"component": G.names[bad], "kind": "zero-component"}
+    elif bad is not None:
+        comp_witness = {
+            "component": G.names[bad],
+            "sub_bimodule": _enc_subspace(alg.field, profile.simple[bad].witness),
+        }
+
+    def same(g: int, h: int) -> Verdict:
+        dg, dh = alg.comp_dims[g], alg.comp_dims[h]
+        if dg == 0 or dh == 0:
+            return Verdict.from_bool(dg == dh)
+        return profile.iso[(g, h)]
+
+    iso_verdict, pair = _non_isomorphic(
+        {pair: same(*pair) for pair in combinations(range(G.order), 2)}
+    )
+    return (
+        CheckResult(
+            "components-simple", comp_verdict, method="bimodule-simplicity",
+            witness=comp_witness, seed=seed, budget=budget,
+        ),
+        CheckResult(
+            "pairwise-non-isomorphic", iso_verdict, method="bimodule-isomorphism",
+            witness=None if pair is None else {"pair": [G.names[g] for g in pair]},
+            seed=seed, budget=budget,
+        ),
+    )
+
+
 def _controlled_report(
     alg: GradedAlgebra, profile: _ComponentProfile, seed: int, budget: int,
     method: str = "components-and-isomorphisms",
 ) -> CheckResult:
+    """Both `_controlled_parts`, whose first failing one gives the witness."""
     G = alg.group
-    comp_verdict, bad = profile.components_simple(G.order)
-    iso_verdict, pair = _non_isomorphic(profile.iso)
+    legs = _controlled_parts(alg, profile, seed, budget)
     witness = None
-    if bad is not None and bad not in profile.simple:
-        witness = {"kind": "zero-component", "component": G.names[bad]}
-    elif bad is not None:
-        witness = {
-            "kind": "component-not-simple",
-            "component": G.names[bad],
-            "sub_bimodule": _enc_subspace(alg.field, profile.simple[bad].witness),
-        }
-    elif pair is not None:
-        witness = {"kind": "isomorphic-pair", "pair": [G.names[g] for g in pair]}
-    verdict = Verdict.FALSE if witness else _unless_undecided([comp_verdict, iso_verdict])
+    for leg, kind in zip(legs, ("component-not-simple", "isomorphic-pair")):
+        if leg.verdict is Verdict.FALSE:
+            # a zero component's witness names its own kind, which overrides this one
+            witness = {"kind": kind, **leg.witness}
+            break
+    verdict = Verdict.all_of(leg.verdict for leg in legs)
     simplicity = {
         G.names[g]: (profile.simple[g].verdict if g in profile.simple else Verdict.FALSE).value
         for g in range(G.order)
@@ -556,7 +596,7 @@ def _controlled_report(
 
 
 def _ideals_graded_certificate(
-    alg: GradedAlgebra, comp_verdict: Verdict, iso_verdict: Verdict, seed: int, budget: int
+    alg: GradedAlgebra, controlled: Verdict, seed: int, budget: int
 ) -> CheckResult:
     """Leg (v), by the first of three exact routes that applies.
 
@@ -568,7 +608,7 @@ def _ideals_graded_certificate(
     is not run, because it costs more there than the rest of the check.
     Failing both, `_ideals_graded_by_spins` decides.
     """
-    if comp_verdict is Verdict.TRUE and iso_verdict is Verdict.TRUE:
+    if controlled is Verdict.TRUE:
         return CheckResult(
             "ideals-graded", Verdict.TRUE, method="controlled-components",
             detail="every ideal is a sum of components", seed=seed, budget=budget,
@@ -632,74 +672,34 @@ def check_necessary_conditions(
     by (i) and (ii), or over a prime field by the simplicity test of R);
     only when no certificate applies is every point of R spun into its
     ideal, within the budget, and the condition reported Skipped when that
-    sweep is out of reach.
+    sweep is out of reach.  The verdict is the conjunction of the five
+    (`Verdict.all_of`), so a Skipped condition does not count.
     """
-    G = alg.group
-    f = alg.field
-    e = G.identity
     profile = _component_profile(alg, seed=seed, budget=budget)
-
-    def same(g: int, h: int) -> Verdict:
-        dg, dh = alg.comp_dims[g], alg.comp_dims[h]
-        if dg == 0 or dh == 0:
-            return Verdict.from_bool(dg == dh)
-        return profile.iso[(g, h)]
-
-    pairs = {pair: same(*pair) for pair in combinations(range(G.order), 2)}
-    iso_verdict, iso_pair = _non_isomorphic(pairs)
-    parts = [
-        CheckResult(
-            "pairwise-non-isomorphic", iso_verdict, method="bimodule-isomorphism",
-            witness=None if iso_pair is None else {"pair": [G.names[g] for g in iso_pair]},
-            seed=seed, budget=budget,
-        )
-    ]
-
-    comp_verdict, bad = profile.components_simple(G.order)
-    comp_witness = None
-    if bad is not None and bad not in profile.simple:
-        comp_witness = {"component": G.names[bad], "kind": "zero-component"}
-    elif bad is not None:
-        comp_witness = {
-            "component": G.names[bad],
-            "sub_bimodule": _enc_subspace(f, profile.simple[bad].witness),
-        }
-    parts.append(
-        CheckResult(
-            "components-simple", comp_verdict, method="bimodule-simplicity",
-            witness=comp_witness, seed=seed, budget=budget,
-        )
-    )
+    comp_part, iso_part = _controlled_parts(alg, profile, seed, budget)
 
     # R_e as a bimodule over itself is the identity component: same operators
-    base_rep = profile.simple[e]
+    base_rep = profile.simple[alg.group.identity]
     base_witness = None
     if base_rep.witness is not None:
-        base_witness = {"ideal": _enc_subspace(f, base_rep.witness)}
-    parts.append(
+        base_witness = {"ideal": _enc_subspace(alg.field, base_rep.witness)}
+    cent = check_centralizer_condition(alg)
+    parts = [
+        iso_part,
+        comp_part,
         CheckResult(
             "identity-simple-ring", base_rep.verdict, method=base_rep.method,
             witness=base_witness, seed=seed, budget=budget,
-        )
-    )
-
-    cent = check_centralizer_condition(alg)
-    parts.append(
+        ),
         CheckResult(
             "centralizer-is-center", cent.verdict, method=cent.method,
             detail=cent.detail, witness=cent.witness,
-        )
-    )
-
-    parts.append(_ideals_graded_certificate(alg, comp_verdict, iso_verdict, seed, budget))
-
-    evaluated = [p.verdict for p in parts if p.verdict is not Verdict.SKIPPED]
-    if any(v is Verdict.FALSE for v in evaluated):
-        verdict = Verdict.FALSE
-    elif any(v is Verdict.INCONCLUSIVE for v in evaluated):
-        verdict = Verdict.INCONCLUSIVE
-    else:
-        verdict = Verdict.TRUE
+        ),
+        _ideals_graded_certificate(
+            alg, Verdict.all_of([comp_part.verdict, iso_part.verdict]), seed, budget
+        ),
+    ]
+    verdict = Verdict.all_of(p.verdict for p in parts)
     skipped = [p.check for p in parts if p.verdict is Verdict.SKIPPED]
     detail = f"skipped: {', '.join(skipped)}" if skipped else "all five conditions evaluated"
     return CheckResult(
@@ -946,9 +946,10 @@ def check_crossed_controlled(
     built from it, and legs (b) and (c) take the simplicity of R_e from its
     identity component, which is R_e as a bimodule over itself.  What each
     leg then adds is its own: the centralizer kernel for (b), the twisted
-    intertwiner spaces for (c).  Decided legs must agree or the run aborts,
-    since their equivalence is exactly what the theory promises for crossed
-    products.
+    intertwiner spaces for (c).  Legs (b) and (c) are conjunctions
+    (`Verdict.all_of`), (c) of R_e's simplicity and the negated `is_inner`
+    verdicts.  Decided legs must agree or the run aborts, since their
+    equivalence is exactly what the theory promises for crossed products.
     """
     det = detect_crossed_product(alg, seed=seed, budget=budget)
     if det.verdict is not Verdict.TRUE:
@@ -961,52 +962,35 @@ def check_crossed_controlled(
     e = G.identity
 
     profile = _component_profile(alg, seed=seed, budget=budget)
-    leg_a = _controlled_report(alg, profile, seed, budget)
-    part_a = CheckResult(
-        "controlled-direct", leg_a.verdict, method=leg_a.method, witness=leg_a.witness,
-        seed=seed, budget=budget,
+    part_a = replace(
+        _controlled_report(alg, profile, seed, budget), check="controlled-direct", fields={}
     )
 
     base = alg.identity_component_algebra()
     base_rep = profile.simple[e]
     cent = check_centralizer_condition(alg)
-    if base_rep.verdict is Verdict.FALSE or cent.verdict is Verdict.FALSE:
-        vb = Verdict.FALSE
-    elif base_rep.verdict is Verdict.TRUE and cent.verdict is Verdict.TRUE:
-        vb = Verdict.TRUE
-    else:
-        vb = Verdict.INCONCLUSIVE
+    vb = Verdict.all_of([base_rep.verdict, cent.verdict])
     part_b = CheckResult(
         "base-simple-and-centralizer", vb, method="simplicity+commutant",
         detail=f"base ring simple: {base_rep.verdict.value}; centralizer: {cent.verdict.value}",
         seed=seed, budget=budget,
     )
 
+    # outerness is not searched once R_e is shown not simple
+    outer = [] if base_rep.verdict is Verdict.FALSE else [
+        ~is_inner(
+            base, data.sigma[g], base_simple=base_rep.verdict, seed=seed + g, budget=budget
+        ).verdict
+        for g in range(G.order) if g != e
+    ]
+    vc = Verdict.all_of([base_rep.verdict, *outer])
     if base_rep.verdict is Verdict.FALSE:
-        vc = Verdict.FALSE
         inner_detail = "base ring is not simple"
     else:
-        inner_verdicts = []
-        for g in range(G.order):
-            if g == e:
-                continue
-            inner_verdicts.append(
-                is_inner(
-                    base, data.sigma[g], base_simple=base_rep.verdict, seed=seed + g,
-                    budget=budget,
-                ).verdict
-            )
-        if any(v is Verdict.TRUE for v in inner_verdicts):
-            vc = Verdict.FALSE
-            inner_detail = "some non-identity sigma_g is inner"
-        elif base_rep.verdict is Verdict.TRUE and all(
-            v is Verdict.FALSE for v in inner_verdicts
-        ):
-            vc = Verdict.TRUE
-            inner_detail = "base ring simple and every non-identity sigma_g outer"
-        else:
-            vc = Verdict.INCONCLUSIVE
-            inner_detail = "outerness not fully decided"
+        inner_detail = {
+            Verdict.FALSE: "some non-identity sigma_g is inner",
+            Verdict.TRUE: "base ring simple and every non-identity sigma_g outer",
+        }.get(vc, "outerness not fully decided")
     part_c = CheckResult(
         "base-simple-and-outer", vc, method="twisted-intertwiners",
         detail=inner_detail, seed=seed, budget=budget,

@@ -87,6 +87,19 @@ class Verdict(Enum):
     def from_bool(cls, b: bool) -> "Verdict":
         return cls.TRUE if b else cls.FALSE
 
+    @classmethod
+    def all_of(cls, verdicts) -> "Verdict":
+        """Kleene's strong conjunction: FALSE if any verdict is, else
+        INCONCLUSIVE if any is, else TRUE.  SKIPPED verdicts are ignored."""
+        seen = set(verdicts)
+        if cls.FALSE in seen:
+            return cls.FALSE
+        return cls.INCONCLUSIVE if cls.INCONCLUSIVE in seen else cls.TRUE
+
+    def __invert__(self) -> "Verdict":
+        """Negation: TRUE and FALSE swap, INCONCLUSIVE and SKIPPED stay."""
+        return {Verdict.TRUE: Verdict.FALSE, Verdict.FALSE: Verdict.TRUE}.get(self, self)
+
     @property
     def decided(self) -> bool:
         return self in (Verdict.TRUE, Verdict.FALSE)
@@ -110,14 +123,14 @@ class BimoduleAction:
     __slots__ = ("field", "dim", "left_ops", "right_ops", "ops", "tag", "_traces")
 
     def __init__(self, field: Field, dim: int, left_ops, right_ops, tag: str = ""):
-        for op in list(left_ops) + list(right_ops):
+        self.left_ops = tuple(left_ops)
+        self.right_ops = tuple(right_ops)
+        self.ops = self.left_ops + self.right_ops
+        for op in self.ops:
             if op.shape != (dim, dim) or op.field != field:
                 raise InvalidInput("operators must be square matrices on M")
         self.field = field
         self.dim = dim
-        self.left_ops = tuple(left_ops)
-        self.right_ops = tuple(right_ops)
-        self.ops = self.left_ops + self.right_ops
         self.tag = tag
         self._traces = None
 

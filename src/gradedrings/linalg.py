@@ -173,7 +173,7 @@ class Field:
             return pow(a, self.p - 2, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return self.one / a
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -785,6 +785,24 @@ def test_theorem_steps_agree_with_the_routes_behind_them(alg):
         assert picard.witness == (None if pair is None else {"pair": [alg.group.names[g] for g in pair]})
 
 
+@pytest.mark.parametrize("alg", [a for _, a in STEP_CASES], ids=[n for n, _ in STEP_CASES])
+def test_controlled_route_is_the_conjunction_of_the_necessary_parts(alg):
+    # the general route of check_controlled against legs (ii) and (i) of necessary
+    profile = analysis._component_profile(alg, seed=0, budget=65536)
+    route = analysis._controlled_report(alg, profile, 0, 65536)
+    iso, comp = check_necessary_conditions(alg).parts[:2]
+    assert (iso.check, comp.check) == ("pairwise-non-isomorphic", "components-simple")
+    assert route.verdict is Verdict.all_of([comp.verdict, iso.verdict])
+    if comp.verdict is Verdict.FALSE:
+        g = alg.group.names.index(comp.witness["component"])
+        kind = "zero-component" if alg.comp_dims[g] == 0 else "component-not-simple"
+        assert route.witness == {**comp.witness, "kind": kind}
+    elif iso.verdict is Verdict.FALSE:
+        assert route.witness == {**iso.witness, "kind": "isomorphic-pair"}
+    else:
+        assert route.witness is None
+
+
 def test_theorem_steps_fire_on_the_ladder():
     cases = dict(STEP_CASES)
     for name in ("galois-2-4", "galois-2-6", "galois-3-3"):

@@ -51,6 +51,43 @@ def test_verdict_semantics():
     assert not Verdict.INCONCLUSIVE.decided
 
 
+# the strong conjunction is the meet of FALSE < INCONCLUSIVE < TRUE
+_KLEENE_RANK = {Verdict.FALSE: 0, Verdict.INCONCLUSIVE: 1, Verdict.TRUE: 2}
+
+
+def test_all_of_is_the_strong_conjunction_ignoring_skipped():
+    for n in range(4):
+        for combo in product(Verdict, repeat=n):
+            ranked = [v for v in combo if v is not Verdict.SKIPPED]
+            want = min(ranked, key=_KLEENE_RANK.__getitem__, default=Verdict.TRUE)
+            assert Verdict.all_of(combo) is want, combo
+            assert Verdict.all_of(v for v in combo) is want, combo
+    assert Verdict.all_of([]) is Verdict.TRUE
+    assert Verdict.all_of([Verdict.SKIPPED]) is Verdict.TRUE
+
+
+def test_negation_swaps_true_and_false_only():
+    assert ~Verdict.TRUE is Verdict.FALSE
+    assert ~Verdict.FALSE is Verdict.TRUE
+    assert ~Verdict.INCONCLUSIVE is Verdict.INCONCLUSIVE
+    assert ~Verdict.SKIPPED is Verdict.SKIPPED
+    for v in Verdict:
+        assert ~~v is v
+
+
+def test_generator_operator_families_give_the_same_action():
+    ref = regular_bimodule_action(full_matrix_algebra(GF(2), 2))
+    gen = BimoduleAction(
+        ref.field, ref.dim, (m for m in ref.left_ops), (m for m in ref.right_ops)
+    )
+    assert (gen.left_ops, gen.right_ops, gen.ops) == (ref.left_ops, ref.right_ops, ref.ops)
+    assert len(gen.left_ops) == len(gen.right_ops) == 4
+    assert is_simple(gen) == is_simple(ref)
+    assert is_simple(gen).verdict is Verdict.TRUE
+    with pytest.raises(InvalidInput):
+        BimoduleAction(ref.field, ref.dim + 1, (m for m in ref.left_ops), iter(()))
+
+
 def test_component_actions_have_right_shapes(m3_gf2):
     a0 = component_action(m3_gf2, 0)
     a1 = component_action(m3_gf2, 1)

@@ -70,6 +70,20 @@ def test_field_arithmetic_gf5():
         f.inv(0)
 
 
+def test_rational_inverse_and_quotient_of_ints_are_fractions():
+    f = RATIONALS
+    for got, want in (
+        (f.inv(2), Fraction(1, 2)),
+        (f.inv(-3), Fraction(-1, 3)),
+        (f.div(f.one, 3), Fraction(1, 3)),
+        (f.div(2, 6), Fraction(1, 3)),
+        (f.inv(Fraction(2, 5)), Fraction(5, 2)),
+    ):
+        assert type(got) is Fraction and got == want
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
 def test_rational_coercion_stays_exact():
     f = RATIONALS
     x = f.coerce(Fraction(1, 3))
