@@ -522,7 +522,7 @@ def _controlled(alg: GradedAlgebra, seed: int, budget: int, strong: bool) -> Che
 
 def _controlled_parts(
     alg: GradedAlgebra, profile: _ComponentProfile, seed: int, budget: int
-) -> Tuple[CheckResult, CheckResult]:
+) -> Tuple["CheckResult", "CheckResult"]:
     """The controlled criterion as the parts `components-simple` and
     `pairwise-non-isomorphic` of `check_necessary_conditions`.
 
