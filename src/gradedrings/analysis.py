@@ -532,13 +532,12 @@ def _controlled_parts(
     G = alg.group
     comp_verdict, bad = profile.components_simple(G.order)
     comp_witness = None
-    if bad is not None and bad not in profile.simple:
-        comp_witness = {"component": G.names[bad], "kind": "zero-component"}
-    elif bad is not None:
-        comp_witness = {
-            "component": G.names[bad],
-            "sub_bimodule": _enc_subspace(alg.field, profile.simple[bad].witness),
-        }
+    if bad is not None:
+        comp_witness = {"component": G.names[bad]}
+        if bad in profile.simple:
+            comp_witness["sub_bimodule"] = _enc_subspace(alg.field, profile.simple[bad].witness)
+        else:
+            comp_witness["kind"] = "zero-component"
 
     def same(g: int, h: int) -> Verdict:
         dg, dh = alg.comp_dims[g], alg.comp_dims[h]
