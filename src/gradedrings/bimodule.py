@@ -5,7 +5,10 @@ of operators, usually multiplications by a basis of the identity component
 or of the whole algebra; its invariant subspaces are those every operator
 maps into itself.  The Burnside-style density test and the MeatAxe draw
 their elements from the span of the products L_i R_j, which lies in the
-algebra the operators generate.
+algebra the operators generate.  `envelope` finds a basis of that span
+among the products themselves, forming each one as a sparse row over the
+m^2 flat positions and testing it in a `linalg._SparseBasis`, so only the
+products it keeps are made dense.
 
 Simplicity is decided by a Norton-style MeatAxe with a spin-search
 fallback, so a True or False is a theorem about the input, never a sample.
@@ -17,7 +20,8 @@ the commutant is a field C of degree d and the envelope has rank m^2/d, so
 it is End_C(M), Burnside's theorem over C; when d = m, an envelope element
 with an irreducible minimal polynomial of degree m decides alone), tried
 before Norton's test over GF(p) and after it over Q; Norton's test on SAMPLES
-elements drawn from the envelope basis; then the spin search, which spins
+elements drawn from the envelope basis, skipped when the envelope is 0 (no
+operator products, or only zero ones); then the spin search, which spins
 the basis rows and after them either every projective vector of M
 (`exhaustive-spin`, True or False with a witness) or, past the budget,
 QUICK_TRIALS random vectors (`sampled-spin`, False with a witness); else
@@ -57,6 +61,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _is_prime,
+    _SparseBasis,
     annihilator,
     nullspace,
     span_candidates,
@@ -201,22 +206,45 @@ def spin(action: BimoduleAction, seed: Sequence) -> Subspace:
 def envelope(action: BimoduleAction):
     """Basis of the span of the products L_i R_j.
 
-    Returns (rank, matrices); the matrices are an independent spanning set.
-    The span lies in the algebra the operators generate, and is that
-    algebra when both families come from a unital algebra.  Stops early
-    once the span is dense in End(M).
+    Returns (rank, matrices); the matrices are the products, in (i, j)
+    order, that are independent of the ones before them.  The span lies in
+    the algebra the operators generate, and is that algebra when both
+    families come from a unital algebra.  Stops early once the span is
+    dense in End(M).  Each operator is read once, as rows of (column,
+    value) pairs of its nonzero entries; each product is summed row by row
+    into a dict over the m^2 flat positions (Gustavson's sparse product)
+    and tested in a `linalg._SparseBasis`, and only the products kept are
+    made dense.
     """
-    m = action.dim
-    basis = EchelonBasis(action.field, m * m)
+    m, f = action.dim, action.field
+    p, n = f.p, m * m
+    zero_row = (f.zero,) * m
+    rights = [r._sparse_rows() for r in action.right_ops]
+    basis = _SparseBasis(f)
     mats = []
-    for l in action.left_ops:
-        for r in action.right_ops:
-            prod = l @ r
-            if basis._insert(prod.flatten()):
-                mats.append(prod)
-            if basis.is_full():
-                return basis.rank, mats
-    return basis.rank, mats
+    for left in (l._sparse_rows() for l in action.left_ops):
+        for right in rights:
+            acc: dict = {}
+            for i, lrow in enumerate(left):
+                base = i * m
+                for k, x in lrow:
+                    for j, y in right[k]:
+                        pos = base + j
+                        acc[pos] = acc[pos] + x * y if pos in acc else x * y
+            if p:
+                acc = {k: y % p for k, y in acc.items()}
+            prod = {k: y for k, y in acc.items() if y}
+            if basis.insert(dict(prod)):
+                rows = [zero_row] * m
+                for k, y in prod.items():
+                    i, j = divmod(k, m)
+                    if rows[i] is zero_row:
+                        rows[i] = list(zero_row)
+                    rows[i][j] = y
+                mats.append(Matrix._trusted(f, tuple(map(tuple, rows)), m))
+            if len(basis.rows) == n:
+                return n, mats
+    return len(basis.rows), mats
 
 
 @dataclass
@@ -287,7 +315,7 @@ def is_simple(
     thetas = (_random_envelope_element(action, env, rng) for _ in range(SAMPLES))
     used = 0
     report = _field_commutant(action, env, seed) if f.p else None
-    if report is None:
+    if report is None and env:
         report, used = _norton_trials(action, thetas, shifts, rng)
     if report is None and not f.p:
         report = _field_commutant(action, env, seed)

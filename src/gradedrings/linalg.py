@@ -13,10 +13,10 @@ module, the `GradedAlgebra` constructor, `GradedAlgebra.element`/`from_flat`
 and the seeds of `spin`) pass each vector they are given through
 `Field.vector`, one call per vector; `EchelonBasis._insert` skips it,
 for callers whose rows are canonical already (`rref`, `solve` and
-`nullspace` on a Matrix's rows, `envelope` and `minimal_polynomial` on
-the rows of their products, the oracle's sweep).  It refuses bool,
-float, str and every other scalar that is not an int (or, over Q, a
-Fraction) with InvalidInput, and returns canonical entries.  What a kernel computes from
+`nullspace` on a Matrix's rows, `minimal_polynomial` on the rows of its
+products, the oracle's sweep).  It refuses bool, float, str and every
+other scalar that is not an int (or, over Q, a Fraction) with
+InvalidInput, and returns canonical entries.  What a kernel computes from
 canonical operands is canonical already, so it is wrapped as it is
 (`Matrix._trusted`, the `Element` constructor), with no second pass.
 
@@ -26,11 +26,17 @@ operations it holds four row primitives, picked once when the field is made:
 `scale` (c*u) and `vector` (the entry check above).  Over GF(p) they reduce
 each result entry mod p once; over Q they skip zero entries, so no Fraction
 arithmetic is spent on zeros.  The algorithms are written once on top of
-them.  `EchelonBasis` is the only elimination code, and `rref`, `solve` and
-`nullspace` are built on it; its reduction sums plain exact products and
-lets `vector` canonicalize the result.  `Matrix.mul`, `Matrix.apply` and
-`Field.combine` (a linear combination of rows) are the one product path.
-`Matrix.mul` follows the same rule for both fields: it reads the right
+them.  `EchelonBasis` is the general elimination code, and `rref`, `solve`
+and `nullspace` are built on it; its reduction sums plain exact products
+and lets `vector` canonicalize the result.  The one other elimination is
+`_SparseBasis`, which holds its rows as dicts of their nonzero entries,
+for `bimodule.envelope`: there each product L_i R_j is a row m^2 wide
+with few nonzeros, often one, and a dense row per product costs m^2 steps
+where its nonzeros need only a few.  Its rows stay reduced at one
+another's pivots, as in `EchelonBasis`, so a new row meets no pivot
+column that an earlier reduction filled in.  `Matrix.mul`, `Matrix.apply`
+and `Field.combine` (a linear combination of rows) are the one product
+path.  `Matrix.mul` follows the same rule for both fields: it reads the right
 factor's rows once as (column, value) pairs of their nonzero entries,
 adds each nonzero entry (i, k) of the left factor times row k into row i
 of the result, and canonicalizes each result row once with `vector`
@@ -262,7 +268,7 @@ class Matrix:
             raise InvalidInput(f"shape mismatch for product: {self.shape} x {other.shape}")
         field = self.field
         zero, vector, cols = field.zero, field.vector, other.cols
-        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in other.entries]
+        sparse = other._sparse_rows()
         out = []
         for row in self.entries:
             acc = [zero] * cols
@@ -272,6 +278,10 @@ class Matrix:
                         acc[j] += c * x
             out.append(vector(acc))
         return Matrix._trusted(field, tuple(out), cols)
+
+    def _sparse_rows(self) -> list:
+        """Each row as a list of (column, value) pairs of its nonzero entries."""
+        return [[(j, x) for j, x in enumerate(row) if x] for row in self.entries]
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.mul(other)
@@ -584,6 +594,64 @@ class EchelonBasis:
     def to_subspace(self) -> Subspace:
         m = Matrix._trusted(self.field, tuple(map(tuple, self.rows)), self.ambient)
         return Subspace(self.field, self.ambient, m, _canonical=True)
+
+
+def _sparse_submul(p: int, u: dict, x, w: dict) -> None:
+    """u -= x*w in place, on rows held as dicts of their nonzero entries.
+
+    Over GF(p) (p > 0) each changed entry is reduced mod p; entries that
+    become 0 are dropped.
+    """
+    for k, b in w.items():
+        y = u.get(k, 0) - x * b
+        if p:
+            y %= p
+        if y:
+            u[k] = y
+        else:
+            del u[k]
+
+
+class _SparseBasis:
+    """Independent rows held as dicts of their nonzero entries.
+
+    `rows` maps each pivot column to its row, which has a 1 there and a 0
+    at every other row's pivot (Gauss-Jordan form), so a new row is reduced
+    in one pass that reads each pivot's coefficient from the row as given.
+    `support` holds every column where some row may be nonzero: a new pivot
+    outside it needs no earlier row reduced at it, which spares a scan of
+    every row when the rows' nonzeros are disjoint, as for the products of
+    M_n's regular action.
+    """
+
+    __slots__ = ("field", "rows", "support")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.rows: dict = {}
+        self.support: set = set()
+
+    def insert(self, v: dict) -> bool:
+        """Add v, a dict of nonzero canonical entries that it takes over,
+        if it is independent of the rows.  Returns True if rank grew."""
+        field, rows = self.field, self.rows
+        p = field.p
+        for c in [c for c in v if c in rows]:
+            _sparse_submul(p, v, v[c], rows[c])
+        if not v:
+            return False
+        c = min(v)
+        if v[c] != 1:
+            inv = field.inv(v[c])
+            v = {k: field.mul(x, inv) for k, x in v.items()}
+        if c in self.support:
+            for row in rows.values():
+                x = row.get(c)
+                if x is not None:
+                    _sparse_submul(p, row, x, v)
+        self.support.update(v)
+        rows[c] = v
+        return True
 
 
 def projective_count(p: int, dim: int) -> int:

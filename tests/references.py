@@ -2,8 +2,9 @@
 
 `product_coeffs`, `component_product` and `verify_crossed_reconstruction`
 recompute from the raw product table or from element products what the
-package computes from operators, and `matrix_product` recomputes a matrix
-product one entry at a time; the rest are small helpers.  The package
+package computes from operators, `matrix_product` recomputes a matrix
+product one entry at a time, and `reference_envelope` is the envelope by
+dense products and RREF elimination; the rest are small helpers.  The package
 itself never calls any of them.
 """
 from fractions import Fraction
@@ -56,6 +57,27 @@ def matrix_product(a, b) -> tuple:
             row.append(x)
         out.append(tuple(row))
     return tuple(out)
+
+
+def reference_envelope(action: BimoduleAction):
+    """`bimodule.envelope` by dense products and RREF elimination.
+
+    Forms each product L_i R_j with `Matrix.mul` and inserts its flattening
+    into an `EchelonBasis` over the m^2 flat positions; returns (rank, the
+    products that raised the rank, in (i, j) order), stopping once the
+    rank is m^2.
+    """
+    m = action.dim
+    basis = EchelonBasis(action.field, m * m)
+    mats = []
+    for l in action.left_ops:
+        for r in action.right_ops:
+            prod = l @ r
+            if basis._insert(prod.flatten()):
+                mats.append(prod)
+            if basis.is_full():
+                return basis.rank, mats
+    return basis.rank, mats
 
 
 def subset_action(alg, subset) -> BimoduleAction:

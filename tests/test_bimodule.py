@@ -40,8 +40,9 @@ from gradedrings.builders import (
 from gradedrings.corpus import dual_numbers_graded
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
-from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, nullspace
+from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, _SparseBasis, nullspace
 from gradedrings.poly import minimal_polynomial
+from references import reference_envelope
 
 
 def test_verdict_semantics():
@@ -333,6 +334,92 @@ def test_envelope_of_m4_q_tests_few_fraction_entries_for_zero(monkeypatch):
     rank, _ = envelope(action)
     assert rank == 256
     assert len(calls) <= 1_163_136 // 4
+
+
+def test_envelope_of_m4_q_reads_each_operator_once(monkeypatch):
+    # the 32 operators hold 8,192 entries, each tested for zero once, and
+    # each of the 256 products has one nonzero entry; forming every
+    # product with Matrix.mul re-reads the right operators per left one
+    action = regular_bimodule_action(full_matrix_algebra(RATIONALS, 4))
+    calls, muls = [], []
+    real, real_mul = Fraction.__bool__, Matrix.mul
+    monkeypatch.setattr(Fraction, "__bool__", lambda x: calls.append(None) or real(x))
+    monkeypatch.setattr(Matrix, "mul", lambda a, b: muls.append(None) or real_mul(a, b))
+    rank, _ = envelope(action)
+    assert rank == 256
+    assert muls == []
+    assert len(calls) <= 16_384
+
+
+ENVELOPE_FIELDS = [GF(2), GF(3), GF(1009), RATIONALS]
+
+
+def _random_operator(f, m, density, rng) -> Matrix:
+    def entry():
+        if rng.random() >= density:
+            return f.zero
+        while True:
+            x = f.random_scalar(rng)
+            if x:
+                return x
+
+    return Matrix(f, [[entry() for _ in range(m)] for _ in range(m)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ENVELOPE_FIELDS),
+    st.integers(1, 6),
+    st.sampled_from([0, 0.2, 1]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 2**30 - 1),
+)
+def test_envelope_matches_the_dense_reference(f, m, density, n_left, n_right, seed):
+    # zero operators come from density 0, empty families from a count of
+    # 0, and an early stop at m^2 from m <= 2 with dense operators
+    rng = random.Random(seed)
+    lefts = [_random_operator(f, m, density, rng) for _ in range(n_left)]
+    rights = [_random_operator(f, m, density, rng) for _ in range(n_right)]
+    action = BimoduleAction(f, m, lefts, rights)
+    assert envelope(action) == reference_envelope(action)
+
+
+@pytest.mark.parametrize("f", ENVELOPE_FIELDS, ids=str)
+def test_envelope_stops_early_like_the_reference(f, monkeypatch):
+    # M2's regular action with the identity added to each family: 25
+    # products, of which the first 19 span End(M), so the last 6 are never
+    # eliminated
+    alg = full_matrix_algebra(f, 2)
+    one = Matrix.identity(f, 4)
+    action = BimoduleAction(f, 4, [*alg.flat_left_ops(), one], [*alg.flat_right_ops(), one])
+    tested = []
+    real = _SparseBasis.insert
+    monkeypatch.setattr(_SparseBasis, "insert", lambda *a: tested.append(None) or real(*a))
+    rank, mats = envelope(action)
+    assert rank == 16 and len(mats) == 16 and len(tested) == 19
+    assert (rank, mats) == reference_envelope(action)
+
+
+@pytest.mark.parametrize("f", [GF(2), GF(1009), RATIONALS], ids=str)
+@pytest.mark.parametrize("family", ["zero-operators", "empty-right", "empty-both"])
+def test_is_simple_without_an_envelope_basis_spins(f, family):
+    # with no product L_i R_j but 0 there is no envelope element for
+    # Norton's test, so the spin search decides; a basis row spins to a
+    # line, since every operator here is 0 or the identity
+    m = 3
+    zero, one = Matrix(f, [[0] * m] * m), Matrix.identity(f, m)
+    lefts, rights = {
+        "zero-operators": ([zero, one], [zero]),
+        "empty-right": ([one], []),
+        "empty-both": ([], []),
+    }[family]
+    action = BimoduleAction(f, m, lefts, rights)
+    assert envelope(action) == (0, [])
+    rep = is_simple(action)
+    assert rep.verdict is Verdict.FALSE
+    assert rep.method in ("exhaustive-spin", "sampled-spin")
+    assert rep.witness.dim == 1 and action.is_invariant(rep.witness)
 
 
 def test_identity_action_matches_component_slices(m3_gf2):

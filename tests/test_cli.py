@@ -457,6 +457,29 @@ def test_internal_inconsistency_exit_4(tmp_path, capsys):
         assert captured.err == "internal error: stored unit lost its invertibility\n"
 
 
+@pytest.mark.parametrize("field", ["gf2", "q"])
+@pytest.mark.parametrize("prop", ["simple", "graded-simple", "controlled", "necessary", "subrings"])
+def test_zero_structure_is_answered_not_crashed(tmp_path, capsys, field, prop):
+    # R_e of dim 2 and R_1 of dim 1 with every product 0: no file of this
+    # shape is a graded algebra, and every bimodule action on it has the
+    # envelope 0, where is_simple leaves the decision to the spin search
+    obj = algebra_to_obj(group_algebra(parse_field(field), cyclic_group(2)))
+    obj.update(components={"0": 2, "1": 1}, structure=[], unit=[1, 0])
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(obj))
+    code = main(["check", str(path), "--property", prop, "--json"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if prop == "subrings":
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: subring correspondence needs a controlled gradation (got false)\n"
+        )
+    else:
+        assert code == 1 and captured.err == ""
+        assert json.loads(captured.out)["verdict"] == "false"
+
+
 def test_check_unknown_property_usage_error(m3_path):
     with pytest.raises(SystemExit) as exc:
         main(["check", m3_path, "--property", "bogus"])

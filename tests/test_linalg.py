@@ -478,8 +478,9 @@ def test_eliminations_insert_matrix_rows_unchecked(field, monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_product_rows_go_into_echelon_bases_unchecked(field, monkeypatch):
-    # envelope and minimal_polynomial eliminate rows of Matrix.mul's
-    # products, which are canonical, so they skip EchelonBasis.add's check
+    # minimal_polynomial eliminates rows of Matrix.mul's products and
+    # envelope its own sparse products, both canonical, so neither pays
+    # EchelonBasis.add's check
     from gradedrings.bimodule import envelope, regular_bimodule_action
     from gradedrings.builders import full_matrix_algebra
     from gradedrings.poly import minimal_polynomial
