@@ -7,8 +7,8 @@ maps into itself.  The Burnside-style density test and the MeatAxe draw
 their elements from the span of the products L_i R_j, which lies in the
 algebra the operators generate.  `envelope` finds a basis of that span
 among the products themselves, forming each one as a sparse row over the
-m^2 flat positions and testing it in a `linalg._SparseBasis`, so only the
-products it keeps are made dense.
+m^2 flat positions and testing it in a `linalg.EchelonBasis`, which holds
+its rows sparse, so only the products it keeps are made dense.
 
 Simplicity is decided by a Norton-style MeatAxe with a spin-search
 fallback, so a True or False is a theorem about the input, never a sample.
@@ -61,7 +61,6 @@ from .linalg import (
     Matrix,
     Subspace,
     _is_prime,
-    _SparseBasis,
     annihilator,
     nullspace,
     span_candidates,
@@ -212,15 +211,15 @@ def envelope(action: BimoduleAction):
     families come from a unital algebra.  Stops early once the span is
     dense in End(M).  Each operator is read once, as rows of (column,
     value) pairs of its nonzero entries; each product is summed row by row
-    into a dict over the m^2 flat positions (Gustavson's sparse product)
-    and tested in a `linalg._SparseBasis`, and only the products kept are
-    made dense.
+    into a dict over the m^2 flat positions (Gustavson's sparse product),
+    canonicalized once with `Field.vector` and tested in the sparse rows of
+    an `EchelonBasis`, and only the products kept are made dense.
     """
     m, f = action.dim, action.field
-    p, n = f.p, m * m
+    n, vector = m * m, f.vector
     zero_row = (f.zero,) * m
     rights = [r._sparse_rows() for r in action.right_ops]
-    basis = _SparseBasis(f)
+    basis = EchelonBasis(f, n)
     mats = []
     for left in (l._sparse_rows() for l in action.left_ops):
         for right in rights:
@@ -231,10 +230,8 @@ def envelope(action: BimoduleAction):
                     for j, y in right[k]:
                         pos = base + j
                         acc[pos] = acc[pos] + x * y if pos in acc else x * y
-            if p:
-                acc = {k: y % p for k, y in acc.items()}
-            prod = {k: y for k, y in acc.items() if y}
-            if basis.insert(dict(prod)):
+            prod = {k: y for k, y in zip(acc, vector(acc.values())) if y}
+            if basis._insert_sparse(dict(prod)):
                 rows = [zero_row] * m
                 for k, y in prod.items():
                     i, j = divmod(k, m)
@@ -242,9 +239,9 @@ def envelope(action: BimoduleAction):
                         rows[i] = list(zero_row)
                     rows[i][j] = y
                 mats.append(Matrix._trusted(f, tuple(map(tuple, rows)), m))
-            if len(basis.rows) == n:
-                return n, mats
-    return len(basis.rows), mats
+                if basis.is_full():
+                    return n, mats
+    return basis.rank, mats
 
 
 @dataclass
@@ -578,7 +575,7 @@ def hom_space(a: BimoduleAction, b: BimoduleAction) -> Subspace:
     if ma == 0 or mb == 0:
         return Subspace.zero(f, mb * ma)
     n = mb * ma
-    zero, one, submul = f.zero, f.one, f.submul
+    zero, vector = f.zero, f.vector
     rows = []
     for opa, opb in zip(a.ops, b.ops):
         # phi opa = opb phi, unknowns phi[r][k] flattened row-major: entry
@@ -586,11 +583,12 @@ def hom_space(a: BimoduleAction, b: BimoduleAction) -> Subspace:
         opa_cols = tuple(zip(*opa.entries))
         for r in range(mb):
             for c in range(ma):
-                left = [zero] * n
-                left[r * ma : (r + 1) * ma] = opa_cols[c]
-                right = [zero] * n
-                right[c::ma] = opb.entries[r]
-                rows.append(tuple(submul(left, one, right)))
+                row = [zero] * n
+                row[r * ma : (r + 1) * ma] = opa_cols[c]
+                for k, y in enumerate(opb.entries[r]):
+                    if y:
+                        row[k * ma + c] -= y
+                rows.append(vector(row))
     return nullspace(Matrix._trusted(f, tuple(rows), n))
 
 

@@ -23,7 +23,7 @@ from .algebra import Element, GradedAlgebra, is_invertible
 from .errors import InvalidInput
 from .groups import FiniteGroup, cyclic_group, trivial_group
 from .linalg import GF, Field, Matrix
-from .poly import lowest_irreducible, poly_mod
+from .poly import _powmod, lowest_irreducible
 
 
 # --- base algebras ------------------------------------------------------------
@@ -82,7 +82,7 @@ def finite_field_algebra(p: int, n: int):
     modulus = lowest_irreducible(p, n)
 
     def reduced_power(e: int) -> list:
-        out = poly_mod(p, [0] * e + [1], modulus)
+        out = _powmod(p, [0, 1], e, modulus)
         return out + [0] * (n - len(out))
 
     structure = {}
@@ -102,10 +102,7 @@ def finite_field_algebra(p: int, n: int):
         basis_labels=labels,
         meta={"modulus": [c % p for c in modulus]},
     )
-    frob_cols = []
-    for i in range(n):
-        col = poly_mod(p, [0] * (i * p) + [1], modulus)
-        frob_cols.append(col + [0] * (n - len(col)))
+    frob_cols = [reduced_power(i * p) for i in range(n)]
     return alg, Matrix.from_columns(field, frob_cols)
 
 

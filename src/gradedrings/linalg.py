@@ -8,48 +8,48 @@ construction, and a subspace is stored as its reduced row-echelon basis, so
 equality of spans is structural equality.
 
 Scalars are checked once, where they enter: `Matrix(...)`, `Matrix.apply`,
-`EchelonBasis.add`/`reduce` and `Subspace.contains` (and, above this
-module, the `GradedAlgebra` constructor, `GradedAlgebra.element`/`from_flat`
-and the seeds of `spin`) pass each vector they are given through
-`Field.vector`, one call per vector; `EchelonBasis._insert` skips it,
-for callers whose rows are canonical already (`rref`, `solve` and
-`nullspace` on a Matrix's rows, `minimal_polynomial` on the rows of its
-products, the oracle's sweep).  It refuses bool, float, str and every
-other scalar that is not an int (or, over Q, a Fraction) with
-InvalidInput, and returns canonical entries.  What a kernel computes from
-canonical operands is canonical already, so it is wrapped as it is
-(`Matrix._trusted`, the `Element` constructor), with no second pass.
+`EchelonBasis.add`/`reduce`/`contains` and `Subspace.contains` (and, above
+this module, the `GradedAlgebra` constructor, `GradedAlgebra.element`/
+`from_flat` and the seeds of `spin`) pass each vector they are given
+through `Field.vector`, one call per vector, and the checked entry
+points of this module also refuse a vector of the wrong length.
+`EchelonBasis._insert` (on dense rows) and
+`_insert_sparse` (on dicts) skip both checks, for callers whose rows are
+canonical already: `rref`, `solve` and `nullspace` on a Matrix's rows,
+`minimal_polynomial` on its matrix's powers, the oracle's sweep and
+`bimodule.envelope` on its sparse products.  `vector`
+refuses bool, float, str and every other scalar that is not an int (or,
+over Q, a Fraction) with InvalidInput, and returns canonical entries.
+What a kernel computes from canonical operands is canonical already, so
+it is wrapped as it is (`Matrix._trusted`, the `Element` constructor),
+with no second pass.
 
 `Field` owns the difference between GF(p) and Q.  Besides the scalar
 operations it holds four row primitives, picked once when the field is made:
-`dots` (the dot product of each row with a vector), `submul` (u - c*v),
-`scale` (c*u) and `vector` (the entry check above).  Over GF(p) they reduce
-each result entry mod p once; over Q they skip zero entries, so no Fraction
-arithmetic is spent on zeros.  The algorithms are written once on top of
-them.  `EchelonBasis` is the general elimination code, and `rref`, `solve`
-and `nullspace` are built on it; its reduction sums plain exact products
-and lets `vector` canonicalize the result.  The one other elimination is
-`_SparseBasis`, which holds its rows as dicts of their nonzero entries,
-for `bimodule.envelope`: there each product L_i R_j is a row m^2 wide
-with few nonzeros, often one, and a dense row per product costs m^2 steps
-where its nonzeros need only a few.  Its rows stay reduced at one
-another's pivots, as in `EchelonBasis`, so a new row meets no pivot
-column that an earlier reduction filled in.  `Matrix.mul`, `Matrix.apply`
-and `Field.combine` (a linear combination of rows) are the one product
-path.  `Matrix.mul` follows the same rule for both fields: it reads the right
-factor's rows once as (column, value) pairs of their nonzero entries,
-adds each nonzero entry (i, k) of the left factor times row k into row i
-of the result, and canonicalizes each result row once with `vector`
-(Gustavson's row-by-row sparse product), so operators that are mostly
-zeros, such as the multiplication operators of a basis, cost only their
-nonzero products.
+`dots` (the dot product of each row with a vector), `submul` (u -= c*v on
+rows held as dicts of their nonzero entries), `scale` (c*u) and `vector`
+(the entry check above).  Over GF(p) they reduce each result entry mod p
+once; over Q they skip zero entries, so no Fraction arithmetic is spent on
+zeros.  The algorithms are written once on top of them.  `EchelonBasis` is
+the one elimination kernel, and `rref`, `solve` and `nullspace` are built
+on it: it holds its rows as dicts of their nonzero entries, so a row of a
+product L_i R_j in `bimodule.envelope`, m^2 wide with few nonzeros, costs
+only its nonzeros, and it keeps them in Gauss-Jordan form, so a new row
+meets no pivot column that an earlier reduction filled in.
+`Matrix.mul`, `Matrix.apply` and `Field.combine` (a linear combination of
+rows) are the one product path.  `Matrix.mul` follows the same rule for
+both fields: it reads the right factor's rows once as (column, value)
+pairs of their nonzero entries, adds each nonzero entry (i, k) of the left
+factor times row k into row i of the result, and canonicalizes each
+result row once with `vector` (Gustavson's row-by-row sparse product), so
+operators that are mostly zeros, such as the multiplication operators of a
+basis, cost only their nonzero products.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -81,7 +81,12 @@ def _prime_rows(field: "Field"):
         return [sum(map(mul, r, v)) % p for r in rows]
 
     def submul(u, c, v):
-        return [(a - c * b) % p for a, b in zip(u, v)]
+        for k, b in v.items():
+            y = (u.get(k, 0) - c * b) % p
+            if y:
+                u[k] = y
+            else:
+                del u[k]
 
     def scale(c, u):
         return [c * a % p for a in u]
@@ -107,7 +112,12 @@ def _rational_rows(field: "Field"):
         return [dot(r, v) for r in rows]
 
     def submul(u, c, v):
-        return [a - c * b if b else a for a, b in zip(u, v)]
+        for k, b in v.items():
+            y = u.get(k, 0) - c * b
+            if y:
+                u[k] = y
+            else:
+                del u[k]
 
     def scale(c, u):
         return [c * a if a else a for a in u]
@@ -125,8 +135,9 @@ class Field:
     """The rationals (p == 0) or the prime field GF(p).
 
     `dots(rows, v)`, `submul(u, c, v)`, `scale(c, u)` and `vector(xs)` are
-    the row primitives described in the module docstring; `dots`, `submul`
-    and `scale` return lists, `vector` a tuple.
+    the row primitives described in the module docstring; `dots` and
+    `scale` return lists, `vector` a tuple, and `submul` changes the dict u
+    in place, dropping the entries that become 0.
     """
 
     __slots__ = ("p", "zero", "one", "dots", "submul", "scale", "vector")
@@ -290,10 +301,12 @@ class Matrix:
         self._check_same_field(other)
         if self.shape != other.shape:
             raise InvalidInput("shape mismatch for difference")
-        f = self.field
-        submul, one = f.submul, f.one
-        out = tuple(tuple(submul(r1, one, r2)) for r1, r2 in zip(self.entries, other.entries))
-        return Matrix._trusted(f, out, self.cols)
+        vector = self.field.vector
+        out = tuple(
+            vector([a - b if b else a for a, b in zip(r1, r2)])
+            for r1, r2 in zip(self.entries, other.entries)
+        )
+        return Matrix._trusted(self.field, out, self.cols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
@@ -385,7 +398,7 @@ def rref(m: Matrix) -> tuple:
     """Reduced row-echelon form.  Returns (Matrix, rank)."""
     eb = _echelon(m)
     zero_rows = ((m.field.zero,) * m.cols,) * (m.rows - eb.rank)
-    return Matrix._trusted(m.field, tuple(map(tuple, eb.rows)) + zero_rows, m.cols), eb.rank
+    return Matrix._trusted(m.field, tuple(eb.rows) + zero_rows, m.cols), eb.rank
 
 
 def solve(a: Matrix, b) -> Optional[Matrix]:
@@ -399,12 +412,12 @@ def solve(a: Matrix, b) -> Optional[Matrix]:
     if b.rows != a.rows:
         raise InvalidInput("right-hand side has wrong height")
     eb = _echelon(a.augment(b))
-    n = a.cols
-    if eb.pivots and eb.pivots[-1] >= n:
+    n, zero = a.cols, a.field.zero
+    if any(c >= n for c in eb._rows):
         return None  # pivot in an rhs column: inconsistent
-    sol = [(a.field.zero,) * b.cols] * n
-    for row, c in zip(eb.rows, eb.pivots):
-        sol[c] = tuple(row[n:])
+    sol = [(zero,) * b.cols] * n
+    for c, row in eb._rows.items():
+        sol[c] = tuple(row.get(k, zero) for k in range(n, n + b.cols))
     return Matrix._trusted(a.field, tuple(sol), b.cols)
 
 
@@ -507,22 +520,23 @@ class Subspace:
 
 
 def nullspace(a: Matrix) -> Subspace:
-    """Right nullspace {v : a @ v = 0} as a canonical Subspace."""
+    """Right nullspace {v : a @ v = 0} as a canonical Subspace.
+
+    Spanned by one vector per free column fc: -1 at fc and, at each pivot
+    c, the entry at fc of c's row, read from the sparse rows in one pass."""
     eb = _echelon(a)
-    n = a.cols
-    field = a.field
-    piv_set = set(eb.pivots)
-    one, zero, neg = field.one, field.zero, field.neg
-    vecs = []
-    for fc in range(n):
-        if fc in piv_set:
-            continue
-        v = [zero] * n
-        v[fc] = one
-        for row, c in zip(eb.rows, eb.pivots):
-            v[c] = neg(row[fc])
-        vecs.append(tuple(v))
-    return Subspace(field, n, Matrix._trusted(field, tuple(vecs), n))
+    n, field = a.cols, a.field
+    if eb.is_full():
+        return Subspace.zero(field, n)
+    vecs = {fc: [field.zero] * n for fc in range(n) if fc not in eb._rows}
+    minus_one = field.neg(field.one)
+    for fc, v in vecs.items():
+        v[fc] = minus_one
+    for c, row in eb._rows.items():
+        for k, x in row.items():
+            if k != c:
+                vecs[k][c] = x
+    return Subspace(field, n, Matrix._trusted(field, tuple(map(tuple, vecs.values())), n))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -540,118 +554,95 @@ def annihilator(u: Subspace) -> Subspace:
 class EchelonBasis:
     """Incremental RREF accumulator: the one elimination kernel.
 
-    Rows keep unit pivots in strictly increasing pivot columns and are fully
-    reduced at one another's pivots, so membership is a single forward pass.
+    `_rows` maps each pivot column to its row, a dict of the row's nonzero
+    canonical entries with a 1 at the pivot and a 0 at every other row's
+    pivot (Gauss-Jordan form), so a new row is reduced in one pass that
+    reads each pivot's coefficient from the row as given.  `_support`
+    holds every column where some row may be nonzero: a new pivot outside
+    it needs no earlier row reduced at it, which spares a scan of every row
+    when the rows' nonzeros are disjoint, as for the products of M_n's
+    regular action.  `rows` and `pivots` are dense views in pivot order.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "_rows", "_support")
 
     def __init__(self, field: Field, ambient: int):
         self.field = field
         self.ambient = ambient
-        self.rows: list = []
-        self.pivots: list = []
+        self._rows: dict = {}
+        self._support: set = set()
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list:
+        return sorted(self._rows)
+
+    @property
+    def rows(self) -> list:
+        """The rows as tuples, in pivot order."""
+        return [self._dense(self._rows[c]) for c in sorted(self._rows)]
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.ambient
+        return len(self._rows) == self.ambient
 
-    def reduce(self, vec: Sequence):
+    def _dense(self, v: dict) -> tuple:
+        out = [self.field.zero] * self.ambient
+        for k, x in v.items():
+            out[k] = x
+        return tuple(out)
+
+    def _checked(self, vec: Sequence) -> dict:
+        """vec's nonzero entries, once its length and scalars are checked."""
+        if len(vec) != self.ambient:
+            raise InvalidInput("vector length differs from ambient dimension")
+        return {k: x for k, x in enumerate(self.field.vector(vec)) if x}
+
+    def _reduce(self, v: dict) -> dict:
+        """v with every pivot column cleared, in place."""
+        rows, submul = self._rows, self.field.submul
+        for c in [c for c in v if c in rows]:
+            submul(v, v[c], rows[c])
+        return v
+
+    def reduce(self, vec: Sequence) -> tuple:
         """The residue of vec after clearing every pivot column."""
-        return _residue(self.field, self.rows, self.pivots, self.field.vector(vec))
+        return self._dense(self._reduce(self._checked(vec)))
+
+    def contains(self, vec: Sequence) -> bool:
+        return not self._reduce(self._checked(vec))
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec's residue if independent.  Returns True if rank grew."""
-        return self._insert(self.field.vector(vec))
+        return self._insert_sparse(self._checked(vec))
 
     def _insert(self, vec: Sequence) -> bool:
         """`add` on a vector whose entries are canonical already, unchecked."""
-        field = self.field
-        v = _residue(field, self.rows, self.pivots, vec)
-        c = next(compress(count(), v), None)
-        if c is None:
-            return False
-        lead = v[c]
-        if lead != 1:
-            v = field.scale(field.inv(lead), v)
-        submul = field.submul
-        rows = self.rows
-        for i, row in enumerate(rows):
-            x = row[c]
-            if x:
-                rows[i] = submul(row, x, v)
-        pos = bisect.bisect_left(self.pivots, c)
-        self.pivots.insert(pos, c)
-        rows.insert(pos, v)
-        return True
+        return self._insert_sparse({k: x for k, x in enumerate(vec) if x})
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
-
-    def to_subspace(self) -> Subspace:
-        m = Matrix._trusted(self.field, tuple(map(tuple, self.rows)), self.ambient)
-        return Subspace(self.field, self.ambient, m, _canonical=True)
-
-
-def _sparse_submul(p: int, u: dict, x, w: dict) -> None:
-    """u -= x*w in place, on rows held as dicts of their nonzero entries.
-
-    Over GF(p) (p > 0) each changed entry is reduced mod p; entries that
-    become 0 are dropped.
-    """
-    for k, b in w.items():
-        y = u.get(k, 0) - x * b
-        if p:
-            y %= p
-        if y:
-            u[k] = y
-        else:
-            del u[k]
-
-
-class _SparseBasis:
-    """Independent rows held as dicts of their nonzero entries.
-
-    `rows` maps each pivot column to its row, which has a 1 there and a 0
-    at every other row's pivot (Gauss-Jordan form), so a new row is reduced
-    in one pass that reads each pivot's coefficient from the row as given.
-    `support` holds every column where some row may be nonzero: a new pivot
-    outside it needs no earlier row reduced at it, which spares a scan of
-    every row when the rows' nonzeros are disjoint, as for the products of
-    M_n's regular action.
-    """
-
-    __slots__ = ("field", "rows", "support")
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.rows: dict = {}
-        self.support: set = set()
-
-    def insert(self, v: dict) -> bool:
-        """Add v, a dict of nonzero canonical entries that it takes over,
-        if it is independent of the rows.  Returns True if rank grew."""
-        field, rows = self.field, self.rows
-        p = field.p
-        for c in [c for c in v if c in rows]:
-            _sparse_submul(p, v, v[c], rows[c])
+    def _insert_sparse(self, v: dict) -> bool:
+        """`_insert` on a dict of nonzero canonical entries, which it takes over."""
+        v = self._reduce(v)
         if not v:
             return False
-        c = min(v)
+        field, c = self.field, min(v)
         if v[c] != 1:
-            inv = field.inv(v[c])
-            v = {k: field.mul(x, inv) for k, x in v.items()}
-        if c in self.support:
-            for row in rows.values():
+            v = dict(zip(v, field.scale(field.inv(v[c]), v.values())))
+        if c in self._support:
+            submul = field.submul
+            for row in self._rows.values():
                 x = row.get(c)
                 if x is not None:
-                    _sparse_submul(p, row, x, v)
-        self.support.update(v)
-        rows[c] = v
+                    submul(row, x, v)
+        self._support.update(v)
+        self._rows[c] = v
         return True
+
+    def to_subspace(self) -> Subspace:
+        m = Matrix._trusted(self.field, tuple(self.rows), self.ambient)
+        return Subspace(self.field, self.ambient, m, _canonical=True)
 
 
 def projective_count(p: int, dim: int) -> int:

@@ -198,7 +198,7 @@ class _TupleRows:
 
     @staticmethod
     def canonical(eb):
-        return tuple(map(tuple, eb.rows))
+        return tuple(eb.rows)
 
 
 class _BitRows:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InternalInconsistency, InvalidInput
-from .linalg import EchelonBasis, Matrix, solve
+from .errors import InvalidInput
+from .linalg import EchelonBasis, Matrix
 
 
 def _trim(a: list) -> list:
@@ -51,6 +51,18 @@ def _mulmod(p: int, a: Sequence[int], b: Sequence[int], m: Sequence[int]) -> lis
     return poly_mod(p, [c % p for c in prod], m)
 
 
+def _powmod(p: int, a: Sequence[int], e: int, m: Sequence[int]) -> list:
+    """a^e mod monic m of positive degree, by square and multiply."""
+    acc, base = [1], list(a)
+    while e:
+        if e & 1:
+            acc = _mulmod(p, acc, base, m)
+        e >>= 1
+        if e:
+            base = _mulmod(p, base, base, m)
+    return acc
+
+
 def _gcd(p: int, a: Sequence[int], b: Sequence[int]) -> list:
     """The monic gcd of a and b ([] when both are 0)."""
     a, b = _trim(list(a)), _trim(list(b))
@@ -68,15 +80,7 @@ def is_irreducible(p: int, f: Sequence[int]) -> bool:
         return False
     h = [0, 1]  # x^(p^i) mod f, starting from i = 0
     for _ in range(n // 2):
-        # h^p mod f by square and multiply
-        acc, base, e = [1], h, p
-        while e:
-            if e & 1:
-                acc = _mulmod(p, acc, base, f)
-            e >>= 1
-            if e:
-                base = _mulmod(p, base, base, f)
-        h = acc
+        h = _powmod(p, h, p, f)
         diff = h + [0] * (2 - len(h))
         diff[1] = (diff[1] - 1) % p
         if len(_gcd(p, f, diff)) > 1:
@@ -102,23 +106,24 @@ def lowest_irreducible(p: int, n: int) -> list:
 
 
 def minimal_polynomial(mat: Matrix) -> list:
-    """Coefficients [c_0, ..., c_k] of the monic minimal polynomial."""
+    """Coefficients [c_0, ..., c_k] of the monic minimal polynomial.
+
+    The flattened powers I, A, A^2, ... are eliminated in turn, power k
+    with a 1 in an extra column of its own, so the first power that
+    reduces to 0 on the flat columns leaves in the extra columns the
+    relation sum_i c_i A^i = 0 with c_k = 1 (by Cayley-Hamilton, k <= n)."""
     f = mat.field
     n = mat.shape[0]
     if n == 0:
         return [f.one]
-    powers = [Matrix.identity(f, n)]
-    basis = EchelonBasis(f, n * n)
-    basis._insert(powers[0].flatten())
+    width = n * n
+    basis = EchelonBasis(f, width + n + 1)
+    k, power = 0, Matrix.identity(f, n)
     while True:
-        nxt = powers[-1] @ mat
-        flat = nxt.flatten()
-        if not basis._insert(flat):
-            cols = Matrix.from_columns(f, [p.flatten() for p in powers])
-            sol = solve(cols, Matrix._trusted(f, tuple((x,) for x in flat), 1))
-            if sol is None:
-                raise InternalInconsistency("dependent power with no expression")
-            coeffs = [f.neg(sol.entries[i][0]) for i in range(len(powers))]
-            coeffs.append(f.one)
-            return coeffs
-        powers.append(nxt)
+        row = {i: x for i, x in enumerate(power.flatten()) if x}
+        row[width + k] = f.one
+        row = basis._reduce(row)
+        if min(row) >= width:
+            return [row.get(width + i, f.zero) for i in range(k + 1)]
+        basis._insert_sparse(row)
+        k, power = k + 1, power @ mat

@@ -3,8 +3,9 @@
 `product_coeffs`, `component_product` and `verify_crossed_reconstruction`
 recompute from the raw product table or from element products what the
 package computes from operators, `matrix_product` recomputes a matrix
-product one entry at a time, and `reference_envelope` is the envelope by
-dense products and RREF elimination; the rest are small helpers.  The package
+product one entry at a time, `textbook_rref` eliminates one scalar at a
+time, and `reference_envelope` is the envelope by dense products and that
+elimination; the rest are small helpers.  The package
 itself never calls any of them.
 """
 from fractions import Fraction
@@ -59,25 +60,48 @@ def matrix_product(a, b) -> tuple:
     return tuple(out)
 
 
-def reference_envelope(action: BimoduleAction):
-    """`bimodule.envelope` by dense products and RREF elimination.
+def textbook_rref(field, rows):
+    """Gauss-Jordan elimination one scalar at a time, as an independent reference.
 
-    Forms each product L_i R_j with `Matrix.mul` and inserts its flattening
-    into an `EchelonBasis` over the m^2 flat positions; returns (rank, the
-    products that raised the rank, in (i, j) order), stopping once the
-    rank is m^2.
+    Returns (the rows in reduced row-echelon form, zero rows last, and the
+    rank)."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return rows, r
+
+
+def reference_envelope(action: BimoduleAction):
+    """`bimodule.envelope` by dense products and textbook elimination.
+
+    Forms each product L_i R_j with `Matrix.mul` and keeps it when
+    `textbook_rref` finds its flattening independent of the products kept
+    before it; returns (rank, the products kept, in (i, j) order), stopping
+    once the rank is m^2.  No `EchelonBasis` is involved, so the reference
+    does not share the kernel it checks.
     """
-    m = action.dim
-    basis = EchelonBasis(action.field, m * m)
-    mats = []
+    n = action.dim * action.dim
+    flats, mats = [], []
     for l in action.left_ops:
         for r in action.right_ops:
             prod = l @ r
-            if basis._insert(prod.flatten()):
+            if textbook_rref(action.field, flats + [prod.flatten()])[1] > len(flats):
+                flats.append(prod.flatten())
                 mats.append(prod)
-            if basis.is_full():
-                return basis.rank, mats
-    return basis.rank, mats
+            if len(flats) == n:
+                return n, mats
+    return len(flats), mats
 
 
 def subset_action(alg, subset) -> BimoduleAction:

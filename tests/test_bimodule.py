@@ -40,7 +40,7 @@ from gradedrings.builders import (
 from gradedrings.corpus import dual_numbers_graded
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
-from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, _SparseBasis, nullspace
+from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, nullspace
 from gradedrings.poly import minimal_polynomial
 from references import reference_envelope
 
@@ -394,8 +394,8 @@ def test_envelope_stops_early_like_the_reference(f, monkeypatch):
     one = Matrix.identity(f, 4)
     action = BimoduleAction(f, 4, [*alg.flat_left_ops(), one], [*alg.flat_right_ops(), one])
     tested = []
-    real = _SparseBasis.insert
-    monkeypatch.setattr(_SparseBasis, "insert", lambda *a: tested.append(None) or real(*a))
+    real = EchelonBasis._insert_sparse
+    monkeypatch.setattr(EchelonBasis, "_insert_sparse", lambda *a: tested.append(None) or real(*a))
     rank, mats = envelope(action)
     assert rank == 16 and len(mats) == 16 and len(tested) == 19
     assert (rank, mats) == reference_envelope(action)

@@ -1,5 +1,6 @@
 """Builders: group algebras, crossed products, Galois examples."""
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,22 @@ def test_galois_skew_rejects_degenerate_params():
         galois_skew_example(2, 1)
     with pytest.raises(InvalidInput):
         galois_skew_example(4, 2)
+
+
+def test_galois_skew_build_for_a_large_prime_stays_small():
+    # the Frobenius columns x^(ip) mod f come by square and multiply, so
+    # neither memory nor time grows with p
+    tracemalloc.start()
+    try:
+        alg = galois_skew_example(1000003, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert alg.dim == 4 and validate_algebra(alg).ok
+    # x^2 + 1 is irreducible since p = 3 mod 4, and x^p = -x
+    _, frob = finite_field_algebra(1000003, 2)
+    assert frob == Matrix(GF(1000003), [[1, 0], [0, -1]])
 
 
 def test_skew_group_ring_rejects_non_automorphism():

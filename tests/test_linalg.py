@@ -25,7 +25,7 @@ from gradedrings.linalg import (
     span_candidates,
     subspace_sum,
 )
-from references import contains_subspace, matrix_product, subspace_intersect
+from references import contains_subspace, matrix_product, subspace_intersect, textbook_rref
 
 FIELDS = [GF(2), GF(3), GF(7), RATIONALS]
 
@@ -359,25 +359,6 @@ def test_solve_roundtrip_hypothesis(seed):
 # --------------------------------------------------------------------------
 
 
-def _textbook_rref(field, rows):
-    """Gauss-Jordan elimination one scalar at a time, as an independent reference."""
-    rows = [list(r) for r in rows]
-    r = 0
-    for c in range(len(rows[0])):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return rows, r
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_rref_matches_textbook_elimination(field):
     rng = random.Random(11)
@@ -385,10 +366,73 @@ def test_rref_matches_textbook_elimination(field):
         for _ in range(4):
             m = random_matrix(field, rows, cols, rng)
             for case in (m, m.stack(m), m.stack(m.scale(2))):
-                want_rows, want_rank = _textbook_rref(field, case.entries)
+                want_rows, want_rank = textbook_rref(field, case.entries)
                 got, rank = rref(case)
                 assert rank == want_rank
                 assert got == Matrix(field, want_rows)
+
+
+def _nonzero_scalar(field, rng):
+    while True:
+        x = field.random_scalar(rng)
+        if x:
+            return x
+
+
+def _random_row(field, width, density, rng):
+    return [
+        _nonzero_scalar(field, rng) if rng.random() < density else field.zero for _ in range(width)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([GF(2), GF(3), GF(1009), RATIONALS]),
+    st.integers(0, 8),
+    st.sampled_from([0, 0.2, 1]),
+    st.integers(1, 10),
+    st.integers(0, 2**30 - 1),
+)
+def test_echelon_basis_matches_textbook_elimination(field, width, density, count, seed):
+    # rows added one at a time, some of them copies or multiples of earlier
+    # ones, each prefix checked against a fresh textbook elimination
+    rng = random.Random(seed)
+    eb, added = EchelonBasis(field, width), []
+    for _ in range(count):
+        roll = rng.random()
+        if added and roll < 0.2:
+            vec = list(rng.choice(added))
+        elif added and roll < 0.4:
+            c = _nonzero_scalar(field, rng)
+            vec = [field.mul(c, x) for x in rng.choice(added)]
+        else:
+            vec = _random_row(field, width, density, rng)
+        want, rank = textbook_rref(field, added + [vec])
+        grew = rank > eb.rank
+        assert eb.add(vec) == grew
+        added.append(vec)
+        assert eb.rank == rank
+        assert eb.rows == [tuple(row) for row in want[:rank]]
+        assert eb.pivots == [next(c for c, x in enumerate(row) if x) for row in want[:rank]]
+        assert eb.is_full() == (rank == width)
+        assert eb.contains(vec) and not any(eb.reduce(vec))
+        probe = _random_row(field, width, density, rng)
+        assert eb.contains(probe) == (textbook_rref(field, added + [probe])[1] == rank)
+
+
+@pytest.mark.parametrize("field", [GF(3), RATIONALS], ids=str)
+def test_echelon_basis_refuses_vectors_of_the_wrong_length(field):
+    # a short vector must not become a row, nor a long one truncate the rows
+    eb = EchelonBasis(field, 3)
+    for vec in ([1, 2], [0, 1, 1, 1], [1, 0, 0, 0, 0]):
+        for method in (eb.add, eb.reduce, eb.contains):
+            with pytest.raises(InvalidInput):
+                method(vec)
+    assert eb.rank == 0
+    assert eb.add([1, 2, 0]) and eb.rows == [(1, 2, 0)]
+    with pytest.raises(InvalidInput):
+        eb.add([0, 1, 1, 1])
+    assert eb.rows == [(1, 2, 0)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -478,9 +522,10 @@ def test_eliminations_insert_matrix_rows_unchecked(field, monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_product_rows_go_into_echelon_bases_unchecked(field, monkeypatch):
-    # minimal_polynomial eliminates rows of Matrix.mul's products and
-    # envelope its own sparse products, both canonical, so neither pays
-    # EchelonBasis.add's check
+    # minimal_polynomial's powers come from Matrix.mul and envelope's
+    # products from its own sparse sums, both canonical, so both go into
+    # their EchelonBasis through the unchecked _insert_sparse and neither
+    # pays add's check
     from gradedrings.bimodule import envelope, regular_bimodule_action
     from gradedrings.builders import full_matrix_algebra
     from gradedrings.poly import minimal_polynomial

@@ -1,10 +1,20 @@
 """Polynomials over GF(p): Ben-Or's irreducibility test and minimal polynomials."""
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedrings.linalg import GF, RATIONALS, Matrix
-from gradedrings.poly import is_irreducible, lowest_irreducible, minimal_polynomial, poly_mod
+from gradedrings.poly import (
+    _powmod,
+    is_irreducible,
+    lowest_irreducible,
+    minimal_polynomial,
+    poly_mod,
+)
+from references import textbook_rref
 
 
 def _divides(p, g, f):
@@ -67,6 +77,19 @@ def test_poly_mod_reduces_by_a_monic_modulus():
     assert poly_mod(3, [1, 2], [0, 0, 1]) == [1, 2]
 
 
+@pytest.mark.parametrize("p,modulus", [(2, [1, 1, 1]), (3, [2, 2, 0, 1]), (7, [0, 1])])
+def test_powmod_matches_reduction_of_the_full_power(p, modulus):
+    for a in ([], [1], [0, 1], [1, 1], [p - 1, 0, 1, 1]):
+        for e in range(3 * p + 2):
+            full = [1]
+            for _ in range(e):
+                full = [
+                    sum(full[i] * a[k - i] for i in range(len(full)) if 0 <= k - i < len(a)) % p
+                    for k in range(len(full) + len(a) - 1)
+                ]
+            assert _powmod(p, a, e, modulus) == poly_mod(p, full, modulus)
+
+
 def test_minimal_polynomial_over_both_fields():
     # a rotation by a quarter turn: x^2 + 1
     assert minimal_polynomial(Matrix(RATIONALS, [[0, -1], [1, 0]])) == [1, 0, 1]
@@ -74,3 +97,27 @@ def test_minimal_polynomial_over_both_fields():
     assert minimal_polynomial(Matrix.identity(GF(5), 3)) == [4, 1]
     jordan = Matrix(GF(3), [[2, 1], [0, 2]])
     assert minimal_polynomial(jordan) == [1, 2, 1]  # (x - 2)^2 = x^2 + 2x + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([GF(2), GF(3), GF(1009), RATIONALS]),
+    st.integers(1, 5),
+    st.sampled_from([0, 0.2, 1]),
+    st.integers(0, 2**30 - 1),
+)
+def test_minimal_polynomial_is_the_least_monic_annihilator(field, n, density, seed):
+    # sum c_i A^i = 0 with c_k = 1, and I, A, ..., A^(k-1) independent by
+    # textbook elimination, so no monic polynomial of lower degree kills A
+    rng = random.Random(seed)
+    entry = lambda: field.random_scalar(rng) if rng.random() < density else 0
+    mat = Matrix(field, [[entry() for _ in range(n)] for _ in range(n)])
+    coeffs = minimal_polynomial(mat)
+    k = len(coeffs) - 1
+    assert k >= 1 and coeffs[-1] == field.one
+    powers = [Matrix.identity(field, n)]
+    for _ in range(k):
+        powers.append(powers[-1] @ mat)
+    flats = [m.flatten() for m in powers]
+    assert not any(field.combine(coeffs, flats))
+    assert textbook_rref(field, flats[:k])[1] == k
