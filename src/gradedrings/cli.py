@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 from .algebra import GradedAlgebra
 from .analysis import (
@@ -382,11 +383,12 @@ def cmd_check(args) -> int:
 
 
 def _subspace_summary(subs) -> dict:
-    dims = sorted(s.dim for s in subs)
-    by_dim: dict = {}
-    for d in dims:
-        by_dim[str(d)] = by_dim.get(str(d), 0) + 1
-    return {"count": len(subs), "dims": dims, "by_dim": by_dim}
+    counts = Counter(s.dim for s in subs)
+    return {
+        "count": len(subs),
+        "dims": sorted(counts.elements()),
+        "by_dim": {str(d): counts[d] for d in sorted(counts)},
+    }
 
 
 def cmd_oracle(args) -> int:

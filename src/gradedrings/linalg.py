@@ -453,17 +453,24 @@ class Subspace:
 
     __slots__ = ("field", "ambient_dim", "basis")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: Matrix, *, _canonical: bool = False):
+    def __init__(self, field: Field, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise InvalidInput("basis width differs from ambient dimension")
         if basis.field != field:
             raise InvalidInput("basis field differs from subspace field")
-        if not _canonical:
-            red, rank = rref(basis)
-            basis = Matrix._trusted(field, red.entries[:rank], ambient_dim)
+        red, rank = rref(basis)
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.basis = Matrix._trusted(field, red.entries[:rank], ambient_dim)
+
+    @classmethod
+    def _trusted(cls, field: Field, ambient_dim: int, basis: Matrix) -> "Subspace":
+        """Wrap basis, an RREF of width ambient_dim with no zero rows, unchecked."""
+        s = object.__new__(cls)
+        s.field = field
+        s.ambient_dim = ambient_dim
+        s.basis = basis
+        return s
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -475,11 +482,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix._trusted(field, (), ambient_dim), _canonical=True)
+        return cls._trusted(field, ambient_dim, Matrix._trusted(field, (), ambient_dim))
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim), _canonical=True)
+        return cls._trusted(field, ambient_dim, Matrix.identity(field, ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -642,7 +649,7 @@ class EchelonBasis:
 
     def to_subspace(self) -> Subspace:
         m = Matrix._trusted(self.field, tuple(self.rows), self.ambient)
-        return Subspace(self.field, self.ambient, m, _canonical=True)
+        return Subspace._trusted(self.field, self.ambient, m)
 
 
 def projective_count(p: int, dim: int) -> int:

@@ -36,6 +36,11 @@ passed the budget.  The packed formats add a table of 2^n codes and, for
 each basis matrix of E that the sweep reaches, tables of
 p^(n - n//2) + p^(n//2) rows.
 
+When every cyclic closure is a line, the operators act by scalars, so
+every subspace is invariant and the lattice is every subspace of F^n.
+enumerate_subspaces lists each one once, from its pivot pattern, as a
+product of per-row choices.
+
 Subrings are enumerated on the quotient R/R_e.  A unital subring holding
 R_e is an R_e-sub-bimodule holding R_e, and by the correspondence theorem
 for modules those are exactly the lifts R_e + W of the sub-bimodules W of
@@ -115,34 +120,37 @@ def count_subspaces(p: int, n: int) -> int:
 def enumerate_subspaces(dim: int, f: Field, budget: int = DEFAULT_BUDGET) -> List[Subspace]:
     """Every subspace of f^dim exactly once, in canonical RREF form.
 
-    Generation walks rank by rank over pivot-column patterns and fills the
-    free entries, which produces each reduced row echelon form directly
-    instead of deduplicating spans.
+    Generation walks rank by rank over pivot-column patterns, which
+    produces each reduced row echelon form directly instead of
+    deduplicating spans.  A pattern's RREF bases are the products of its
+    rows' choices: row r is 1 at its pivot and takes every value at each
+    later column that is not a pivot, so each row tuple is built once and
+    shared by every basis that holds it.  Sorting the bases of one rank as
+    plain tuples gives the order of `_subspace_key`.
     """
     _require_prime(f)
     total = count_subspaces(f.p, dim)
     if total > budget:
         raise BudgetError(f"{total} subspaces of GF({f.p})^{dim} exceed budget {budget}")
-    elems = list(range(f.p))
+    elems = range(f.p)
     out = []
     for k in range(dim + 1):
+        bases = []
         for pivots in itertools.combinations(range(dim), k):
-            pivot_set = set(pivots)
-            free = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, dim)
-                if c not in pivot_set
-            ]
-            for values in itertools.product(elems, repeat=len(free)):
-                rows = [[0] * dim for _ in range(k)]
-                for r, pc in enumerate(pivots):
-                    rows[r][pc] = 1
-                for (r, c), val in zip(free, values):
-                    rows[r][c] = val
-                basis = Matrix._trusted(f, tuple(map(tuple, rows)), dim)
-                out.append(Subspace(f, dim, basis, _canonical=True))
-    out.sort(key=_subspace_key)
+            choices = []
+            for r, pc in enumerate(pivots):
+                free = [c for c in range(pc + 1, dim) if c not in pivots[r + 1 :]]
+                row = [0] * dim
+                row[pc] = 1
+                fills = []
+                for values in itertools.product(elems, repeat=len(free)):
+                    for c, x in zip(free, values):
+                        row[c] = x
+                    fills.append(tuple(row))
+                choices.append(fills)
+            bases.extend(itertools.product(*choices))
+        bases.sort()
+        out.extend(Subspace._trusted(f, dim, Matrix._trusted(f, b, dim)) for b in bases)
     return out
 
 
@@ -389,7 +397,7 @@ def _cyclic_lattice(f: Field, n: int, lefts, rights, budget: int) -> List[Subspa
         return enumerate_subspaces(n, f, budget)
     lattice = {Subspace.zero(f, n)}
     closures = (Matrix._trusted(f, tuple(map(fmt.unpack, rows)), n) for rows in cyclic)
-    for c in sorted((Subspace(f, n, m, _canonical=True) for m in closures), key=_subspace_key):
+    for c in sorted((Subspace._trusted(f, n, m) for m in closures), key=_subspace_key):
         if c not in lattice:
             lattice |= {subspace_sum(s, c) for s in lattice}
             if len(lattice) > LATTICE_CAP:

@@ -4,16 +4,18 @@
 recompute from the raw product table or from element products what the
 package computes from operators, `matrix_product` recomputes a matrix
 product one entry at a time, `textbook_rref` eliminates one scalar at a
-time, and `reference_envelope` is the envelope by dense products and that
-elimination; the rest are small helpers.  The package
+time, `reference_envelope` is the envelope by dense products and that
+elimination, and `reference_enumerate_subspaces` lists every subspace by
+filling one RREF at a time; the rest are small helpers.  The package
 itself never calls any of them.
 """
+import itertools
 from fractions import Fraction
 
 from gradedrings.algebra import GradedSubspace
 from gradedrings.bimodule import BimoduleAction
 from gradedrings.errors import InvalidInput
-from gradedrings.linalg import EchelonBasis, annihilator, nullspace
+from gradedrings.linalg import EchelonBasis, Matrix, Subspace, annihilator, nullspace
 
 
 def product_coeffs(alg, g: int, i: int, h: int, j: int) -> tuple:
@@ -102,6 +104,35 @@ def reference_envelope(action: BimoduleAction):
             if len(flats) == n:
                 return n, mats
     return len(flats), mats
+
+
+def reference_enumerate_subspaces(dim: int, f) -> list:
+    """Every subspace of f^dim, one RREF filled at a time and each re-reduced.
+
+    Sorted by (dim, basis entries), the order `oracle.enumerate_subspaces`
+    promises.
+    """
+    elems = list(range(f.p))
+    out = []
+    for k in range(dim + 1):
+        for pivots in itertools.combinations(range(dim), k):
+            pivot_set = set(pivots)
+            free = [
+                (r, c)
+                for r in range(k)
+                for c in range(pivots[r] + 1, dim)
+                if c not in pivot_set
+            ]
+            for values in itertools.product(elems, repeat=len(free)):
+                rows = [[0] * dim for _ in range(k)]
+                for r, pc in enumerate(pivots):
+                    rows[r][pc] = 1
+                for (r, c), val in zip(free, values):
+                    rows[r][c] = val
+                basis = Matrix._trusted(f, tuple(map(tuple, rows)), dim)
+                out.append(Subspace(f, dim, basis))
+    out.sort(key=lambda s: (s.dim, s.basis.entries))
+    return out
 
 
 def subset_action(alg, subset) -> BimoduleAction:

@@ -1,6 +1,7 @@
 """Brute-force oracles: exhaustive enumeration at tiny scale."""
 import functools
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,7 @@ from gradedrings.oracle import (
     subring_oracle,
 )
 from gradedrings.serialize import vector_to_json
+from references import reference_enumerate_subspaces
 
 
 # --------------------------------------------------------------------------
@@ -74,6 +76,35 @@ def test_enumerate_subspaces_counts():
     assert len(got) == 16
     assert len(set(got)) == 16
     assert got[0].dim == 0 and got[-1].dim == 3
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(2, n) for n in range(8)]
+    + [(3, n) for n in range(6)]
+    + [(5, n) for n in range(4)]
+    + [(7, n) for n in range(3)],
+)
+def test_enumerate_subspaces_matches_reference(p, n):
+    def layout(subs):
+        return [(s.dim, s.ambient_dim, s.basis.cols, s.basis.entries) for s in subs]
+
+    got = enumerate_subspaces(n, GF(p), 10**6)
+    assert layout(got) == layout(reference_enumerate_subspaces(n, GF(p)))
+    assert len(got) == count_subspaces(p, n)
+
+
+def test_enumerate_subspaces_shares_rows():
+    # all 56,632 subspaces of GF(3)^6 in at most 16 MB: each basis is a
+    # tuple of row tuples that many bases share
+    tracemalloc.start()
+    try:
+        got = enumerate_subspaces(6, GF(3), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 56632
+    assert peak <= 16_000_000
 
 
 def test_enumerate_subspaces_budget():
