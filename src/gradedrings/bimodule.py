@@ -13,13 +13,18 @@ its rows sparse, so only the products it keeps are made dense.
 Simplicity is decided by a Norton-style MeatAxe with a spin-search
 fallback, so a True or False is a theorem about the input, never a sample.
 `is_simple` tries these certificates in order and names the deciding one
-as `method`: `dimension` (M is a line); over GF(p) with p <= 64, Norton's
-test on QUICK_TRIALS envelope elements sampled without an envelope basis;
-`dense-envelope` (True: the L_i R_j span End(M)); `field-commutant` (True:
-the commutant is a field C of degree d and the envelope has rank m^2/d, so
-it is End_C(M), Burnside's theorem over C; when d = m, an envelope element
-with an irreducible minimal polynomial of degree m decides alone), tried
-before Norton's test over GF(p) and after it over Q; Norton's test on SAMPLES
+as `method`: `dimension` (M is a line); over GF(p) with p <= 64, a
+field-envelope probe (the envelope built only until its rank passes m; at
+rank m, the field-commutant certificate below, kept when every envelope
+matrix commutes with the element that decided, so that the envelope is
+that element's field and no shift of Norton's test could be singular),
+then Norton's test on QUICK_TRIALS envelope elements sampled without an
+envelope basis; `dense-envelope` (True: the L_i R_j span End(M));
+`field-commutant` (True: the commutant is a field C of degree d and the
+envelope has rank m^2/d, so it is End_C(M), Burnside's theorem over C;
+when d = m, an envelope element with an irreducible minimal polynomial of
+degree m decides alone), tried before Norton's test over GF(p) (once: not
+again after the probe) and after it over Q; Norton's test on SAMPLES
 elements drawn from the envelope basis, skipped when the envelope is 0 (no
 operator products, or only zero ones); then the spin search, which spins
 the basis rows and after them either every projective vector of M
@@ -71,8 +76,8 @@ from .poly import is_irreducible, minimal_polynomial
 # the combinations `span_candidates` adds when a span is past its budget.
 SAMPLES = 64
 # Envelope elements sampled without an envelope basis, tried before the
-# envelope is built, commutant elements the field-commutant certificate
-# draws, and random vectors spun when M is past its budget.
+# whole envelope is built, commutant elements the field-commutant
+# certificate draws, and random vectors spun when M is past its budget.
 QUICK_TRIALS = 8
 # Most projective points of a nullspace whose lines Norton's test spins.
 NULLSPACE_BUDGET = 4096
@@ -202,21 +207,25 @@ def spin(action: BimoduleAction, seed: Sequence) -> Subspace:
     return basis.to_subspace()
 
 
-def envelope(action: BimoduleAction):
+def envelope(action: BimoduleAction, *, stop: Optional[int] = None):
     """Basis of the span of the products L_i R_j.
 
     Returns (rank, matrices); the matrices are the products, in (i, j)
     order, that are independent of the ones before them.  The span lies in
     the algebra the operators generate, and is that algebra when both
-    families come from a unital algebra.  Stops early once the span is
-    dense in End(M).  Each operator is read once, as rows of (column,
-    value) pairs of its nonzero entries; each product is summed row by row
-    into a dict over the m^2 flat positions (Gustavson's sparse product),
-    canonicalized once with `Field.vector` and tested in the sparse rows of
-    an `EchelonBasis`, and only the products kept are made dense.
+    families come from a unital algebra.  Stops once the rank reaches stop
+    (at least 1; by default m^2, where the span is dense in End(M)), so a
+    smaller stop gives the first stop matrices of the whole basis, or all
+    of it when its rank is lower.  Each operator is read once, as rows of
+    (column, value) pairs of its nonzero entries; each product is summed
+    row by row into a dict over the m^2 flat positions (Gustavson's sparse
+    product), canonicalized once with `Field.vector` and tested in the
+    sparse rows of an `EchelonBasis`, and only the products kept are made
+    dense.
     """
     m, f = action.dim, action.field
     n, vector = m * m, f.vector
+    stop = n if stop is None else stop
     zero_row = (f.zero,) * m
     rights = [r._sparse_rows() for r in action.right_ops]
     basis = EchelonBasis(f, n)
@@ -239,8 +248,8 @@ def envelope(action: BimoduleAction):
                         rows[i] = list(zero_row)
                     rows[i][j] = y
                 mats.append(Matrix._trusted(f, tuple(map(tuple, rows)), m))
-                if basis.is_full():
-                    return n, mats
+                if len(mats) == stop:
+                    return stop, mats
     return basis.rank, mats
 
 
@@ -272,7 +281,10 @@ def is_simple(
     """Decide whether M has no invariant subspace other than 0 and M.
 
     Norton's test runs first, since it proves either verdict; spins, which
-    can only refute, come last.  Over GF(p) the verdict is conclusive
+    can only refute, come last.  Over GF(p <= 64) a field envelope goes
+    ahead of it: an envelope of rank m that commutes with an element c of
+    degree m is the field F[c], where Norton's test cannot decide, so the
+    field-commutant certificate does.  Over GF(p) the verdict is conclusive
     whenever the projective points of M fit inside budget, the bound for
     the full projective spin sweep; over the rationals a True or False is
     still certified but the search can end Inconclusive.
@@ -290,32 +302,45 @@ def is_simple(
             return rational_eigenvalues(theta)
         return range(f.p) if f.p <= 64 else sorted(rng.sample(range(f.p), 16))
 
-    sampled = 0
+    sampled, env, report = 0, None, None
     if 0 < f.p <= 64:
+        # The envelope up to rank m + 1 first.  If it has rank m and commutes
+        # with a c of degree m, it is the field F[c] (c's centralizer), where
+        # every shift theta - lam*I is 0 or invertible: the quick trials
+        # below could not decide, and the certificate does.  At rank m or
+        # below the envelope is whole and is kept for after the trials.
+        rank, env = envelope(action, stop=m + 1)
+        if rank > m:
+            env = None
+        elif rank == m:
+            report, c = _field_commutant(action, env, seed)
+            if report is not None and all(c @ e == e @ c for e in env):
+                return report
         # every shift is tried, so one singular sample usually decides and
-        # the n^2-dimensional envelope basis is never built; the cap keeps
-        # the cost bounded on envelopes that are fields, where it rarely does
+        # the n^2-dimensional envelope basis is never built
         thetas = (_sampled_envelope_element(action, rng) for _ in range(QUICK_TRIALS))
-        report, sampled = _norton_trials(action, thetas, shifts, rng)
-        if report is not None:
-            report.trials = sampled
-            return report
+        quick, sampled = _norton_trials(action, thetas, shifts, rng)
+        if quick is not None:
+            quick.trials = sampled
+            return quick
 
-    rank, env = envelope(action)
-    if rank == m * m:
-        return SimplicityReport(Verdict.TRUE, "dense-envelope", trials=sampled)
+    if env is None:
+        rank, env = envelope(action)
+        if rank == m * m:
+            return SimplicityReport(Verdict.TRUE, "dense-envelope", trials=sampled)
+        # A field commutant leaves Norton's test no singular shift, so over
+        # GF(p) the certificate goes first.  Over Q, Norton's rational shifts
+        # refute a non-simple module in a few trials, where the certificate's
+        # draws and rational hom space cost more, so it goes second.
+        if f.p:
+            report = _field_commutant(action, env, seed)[0]
 
-    # A field commutant leaves Norton's test no singular shift, so over
-    # GF(p) the certificate goes first.  Over Q, Norton's rational shifts
-    # refute a non-simple module in a few trials, where the certificate's
-    # draws and rational hom space cost more, so it goes second.
     thetas = (_random_envelope_element(action, env, rng) for _ in range(SAMPLES))
     used = 0
-    report = _field_commutant(action, env, seed) if f.p else None
     if report is None and env:
         report, used = _norton_trials(action, thetas, shifts, rng)
     if report is None and not f.p:
-        report = _field_commutant(action, env, seed)
+        report = _field_commutant(action, env, seed)[0]
     if report is None:
         report = _exhaustive_spin(action, rng, budget)
     report.trials = sampled + used
@@ -323,8 +348,9 @@ def is_simple(
 
 
 def _field_commutant(action: BimoduleAction, env: list, seed: int):
-    """A TRUE `field-commutant` report when Burnside's theorem over the
-    commutant C proves M simple, else None.
+    """(a TRUE `field-commutant` report, the c that decided) when
+    Burnside's theorem over the commutant C proves M simple, else
+    (None, None).
 
     Everything the operators generate commutes with C.  When C is a field
     of degree d, End_C(M) has dimension m^2/d over the ground field, so an
@@ -351,24 +377,24 @@ def _field_commutant(action: BimoduleAction, env: list, seed: int):
     m, f, rank = action.dim, action.field, len(env)
     d, rest = divmod(m * m, rank) if rank else (0, 1)
     if rest or d < 2 or m % d:
-        return None
+        return None, None
     homs = env if d == m else hom_matrices(action, action)
     if len(homs) != d:
-        return None
+        return None, None
     rng = random.Random(seed)
     for q in RESIDUE_PRIMES[:QUICK_TRIALS]:
-        c = _random_combination(f, homs, rng)
+        c = a = _random_combination(f, homs, rng)
         if not f.p:
             den = lcm(*(x.denominator for row in c.entries for x in row))
-            c = Matrix(Field(q), [[int(x * den) for x in row] for row in c.entries])
-        mu = minimal_polynomial(c)
-        if is_irreducible(c.field.p, mu):
+            a = Matrix(Field(q), [[int(x * den) for x in row] for row in c.entries])
+        mu = minimal_polynomial(a)
+        if is_irreducible(a.field.p, mu):
             if len(mu) == d + 1:
                 detail = f"the commutant is a field and the envelope has rank {rank} = {m}^2/{d}"
-                return SimplicityReport(Verdict.TRUE, "field-commutant", detail=detail)
+                return SimplicityReport(Verdict.TRUE, "field-commutant", detail=detail), c
         elif f.p:
-            return None
-    return None
+            return None, None
+    return None, None
 
 
 def _norton_trials(action: BimoduleAction, thetas, shifts, rng):

@@ -123,11 +123,12 @@ def _atomic_group(tok: str) -> tuple:
 def _group_atoms(text: str) -> list:
     """(order, constructor) of each factor of a group name; nothing is built.
 
-    Names are z<n>, v4, s<n>, trivial, and products such as z2xz2.
+    Names are z<n>, v4, s<n>, trivial, and products such as z2xz2; an
+    empty factor, as in z2x or z2xxz3, is refused.
     """
-    toks = [t for t in text.strip().lower().split("x") if t]
-    if not toks:
-        raise InvalidInput(f"cannot parse group {text!r}")
+    toks = text.strip().lower().split("x")
+    if not all(toks):
+        raise InvalidInput(f"cannot parse group {text!r}: empty factor")
     return [_atomic_group(tok) for tok in toks]
 
 

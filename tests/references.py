@@ -5,15 +5,31 @@ recompute from the raw product table or from element products what the
 package computes from operators, `matrix_product` recomputes a matrix
 product one entry at a time, `textbook_rref` eliminates one scalar at a
 time, `reference_envelope` is the envelope by dense products and that
-elimination, and `reference_enumerate_subspaces` lists every subspace by
-filling one RREF at a time; the rest are small helpers.  The package
-itself never calls any of them.
+elimination, `reference_is_simple` runs the simplicity certificates with
+the quick Norton trials ahead of the envelope, and
+`reference_enumerate_subspaces` lists every subspace by filling one RREF
+at a time; the rest are small helpers.  The package itself never calls
+any of them.
 """
 import itertools
+import random
 from fractions import Fraction
 
 from gradedrings.algebra import GradedSubspace
-from gradedrings.bimodule import BimoduleAction
+from gradedrings.bimodule import (
+    QUICK_TRIALS,
+    SAMPLES,
+    BimoduleAction,
+    SimplicityReport,
+    Verdict,
+    _exhaustive_spin,
+    _field_commutant,
+    _norton_trials,
+    _random_envelope_element,
+    _sampled_envelope_element,
+    envelope,
+    rational_eigenvalues,
+)
 from gradedrings.errors import InvalidInput
 from gradedrings.linalg import EchelonBasis, Matrix, Subspace, annihilator, nullspace
 
@@ -104,6 +120,55 @@ def reference_envelope(action: BimoduleAction):
             if len(flats) == n:
                 return n, mats
     return len(flats), mats
+
+
+def reference_is_simple(
+    action: BimoduleAction, *, seed: int = 0, budget: int = 65536
+) -> SimplicityReport:
+    """`bimodule.is_simple` with no field-envelope probe.
+
+    Over GF(p <= 64) the QUICK_TRIALS Norton trials always run before the
+    envelope is built, even where the envelope is a field and no shift can
+    be singular.  Every certificate after them runs in the same order and
+    draws from the same generators, so the two must give the same verdict,
+    method, witness and detail.
+    """
+    m = action.dim
+    f = action.field
+    if m == 0:
+        raise InvalidInput("simplicity of a zero-dimensional carrier is not defined")
+    if m == 1:
+        return SimplicityReport(Verdict.TRUE, "dimension")
+    rng = random.Random(seed)
+
+    def shifts(theta):
+        if not f.p:
+            return rational_eigenvalues(theta)
+        return range(f.p) if f.p <= 64 else sorted(rng.sample(range(f.p), 16))
+
+    sampled = 0
+    if 0 < f.p <= 64:
+        thetas = (_sampled_envelope_element(action, rng) for _ in range(QUICK_TRIALS))
+        report, sampled = _norton_trials(action, thetas, shifts, rng)
+        if report is not None:
+            report.trials = sampled
+            return report
+
+    rank, env = envelope(action)
+    if rank == m * m:
+        return SimplicityReport(Verdict.TRUE, "dense-envelope", trials=sampled)
+
+    thetas = (_random_envelope_element(action, env, rng) for _ in range(SAMPLES))
+    used = 0
+    report = _field_commutant(action, env, seed)[0] if f.p else None
+    if report is None and env:
+        report, used = _norton_trials(action, thetas, shifts, rng)
+    if report is None and not f.p:
+        report = _field_commutant(action, env, seed)[0]
+    if report is None:
+        report = _exhaustive_spin(action, rng, budget)
+    report.trials = sampled + used
+    return report
 
 
 def reference_enumerate_subspaces(dim: int, f) -> list:

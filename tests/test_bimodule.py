@@ -13,7 +13,6 @@ from gradedrings.analysis import check_controlled, check_simple
 from gradedrings import analysis
 from gradedrings import bimodule
 from gradedrings.bimodule import (
-    QUICK_TRIALS,
     BimoduleAction,
     Verdict,
     _random_combination,
@@ -24,6 +23,7 @@ from gradedrings.bimodule import (
     component_action,
     envelope,
     find_invertible_combo,
+    graded_regular_action,
     hom_matrices,
     hom_space,
     is_simple,
@@ -37,12 +37,12 @@ from gradedrings.builders import (
     group_algebra,
     m3_example,
 )
-from gradedrings.corpus import dual_numbers_graded
+from gradedrings.corpus import dual_numbers_graded, oracle_scale_corpus, standard_corpus
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, nullspace
-from gradedrings.poly import minimal_polynomial
-from references import reference_envelope
+from gradedrings.poly import is_irreducible, minimal_polynomial
+from references import reference_envelope, reference_is_simple
 
 
 def test_verdict_semantics():
@@ -106,14 +106,32 @@ def test_spin_monotone_and_invariant(m3_gf2):
 
 
 def test_is_simple_positive(gf4skew):
-    # each component of the Galois skew ring is a simple bimodule; its
-    # envelope and its commutant are GF(4), so no shifted sample is
-    # singular, and Burnside's theorem over the commutant decides
+    # each component of the Galois skew ring is a simple bimodule whose
+    # envelope is GF(4): it has rank m = 2 and commutes with the element of
+    # degree 2 that decides, so no shifted sample could be singular and
+    # Burnside's theorem over the commutant decides before any Norton trial
     for g in range(2):
         rep = is_simple(component_action(gf4skew, g))
         assert rep.verdict is Verdict.TRUE
         assert rep.method == "field-commutant"
-        assert rep.trials <= QUICK_TRIALS
+        assert rep.trials == 0
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3)], ids=["galois-2-4", "galois-2-6", "galois-3-3"])
+def test_field_envelopes_are_decided_before_any_quick_trial(p, n, monkeypatch):
+    # each component's envelope is R_e = GF(p^n), a field, where every
+    # shift theta - lam*I is 0 or invertible: no quick Norton trial could
+    # decide, so none samples an envelope element
+    calls = []
+    real = bimodule._sampled_envelope_element
+    monkeypatch.setattr(
+        bimodule, "_sampled_envelope_element", lambda *a: calls.append(None) or real(*a)
+    )
+    alg = galois_skew_example(p, n)
+    for g in range(alg.group.order):
+        rep = is_simple(component_action(alg, g))
+        assert (rep.verdict, rep.method, rep.trials) == (Verdict.TRUE, "field-commutant", 0)
+    assert calls == []
 
 
 def test_is_simple_negative_with_witness(m3_gf2):
@@ -385,6 +403,30 @@ def test_envelope_matches_the_dense_reference(f, m, density, n_left, n_right, se
     assert envelope(action) == reference_envelope(action)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ENVELOPE_FIELDS),
+    st.integers(1, 5),
+    st.sampled_from([0.2, 1]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**30 - 1),
+    st.integers(1, 26),
+)
+def test_envelope_stop_gives_the_first_matrices_of_the_reference(
+    f, m, density, n_left, n_right, seed, stop
+):
+    # stop runs past m^2 = 25 at m = 5, and past the rank of most families
+    rng = random.Random(seed)
+    lefts = [_random_operator(f, m, density, rng) for _ in range(n_left)]
+    rights = [_random_operator(f, m, density, rng) for _ in range(n_right)]
+    action = BimoduleAction(f, m, lefts, rights)
+    rank, mats = envelope(action, stop=stop)
+    full_rank, full_mats = reference_envelope(action)
+    assert rank == min(stop, full_rank) == len(mats)
+    assert mats == full_mats[:rank]
+
+
 @pytest.mark.parametrize("f", ENVELOPE_FIELDS, ids=str)
 def test_envelope_stops_early_like_the_reference(f, monkeypatch):
     # M2's regular action with the identity added to each family: 25
@@ -403,10 +445,12 @@ def test_envelope_stops_early_like_the_reference(f, monkeypatch):
 
 @pytest.mark.parametrize("f", [GF(2), GF(1009), RATIONALS], ids=str)
 @pytest.mark.parametrize("family", ["zero-operators", "empty-right", "empty-both"])
-def test_is_simple_without_an_envelope_basis_spins(f, family):
+def test_is_simple_without_an_envelope_basis_spins(f, family, monkeypatch):
     # with no product L_i R_j but 0 there is no envelope element for
     # Norton's test, so the spin search decides; a basis row spins to a
-    # line, since every operator here is 0 or the identity
+    # line, since every operator here is 0 or the identity.  Over GF(2)
+    # the envelope built before the quick trials is whole (rank 0 < m), so
+    # it is not built again after them
     m = 3
     zero, one = Matrix(f, [[0] * m] * m), Matrix.identity(f, m)
     lefts, rights = {
@@ -416,7 +460,10 @@ def test_is_simple_without_an_envelope_basis_spins(f, family):
     }[family]
     action = BimoduleAction(f, m, lefts, rights)
     assert envelope(action) == (0, [])
+    calls = []
+    monkeypatch.setattr(bimodule, "envelope", lambda *a, **k: calls.append(k) or envelope(*a, **k))
     rep = is_simple(action)
+    assert len(calls) == 1
     assert rep.verdict is Verdict.FALSE
     assert rep.method in ("exhaustive-spin", "sampled-spin")
     assert rep.witness.dim == 1 and action.is_invariant(rep.witness)
@@ -676,3 +723,110 @@ def test_field_commutant_of_degree_below_the_dimension(field, mult):
     assert rep.verdict is Verdict.TRUE
     assert rep.method == "field-commutant"
     assert rep.detail == "the commutant is a field and the envelope has rank 8 = 4^2/2"
+
+
+# --- the field-envelope probe against the order without it --------------------
+
+
+def _same_report(action, seed=0):
+    """is_simple and reference_is_simple agree on everything a report shows."""
+    got, want = is_simple(action, seed=seed), reference_is_simple(action, seed=seed)
+    assert (got.verdict, got.method, got.witness, got.detail) == (
+        want.verdict, want.method, want.witness, want.detail
+    ), action
+
+
+def _small_gfp_rings() -> dict:
+    rings = {inst.name: inst.alg for inst in (*standard_corpus(), *oracle_scale_corpus())}
+    rings["galois-2-4"] = galois_skew_example(2, 4)
+    rings["galois-2-6"] = galois_skew_example(2, 6)
+    rings["galois-3-3"] = galois_skew_example(3, 3)
+    rings["m3-gf2"] = m3_example(GF(2))
+    rings["m3-gf3"] = m3_example(GF(3))
+    return {name: alg for name, alg in rings.items() if 0 < alg.field.p <= 64}
+
+
+SMALL_GFP_RINGS = _small_gfp_rings()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GFP_RINGS))
+def test_field_envelope_probe_keeps_every_ring_report(name):
+    # every component, the regular action and the graded regular action
+    alg = SMALL_GFP_RINGS[name]
+    for g in range(alg.group.order):
+        action = component_action(alg, g)
+        if action.dim == 0:
+            for run in (is_simple, reference_is_simple):
+                with pytest.raises(InvalidInput):
+                    run(action)
+        else:
+            _same_report(action)
+    _same_report(regular_bimodule_action(alg))
+    _same_report(graded_regular_action(alg))
+
+
+def _companion(f, coeffs) -> Matrix:
+    """The companion matrix of the monic polynomial coeffs (constant term first)."""
+    m = len(coeffs) - 1
+    rows = [[0] * m for _ in range(m)]
+    for i in range(1, m):
+        rows[i][i - 1] = 1
+    for i in range(m):
+        rows[i][m - 1] = -coeffs[i] % f.p
+    return Matrix(f, rows)
+
+
+def _operator_family(p, m, kind, seed):
+    """(lefts, rights) over GF(p) on GF(p)^m.
+
+    random: up to three sparse or dense operators a side.  field: the powers
+    of the companion matrix C of a random irreducible polynomial of degree
+    m, so the products span the field F[C].  field-plus-one: the powers up
+    to C^(m-2) and one random operator X, a product span of rank m that is
+    not closed under multiplication when X and C do not commute.
+    """
+    f, rng = GF(p), random.Random(seed)
+    if kind == "random":
+        density = rng.choice([0.3, 0.6, 1])
+        return (
+            [_random_operator(f, m, density, rng) for _ in range(rng.randrange(4))],
+            [_random_operator(f, m, density, rng) for _ in range(rng.randrange(4))],
+        )
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(m)] + [1]
+        if is_irreducible(p, coeffs):
+            break
+    c, powers = _companion(f, coeffs), [Matrix.identity(f, m)]
+    for _ in range(m - 1):
+        powers.append(powers[-1] @ c)
+    if kind == "field":
+        return powers, [rng.choice(powers), Matrix.identity(f, m)]
+    return powers[:-1] + [_random_operator(f, m, 1, rng)], [Matrix.identity(f, m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 4),
+    st.sampled_from(["random", "field", "field-plus-one"]),
+    st.integers(0, 2**30 - 1),
+    st.integers(0, 7),
+)
+def test_field_envelope_probe_keeps_random_family_reports(p, m, kind, family_seed, seed):
+    lefts, rights = _operator_family(p, m, kind, family_seed)
+    _same_report(BimoduleAction(GF(p), m, lefts, rights), seed)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_a_field_commutant_draw_that_does_not_commute_leaves_norton_first(seed):
+    # span(A, B) has rank 2 = m but is no field: AB is not in it.  At these
+    # seeds the certificate draws c = A, whose minimal polynomial x^2 + x + 1
+    # is irreducible, so M is simple; but B does not commute with A, so a
+    # quick trial may still decide, and one does (B - 0 is singular)
+    f = GF(2)
+    a, b = Matrix(f, [[0, 1], [1, 1]]), Matrix(f, [[1, 0], [0, 0]])
+    action = BimoduleAction(f, 2, [a, b], [Matrix.identity(f, 2)])
+    assert envelope(action) == (2, [a, b])
+    rep = is_simple(action, seed=seed)
+    assert (rep.verdict, rep.method) == (Verdict.TRUE, "meataxe-norton")
+    _same_report(action, seed)

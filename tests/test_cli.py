@@ -51,6 +51,18 @@ def test_parse_group():
         parse_group("d8")
 
 
+@pytest.mark.parametrize("name", ["z2x", "xz2", "z1x", "z2xxz3", "x", ""])
+def test_group_names_with_an_empty_factor_exit_2(name, capsys):
+    # a name that splits into an empty factor once named a smaller group
+    with pytest.raises(InvalidInput):
+        parse_group(name)
+    with pytest.raises(InvalidInput):
+        cli.group_order(name)
+    assert main(["build", "group-algebra", "--field", "gf2", "--group", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_build_m3_comp_dims(m3_path):
     alg = load_algebra(m3_path)
     assert alg.comp_dims == (5, 4)
