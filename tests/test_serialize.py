@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedrings.builders import group_algebra
+from gradedrings.cli import main, parse_field
 from gradedrings.corpus import standard_corpus
 from gradedrings.errors import InvalidInput
+from gradedrings.groups import cyclic_group
 from gradedrings.linalg import GF, RATIONALS
 from gradedrings.serialize import (
     algebra_from_json,
@@ -125,3 +128,144 @@ def test_corpus_round_trips_bytewise(idx):
     alg = CORPUS[idx].alg
     text = algebra_to_json(alg)
     assert algebra_to_json(algebra_from_json(text)) == text
+
+
+# --- the refusal table ---------------------------------------------------------
+# Each edit makes one fault in GF(2)[Z/2] or Q[Z/2] (both components are
+# lines); loading refuses it with this exact message, and `check` exits 2
+# with a single `error:` line.
+
+LONG_RATIONAL = "7" * 5000
+
+
+def _edit_row(value):
+    def edit(obj):
+        obj["structure"][0] = value
+    return edit
+
+
+def _edit_index(position, value):
+    def edit(obj):
+        obj["structure"][0][position] = value
+    return edit
+
+
+def _duplicate_row(obj):
+    obj["structure"].append(json.loads(json.dumps(obj["structure"][0])))
+
+
+def _edit_coeffs(value):
+    def edit(obj):
+        obj["structure"][0][4] = value
+    return edit
+
+
+def _edit_scalar(value):
+    def edit(obj):
+        obj["structure"][0][4][0] = value
+    return edit
+
+
+def _edit_unit(value):
+    def edit(obj):
+        obj["unit"] = value
+    return edit
+
+
+REFUSALS = [
+    ("row-int", "gf2", _edit_row(5), "structure row must be [g, i, h, j, coeffs], got 5"),
+    (
+        "row-short",
+        "gf2",
+        _edit_row([0, 0, 0, 0]),
+        "structure row must be [g, i, h, j, coeffs], got [0, 0, 0, 0]",
+    ),
+    (
+        "row-long",
+        "gf2",
+        _edit_row([0, 0, 0, 0, [1], 1]),
+        "structure row must be [g, i, h, j, coeffs], got [0, 0, 0, 0, [1], 1]",
+    ),
+    (
+        "index-bool",
+        "gf2",
+        _edit_index(1, True),
+        "structure index must be a non-negative integer, got (0, True, 0, 0)",
+    ),
+    (
+        "index-float",
+        "gf2",
+        _edit_index(2, 0.0),
+        "structure index must be a non-negative integer, got (0, 0, 0.0, 0)",
+    ),
+    (
+        "index-negative",
+        "gf2",
+        _edit_index(3, -1),
+        "structure index must be a non-negative integer, got (0, 0, 0, -1)",
+    ),
+    ("duplicate-row", "gf2", _duplicate_row, "duplicate structure row for (0, 0, 0, 0)"),
+    (
+        "group-index-range",
+        "gf2",
+        _edit_index(0, 2),
+        "structure key (2, 0, 0, 0) has a bad group index",
+    ),
+    (
+        "basis-index-range",
+        "gf2",
+        _edit_index(3, 1),
+        "structure key (0, 0, 0, 1) has a bad basis index",
+    ),
+    (
+        "coeffs-too-long",
+        "gf2",
+        _edit_coeffs([1, 0]),
+        "product coefficients at (0, 0, 0, 0) must have length 1",
+    ),
+    (
+        "coeffs-empty",
+        "q",
+        _edit_coeffs([]),
+        "product coefficients at (0, 0, 0, 0) must have length 1",
+    ),
+    ("coeffs-not-list", "gf2", _edit_coeffs(1), "coefficient vector must be a list"),
+    ("gf-string", "gf2", _edit_scalar("x"), "GF(2) scalar must be an int, got 'x'"),
+    ("gf-float", "gf2", _edit_scalar(1.5), "GF(2) scalar must be an int, got 1.5"),
+    ("gf-bool", "gf2", _edit_scalar(True), "GF(2) scalar must be an int, got True"),
+    ("q-zero-denominator", "q", _edit_scalar("1/0"), "bad rational scalar '1/0'"),
+    ("q-not-a-number", "q", _edit_scalar("abc"), "bad rational scalar 'abc'"),
+    ("q-5000-digits", "q", _edit_scalar(LONG_RATIONAL), f"bad rational scalar {LONG_RATIONAL!r}"),
+    ("unit-not-list-gf", "gf2", _edit_unit(1), "coefficient vector must be a list"),
+    ("unit-not-list-q", "q", _edit_unit("1/1"), "coefficient vector must be a list"),
+    (
+        "unit-too-long",
+        "q",
+        _edit_unit(["1/1", "0/1"]),
+        "unit must be a coefficient vector over the identity component",
+    ),
+    (
+        "unit-empty",
+        "gf2",
+        _edit_unit([]),
+        "unit must be a coefficient vector over the identity component",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "field,edit,message", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS]
+)
+def test_refusal_table(tmp_path, capsys, field, edit, message):
+    obj = algebra_to_obj(group_algebra(parse_field(field), cyclic_group(2)))
+    edit(obj)
+    text = json.dumps(obj)
+    with pytest.raises(InvalidInput) as info:
+        algebra_from_json(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["check", str(path), "--property", "valid"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
