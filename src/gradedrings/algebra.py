@@ -5,11 +5,14 @@ element plus one flat sparse product table.  The graded basis is numbered
 component by component (R_g's starts at offsets[g]); _place[k] is the
 (g, i) of flat index k, and _table[i][j] holds b_i b_j as {flat k: c},
 nonzero products with nonzero coefficients only.  The constructor fills it
-from coefficient vectors over R_gh keyed by (g, i, h, j), so the gradation
-is structural: products of homogeneous elements land in the right
-component by construction, and what remains to verify is associativity and
-the unit laws (validate_algebra).  An Element is a sparse vector in the
-same flat coordinates, {flat k: nonzero canonical c}.
+from coefficient vectors over R_gh keyed by (g, i, h, j), in one loop that
+the builders (a Mapping) and `serialize` (a stream of a file's rows) share:
+each entry is checked once and its sparse product built in the same pass.
+So the gradation is structural: products of homogeneous elements land in
+the right component by construction, and what remains to verify is
+associativity and the unit laws (validate_algebra, which reads the table
+dicts directly).  An Element is a sparse vector in the same flat
+coordinates, {flat k: nonzero canonical c}.
 
 Everything reads the one table.  GradedAlgebra alone turns it into
 operators, all in the column convention (column j is the image of the j-th
@@ -26,8 +29,8 @@ after construction, so the lazily cached operators stay valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Mapping, Optional, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Optional
 
 from .errors import InvalidInput
 from .groups import FiniteGroup, trivial_group
@@ -40,7 +43,7 @@ class GradedAlgebra:
         field: Field,
         group: FiniteGroup,
         comp_dims: Sequence[int],
-        structure: Mapping,
+        structure: Mapping | Iterable[tuple],
         unit: Sequence,
         *,
         basis_labels: Optional[Mapping] = None,
@@ -60,27 +63,9 @@ class GradedAlgebra:
         self.offsets = offsets = tuple(sum(dims[:g]) for g in range(group.order))
         self._place = tuple((g, i) for g, d in enumerate(dims) for i in range(d))
 
-        table = [{} for _ in range(self.dim)]
-        for key, coeffs in structure.items():
-            try:
-                g, i, h, j = key
-            except (TypeError, ValueError):
-                raise InvalidInput(f"structure key must be (g, i, h, j), got {key!r}") from None
-            if not (0 <= g < group.order and 0 <= h < group.order):
-                raise InvalidInput(f"structure key {key!r} has a bad group index")
-            if not (0 <= i < dims[g] and 0 <= j < dims[h]):
-                raise InvalidInput(f"structure key {key!r} has a bad basis index")
-            k = group.table[g][h]
-            vec = field.vector(coeffs)
-            if len(vec) != dims[k]:
-                raise InvalidInput(
-                    f"product coefficients at {key!r} must have length {dims[k]}"
-                )
-            prod = {offsets[k] + r: c for r, c in enumerate(vec) if c}
-            if prod:
-                table[offsets[g] + i][offsets[h] + j] = prod
-        self._table = table
-
+        self._table = self._product_table(structure)
+        if not isinstance(unit, (list, tuple)):
+            raise InvalidInput("coefficient vector must be a list")
         u = field.vector(unit)
         if len(u) != dims[group.identity]:
             raise InvalidInput("unit must be a coefficient vector over the identity component")
@@ -91,6 +76,50 @@ class GradedAlgebra:
         self.meta = dict(meta) if meta else {}
         self._flat = None
         self._component_ops = {}
+
+    def _product_table(self, structure) -> list:
+        """The flat table of structure, in one pass that checks each entry once.
+
+        structure maps each key (g, i, h, j) to the coefficients of
+        b_{g,i} b_{h,j} over R_gh, as a Mapping or as an iterable of its
+        (key, coeffs) items, which is how `serialize` streams the rows of
+        an algebra file.  An entry is refused for a key that is not four
+        non-negative ints, an index out of range, a repeated key,
+        coefficients that are not a list or tuple of R_gh's length, or a
+        scalar that `Field.vector` refuses.  A zero product is kept as {}
+        until the end, so that a repeat of it is caught too.
+        """
+        dims, offsets, vector = self.comp_dims, self.offsets, self.field.vector
+        order, gtab = self.group.order, self.group.table
+        table = [{} for _ in range(self.dim)]
+        zeros = False
+        for key, coeffs in structure.items() if isinstance(structure, Mapping) else structure:
+            try:
+                g, i, h, j = key
+            except (TypeError, ValueError):
+                raise InvalidInput(f"structure key must be (g, i, h, j), got {key!r}") from None
+            # compared by type(), not isinstance(): bool and float are refused;
+            # an OR of ints is negative exactly when one of them is
+            if not type(g) is type(i) is type(h) is type(j) is int or (g | i | h | j) < 0:
+                raise InvalidInput(f"structure index must be a non-negative integer, got {key!r}")
+            if g >= order or h >= order:
+                raise InvalidInput(f"structure key {key!r} has a bad group index")
+            if i >= dims[g] or j >= dims[h]:
+                raise InvalidInput(f"structure key {key!r} has a bad basis index")
+            row, b = table[offsets[g] + i], offsets[h] + j
+            if b in row:
+                raise InvalidInput(f"duplicate structure row for {key}")
+            if not isinstance(coeffs, (list, tuple)):
+                raise InvalidInput("coefficient vector must be a list")
+            k = gtab[g][h]
+            if len(coeffs) != dims[k]:
+                raise InvalidInput(f"product coefficients at {key!r} must have length {dims[k]}")
+            off = offsets[k]
+            row[b] = prod = {off + r: c for r, c in enumerate(vector(coeffs)) if c}
+            zeros = zeros or not prod
+        if zeros:
+            table = [{b: prod for b, prod in row.items() if prod} for row in table]
+        return table
 
     # --- basis bookkeeping -------------------------------------------------
 
@@ -387,29 +416,61 @@ def validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
     span of 1 closed under left multiplication by S is all of R, then N = R
     and R is associative: |S| n^2 triples instead of n^3.  When a member of
     S fails, the full scan runs and names the first failing triple in scan
-    order.  Each basis product b*c is read once from the table and serves both.
+    order.  Everything is read from the raw table dicts, with no Element:
+    the unit laws compare 1 b and b 1 with b for each basis element b, and
+    each triple (a, b, c) is one exact sum (ab)c - a(bc), reduced once.
     """
-    problems = []
-    one = alg.one()
-    basis = alg._flat_basis()
-    for k, b in enumerate(basis):
-        if one * b != b or b * one != b:
+    for k in range(alg.dim):
+        if _unit_law_fails(alg, k):
             g, i = alg.basis_of_flat(k)
-            problems.append(f"unit law fails at basis element {alg.label(g, i)}")
-            return AlgebraDiagnostics(False, problems)
-    prods = [[Element(alg, row.get(j, {})) for j in range(alg.dim)] for row in alg._table]
-    gens = _left_nucleus_generators(alg, basis, prods)
+            return AlgebraDiagnostics(False, [f"unit law fails at basis element {alg.label(g, i)}"])
+    gens = _left_nucleus_generators(alg)
     if gens is not None:
-        return AlgebraDiagnostics(True, problems, nucleus_generators=gens)
-    return _associativity_scan(alg, basis, prods)
+        return AlgebraDiagnostics(True, [], nucleus_generators=gens)
+    return _associativity_scan(alg)
 
 
-def _associates(a: Element, ab: Element, c: Element, bc: Element) -> bool:
-    """(ab)c == a(bc); when ab and bc are both zero, so are both sides."""
-    return not (ab.terms or bc.terms) or ab * c == a * bc
+def _unit_law_fails(alg: GradedAlgebra, k: int) -> bool:
+    """Is 1 b_k != b_k or b_k 1 != b_k?  Each side is one sum over the unit's terms, reduced once."""
+    table, empty = alg._table, {}
+    left: dict = {}
+    right: dict = {}
+    for u, c in alg._unit.items():
+        for t, v in table[u].get(k, empty).items():
+            left[t] = left.get(t, 0) + c * v
+        for t, v in table[k].get(u, empty).items():
+            right[t] = right.get(t, 0) + v * c
+    basis = {k: alg.field.one}
+    return _reduced(alg.field, left) != basis or _reduced(alg.field, right) != basis
 
 
-def _left_nucleus_generators(alg: GradedAlgebra, basis: list, prods: list) -> Optional[tuple]:
+def _failing_thirds(alg: GradedAlgebra, a: int, b: int) -> list:
+    """The flat indices c, ascending, with (b_a b_b) b_c != b_a (b_b b_c).
+
+    For each c the two sides go into one dict of exact sums, which is
+    reduced once; only the c where b_a b_b or b_b b_c reaches a nonzero
+    product are visited, since both sides vanish at the others.
+    """
+    table = alg._table
+    row_a = table[a]
+    sums: dict = {}
+    for k, x in row_a.get(b, {}).items():
+        for c, prod in table[k].items():
+            acc = sums.setdefault(c, {})
+            for t, v in prod.items():
+                acc[t] = acc.get(t, 0) + x * v
+    for c, bc in table[b].items():
+        acc = sums.setdefault(c, {})
+        for k, y in bc.items():
+            prod = row_a.get(k)
+            if prod is not None:
+                for t, v in prod.items():
+                    acc[t] = acc.get(t, 0) - y * v
+    vector = alg.field.vector
+    return sorted(c for c, acc in sums.items() if any(vector(acc.values())))
+
+
+def _left_nucleus_generators(alg: GradedAlgebra) -> Optional[tuple]:
     """Flat indices S in the left nucleus whose left multiplications spin 1 onto R.
 
     S is chosen greedily: the lowest basis index outside the span found so
@@ -417,46 +478,50 @@ def _left_nucleus_generators(alg: GradedAlgebra, basis: list, prods: list) -> Op
     member then acts on that span, and every vector it adds is multiplied
     by all of S.  Returns None at the first member that fails a triple.
     """
-    span = EchelonBasis(alg.field, alg.dim)
-    one = alg.one()
-    span.add(alg.flatten(one))
-    found = [one]
+    field, table, one, empty = alg.field, alg._table, alg.field.one, {}
+    span = EchelonBasis(field, alg.dim)
+    span._insert_sparse(dict(alg._unit))
+    found = [alg._unit]
     gens: list = []
     k = 0
     while not span.is_full():
-        while span.contains(alg.flatten(basis[k])):
+        while not span._reduce({k: one}):
             k += 1
-        a = basis[k]
-        for ab, row in zip(prods[k], prods):
-            if not all(map(_associates, repeat(a), repeat(ab), basis, row)):
-                return None
+        if any(_failing_thirds(alg, k, b) for b in range(alg.dim)):
+            return None
         gens.append(k)
-        acting = tuple(basis[s] for s in gens)
-        work = [(x, (a,)) for x in found]
+        acting = tuple(gens)
+        work = [(x, (k,)) for x in found]
         while work:
             x, by = work.pop()
             for s in by:
-                y = s * x
-                if span.add(alg.flatten(y)):
+                sums: dict = {}
+                row = table[s]
+                for j, xj in x.items():
+                    for t, v in row.get(j, empty).items():
+                        sums[t] = sums.get(t, 0) + xj * v
+                y = _reduced(field, sums)
+                if span._insert_sparse(dict(y)):
                     found.append(y)
                     work.append((y, acting))
     return tuple(gens)
 
 
-def _associativity_scan(alg: GradedAlgebra, basis: list, prods: list) -> AlgebraDiagnostics:
+def _associativity_scan(alg: GradedAlgebra) -> AlgebraDiagnostics:
     """Compare (ab)c with a(bc) on every basis triple; the first failure is the witness."""
-    for a_i, a in enumerate(basis):
-        for b_i, ab in enumerate(prods[a_i]):
-            for c_i, (c, bc) in enumerate(zip(basis, prods[b_i])):
-                if not _associates(a, ab, c, bc):
-                    ga, ia = alg.basis_of_flat(a_i)
-                    gb, ib = alg.basis_of_flat(b_i)
-                    gc, ic = alg.basis_of_flat(c_i)
-                    problem = (
-                        "associativity fails at "
-                        f"({alg.label(ga, ia)}, {alg.label(gb, ib)}, {alg.label(gc, ic)})"
-                    )
-                    return AlgebraDiagnostics(False, [problem], witness=(a_i, b_i, c_i))
+    for a_i in range(alg.dim):
+        for b_i in range(alg.dim):
+            failing = _failing_thirds(alg, a_i, b_i)
+            if failing:
+                c_i = failing[0]
+                ga, ia = alg.basis_of_flat(a_i)
+                gb, ib = alg.basis_of_flat(b_i)
+                gc, ic = alg.basis_of_flat(c_i)
+                problem = (
+                    "associativity fails at "
+                    f"({alg.label(ga, ia)}, {alg.label(gb, ib)}, {alg.label(gc, ic)})"
+                )
+                return AlgebraDiagnostics(False, [problem], witness=(a_i, b_i, c_i))
     return AlgebraDiagnostics(True, [])
 
 

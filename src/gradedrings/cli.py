@@ -58,7 +58,7 @@ from .oracle import (
     ideal_oracle,
     subring_oracle,
 )
-from .serialize import MAX_TOTAL_DIM, _decoded_vector, algebra_to_json, load_algebra
+from .serialize import MAX_TOTAL_DIM, _decoded_vector, _Rationals, algebra_to_json, load_algebra
 
 PROPERTIES = (
     "valid",
@@ -167,6 +167,7 @@ def _load_sigma(path: str, base: GradedAlgebra, group: FiniteGroup) -> list:
         raise InvalidInput(f"{path}: expected an object mapping names to matrices")
     field = base.field
     d = base.dim
+    rationals = _Rationals()
     out = []
     for g, name in enumerate(group.names):
         if name not in obj:
@@ -179,7 +180,7 @@ def _load_sigma(path: str, base: GradedAlgebra, group: FiniteGroup) -> list:
             not isinstance(r, list) or len(r) != d for r in rows
         ):
             raise InvalidInput(f"{path}: automorphism for {name!r} must be a {d}x{d} matrix")
-        out.append(Matrix(field, [_decoded_vector(field, r) for r in rows]))
+        out.append(Matrix(field, [_decoded_vector(field, r, rationals) for r in rows]))
     return out
 
 
@@ -190,6 +191,7 @@ def _load_alpha(path: str, base: GradedAlgebra, group: FiniteGroup) -> dict:
         raise InvalidInput(f"{path}: expected an object mapping 'g,h' pairs to vectors")
     field = base.field
     index = {name: g for g, name in enumerate(group.names)}
+    rationals = _Rationals()
     out = {}
     for key, vec in obj.items():
         parts = [p.strip() for p in key.split(",")]
@@ -199,7 +201,7 @@ def _load_alpha(path: str, base: GradedAlgebra, group: FiniteGroup) -> dict:
             raise InvalidInput(
                 f"{path}: cocycle value for {key!r} must be a list of {base.dim} scalars"
             )
-        out[(index[parts[0]], index[parts[1]])] = _decoded_vector(field, vec)
+        out[(index[parts[0]], index[parts[1]])] = _decoded_vector(field, vec, rationals)
     return out
 
 

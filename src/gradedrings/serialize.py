@@ -15,8 +15,15 @@ Structure rows list the nonzero basis products b_{g,i} * b_{h,j} as
 coefficient vectors over the target component R_{gh}; omitted rows mean the
 product is zero.  Rows are emitted sorted by (g, i, h, j).  Rationals are
 written as "num/den" strings so nothing ever passes through floats; GF(p)
-scalars are plain integers in [0, p).  Loading only decodes the scalars of
-an algebra file; the GradedAlgebra constructor checks each of them once.
+scalars are plain integers in [0, p).
+
+Loading reads the product table once.  `_structure_items` streams the
+rows to the GradedAlgebra constructor, checking only each row's shape and
+decoding its rational strings; the constructor's one row loop, which the
+builders use too, checks each row's indices, duplicates, length and
+scalars once and builds its sparse product in the same pass.  Each
+distinct rational string of a file (structure and unit alike) goes
+through Fraction once, in a `_Rationals` dict made for that one load.
 
 Serialization is canonical: dumps(loads(text)) == text for any text this
 module produced, which is what lets the CLI promise byte-identical output
@@ -52,22 +59,51 @@ def _fraction(v: str) -> Fraction:
         raise InvalidInput(f"bad rational scalar {v!r}") from exc
 
 
+class _Rationals(dict):
+    """The rational strings of one file, each decoded by `_fraction` once, when first read.
+
+    Made afresh for each file, so nothing is kept from one load to the next.
+    """
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = _fraction(text)
+        return value
+
+
 def vector_to_json(field: Field, vec):
     return [scalar_to_json(field, c) for c in vec]
 
 
-def _decoded_vector(field: Field, vec) -> list:
+def _decoded_vector(field: Field, vec, rationals: _Rationals) -> list:
     """A coefficient vector of an algebra, sigma or alpha file, decoded but not checked.
 
-    Rational strings become Fractions; every other value is left for
-    Field.vector, the one scalar check, in the GradedAlgebra constructor,
-    `Matrix` or `GradedAlgebra.element`.
+    Rational strings become Fractions, read through rationals; every other
+    value is left for Field.vector, the one scalar check, in the
+    GradedAlgebra constructor, `Matrix` or `GradedAlgebra.element`.
     """
     if not isinstance(vec, list):
         raise InvalidInput("coefficient vector must be a list")
     if field.p:
         return vec
-    return [_fraction(c) if isinstance(c, str) else c for c in vec]
+    return [rationals[c] if type(c) is str else c for c in vec]
+
+
+def _structure_items(field: Field, rows: list, rationals: _Rationals):
+    """((g, i, h, j), coeffs) for each structure row, in file order, as it is read.
+
+    Only a row's shape is checked here, and over Q its rational strings are
+    decoded; the GradedAlgebra constructor checks the rest of each item as
+    it is yielded.  Coefficients that are not a list are passed on for the
+    constructor to refuse.
+    """
+    rational = not field.p
+    for row in rows:
+        if type(row) is not list or len(row) != 5:
+            raise InvalidInput(f"structure row must be [g, i, h, j, coeffs], got {row!r}")
+        g, i, h, j, coeffs = row
+        if rational and type(coeffs) is list:
+            coeffs = [rationals[c] if type(c) is str else c for c in coeffs]
+        yield (g, i, h, j), coeffs
 
 
 def _field_to_obj(field: Field) -> dict:
@@ -154,23 +190,13 @@ def algebra_from_obj(obj) -> GradedAlgebra:
         raise InvalidInput(
             f"total dimension {sum(comp_dims)} exceeds the limit of {MAX_TOTAL_DIM}"
         )
-    structure = {}
-    for row in rows:
-        if not (isinstance(row, list) and len(row) == 5):
-            raise InvalidInput(f"structure row must be [g, i, h, j, coeffs], got {row!r}")
-        g, i, h, j, coeffs = row
-        key = (g, i, h, j)
-        if not type(g) is type(i) is type(h) is type(j) is int or min(key) < 0:
-            raise InvalidInput(f"structure index must be a non-negative integer, got {key!r}")
-        if key in structure:
-            raise InvalidInput(f"duplicate structure row for {key}")
-        structure[key] = _decoded_vector(field, coeffs)
+    rationals = _Rationals()
     return GradedAlgebra(
         field,
         group,
         comp_dims,
-        structure,
-        _decoded_vector(field, unit),
+        _structure_items(field, rows, rationals),
+        _decoded_vector(field, unit, rationals),
         meta=meta,
     )
 

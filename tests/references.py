@@ -8,14 +8,19 @@ time, `reference_envelope` is the envelope by dense products and that
 elimination, `reference_is_simple` runs the simplicity certificates with
 the quick Norton trials ahead of the envelope, and
 `reference_enumerate_subspaces` lists every subspace by filling one RREF
-at a time; the rest are small helpers.  The package itself never calls
+at a time, `reference_algebra_from_obj` loads an algebra document in two
+passes (the rows checked and decoded string by string, then handed to the
+constructor as a dict), and `reference_validate_algebra` checks the unit
+laws and associativity by `Element` products; the rest are small helpers.  The package itself never calls
 any of them.
 """
 import itertools
 import random
 from fractions import Fraction
+from itertools import repeat
+from typing import Optional
 
-from gradedrings.algebra import GradedSubspace
+from gradedrings.algebra import AlgebraDiagnostics, Element, GradedAlgebra, GradedSubspace
 from gradedrings.bimodule import (
     QUICK_TRIALS,
     SAMPLES,
@@ -31,7 +36,9 @@ from gradedrings.bimodule import (
     rational_eigenvalues,
 )
 from gradedrings.errors import InvalidInput
-from gradedrings.linalg import EchelonBasis, Matrix, Subspace, annihilator, nullspace
+from gradedrings.groups import FiniteGroup
+from gradedrings.linalg import EchelonBasis, Field, Matrix, Subspace, annihilator, nullspace
+from gradedrings.serialize import MAX_TOTAL_DIM, _field_from_obj
 
 
 def product_coeffs(alg, g: int, i: int, h: int, j: int) -> tuple:
@@ -278,3 +285,151 @@ def vector_from_json(field, vec) -> tuple:
     if not isinstance(vec, list):
         raise InvalidInput("coefficient vector must be a list")
     return field.vector(Fraction(c) if isinstance(c, str) else c for c in vec)
+
+
+def _reference_fraction(v: str) -> Fraction:
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"bad rational scalar {v!r}") from exc
+
+
+def _reference_decoded_vector(field: Field, vec) -> list:
+    """A coefficient vector, its rational strings decoded one call each."""
+    if not isinstance(vec, list):
+        raise InvalidInput("coefficient vector must be a list")
+    if field.p:
+        return vec
+    return [_reference_fraction(c) if isinstance(c, str) else c for c in vec]
+
+
+def reference_algebra_from_obj(obj) -> GradedAlgebra:
+    """The two-pass loader: serialize checks and decodes each row, the constructor checks it again."""
+    if not isinstance(obj, dict):
+        raise InvalidInput("algebra document must be a JSON object")
+    try:
+        field = _field_from_obj(obj["field"])
+        gobj = obj["group"]
+        names = gobj["names"]
+        table = gobj["table"]
+        comps = obj["components"]
+        rows = obj["structure"]
+        unit = obj["unit"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"algebra document is missing a required entry: {exc}") from exc
+    if not isinstance(names, list) or not all(type(x) is str for x in names):
+        raise InvalidInput("group names must be a list of strings")
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in table
+    ):
+        raise InvalidInput("Cayley table must be a list of rows of integer element indices")
+    if not isinstance(rows, list):
+        raise InvalidInput("structure must be a list of rows")
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InvalidInput("meta must be a JSON object")
+    group = FiniteGroup(names, table)
+    try:
+        comp_dims = [comps[name] for name in group.names]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput("components must map every group element name to a dimension") from exc
+    extra = sorted(set(comps) - set(group.names))
+    if extra:
+        raise InvalidInput(f"components name {extra[0]!r}, which is no group element")
+    for name, d in zip(group.names, comp_dims):
+        if type(d) is not int or d < 0:
+            raise InvalidInput(
+                f"dimension of component {name!r} must be a non-negative integer, got {d!r}"
+            )
+    if sum(comp_dims) > MAX_TOTAL_DIM:
+        raise InvalidInput(
+            f"total dimension {sum(comp_dims)} exceeds the limit of {MAX_TOTAL_DIM}"
+        )
+    structure = {}
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 5):
+            raise InvalidInput(f"structure row must be [g, i, h, j, coeffs], got {row!r}")
+        g, i, h, j, coeffs = row
+        key = (g, i, h, j)
+        if not type(g) is type(i) is type(h) is type(j) is int or min(key) < 0:
+            raise InvalidInput(f"structure index must be a non-negative integer, got {key!r}")
+        if key in structure:
+            raise InvalidInput(f"duplicate structure row for {key}")
+        structure[key] = _reference_decoded_vector(field, coeffs)
+    return GradedAlgebra(
+        field,
+        group,
+        comp_dims,
+        structure,
+        _reference_decoded_vector(field, unit),
+        meta=meta,
+    )
+
+
+def reference_validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
+    """Unit laws, then associativity by the left nucleus, else by the full scan, on Elements.
+
+    Each basis product b*c is read once from the table as an Element, and
+    every triple compares (ab)c with a(bc) as two Element products.
+    """
+    problems = []
+    one = alg.one()
+    basis = alg._flat_basis()
+    for k, b in enumerate(basis):
+        if one * b != b or b * one != b:
+            g, i = alg.basis_of_flat(k)
+            problems.append(f"unit law fails at basis element {alg.label(g, i)}")
+            return AlgebraDiagnostics(False, problems)
+    prods = [[Element(alg, row.get(j, {})) for j in range(alg.dim)] for row in alg._table]
+    gens = _reference_nucleus_generators(alg, basis, prods)
+    if gens is not None:
+        return AlgebraDiagnostics(True, problems, nucleus_generators=gens)
+    return _reference_associativity_scan(alg, basis, prods)
+
+
+def _reference_associates(a: Element, ab: Element, c: Element, bc: Element) -> bool:
+    """(ab)c == a(bc); when ab and bc are both zero, so are both sides."""
+    return not (ab.terms or bc.terms) or ab * c == a * bc
+
+
+def _reference_nucleus_generators(alg: GradedAlgebra, basis: list, prods: list) -> Optional[tuple]:
+    span = EchelonBasis(alg.field, alg.dim)
+    one = alg.one()
+    span.add(alg.flatten(one))
+    found = [one]
+    gens: list = []
+    k = 0
+    while not span.is_full():
+        while span.contains(alg.flatten(basis[k])):
+            k += 1
+        a = basis[k]
+        for ab, row in zip(prods[k], prods):
+            if not all(map(_reference_associates, repeat(a), repeat(ab), basis, row)):
+                return None
+        gens.append(k)
+        acting = tuple(basis[s] for s in gens)
+        work = [(x, (a,)) for x in found]
+        while work:
+            x, by = work.pop()
+            for s in by:
+                y = s * x
+                if span.add(alg.flatten(y)):
+                    found.append(y)
+                    work.append((y, acting))
+    return tuple(gens)
+
+
+def _reference_associativity_scan(alg: GradedAlgebra, basis: list, prods: list) -> AlgebraDiagnostics:
+    for a_i, a in enumerate(basis):
+        for b_i, ab in enumerate(prods[a_i]):
+            for c_i, (c, bc) in enumerate(zip(basis, prods[b_i])):
+                if not _reference_associates(a, ab, c, bc):
+                    ga, ia = alg.basis_of_flat(a_i)
+                    gb, ib = alg.basis_of_flat(b_i)
+                    gc, ic = alg.basis_of_flat(c_i)
+                    problem = (
+                        "associativity fails at "
+                        f"({alg.label(ga, ia)}, {alg.label(gb, ib)}, {alg.label(gc, ic)})"
+                    )
+                    return AlgebraDiagnostics(False, [problem], witness=(a_i, b_i, c_i))
+    return AlgebraDiagnostics(True, [])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedrings.builders import group_algebra
+from gradedrings import serialize
+from gradedrings.builders import full_matrix_algebra, group_algebra
 from gradedrings.cli import main, parse_field
 from gradedrings.corpus import standard_corpus
 from gradedrings.errors import InvalidInput
@@ -115,6 +116,18 @@ def test_wrongly_typed_entries_rejected(key, value, needle):
     obj[key] = value
     with pytest.raises(InvalidInput, match=needle):
         algebra_from_json(json.dumps(obj))
+
+
+def test_each_distinct_rational_is_decoded_once(tmp_path, monkeypatch):
+    # M4(Q)'s file holds 1,040 rational strings, all "0/1" or "1/1"
+    path = tmp_path / "mat4-q.json"
+    save_algebra(full_matrix_algebra(RATIONALS, 4), path)
+    calls = []
+    fraction = serialize._fraction
+    monkeypatch.setattr(serialize, "_fraction", lambda v: calls.append(v) or fraction(v))
+    alg = load_algebra(path)
+    assert alg.dim == 16
+    assert len(calls) <= 2
 
 
 def test_missing_file(tmp_path):
