@@ -312,6 +312,23 @@ def _reduced(field: Field, sums: dict) -> dict:
     return {k: c for k, c in zip(sums, field.vector(sums.values())) if c}
 
 
+def _product(alg: GradedAlgebra, x: Mapping, y: Mapping) -> dict:
+    """x y for sparse flat vectors x and y: sum of x_i y_j b_i b_j over the table, reduced once."""
+    table = alg._table
+    sums: dict = {}
+    for i, xi in x.items():
+        row = table[i]
+        if not row:
+            continue
+        for j, yj in y.items():
+            prod = row.get(j)
+            if prod is not None:
+                c = xi * yj
+                for k, v in prod.items():
+                    sums[k] = sums.get(k, 0) + c * v
+    return _reduced(alg.field, sums)
+
+
 class Element:
     """A sparse algebra element: {flat basis index: nonzero canonical coefficient}.
 
@@ -369,19 +386,7 @@ class Element:
         if not isinstance(other, Element):
             return self.scale(other)
         self._check_same(other)
-        table = self.alg._table
-        sums: dict = {}
-        for i, xi in self.terms.items():
-            row = table[i]
-            if not row:
-                continue
-            for j, yj in other.terms.items():
-                prod = row.get(j)
-                if prod is not None:
-                    c = xi * yj
-                    for k, v in prod.items():
-                        sums[k] = sums.get(k, 0) + c * v
-        return Element(self.alg, _reduced(self.alg.field, sums))
+        return Element(self.alg, _product(self.alg, self.terms, other.terms))
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.alg is other.alg and self.terms == other.terms
@@ -417,31 +422,20 @@ def validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
     and R is associative: |S| n^2 triples instead of n^3.  When a member of
     S fails, the full scan runs and names the first failing triple in scan
     order.  Everything is read from the raw table dicts, with no Element:
-    the unit laws compare 1 b and b 1 with b for each basis element b, and
-    each triple (a, b, c) is one exact sum (ab)c - a(bc), reduced once.
+    the unit laws compare 1 b and b 1 with b for each basis element b
+    (`_product`), and each triple (a, b, c) is one exact sum (ab)c - a(bc),
+    reduced once.
     """
+    one, unit = alg.field.one, alg._unit
     for k in range(alg.dim):
-        if _unit_law_fails(alg, k):
+        b = {k: one}
+        if _product(alg, unit, b) != b or _product(alg, b, unit) != b:
             g, i = alg.basis_of_flat(k)
             return AlgebraDiagnostics(False, [f"unit law fails at basis element {alg.label(g, i)}"])
     gens = _left_nucleus_generators(alg)
     if gens is not None:
         return AlgebraDiagnostics(True, [], nucleus_generators=gens)
     return _associativity_scan(alg)
-
-
-def _unit_law_fails(alg: GradedAlgebra, k: int) -> bool:
-    """Is 1 b_k != b_k or b_k 1 != b_k?  Each side is one sum over the unit's terms, reduced once."""
-    table, empty = alg._table, {}
-    left: dict = {}
-    right: dict = {}
-    for u, c in alg._unit.items():
-        for t, v in table[u].get(k, empty).items():
-            left[t] = left.get(t, 0) + c * v
-        for t, v in table[k].get(u, empty).items():
-            right[t] = right.get(t, 0) + v * c
-    basis = {k: alg.field.one}
-    return _reduced(alg.field, left) != basis or _reduced(alg.field, right) != basis
 
 
 def _failing_thirds(alg: GradedAlgebra, a: int, b: int) -> list:
@@ -478,8 +472,8 @@ def _left_nucleus_generators(alg: GradedAlgebra) -> Optional[tuple]:
     member then acts on that span, and every vector it adds is multiplied
     by all of S.  Returns None at the first member that fails a triple.
     """
-    field, table, one, empty = alg.field, alg._table, alg.field.one, {}
-    span = EchelonBasis(field, alg.dim)
+    one = alg.field.one
+    span = EchelonBasis(alg.field, alg.dim)
     span._insert_sparse(dict(alg._unit))
     found = [alg._unit]
     gens: list = []
@@ -495,12 +489,7 @@ def _left_nucleus_generators(alg: GradedAlgebra) -> Optional[tuple]:
         while work:
             x, by = work.pop()
             for s in by:
-                sums: dict = {}
-                row = table[s]
-                for j, xj in x.items():
-                    for t, v in row.get(j, empty).items():
-                        sums[t] = sums.get(t, 0) + xj * v
-                y = _reduced(field, sums)
+                y = _product(alg, {s: one}, x)
                 if span._insert_sparse(dict(y)):
                     found.append(y)
                     work.append((y, acting))

@@ -74,16 +74,15 @@ def vector_to_json(field: Field, vec):
     return [scalar_to_json(field, c) for c in vec]
 
 
-def _decoded_vector(field: Field, vec, rationals: _Rationals) -> list:
+def _decoded_vector(field: Field, vec, rationals: _Rationals):
     """A coefficient vector of an algebra, sigma or alpha file, decoded but not checked.
 
-    Rational strings become Fractions, read through rationals; every other
-    value is left for Field.vector, the one scalar check, in the
-    GradedAlgebra constructor, `Matrix` or `GradedAlgebra.element`.
+    Over Q, the rational strings of a list become Fractions, read through
+    rationals.  Everything else is passed on as it is, for the one check
+    that follows: Field.vector in the GradedAlgebra constructor, `Matrix`
+    or `GradedAlgebra.element`, after a shape check there or in `cli`.
     """
-    if not isinstance(vec, list):
-        raise InvalidInput("coefficient vector must be a list")
-    if field.p:
+    if field.p or type(vec) is not list:
         return vec
     return [rationals[c] if type(c) is str else c for c in vec]
 
@@ -91,19 +90,14 @@ def _decoded_vector(field: Field, vec, rationals: _Rationals) -> list:
 def _structure_items(field: Field, rows: list, rationals: _Rationals):
     """((g, i, h, j), coeffs) for each structure row, in file order, as it is read.
 
-    Only a row's shape is checked here, and over Q its rational strings are
-    decoded; the GradedAlgebra constructor checks the rest of each item as
-    it is yielded.  Coefficients that are not a list are passed on for the
-    constructor to refuse.
+    Only a row's shape is checked here, and its coefficients decoded; the
+    GradedAlgebra constructor checks the rest of each item as it is yielded.
     """
-    rational = not field.p
     for row in rows:
         if type(row) is not list or len(row) != 5:
             raise InvalidInput(f"structure row must be [g, i, h, j, coeffs], got {row!r}")
         g, i, h, j, coeffs = row
-        if rational and type(coeffs) is list:
-            coeffs = [rationals[c] if type(c) is str else c for c in coeffs]
-        yield (g, i, h, j), coeffs
+        yield (g, i, h, j), _decoded_vector(field, coeffs, rationals)
 
 
 def _field_to_obj(field: Field) -> dict:
