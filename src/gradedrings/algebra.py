@@ -438,8 +438,8 @@ def validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
     return _associativity_scan(alg)
 
 
-def _failing_thirds(alg: GradedAlgebra, a: int, b: int) -> list:
-    """The flat indices c, ascending, with (b_a b_b) b_c != b_a (b_b b_c).
+def _least_failing_c(alg: GradedAlgebra, a: int, b: int) -> Optional[int]:
+    """The least flat index c with (b_a b_b) b_c != b_a (b_b b_c), or None.
 
     For each c the two sides go into one dict of exact sums, which is
     reduced once; only the c where b_a b_b or b_b b_c reaches a nonzero
@@ -461,7 +461,7 @@ def _failing_thirds(alg: GradedAlgebra, a: int, b: int) -> list:
                 for t, v in prod.items():
                     acc[t] = acc.get(t, 0) - y * v
     vector = alg.field.vector
-    return sorted(c for c, acc in sums.items() if any(vector(acc.values())))
+    return min((c for c, acc in sums.items() if any(vector(acc.values()))), default=None)
 
 
 def _left_nucleus_generators(alg: GradedAlgebra) -> Optional[tuple]:
@@ -481,7 +481,7 @@ def _left_nucleus_generators(alg: GradedAlgebra) -> Optional[tuple]:
     while not span.is_full():
         while not span._reduce({k: one}):
             k += 1
-        if any(_failing_thirds(alg, k, b) for b in range(alg.dim)):
+        if any(_least_failing_c(alg, k, b) is not None for b in range(alg.dim)):
             return None
         gens.append(k)
         acting = tuple(gens)
@@ -500,9 +500,8 @@ def _associativity_scan(alg: GradedAlgebra) -> AlgebraDiagnostics:
     """Compare (ab)c with a(bc) on every basis triple; the first failure is the witness."""
     for a_i in range(alg.dim):
         for b_i in range(alg.dim):
-            failing = _failing_thirds(alg, a_i, b_i)
-            if failing:
-                c_i = failing[0]
+            c_i = _least_failing_c(alg, a_i, b_i)
+            if c_i is not None:
                 ga, ia = alg.basis_of_flat(a_i)
                 gb, ib = alg.basis_of_flat(b_i)
                 gc, ic = alg.basis_of_flat(c_i)
