@@ -11,8 +11,8 @@ the quick Norton trials ahead of the envelope, and
 at a time, `reference_algebra_from_obj` loads an algebra document in two
 passes (the rows checked and decoded string by string, then handed to the
 constructor as a dict), and `reference_validate_algebra` checks the unit
-laws and associativity by `Element` products; the rest are small helpers.  The package itself never calls
-any of them.
+laws and associativity by `Element` products; the rest are small
+helpers.  The package itself never calls any of them.
 """
 import itertools
 import random
