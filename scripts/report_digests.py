@@ -13,7 +13,8 @@ ladder-q, corpus-cli) once, with the job lists of `perfbench/jobs.py` and
 It imports the package from the `src/` of the checkout the script sits in,
 so running the script of two checkouts digests two versions of the code.
 The second form lists the keys whose entries differ, or that only one file
-has, and exits 1 if there are any.
+has, then each key of both files whose exit code differs, as
+`key: exit A -> B`, and exits 1 if any key differs.
 """
 import argparse
 import contextlib
@@ -62,6 +63,13 @@ def compare(before: dict, after: dict) -> list:
     return sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
 
 
+def exit_changes(before: dict, after: dict) -> list:
+    """(key, exit code before, exit code after) for each key of both files
+    whose exit code differs."""
+    both = sorted(before.keys() & after.keys())
+    return [(k, before[k][0], after[k][0]) for k in both if before[k][0] != after[k][0]]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", help="write the digests here instead of to stdout")
@@ -72,10 +80,13 @@ def main(argv=None) -> int:
         for path in args.compare:
             with open(path, "r", encoding="utf-8") as fh:
                 tables.append(json.load(fh))
-        differ = compare(*tables)
+        differ, changed = compare(*tables), exit_changes(*tables)
         for key in differ:
             print(key)
-        print(f"{len(differ)} of {len(tables[0].keys() | tables[1].keys())} keys differ")
+        for key, before, after in changed:
+            print(f"{key}: exit {before} -> {after}")
+        total = len(tables[0].keys() | tables[1].keys())
+        print(f"{len(differ)} of {total} keys differ, {len(changed)} in exit code")
         return 1 if differ else 0
     text = json.dumps(digests(), indent=1, sort_keys=True) + "\n"
     if args.out:

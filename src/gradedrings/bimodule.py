@@ -13,32 +13,31 @@ its rows sparse, so only the products it keeps are made dense.
 Simplicity is decided by a Norton-style MeatAxe with a spin-search
 fallback, so a True or False is a theorem about the input, never a sample.
 `is_simple` tries these certificates in order and names the deciding one
-as `method`: `dimension` (M is a line); over GF(p) with p <= 64, a
-field-envelope probe (the envelope built only until its rank passes m; at
-rank m, the field-commutant certificate below, kept when every envelope
-matrix commutes with the element that decided, so that the envelope is
-that element's field and no shift of Norton's test could be singular),
-then Norton's test on QUICK_TRIALS envelope elements sampled without an
-envelope basis; `dense-envelope` (True: the L_i R_j span End(M));
+as `method`: `dimension` (M is a line); over GF(p) with p <= 64, Norton's
+test on QUICK_TRIALS envelope elements sampled without an envelope basis,
+each one that no shift decides then tried as `irreducible-element` (True:
+its minimal polynomial is irreducible of degree m, so it generates a
+field over which M is a line; the irreducibility test of Holt and Rees,
+1994); `dense-envelope` (True: the L_i R_j span End(M));
 `field-commutant` (True: the commutant is a field C of degree d and the
 envelope has rank m^2/d, so it is End_C(M), Burnside's theorem over C;
 when d = m, an envelope element with an irreducible minimal polynomial of
-degree m decides alone), tried before Norton's test over GF(p) (once: not
-again after the probe) and after it over Q; Norton's test on SAMPLES
-elements drawn from the envelope basis, skipped when the envelope is 0 (no
-operator products, or only zero ones); then the spin search, which spins
-the basis rows and after them either every projective vector of M
-(`exhaustive-spin`, True or False with a witness) or, past the budget,
-QUICK_TRIALS random vectors (`sampled-spin`, False with a witness); else
-`budget` (GF(p)) or `rational-sampling` (Q), both Inconclusive.  Both runs
-of Norton's test are one loop, `_norton_trials`, whose only
-field-dependent step picks the shifts theta - lam*I: every lam in GF(p)
-for p <= 64, sixteen sampled ones for larger p, the rational eigenvalues
-over Q.  Norton's test reports `meataxe-spin` (False: a nullspace vector
-spins to a proper subspace) or `meataxe-norton`, a proof either way: True
-when every nullspace line and one nullspace vector of the transpose spin
-to the whole space, else False with the annihilator of that transpose
-spin as witness.
+degree m decides alone), tried before Norton's test over GF(p) and after
+it over Q; Norton's test on SAMPLES elements drawn from the envelope
+basis, skipped when the envelope is 0 (no operator products, or only zero
+ones); then the spin search, which spins the basis rows and after them
+either every projective vector of M (`exhaustive-spin`, True or False
+with a witness) or, past the budget, QUICK_TRIALS random vectors
+(`sampled-spin`, False with a witness); else `budget` (GF(p)) or
+`rational-sampling` (Q), both Inconclusive.  Both runs of Norton's test
+try each element with `_norton_shifts`, whose only field-dependent input
+is the shifts theta - lam*I: every lam in GF(p) for p <= 64, sixteen
+sampled ones for larger p, the rational eigenvalues over Q.  Norton's
+test reports `meataxe-spin` (False: a nullspace vector spins to a proper
+subspace) or `meataxe-norton`, a proof either way: True when every
+nullspace line and one nullspace vector of the transpose spin to the
+whole space, else False with the annihilator of that transpose spin as
+witness.
 
 Whether a span is swept or sampled is decided in one place,
 `linalg.span_candidates`: the spin search sweeps M within the budget and
@@ -207,25 +206,21 @@ def spin(action: BimoduleAction, seed: Sequence) -> Subspace:
     return basis.to_subspace()
 
 
-def envelope(action: BimoduleAction, *, stop: Optional[int] = None):
+def envelope(action: BimoduleAction):
     """Basis of the span of the products L_i R_j.
 
     Returns (rank, matrices); the matrices are the products, in (i, j)
     order, that are independent of the ones before them.  The span lies in
     the algebra the operators generate, and is that algebra when both
-    families come from a unital algebra.  Stops once the rank reaches stop
-    (at least 1; by default m^2, where the span is dense in End(M)), so a
-    smaller stop gives the first stop matrices of the whole basis, or all
-    of it when its rank is lower.  Each operator is read once, as rows of
-    (column, value) pairs of its nonzero entries; each product is summed
-    row by row into a dict over the m^2 flat positions (Gustavson's sparse
-    product), canonicalized once with `Field.vector` and tested in the
-    sparse rows of an `EchelonBasis`, and only the products kept are made
-    dense.
+    families come from a unital algebra.  Stops early once the span is
+    dense in End(M).  Each operator is read once, as rows of (column,
+    value) pairs of its nonzero entries; each product is summed row by row
+    into a dict over the m^2 flat positions (Gustavson's sparse product),
+    canonicalized once with `Field.vector` and tested in the sparse rows of
+    an `EchelonBasis`, and only the products kept are made dense.
     """
     m, f = action.dim, action.field
     n, vector = m * m, f.vector
-    stop = n if stop is None else stop
     zero_row = (f.zero,) * m
     rights = [r._sparse_rows() for r in action.right_ops]
     basis = EchelonBasis(f, n)
@@ -248,8 +243,8 @@ def envelope(action: BimoduleAction, *, stop: Optional[int] = None):
                         rows[i] = list(zero_row)
                     rows[i][j] = y
                 mats.append(Matrix._trusted(f, tuple(map(tuple, rows)), m))
-                if len(mats) == stop:
-                    return stop, mats
+                if basis.is_full():
+                    return n, mats
     return basis.rank, mats
 
 
@@ -281,10 +276,11 @@ def is_simple(
     """Decide whether M has no invariant subspace other than 0 and M.
 
     Norton's test runs first, since it proves either verdict; spins, which
-    can only refute, come last.  Over GF(p <= 64) a field envelope goes
-    ahead of it: an envelope of rank m that commutes with an element c of
-    degree m is the field F[c], where Norton's test cannot decide, so the
-    field-commutant certificate does.  Over GF(p) the verdict is conclusive
+    can only refute, come last.  Over GF(p <= 64) a quick trial whose
+    element no shift decides proves M simple when that element's minimal
+    polynomial is irreducible of degree m: on a field envelope, such as a
+    component of a Galois skew group ring, no shift can be singular and
+    this certificate decides instead.  Over GF(p) the verdict is conclusive
     whenever the projective points of M fit inside budget, the bound for
     the full projective spin sweep; over the rationals a True or False is
     still certified but the search can end Inconclusive.
@@ -302,55 +298,54 @@ def is_simple(
             return rational_eigenvalues(theta)
         return range(f.p) if f.p <= 64 else sorted(rng.sample(range(f.p), 16))
 
-    sampled, env, report = 0, None, None
+    sampled = 0
     if 0 < f.p <= 64:
-        # The envelope up to rank m + 1 first.  If it has rank m and commutes
-        # with a c of degree m, it is the field F[c] (c's centralizer), where
-        # every shift theta - lam*I is 0 or invertible: the quick trials
-        # below could not decide, and the certificate does.  At rank m or
-        # below the envelope is whole and is kept for after the trials.
-        rank, env = envelope(action, stop=m + 1)
-        if rank > m:
-            env = None
-        elif rank == m:
-            report, c = _field_commutant(action, env, seed)
-            if report is not None and all(c @ e == e @ c for e in env):
-                return report
         # every shift is tried, so one singular sample usually decides and
-        # the n^2-dimensional envelope basis is never built
-        thetas = (_sampled_envelope_element(action, rng) for _ in range(QUICK_TRIALS))
-        quick, sampled = _norton_trials(action, thetas, shifts, rng)
-        if quick is not None:
-            quick.trials = sampled
-            return quick
+        # the m^2-dimensional envelope basis is never built.  A sample that
+        # no shift decides has no eigenvalue in GF(p); when its minimal
+        # polynomial is irreducible of degree m, F[theta] is a field over
+        # which M is a line, and every invariant subspace is a theta-
+        # invariant one, so 0 or M.  The test draws nothing from rng.
+        while sampled < QUICK_TRIALS:
+            sampled += 1
+            theta = _sampled_envelope_element(action, rng)
+            quick = _norton_shifts(action, theta, shifts(theta), rng)
+            if quick is None and _generates_a_field(theta):
+                quick = SimplicityReport(Verdict.TRUE, "irreducible-element")
+            if quick is not None:
+                quick.trials = sampled
+                return quick
 
-    if env is None:
-        rank, env = envelope(action)
-        if rank == m * m:
-            return SimplicityReport(Verdict.TRUE, "dense-envelope", trials=sampled)
-        # A field commutant leaves Norton's test no singular shift, so over
-        # GF(p) the certificate goes first.  Over Q, Norton's rational shifts
-        # refute a non-simple module in a few trials, where the certificate's
-        # draws and rational hom space cost more, so it goes second.
-        if f.p:
-            report = _field_commutant(action, env, seed)[0]
-
+    rank, env = envelope(action)
+    if rank == m * m:
+        return SimplicityReport(Verdict.TRUE, "dense-envelope", trials=sampled)
+    # A field commutant leaves Norton's test no singular shift, so over
+    # GF(p) the certificate goes first.  Over Q, Norton's rational shifts
+    # refute a non-simple module in a few trials, where the certificate's
+    # draws and rational hom space cost more, so it goes second.
+    report = _field_commutant(action, env, seed) if f.p else None
     thetas = (_random_envelope_element(action, env, rng) for _ in range(SAMPLES))
     used = 0
     if report is None and env:
         report, used = _norton_trials(action, thetas, shifts, rng)
     if report is None and not f.p:
-        report = _field_commutant(action, env, seed)[0]
+        report = _field_commutant(action, env, seed)
     if report is None:
         report = _exhaustive_spin(action, rng, budget)
     report.trials = sampled + used
     return report
 
 
+def _generates_a_field(theta: Matrix) -> bool:
+    """Whether theta's minimal polynomial over GF(p) is irreducible of
+    degree m, so that F[theta] is a field of degree m (Ben-Or's test)."""
+    mu = minimal_polynomial(theta)
+    return len(mu) == theta.cols + 1 and is_irreducible(theta.field.p, mu)
+
+
 def _field_commutant(action: BimoduleAction, env: list, seed: int):
-    """(a TRUE `field-commutant` report, the c that decided) when
-    Burnside's theorem over the commutant C proves M simple, else
-    (None, None).
+    """A TRUE `field-commutant` report when Burnside's theorem over the
+    commutant C proves M simple, else None.
 
     Everything the operators generate commutes with C.  When C is a field
     of degree d, End_C(M) has dimension m^2/d over the ground field, so an
@@ -377,10 +372,10 @@ def _field_commutant(action: BimoduleAction, env: list, seed: int):
     m, f, rank = action.dim, action.field, len(env)
     d, rest = divmod(m * m, rank) if rank else (0, 1)
     if rest or d < 2 or m % d:
-        return None, None
+        return None
     homs = env if d == m else hom_matrices(action, action)
     if len(homs) != d:
-        return None, None
+        return None
     rng = random.Random(seed)
     for q in RESIDUE_PRIMES[:QUICK_TRIALS]:
         c = a = _random_combination(f, homs, rng)
@@ -391,10 +386,10 @@ def _field_commutant(action: BimoduleAction, env: list, seed: int):
         if is_irreducible(a.field.p, mu):
             if len(mu) == d + 1:
                 detail = f"the commutant is a field and the envelope has rank {rank} = {m}^2/{d}"
-                return SimplicityReport(Verdict.TRUE, "field-commutant", detail=detail), c
+                return SimplicityReport(Verdict.TRUE, "field-commutant", detail=detail)
         elif f.p:
-            return None, None
-    return None, None
+            return None
+    return None
 
 
 def _norton_trials(action: BimoduleAction, thetas, shifts, rng):

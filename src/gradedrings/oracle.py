@@ -85,16 +85,20 @@ def _require_prime(alg_or_field) -> Field:
 
 
 def _require_seed_budget(alg: GradedAlgebra, budget: int) -> None:
-    """Refuse an instance whose p^n seed vectors exceed the budget.
+    """Refuse an instance whose p^n seed vectors exceed the budget, or the
+    2^32 codes the sweep can address.
 
     Every entry point calls this before it builds an operator: the flat
-    operators alone take time and memory cubic in the dimension.
+    operators alone take time and memory cubic in the dimension.  A
+    vector's code, 0 to p^n - 1, is an `array("I")` entry of 32 bits.
     """
     f, n = _require_prime(alg), alg.dim
     if f.p ** n > budget:
         raise BudgetError(
             f"{f.p}^{n} seed vectors exceed budget {budget} for dimension {n}"
         )
+    if f.p ** n > 2 ** 32:
+        raise BudgetError(f"{f.p}^{n} seed vectors exceed the 2^32 codes of the sweep")
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ package computes from operators, `matrix_product` recomputes a matrix
 product one entry at a time, `textbook_rref` eliminates one scalar at a
 time, `reference_envelope` is the envelope by dense products and that
 elimination, `reference_is_simple` runs the simplicity certificates with
-the quick Norton trials ahead of the envelope, and
+no `irreducible-element` test after the quick Norton trials, and
 `reference_enumerate_subspaces` lists every subspace by filling one RREF
 at a time, `reference_algebra_from_obj` loads an algebra document in two
 passes (the rows checked and decoded string by string, then handed to the
@@ -132,13 +132,13 @@ def reference_envelope(action: BimoduleAction):
 def reference_is_simple(
     action: BimoduleAction, *, seed: int = 0, budget: int = 65536
 ) -> SimplicityReport:
-    """`bimodule.is_simple` with no field-envelope probe.
+    """`bimodule.is_simple` with no `irreducible-element` certificate.
 
-    Over GF(p <= 64) the QUICK_TRIALS Norton trials always run before the
-    envelope is built, even where the envelope is a field and no shift can
-    be singular.  Every certificate after them runs in the same order and
-    draws from the same generators, so the two must give the same verdict,
-    method, witness and detail.
+    Over GF(p <= 64) the QUICK_TRIALS Norton trials try only their shifts,
+    even where the envelope is a field and no shift can be singular, and
+    the envelope is built after them.  The certificate draws nothing from
+    rng, so wherever it does not decide, the two give the same report;
+    where it does, this one must say TRUE.
     """
     m = action.dim
     f = action.field
@@ -167,11 +167,11 @@ def reference_is_simple(
 
     thetas = (_random_envelope_element(action, env, rng) for _ in range(SAMPLES))
     used = 0
-    report = _field_commutant(action, env, seed)[0] if f.p else None
+    report = _field_commutant(action, env, seed) if f.p else None
     if report is None and env:
         report, used = _norton_trials(action, thetas, shifts, rng)
     if report is None and not f.p:
-        report = _field_commutant(action, env, seed)[0]
+        report = _field_commutant(action, env, seed)
     if report is None:
         report = _exhaustive_spin(action, rng, budget)
     report.trials = sampled + used

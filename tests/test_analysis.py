@@ -615,12 +615,12 @@ def test_inner_skew_rings_over_q_finish(make):
 
 
 def test_simple_past_budget_is_inconclusive():
-    # GF(16) over itself: no shift is singular, but the commutant is a
-    # field, so the sweep's budget does not matter
+    # GF(16) over itself: no shift is singular, but a quick trial element
+    # that generates the field decides, so the sweep's budget does not matter
     base, _ = finite_field_algebra(2, 4)
     rep = check_simple(base, budget=8)
     assert rep.verdict is Verdict.TRUE
-    assert rep.method == "field-commutant"
+    assert rep.method == "irreducible-element"
     # F[t]/(t^2 - 1) over GF(65521) is F x F: its commutant is not a field,
     # the sampled shifts miss both eigenvalues, and 1 and t generate it, so
     # only the projective sweep (65,522 points) can decide
@@ -735,7 +735,7 @@ def test_component_of_galois_3_11_is_decided():
     # 3^11 - 1 nonzero vectors: past the default budget of the spin sweep
     rep = is_simple(component_action(galois_skew_example(3, 11), 1))
     assert rep.verdict is Verdict.TRUE
-    assert rep.method == "field-commutant"
+    assert rep.method == "irreducible-element"
 
 
 # --------------------------------------------------------------------------

@@ -5,14 +5,14 @@ import time
 
 import pytest
 
-from gradedrings import builders, cli
+from gradedrings import builders, cli, oracle
 from gradedrings.algebra import GradedAlgebra
 from gradedrings.analysis import CheckResult
 from gradedrings.bimodule import Verdict
 from gradedrings.builders import galois_skew_example, group_algebra
 from gradedrings.cli import ORACLE_WHATS, PROPERTIES, main, parse_field, parse_group, run_check
 from gradedrings.errors import InvalidInput
-from gradedrings.groups import cyclic_group, trivial_group
+from gradedrings.groups import cyclic_group, symmetric_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS
 from gradedrings.serialize import MAX_TOTAL_DIM, algebra_to_obj, load_algebra, save_algebra
 
@@ -571,6 +571,23 @@ def test_oracle_refuses_over_budget_before_building_operators(m3_path, monkeypat
         monkeypatch.setattr(GradedAlgebra, name, refuse)
     # 2^9 seed vectors against a budget of 100
     assert main(["oracle", m3_path, "--what", what, "--budget", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("what", ORACLE_WHATS)
+def test_oracle_refuses_what_its_codes_cannot_address(tmp_path, monkeypatch, capsys, what):
+    # GF(3)[S4] has 3^24 seed vectors, past the 2^32 codes of the sweep's
+    # arrays, so a budget above them is refused before the envelope is built
+    path = tmp_path / "gf3-s4.json"
+    save_algebra(group_algebra(GF(3), symmetric_group(4)), str(path))
+
+    def refuse(*args):
+        raise AssertionError("sweep rows built before the budget check")
+
+    monkeypatch.setattr(oracle, "_row_format", refuse)
+    assert main(["oracle", str(path), "--what", what, "--budget", "99999999999999999999"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
