@@ -301,17 +301,19 @@ def is_simple(
     sampled = 0
     if 0 < f.p <= 64:
         # every shift is tried, so one singular sample usually decides and
-        # the m^2-dimensional envelope basis is never built.  A sample that
-        # no shift decides has no eigenvalue in GF(p); when its minimal
-        # polynomial is irreducible of degree m, F[theta] is a field over
-        # which M is a line, and every invariant subspace is a theta-
-        # invariant one, so 0 or M.  The test draws nothing from rng.
+        # the m^2-dimensional envelope basis is never built.  When no shift
+        # decides and theta's minimal polynomial is irreducible of degree
+        # m, F[theta] is a field over which M is a line, and every invariant
+        # subspace is a theta-invariant one, so 0 or M.  The test draws
+        # nothing from rng, so the steps below see the draws they would.
         while sampled < QUICK_TRIALS:
             sampled += 1
             theta = _sampled_envelope_element(action, rng)
             quick = _norton_shifts(action, theta, shifts(theta), rng)
-            if quick is None and _generates_a_field(theta):
-                quick = SimplicityReport(Verdict.TRUE, "irreducible-element")
+            if quick is None:
+                mu = minimal_polynomial(theta)
+                if len(mu) == m + 1 and is_irreducible(f.p, mu):
+                    quick = SimplicityReport(Verdict.TRUE, "irreducible-element")
             if quick is not None:
                 quick.trials = sampled
                 return quick
@@ -334,13 +336,6 @@ def is_simple(
         report = _exhaustive_spin(action, rng, budget)
     report.trials = sampled + used
     return report
-
-
-def _generates_a_field(theta: Matrix) -> bool:
-    """Whether theta's minimal polynomial over GF(p) is irreducible of
-    degree m, so that F[theta] is a field of degree m (Ben-Or's test)."""
-    mu = minimal_polynomial(theta)
-    return len(mu) == theta.cols + 1 and is_irreducible(theta.field.p, mu)
 
 
 def _field_commutant(action: BimoduleAction, env: list, seed: int):

@@ -7,8 +7,9 @@ gcd form of Rabin's 1980 test): a monic f of degree n is irreducible
 exactly when gcd(x^(p^i) - x, f) = 1 for i = 1, ..., n // 2, since every
 factor of x^(p^i) - x has degree dividing i and a reducible f has a factor
 of degree at most n // 2.  The one test serves `lowest_irreducible`, which
-picks the moduli of the finite-field builders, and the field-commutant
-certificate of `bimodule.is_simple`.
+picks the moduli of the finite-field builders, and the
+`irreducible-element` and `field-commutant` certificates of
+`bimodule.is_simple`.
 """
 from __future__ import annotations
 

@@ -3,8 +3,8 @@
 The oracle is ground truth for the analysis only while neither calls the
 other, and while the oracle shares no theory with the certificates it
 checks: it uses neither `bimodule.is_simple` nor the polynomial module
-behind the field-commutant certificate.  Checked with `ast` over the
-source, imports inside functions included.
+behind the irreducible-element and field-commutant certificates.  Checked
+with `ast` over the source, imports inside functions included.
 """
 import ast
 import os
