@@ -81,42 +81,46 @@ class GradedAlgebra:
         """The flat table of structure, in one pass that checks each entry once.
 
         structure maps each key (g, i, h, j) to the coefficients of
-        b_{g,i} b_{h,j} over R_gh, as a Mapping or as an iterable of its
-        (key, coeffs) items, which is how `serialize` streams the rows of
-        an algebra file.  An entry is refused for a key that is not four
-        non-negative ints, an index out of range, a repeated key,
-        coefficients that are not a list or tuple of R_gh's length, or a
-        scalar that `Field.vector` refuses.  A zero product is kept as {}
-        until the end, so that a repeat of it is caught too.
+        b_{g,i} b_{h,j} over R_gh, as a Mapping or as an iterable of rows
+        [g, i, h, j, coeffs], which is how `serialize` streams the rows of
+        an algebra file.  An entry is refused for a row that is not a list
+        of five, a key that is not four non-negative ints, an index out of
+        range, a repeated key, coefficients that are not a list or tuple of
+        R_gh's length, or a scalar that `Field.sparse` refuses, which
+        builds the product's sparse dict in the same pass.  A zero product
+        is kept as {} until the end, so that a repeat of it is caught too.
         """
-        dims, offsets, vector = self.comp_dims, self.offsets, self.field.vector
+        dims, offsets, sparse = self.comp_dims, self.offsets, self.field.sparse
         order, gtab = self.group.order, self.group.table
         table = [{} for _ in range(self.dim)]
         zeros = False
-        for key, coeffs in structure.items() if isinstance(structure, Mapping) else structure:
-            try:
-                g, i, h, j = key
-            except (TypeError, ValueError):
-                raise InvalidInput(f"structure key must be (g, i, h, j), got {key!r}") from None
+        for row in _mapping_rows(structure) if isinstance(structure, Mapping) else structure:
+            if type(row) is not list or len(row) != 5:
+                raise InvalidInput(f"structure row must be [g, i, h, j, coeffs], got {row!r}")
+            g, i, h, j, coeffs = row
             # compared by type(), not isinstance(): bool and float are refused;
             # an OR of ints is negative exactly when one of them is
             if not type(g) is type(i) is type(h) is type(j) is int or (g | i | h | j) < 0:
-                raise InvalidInput(f"structure index must be a non-negative integer, got {key!r}")
+                raise InvalidInput(
+                    f"structure index must be a non-negative integer, got {(g, i, h, j)!r}"
+                )
             if g >= order or h >= order:
-                raise InvalidInput(f"structure key {key!r} has a bad group index")
+                raise InvalidInput(f"structure key {(g, i, h, j)!r} has a bad group index")
             if i >= dims[g] or j >= dims[h]:
-                raise InvalidInput(f"structure key {key!r} has a bad basis index")
-            row, b = table[offsets[g] + i], offsets[h] + j
-            if b in row:
-                raise InvalidInput(f"duplicate structure row for {key}")
+                raise InvalidInput(f"structure key {(g, i, h, j)!r} has a bad basis index")
+            products, b = table[offsets[g] + i], offsets[h] + j
+            if b in products:
+                raise InvalidInput(f"duplicate structure row for {(g, i, h, j)}")
             if not isinstance(coeffs, (list, tuple)):
                 raise InvalidInput("coefficient vector must be a list")
             k = gtab[g][h]
             if len(coeffs) != dims[k]:
-                raise InvalidInput(f"product coefficients at {key!r} must have length {dims[k]}")
-            off = offsets[k]
-            row[b] = prod = {off + r: c for r, c in enumerate(vector(coeffs)) if c}
-            zeros = zeros or not prod
+                raise InvalidInput(
+                    f"product coefficients at {(g, i, h, j)!r} must have length {dims[k]}"
+                )
+            products[b] = prod = sparse(coeffs, offsets[k])
+            if not prod:
+                zeros = True
         if zeros:
             table = [{b: prod for b, prod in row.items() if prod} for row in table]
         return table
@@ -180,7 +184,7 @@ class GradedAlgebra:
     def from_flat(self, vec: Sequence) -> "Element":
         if len(vec) != self.dim:
             raise InvalidInput("flat vector has wrong length")
-        return Element(self, {k: c for k, c in enumerate(self.field.vector(vec)) if c})
+        return Element(self, self.field.sparse(vec))
 
     def flatten(self, x: "Element") -> tuple:
         vec = [self.field.zero] * self.dim
@@ -307,9 +311,19 @@ class GradedAlgebra:
         return f"GradedAlgebra({self.field}, dim {self.dim} = {dims})"
 
 
+def _mapping_rows(structure: Mapping):
+    """The rows [g, i, h, j, coeffs] of a structure Mapping, in its order."""
+    for key, coeffs in structure.items():
+        try:
+            g, i, h, j = key
+        except (TypeError, ValueError):
+            raise InvalidInput(f"structure key must be (g, i, h, j), got {key!r}") from None
+        yield [g, i, h, j, coeffs]
+
+
 def _reduced(field: Field, sums: dict) -> dict:
     """The nonzero entries of a dict of exact sums of canonical scalars, made canonical."""
-    return {k: c for k, c in zip(sums, field.vector(sums.values())) if c}
+    return {k: c for k, c in zip(sums, field.reduce(sums.values())) if c}
 
 
 def _product(alg: GradedAlgebra, x: Mapping, y: Mapping) -> dict:
@@ -460,8 +474,8 @@ def _least_failing_c(alg: GradedAlgebra, a: int, b: int) -> Optional[int]:
             if prod is not None:
                 for t, v in prod.items():
                     acc[t] = acc.get(t, 0) - y * v
-    vector = alg.field.vector
-    return min((c for c, acc in sums.items() if any(vector(acc.values()))), default=None)
+    reduce = alg.field.reduce
+    return min((c for c, acc in sums.items() if any(reduce(acc.values()))), default=None)
 
 
 def _left_nucleus_generators(alg: GradedAlgebra) -> Optional[tuple]:

@@ -15,10 +15,11 @@ fallback, so a True or False is a theorem about the input, never a sample.
 `is_simple` tries these certificates in order and names the deciding one
 as `method`: `dimension` (M is a line); over GF(p) with p <= 64, Norton's
 test on QUICK_TRIALS envelope elements sampled without an envelope basis,
-each one that no shift decides then tried as `irreducible-element` (True:
-its minimal polynomial is irreducible of degree m, so it generates a
-field over which M is a line; the irreducibility test of Holt and Rees,
-1994); `dense-envelope` (True: the L_i R_j span End(M));
+each one whose shifts are all nonsingular then tried as
+`irreducible-element` (True: its minimal polynomial is irreducible of
+degree m, so it generates a field over which M is a line; the
+irreducibility test of Holt and Rees, 1994); `dense-envelope` (True: the
+L_i R_j span End(M));
 `field-commutant` (True: the commutant is a field C of degree d and the
 envelope has rank m^2/d, so it is End_C(M), Burnside's theorem over C;
 when d = m, an envelope element with an irreducible minimal polynomial of
@@ -216,11 +217,11 @@ def envelope(action: BimoduleAction):
     dense in End(M).  Each operator is read once, as rows of (column,
     value) pairs of its nonzero entries; each product is summed row by row
     into a dict over the m^2 flat positions (Gustavson's sparse product),
-    canonicalized once with `Field.vector` and tested in the sparse rows of
+    canonicalized once with `Field.reduce` and tested in the sparse rows of
     an `EchelonBasis`, and only the products kept are made dense.
     """
     m, f = action.dim, action.field
-    n, vector = m * m, f.vector
+    n, reduce = m * m, f.reduce
     zero_row = (f.zero,) * m
     rights = [r._sparse_rows() for r in action.right_ops]
     basis = EchelonBasis(f, n)
@@ -234,7 +235,7 @@ def envelope(action: BimoduleAction):
                     for j, y in right[k]:
                         pos = base + j
                         acc[pos] = acc[pos] + x * y if pos in acc else x * y
-            prod = {k: y for k, y in zip(acc, vector(acc.values())) if y}
+            prod = {k: y for k, y in zip(acc, reduce(acc.values())) if y}
             if basis._insert_sparse(dict(prod)):
                 rows = [zero_row] * m
                 for k, y in prod.items():
@@ -301,16 +302,18 @@ def is_simple(
     sampled = 0
     if 0 < f.p <= 64:
         # every shift is tried, so one singular sample usually decides and
-        # the m^2-dimensional envelope basis is never built.  When no shift
-        # decides and theta's minimal polynomial is irreducible of degree
-        # m, F[theta] is a field over which M is a line, and every invariant
-        # subspace is a theta-invariant one, so 0 or M.  The test draws
-        # nothing from rng, so the steps below see the draws they would.
+        # the m^2-dimensional envelope basis is never built.  When every
+        # shift is nonsingular and theta's minimal polynomial is irreducible
+        # of degree m, F[theta] is a field over which M is a line, and every
+        # invariant subspace is a theta-invariant one, so 0 or M.  The test
+        # draws nothing from rng, so the steps below see the draws they would.
         while sampled < QUICK_TRIALS:
             sampled += 1
             theta = _sampled_envelope_element(action, rng)
-            quick = _norton_shifts(action, theta, shifts(theta), rng)
-            if quick is None:
+            quick, singular = _norton_shifts(action, theta, shifts(theta), rng)
+            # a zero or singular shift theta - lam*I makes lam a root of
+            # theta's minimal polynomial, which is then reducible (m >= 2)
+            if quick is None and not singular:
                 mu = minimal_polynomial(theta)
                 if len(mu) == m + 1 and is_irreducible(f.p, mu):
                     quick = SimplicityReport(Verdict.TRUE, "irreducible-element")
@@ -392,7 +395,7 @@ def _norton_trials(action: BimoduleAction, thetas, shifts, rng):
     used = 0
     for theta in thetas:
         used += 1
-        report = _norton_shifts(action, theta, shifts(theta), rng)
+        report = _norton_shifts(action, theta, shifts(theta), rng)[0]
         if report is not None:
             return report, used
     return None, used
@@ -434,8 +437,8 @@ def _sampled_envelope_element(action: BimoduleAction, rng) -> Matrix:
     """A uniform random member of the span of the products L_i R_j.
 
     Draws theta = sum_i L_i (sum_j c_ij R_j) with no envelope basis.  The
-    sums run over plain ints and are reduced mod p once, by the Matrix
-    constructor.  GF(p) only.
+    sums run over plain ints and are reduced mod p once, by `Field.reduce`.
+    GF(p) only.
     """
     f = action.field
     m = action.dim
@@ -455,7 +458,7 @@ def _sampled_envelope_element(action: BimoduleAction, rng) -> Matrix:
                 if x:
                     row = [a + x * b for a, b in zip(row, s[t])]
             acc[k] = row
-    return Matrix(f, acc, cols=m)
+    return Matrix._trusted(f, tuple(tuple(f.reduce(row)) for row in acc), m)
 
 
 def _random_combination(field: Field, mats: list, rng) -> Matrix:
@@ -472,17 +475,16 @@ def _random_envelope_element(action: BimoduleAction, env, rng) -> Matrix:
             return theta
 
 
-def _norton_step(action: BimoduleAction, theta: Matrix, rng):
+def _norton_step(action: BimoduleAction, theta: Matrix, ker: Subspace, rng):
     """Run the two-sided nullspace test on one singular envelope element.
 
-    Returns a SimplicityReport, or None when the nullspace is too large to
-    sweep.  theta must lie in the enveloping algebra, so that both its
-    nullspace and its transpose's are made of invariant-subspace seeds.
+    ker is theta's nullspace, neither 0 nor M, as theta is singular and
+    not zero.  Returns a SimplicityReport, or None when the nullspace is
+    too large to sweep.  theta must lie in the enveloping algebra, so that
+    both its nullspace and its transpose's are made of invariant-subspace
+    seeds.
     """
     m = action.dim
-    ker = nullspace(theta)
-    if not 0 < ker.dim < m:
-        return None
     seeds, complete = span_candidates(action.field, ker.basis.entries, rng, 0, NULLSPACE_BUDGET)
     if not complete:
         return None
@@ -509,8 +511,10 @@ def _norton_step(action: BimoduleAction, theta: Matrix, rng):
 
 
 def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, rng):
-    """The first Norton report among theta - lam*I over the shifts, or None."""
+    """(the first Norton report among theta - lam*I over the shifts or None,
+    whether some shift was zero or singular)."""
     f, rows = theta.field, theta.entries
+    singular = False
     for lam in shifts:
         cand = theta if not lam else Matrix._trusted(
             f,
@@ -518,11 +522,15 @@ def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, rng):
             theta.cols,
         )
         if cand.is_zero():
+            singular = True
             continue
-        report = _norton_step(action, cand, rng)
-        if report is not None:
-            return report
-    return None
+        ker = nullspace(cand)
+        if ker.dim:
+            singular = True
+            report = _norton_step(action, cand, ker, rng)
+            if report is not None:
+                return report, True
+    return None, singular
 
 
 # --- eigenvalue search helpers ----------------------------------------------
@@ -591,7 +599,7 @@ def hom_space(a: BimoduleAction, b: BimoduleAction) -> Subspace:
     if ma == 0 or mb == 0:
         return Subspace.zero(f, mb * ma)
     n = mb * ma
-    zero, vector = f.zero, f.vector
+    zero, reduce = f.zero, f.reduce
     rows = []
     for opa, opb in zip(a.ops, b.ops):
         # phi opa = opb phi, unknowns phi[r][k] flattened row-major: entry
@@ -604,7 +612,7 @@ def hom_space(a: BimoduleAction, b: BimoduleAction) -> Subspace:
                 for k, y in enumerate(opb.entries[r]):
                     if y:
                         row[k * ma + c] -= y
-                rows.append(vector(row))
+                rows.append(tuple(reduce(row)))
     return nullspace(Matrix._trusted(f, tuple(rows), n))
 
 

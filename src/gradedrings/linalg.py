@@ -7,30 +7,45 @@ floats and no rounding.  Matrices and subspaces are immutable after
 construction, and a subspace is stored as its reduced row-echelon basis, so
 equality of spans is structural equality.
 
-Scalars are checked once, where they enter: `Matrix(...)`, `Matrix.apply`,
-`EchelonBasis.add`/`reduce`/`contains` and `Subspace.contains` (and, above
-this module, the `GradedAlgebra` constructor, `GradedAlgebra.element`/
-`from_flat` and the seeds of `spin`) pass each vector they are given
-through `Field.vector`, one call per vector, and the checked entry
-points of this module also refuse a vector of the wrong length.
-`EchelonBasis._insert` (on dense rows) and
-`_insert_sparse` (on dicts) skip both checks, for callers whose rows are
-canonical already: `rref`, `solve` and `nullspace` on a Matrix's rows,
-`minimal_polynomial` on its matrix's powers, the oracle's sweep and
-`bimodule.envelope` on its sparse products.  `vector`
-refuses bool, float, str and every other scalar that is not an int (or,
-over Q, a Fraction) with InvalidInput, and returns canonical entries.
-What a kernel computes from canonical operands is canonical already, so
-it is wrapped as it is (`Matrix._trusted`, the `Element` constructor),
-with no second pass.
+Scalars are checked once, where they enter, and every sum computed from
+canonical operands is canonicalized once, with no second check.  Dense
+vectors are checked by `Field.vector`: `Matrix(...)`, `Matrix.apply`,
+`Subspace.contains` (and, above this module, the unit of the
+`GradedAlgebra` constructor, `GradedAlgebra.element` and the seeds of
+`spin`) pass each vector they are given through it, one call per vector.
+Vectors kept sparse are checked by `Field.sparse`, which returns the
+nonzero canonical entries as a dict: `EchelonBasis.add`/`reduce`/
+`contains` (and, above this module, the structure rows of the
+`GradedAlgebra` constructor, which the loader and the builders share,
+and `GradedAlgebra.from_flat`).  The checked entry points of this module
+also refuse a vector of the wrong length.  `EchelonBasis._insert` (on
+dense rows) and `_insert_sparse` (on dicts) skip both checks, for callers
+whose rows are canonical already: `rref`, `solve` and `nullspace` on a
+Matrix's rows, `minimal_polynomial` on its matrix's powers, the oracle's
+sweep and `bimodule.envelope` on its sparse products.  Both checks refuse
+bool, float, str and every other scalar that is not an int (or, over Q,
+a Fraction) with InvalidInput, with the same message, and return
+canonical entries.  What a kernel computes from canonical operands is
+canonical already, so it is wrapped as it is (`Matrix._trusted`, the
+`Element` constructor).  Where it sums products of canonical scalars,
+`Field.reduce` canonicalizes the sums once, with no type scan: the rows
+of `Matrix.mul` and `Matrix.sub`, the residue of `Subspace.contains`
+(`_residue`) and, above this module, the products and per-c sums of
+`algebra` (`_reduced`, `_least_failing_c`), and in `bimodule` the
+products L_i R_j of `envelope`, the rows of `hom_space` and the sampled
+envelope elements of `is_simple`.
 
 `Field` owns the difference between GF(p) and Q.  Besides the scalar
-operations it holds four row primitives, picked once when the field is made:
-`dots` (the dot product of each row with a vector), `submul` (u -= c*v on
-rows held as dicts of their nonzero entries), `scale` (c*u) and `vector`
-(the entry check above).  Over GF(p) they reduce each result entry mod p
-once; over Q they skip zero entries, so no Fraction arithmetic is spent on
-zeros.  The algorithms are written once on top of them.  `EchelonBasis` is
+operations it holds six row primitives, picked once when the field is
+made: `dots` (the dot product of each row with a vector), `submul`
+(u -= c*v on rows held as dicts of their nonzero entries), `scale` (c*u),
+the two checked entries `vector` (dense) and `sparse` (a dict of the
+nonzero entries, built in the comprehension that reduces them), and the
+unchecked `reduce`.  Over GF(p) they reduce each result entry mod p once;
+over Q they skip zero entries, so no Fraction arithmetic is spent on
+zeros, and `reduce` returns the sums as they are, since an exact sum of
+Fractions is canonical (its callers drop the zeros of sparse sums).  The
+algorithms are written once on top of them.  `EchelonBasis` is
 the one elimination kernel, and `rref`, `solve` and `nullspace` are built
 on it: it holds its rows as dicts of their nonzero entries, so a row of a
 product L_i R_j in `bimodule.envelope`, m^2 wide with few nonzeros, costs
@@ -41,7 +56,7 @@ rows) are the one product path.  `Matrix.mul` follows the same rule for
 both fields: it reads the right factor's rows once as (column, value)
 pairs of their nonzero entries, adds each nonzero entry (i, k) of the left
 factor times row k into row i of the result, and canonicalizes each
-result row once with `vector` (Gustavson's row-by-row sparse product), so
+result row once with `reduce` (Gustavson's row-by-row sparse product), so
 operators that are mostly zeros, such as the multiplication operators of a
 basis, cost only their nonzero products.
 """
@@ -97,7 +112,15 @@ def _prime_rows(field: "Field"):
             return tuple([x % p for x in xs])
         return tuple([field.coerce(x) for x in xs])
 
-    return dots, submul, scale, vector
+    def sparse(xs, off=0):
+        if _INT.issuperset(map(type, xs)):
+            return {off + r: x for r, c in enumerate(xs) if (x := c % p)}
+        return {off + r: x for r, x in enumerate(vector(xs)) if x}
+
+    def reduce(sums):
+        return [x % p for x in sums]
+
+    return dots, submul, scale, vector, sparse, reduce
 
 
 def _rational_rows(field: "Field"):
@@ -128,19 +151,33 @@ def _rational_rows(field: "Field"):
             return xs
         return tuple([field.coerce(x) for x in xs])
 
-    return dots, submul, scale, vector
+    def sparse(xs, off=0):
+        if _FRACTION.issuperset(map(type, xs)):
+            return {off + r: x for r, x in enumerate(xs) if x}
+        return {off + r: x for r, x in enumerate(vector(xs)) if x}
+
+    def reduce(sums):
+        return sums
+
+    return dots, submul, scale, vector, sparse, reduce
 
 
 class Field:
     """The rationals (p == 0) or the prime field GF(p).
 
-    `dots(rows, v)`, `submul(u, c, v)`, `scale(c, u)` and `vector(xs)` are
-    the row primitives described in the module docstring; `dots` and
-    `scale` return lists, `vector` a tuple, and `submul` changes the dict u
-    in place, dropping the entries that become 0.
+    `dots(rows, v)`, `submul(u, c, v)`, `scale(c, u)`, `vector(xs)`,
+    `sparse(xs, off=0)` and `reduce(sums)` are the row primitives described
+    in the module docstring.  `dots` and `scale` return lists, and `submul`
+    changes the dict u in place, dropping the entries that become 0.
+    `vector` checks the scalars of an iterable and returns them canonical
+    as a tuple.  `sparse` checks those of a sequence and returns
+    {off + r: x} for its nonzero canonical entries x, refusing what
+    `vector` refuses with the same message.  `reduce` takes exact sums of
+    products of canonical scalars, unchecked, and returns them canonical in
+    the same order: a list over GF(p), the sums as given over Q.
     """
 
-    __slots__ = ("p", "zero", "one", "dots", "submul", "scale", "vector")
+    __slots__ = ("p", "zero", "one", "dots", "submul", "scale", "vector", "sparse", "reduce")
 
     def __init__(self, p: int = 0):
         if p != 0 and (p >= 2**31 or not _is_prime(p)):
@@ -148,10 +185,14 @@ class Field:
         self.p = p
         if p:
             self.zero, self.one = 0, 1
-            self.dots, self.submul, self.scale, self.vector = _prime_rows(self)
+            self.dots, self.submul, self.scale, self.vector, self.sparse, self.reduce = (
+                _prime_rows(self)
+            )
         else:
             self.zero, self.one = Fraction(0), Fraction(1)
-            self.dots, self.submul, self.scale, self.vector = _rational_rows(self)
+            self.dots, self.submul, self.scale, self.vector, self.sparse, self.reduce = (
+                _rational_rows(self)
+            )
 
     def coerce(self, x):
         """Canonical scalar for this field, or InvalidInput."""
@@ -278,7 +319,7 @@ class Matrix:
         if self.cols != other.rows:
             raise InvalidInput(f"shape mismatch for product: {self.shape} x {other.shape}")
         field = self.field
-        zero, vector, cols = field.zero, field.vector, other.cols
+        zero, reduce, cols = field.zero, field.reduce, other.cols
         sparse = other._sparse_rows()
         out = []
         for row in self.entries:
@@ -287,7 +328,7 @@ class Matrix:
                 if c:
                     for j, x in pairs:
                         acc[j] += c * x
-            out.append(vector(acc))
+            out.append(tuple(reduce(acc)))
         return Matrix._trusted(field, tuple(out), cols)
 
     def _sparse_rows(self) -> list:
@@ -301,9 +342,9 @@ class Matrix:
         self._check_same_field(other)
         if self.shape != other.shape:
             raise InvalidInput("shape mismatch for difference")
-        vector = self.field.vector
+        reduce = self.field.reduce
         out = tuple(
-            vector([a - b if b else a for a, b in zip(r1, r2)])
+            tuple(reduce([a - b if b else a for a, b in zip(r1, r2)]))
             for r1, r2 in zip(self.entries, other.entries)
         )
         return Matrix._trusted(self.field, out, self.cols)
@@ -432,7 +473,7 @@ def _residue(field: Field, rows, pivots, v):
     The rows are reduced at one another's pivots, so each row's coefficient
     is v's own entry at its pivot, canonical and unchanged by the other
     rows.  The products are summed in plain exact arithmetic, skipping the
-    rows' zeros, and canonicalized once at the end.
+    rows' zeros, and canonicalized once at the end by `Field.reduce`.
     """
     out = None
     n = len(v)
@@ -445,7 +486,7 @@ def _residue(field: Field, rows, pivots, v):
                 b = row[k]
                 if b:
                     out[k] -= x * b
-    return v if out is None else field.vector(out)
+    return v if out is None else field.reduce(out)
 
 
 class Subspace:
@@ -605,7 +646,7 @@ class EchelonBasis:
         """vec's nonzero entries, once its length and scalars are checked."""
         if len(vec) != self.ambient:
             raise InvalidInput("vector length differs from ambient dimension")
-        return {k: x for k, x in enumerate(self.field.vector(vec)) if x}
+        return self.field.sparse(vec)
 
     def _reduce(self, v: dict) -> dict:
         """v with every pivot column cleared, in place."""

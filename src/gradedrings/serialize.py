@@ -17,13 +17,14 @@ product is zero.  Rows are emitted sorted by (g, i, h, j).  Rationals are
 written as "num/den" strings so nothing ever passes through floats; GF(p)
 scalars are plain integers in [0, p).
 
-Loading reads the product table once.  `_structure_items` streams the
-rows to the GradedAlgebra constructor, checking only each row's shape and
-decoding its rational strings; the constructor's one row loop, which the
-builders use too, checks each row's indices, duplicates, length and
-scalars once and builds its sparse product in the same pass.  Each
-distinct rational string of a file (structure and unit alike) goes
-through Fraction once, in a `_Rationals` dict made for that one load.
+Loading reads the product table once.  `_structure_rows` hands the
+rows to the GradedAlgebra constructor as they are over GF(p), and over Q
+decodes each row's rational strings as it is read; the constructor's one
+row loop, which the builders use too, checks each row's shape, indices,
+duplicates, length and scalars once and builds its sparse product in the
+same pass (`Field.sparse`).  Each distinct rational string of a file
+(structure and unit alike) goes through Fraction once, in a `_Rationals`
+dict made for that one load.
 
 Serialization is canonical: dumps(loads(text)) == text for any text this
 module produced, which is what lets the CLI promise byte-identical output
@@ -79,25 +80,30 @@ def _decoded_vector(field: Field, vec, rationals: _Rationals):
 
     Over Q, the rational strings of a list become Fractions, read through
     rationals.  Everything else is passed on as it is, for the one check
-    that follows: Field.vector in the GradedAlgebra constructor, `Matrix`
-    or `GradedAlgebra.element`, after a shape check there or in `cli`.
+    that follows: `Field.sparse` in the GradedAlgebra constructor, or
+    `Field.vector` for its unit, in `Matrix` or in `GradedAlgebra.element`,
+    after a shape check there or in `cli`.
     """
     if field.p or type(vec) is not list:
         return vec
     return [rationals[c] if type(c) is str else c for c in vec]
 
 
-def _structure_items(field: Field, rows: list, rationals: _Rationals):
-    """((g, i, h, j), coeffs) for each structure row, in file order, as it is read.
+def _structure_rows(field: Field, rows: list, rationals: _Rationals):
+    """The structure rows [g, i, h, j, coeffs] of a file, as the GradedAlgebra constructor reads them.
 
-    Only a row's shape is checked here, and its coefficients decoded; the
-    GradedAlgebra constructor checks the rest of each item as it is yielded.
+    Over GF(p) they are the file's rows as they are; over Q each row of
+    five has its coefficients decoded as it is read.  The constructor
+    checks every row, its shape included.
     """
-    for row in rows:
-        if type(row) is not list or len(row) != 5:
-            raise InvalidInput(f"structure row must be [g, i, h, j, coeffs], got {row!r}")
-        g, i, h, j, coeffs = row
-        yield (g, i, h, j), _decoded_vector(field, coeffs, rationals)
+    if field.p:
+        return rows
+    return (
+        [row[0], row[1], row[2], row[3], _decoded_vector(field, row[4], rationals)]
+        if type(row) is list and len(row) == 5
+        else row
+        for row in rows
+    )
 
 
 def _field_to_obj(field: Field) -> dict:
@@ -189,7 +195,7 @@ def algebra_from_obj(obj) -> GradedAlgebra:
         field,
         group,
         comp_dims,
-        _structure_items(field, rows, rationals),
+        _structure_rows(field, rows, rationals),
         _decoded_vector(field, unit, rationals),
         meta=meta,
     )

@@ -202,6 +202,30 @@ def test_nucleus_certificate_makes_few_products(monkeypatch):
     assert len(calls) <= 200
 
 
+def test_loading_and_validating_make_no_vector_call_per_row_or_per_c(monkeypatch):
+    # the loader's rows go through Field.sparse and the validator's sums
+    # through Field.reduce, so of the 1,296 structure rows and the per-c
+    # sums of galois(2,6) none pays Field.vector: its one call is the unit's
+    from gradedrings import linalg
+    from gradedrings.serialize import algebra_from_json, algebra_to_json
+
+    text = algebra_to_json(galois_skew_example(2, 6))
+    calls = []
+    real = linalg._prime_rows
+
+    def counted(vector):
+        return lambda xs: calls.append(None) or vector(xs)
+
+    def counting_rows(field):
+        return tuple(counted(f) if f.__name__ == "vector" else f for f in real(field))
+
+    monkeypatch.setattr(linalg, "_prime_rows", counting_rows)
+    alg = algebra_from_json(text)
+    assert alg.field.p == 2 and len(alg.structure_items()) == 1296
+    assert validate_algebra(alg).ok
+    assert len(calls) == 1
+
+
 # --- the sparse structure table ---------------------------------------------
 
 

@@ -133,6 +133,22 @@ def test_field_envelopes_are_decided_with_no_envelope(p, n, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quick_trials_skip_the_minimal_polynomial_of_a_scalar(p, monkeypatch):
+    # on a scalar action every quick trial element is a scalar c*I, whose
+    # shift by c is zero: c is a root of its minimal polynomial, which so
+    # cannot be irreducible of degree 2, and is not computed
+    calls = []
+    real = bimodule.minimal_polynomial
+    monkeypatch.setattr(bimodule, "minimal_polynomial", lambda mat: calls.append(mat) or real(mat))
+    f = GF(p)
+    ident = Matrix.identity(f, 2)
+    rep = is_simple(BimoduleAction(f, 2, (ident,), (ident,)))
+    assert (rep.verdict, rep.method, rep.trials) == (Verdict.FALSE, "exhaustive-spin", 72)
+    assert rep.witness.dim == 1
+    assert calls == []
+
+
 def test_is_simple_negative_with_witness(m3_gf2):
     rep = is_simple(component_action(m3_gf2, 0))
     assert rep.verdict is Verdict.FALSE

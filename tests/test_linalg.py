@@ -94,6 +94,65 @@ def test_rational_coercion_stays_exact():
         GF(3).coerce(Fraction(1, 2))
 
 
+PRIMITIVE_FIELDS = [GF(2), GF(3), GF(65521), RATIONALS]
+# canonical, negative and >= p ints for every field above
+INTS = st.integers(-3 * 65521, 3 * 65521)
+
+
+def _scalars(field):
+    """Scalars the field accepts: ints, and over Q Fractions too."""
+    return INTS if field.p else st.one_of(INTS, st.fractions(max_denominator=12))
+
+
+def _canonical_type(field, values):
+    return all(type(x) is type(field.zero) for x in values)
+
+
+@pytest.mark.parametrize("field", PRIMITIVE_FIELDS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), off=st.integers(0, 40))
+def test_sparse_entry_matches_vector(field, data, off):
+    xs = data.draw(st.lists(_scalars(field), max_size=12), label="xs")
+    want = {off + r: x for r, x in enumerate(field.vector(xs)) if x}
+    got = field.sparse(xs, off)
+    assert list(got.items()) == list(want.items())
+    assert _canonical_type(field, got.values())
+    assert field.sparse(tuple(xs)) == {r - off: x for r, x in want.items()}
+
+
+@pytest.mark.parametrize("field", PRIMITIVE_FIELDS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reducer_matches_vector_on_exact_sums(field, data):
+    # sums of canonical operands are ints over GF(p) and Fractions over Q
+    values = INTS if field.p else st.fractions(max_denominator=12)
+    sums = data.draw(st.lists(values, max_size=12), label="sums")
+    got = list(field.reduce(sums))
+    assert got == list(field.vector(sums))
+    assert _canonical_type(field, got)
+    keyed = {3 * k: x for k, x in enumerate(sums)}
+    assert {k: x for k, x in zip(keyed, field.reduce(keyed.values())) if x} == {
+        k: x for k, x in zip(keyed, field.vector(keyed.values())) if x
+    }
+
+
+@pytest.mark.parametrize("field", PRIMITIVE_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    bad=st.sampled_from([True, False, 1.0, -0.5, "1", "x", None]),
+    off=st.integers(0, 9),
+)
+def test_sparse_entry_refuses_with_the_message_of_vector(field, data, bad, off):
+    xs = data.draw(st.lists(_scalars(field), max_size=6), label="xs")
+    xs.insert(data.draw(st.integers(0, len(xs)), label="at"), bad)
+    with pytest.raises(InvalidInput) as want:
+        field.vector(xs)
+    with pytest.raises(InvalidInput) as got:
+        field.sparse(xs, off)
+    assert str(got.value) == str(want.value)
+
+
 # --------------------------------------------------------------------------
 # matrices and solving
 # --------------------------------------------------------------------------
