@@ -17,7 +17,7 @@ product is zero.  Rows are emitted sorted by (g, i, h, j).  Rationals are
 written as "num/den" strings so nothing ever passes through floats; GF(p)
 scalars are plain integers in [0, p).
 
-Loading reads the product table once.  `_structure_rows` hands the
+Loading reads the product table once.  `_structure_items` hands the
 rows to the GradedAlgebra constructor as they are over GF(p), and over Q
 decodes each row's rational strings as it is read; the constructor's one
 row loop, which the builders use too, checks each row's shape, indices,
@@ -89,7 +89,7 @@ def _decoded_vector(field: Field, vec, rationals: _Rationals):
     return [rationals[c] if type(c) is str else c for c in vec]
 
 
-def _structure_rows(field: Field, rows: list, rationals: _Rationals):
+def _structure_items(field: Field, rows: list, rationals: _Rationals):
     """The structure rows [g, i, h, j, coeffs] of a file, as the GradedAlgebra constructor reads them.
 
     Over GF(p) they are the file's rows as they are; over Q each row of
@@ -195,7 +195,7 @@ def algebra_from_obj(obj) -> GradedAlgebra:
         field,
         group,
         comp_dims,
-        _structure_rows(field, rows, rationals),
+        _structure_items(field, rows, rationals),
         _decoded_vector(field, unit, rationals),
         meta=meta,
     )
