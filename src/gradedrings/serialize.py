@@ -90,7 +90,7 @@ def _decoded_vector(field: Field, vec, rationals: _Rationals):
 
 
 def _structure_items(field: Field, rows: list, rationals: _Rationals):
-    """The structure rows [g, i, h, j, coeffs] of a file, as the GradedAlgebra constructor reads them.
+    """A file's structure rows [g, i, h, j, coeffs], for the GradedAlgebra constructor.
 
     Over GF(p) they are the file's rows as they are; over Q each row of
     five has its coefficients decoded as it is read.  The constructor
