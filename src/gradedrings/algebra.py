@@ -16,15 +16,18 @@ coordinates, {flat k: nonzero canonical c}.
 
 Everything reads the one table.  GradedAlgebra alone turns it into
 operators, all in the column convention (column j is the image of the j-th
-source basis vector) and all through one builder, _ops: for each flat
-multiplier b, x -> bx and x -> xb on the span of some flat indices.
-mult_ops(h, g) is multiplication by R_h's basis on R_g from either side,
-component_ops(g) = mult_ops(e, g); flat_left_ops/flat_right_ops act on all
-of R, subset_ops(S) is R_S as an R_e-bimodule, identity_ops() =
-subset_ops(G) is R itself, and projection_ops() gives the flat projections
-pi_g : R -> R_g of the nonzero components.  A subspace of R is graded
-exactly when every pi_g maps it into itself.  The structure is immutable
-after construction, so the lazily cached operators stay valid.
+source basis vector), and those of basis elements through one builder,
+_ops: for each flat multiplier b, x -> bx and x -> xb on the span of some
+flat indices.  mult_ops(h, g) is multiplication by R_h's basis on R_g from
+either side, component_ops(g) = mult_ops(e, g); flat_left_ops and
+flat_right_ops act on all of R, subset_ops(S) is R_S as an R_e-bimodule,
+identity_ops() = subset_ops(G) is R itself, and projection_ops() gives the
+flat projections pi_g : R -> R_g of the nonzero components.  left_matrix(x) and
+right_matrix(x), multiplication by one element x, take one table product
+(_product, the loop of Element products) with each flat basis vector.  A
+subspace of R is graded exactly when every pi_g maps it into itself.  The
+structure is immutable after construction, so the lazily cached operators
+stay valid.
 """
 from __future__ import annotations
 
@@ -175,9 +178,6 @@ class GradedAlgebra:
             raise InvalidInput(f"no basis element ({g}, {i})")
         return Element(self, {self.offsets[g] + i: self.field.one})
 
-    def zero(self) -> "Element":
-        return Element(self, {})
-
     def one(self) -> "Element":
         return Element(self, self._unit)
 
@@ -224,15 +224,14 @@ class GradedAlgebra:
 
     def left_matrix(self, x: "Element") -> Matrix:
         """Matrix of v -> x*v on the flattened algebra (column convention)."""
-        return self._matrix([(x * b).terms for b in self._flat_basis()], range(self.dim))
+        x._check_same(self.one())
+        one, every = self.field.one, range(self.dim)
+        return self._matrix([_product(self, x.terms, {b: one}) for b in every], every)
 
     def right_matrix(self, x: "Element") -> Matrix:
-        return self._matrix([(b * x).terms for b in self._flat_basis()], range(self.dim))
-
-    def _flat_basis(self) -> list:
-        """The basis elements in flat order."""
-        one = self.field.one
-        return [Element(self, {k: one}) for k in range(self.dim)]
+        x._check_same(self.one())
+        one, every = self.field.one, range(self.dim)
+        return self._matrix([_product(self, {b: one}, x.terms) for b in every], every)
 
     def flat_left_ops(self) -> tuple:
         """Left multiplication by each flat basis element, as n x n matrices."""
@@ -366,9 +365,6 @@ class Element:
     def support(self) -> tuple:
         place = self.alg._place
         return tuple(sorted({place[k][0] for k in self.terms}))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def flat(self) -> tuple:
         return self.alg.flatten(self)
@@ -571,10 +567,6 @@ class GradedSubspace:
             comps[g] = Subspace.full(alg.field, alg.comp_dims[g])
         return cls(alg, comps)
 
-    @classmethod
-    def zero(cls, alg: GradedAlgebra) -> "GradedSubspace":
-        return cls(alg, {})
-
     def component(self, g: int) -> Subspace:
         got = self.comps.get(g)
         if got is not None:
@@ -584,9 +576,6 @@ class GradedSubspace:
     @property
     def total_dim(self) -> int:
         return sum(s.dim for s in self.comps.values())
-
-    def support(self) -> tuple:
-        return tuple(sorted(self.comps))
 
     def flat(self) -> Subspace:
         """The same space embedded in the flattened algebra."""
@@ -600,11 +589,6 @@ class GradedSubspace:
                 v[off : off + len(row)] = row
                 vecs.append(v)
         return Subspace.from_vectors(alg.field, alg.dim, vecs)
-
-    def contains(self, x: Element) -> bool:
-        if x.alg is not self.alg:
-            raise InvalidInput("element of a different algebra")
-        return all(self.component(g).contains(x.coeffs(g)) for g in x.support())
 
     def __eq__(self, other):
         return (

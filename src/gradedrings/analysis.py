@@ -387,11 +387,10 @@ def check_simple(alg: GradedAlgebra, *, seed: int = 0, budget: int = 65536) -> C
     R_{g^-1} R_g = R_e, which contains 1.  Otherwise `is_simple` on the
     regular action decides.
     """
-    e = alg.group.identity
     if (
         alg.group.order > 1
         and _is_strongly_graded(alg)
-        and not any(_commutant_component(alg, k).dim for k in range(alg.group.order) if k != e)
+        and _centralizer_kernel(alg) == {alg.group.identity}
         and _base_simplicity(alg, seed, budget).verdict is Verdict.TRUE
     ):
         return CheckResult(

@@ -65,6 +65,7 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
+    _echelon,
     _is_prime,
     annihilator,
     nullspace,
@@ -160,8 +161,9 @@ class BimoduleAction:
         )
 
     def is_invariant(self, sub: Subspace) -> bool:
+        span = _echelon(sub.basis)  # one basis tests every image
         return all(
-            sub.contains(op.apply(row)) for op in self.ops for row in sub.basis.entries
+            span.contains(op.apply(row)) for op in self.ops for row in sub.basis.entries
         )
 
     def __repr__(self):
@@ -194,15 +196,20 @@ def graded_regular_action(alg) -> BimoduleAction:
 
 
 def spin(action: BimoduleAction, seed: Sequence) -> Subspace:
-    """Smallest invariant subspace containing the seed vector."""
-    basis = EchelonBasis(action.field, action.dim)
-    v = action.field.vector(seed)
-    queue = [v] if basis.add(v) else []
+    """Smallest invariant subspace containing the seed vector.
+
+    Only the seed is checked: the images of canonical vectors go in unchecked."""
+    field = action.field
+    basis = EchelonBasis(field, action.dim)
+    v = field.vector(seed)
+    if len(v) != action.dim:
+        raise InvalidInput("vector length differs from ambient dimension")
+    queue = [v] if basis._insert(v) else []
     while queue and not basis.is_full():
         v = queue.pop()
         for op in action.ops:
-            w = op.apply(v)
-            if basis.add(w):
+            w = field.dots(op.entries, v)
+            if basis._insert(w):
                 queue.append(w)
     return basis.to_subspace()
 

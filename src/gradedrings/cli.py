@@ -254,20 +254,15 @@ def _render_lines(obj, indent: int, out: list) -> None:
                     out.append(f"{pad}{k}: []")
             else:
                 out.append(f"{pad}{k}: {_fmt_scalarish(v)}")
-    elif isinstance(obj, list):
-        if all(not isinstance(x, (dict, list)) for x in obj):
-            out.append(pad + "[" + ", ".join(_fmt_scalarish(x) for x in obj) + "]")
-        else:
-            for x in obj:
-                if isinstance(x, list) and not any(isinstance(y, (dict, list)) for y in x):
-                    out.append(f"{pad}- [" + ", ".join(_fmt_scalarish(y) for y in x) + "]")
-                elif isinstance(x, (dict, list)):
-                    out.append(pad + "-")
-                    _render_lines(x, indent + 1, out)
-                else:
-                    out.append(f"{pad}- {_fmt_scalarish(x)}")
-    else:
-        out.append(pad + _fmt_scalarish(obj))
+    else:  # a list holding a dict or a list: its parent renders a list of scalars inline
+        for x in obj:
+            if isinstance(x, list) and not any(isinstance(y, (dict, list)) for y in x):
+                out.append(f"{pad}- [" + ", ".join(_fmt_scalarish(y) for y in x) + "]")
+            elif isinstance(x, (dict, list)):
+                out.append(pad + "-")
+                _render_lines(x, indent + 1, out)
+            else:
+                out.append(f"{pad}- {_fmt_scalarish(x)}")
 
 
 def _want_color() -> bool:

@@ -9,56 +9,56 @@ equality of spans is structural equality.
 
 Scalars are checked once, where they enter, and every sum computed from
 canonical operands is canonicalized once, with no second check.  Dense
-vectors are checked by `Field.vector`: `Matrix(...)`, `Matrix.apply`,
-`Subspace.contains` (and, above this module, the unit of the
-`GradedAlgebra` constructor, `GradedAlgebra.element` and the seeds of
-`spin`) pass each vector they are given through it, one call per vector.
-Vectors kept sparse are checked by `Field.sparse`, which returns the
-nonzero canonical entries as a dict: `EchelonBasis.add`/`reduce`/
-`contains` (and, above this module, the structure rows of the
-`GradedAlgebra` constructor, which the loader and the builders share,
-and `GradedAlgebra.from_flat`).  The checked entry points of this module
-also refuse a vector of the wrong length.  `EchelonBasis._insert` (on
-dense rows) and `_insert_sparse` (on dicts) skip both checks, for callers
-whose rows are canonical already: `rref`, `solve` and `nullspace` on a
-Matrix's rows, `minimal_polynomial` on its matrix's powers, the oracle's
-sweep and `bimodule.envelope` on its sparse products.  Both checks refuse
+vectors are checked by `Field.vector`: `Matrix(...)` and `Matrix.apply`
+(and, above this module, the unit of the `GradedAlgebra` constructor,
+`GradedAlgebra.element` and the seeds of `spin`) pass each vector they are
+given through it, one call per vector.  Vectors kept sparse are checked by
+`Field.sparse`, which returns the nonzero canonical entries as a dict:
+`EchelonBasis.add`/`contains` and `Subspace.contains`, which tests its
+vector in the `EchelonBasis` of its rows (and, above this module, the
+structure rows of the `GradedAlgebra` constructor, which the loader and
+the builders share, and `GradedAlgebra.from_flat`).  The checked entry
+points of this module also refuse a vector of the wrong length.
+`EchelonBasis._insert` (on dense rows) and `_insert_sparse` (on dicts) skip
+both checks, for callers whose rows are canonical already: `rref`, `solve`
+and `nullspace` on a Matrix's rows, `minimal_polynomial` on its matrix's
+powers, the oracle's sweep, `bimodule.spin` on the images of its canonical
+vectors and `bimodule.envelope` on its sparse products.  Both checks refuse
 bool, float, str and every other scalar that is not an int (or, over Q,
 a Fraction) with InvalidInput, with the same message, and return
 canonical entries.  What a kernel computes from canonical operands is
 canonical already, so it is wrapped as it is (`Matrix._trusted`, the
 `Element` constructor).  Where it sums products of canonical scalars,
 `Field.reduce` canonicalizes the sums once, with no type scan: the rows
-of `Matrix.mul` and `Matrix.sub`, the residue of `Subspace.contains`
-(`_residue`) and, above this module, the products and per-c sums of
-`algebra` (`_reduced`, `_least_failing_c`), and in `bimodule` the
-products L_i R_j of `envelope`, the rows of `hom_space` and the sampled
-envelope elements of `is_simple`.
+of `Matrix.mul` and `Matrix.sub` and, above this module, the products and
+per-c sums of `algebra` (`_reduced`, `_least_failing_c`), and in
+`bimodule` the products L_i R_j of `envelope`, the rows of `hom_space`
+and the sampled envelope elements of `is_simple`.
 
 `Field` owns the difference between GF(p) and Q.  Besides the scalar
 operations it holds six row primitives, picked once when the field is
-made: `dots` (the dot product of each row with a vector), `submul`
-(u -= c*v on rows held as dicts of their nonzero entries), `scale` (c*u),
-the two checked entries `vector` (dense) and `sparse` (a dict of the
-nonzero entries, built in the comprehension that reduces them), and the
-unchecked `reduce`.  Over GF(p) they reduce each result entry mod p once;
-over Q they skip zero entries, so no Fraction arithmetic is spent on
-zeros, and `reduce` returns the sums as they are, since an exact sum of
-Fractions is canonical (its callers drop the zeros of sparse sums).  The
-algorithms are written once on top of them.  `EchelonBasis` is
-the one elimination kernel, and `rref`, `solve` and `nullspace` are built
+made: `dots` (the dot product of each row with a vector), `submul` (u -=
+c*v on rows held as dicts of their nonzero entries), `scale` (c*u), the
+two checked entries `vector` (dense) and `sparse` (a dict of the nonzero
+entries, built in the comprehension that reduces them), and the unchecked
+`reduce`.  Over GF(p) they reduce each result entry mod p once; over Q
+they skip zero entries, so no Fraction arithmetic is spent on zeros, and
+`reduce` returns the sums as they are, since an exact sum of Fractions is
+canonical (its callers drop the zeros of sparse sums).  The algorithms are
+written once on top of them.  `EchelonBasis` is the one elimination
+kernel, and `rref`, `solve`, `nullspace` and `Subspace.contains` are built
 on it: it holds its rows as dicts of their nonzero entries, so a row of a
 product L_i R_j in `bimodule.envelope`, m^2 wide with few nonzeros, costs
 only its nonzeros, and it keeps them in Gauss-Jordan form, so a new row
-meets no pivot column that an earlier reduction filled in.
-`Matrix.mul`, `Matrix.apply` and `Field.combine` (a linear combination of
-rows) are the one product path.  `Matrix.mul` follows the same rule for
-both fields: it reads the right factor's rows once as (column, value)
-pairs of their nonzero entries, adds each nonzero entry (i, k) of the left
-factor times row k into row i of the result, and canonicalizes each
-result row once with `reduce` (Gustavson's row-by-row sparse product), so
-operators that are mostly zeros, such as the multiplication operators of a
-basis, cost only their nonzero products.
+meets no pivot column that an earlier reduction filled in.  `Matrix.mul`
+and `Field.dots` (behind `Matrix.apply`, `Field.combine`, a linear
+combination of rows, and the images in `spin`) are the one product path.
+`Matrix.mul` follows the same rule for both fields: it reads the right
+factor's rows once as (column, value) pairs of their nonzero entries, adds
+each nonzero entry (i, k) of the left factor times row k into row i of the
+result, and canonicalizes each result row once with `reduce` (Gustavson's
+row-by-row sparse product), so operators that are mostly zeros, such as
+the multiplication operators of a basis, cost only their nonzero products.
 """
 from __future__ import annotations
 
@@ -212,9 +212,6 @@ class Field:
         """sum_k coeffs[k] * rows[k] for canonical operands; rows must be nonempty."""
         return self.dots(zip(*rows), coeffs)
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
     def sub(self, a, b):
         return (a - b) % self.p if self.p else a - b
 
@@ -349,11 +346,6 @@ class Matrix:
         )
         return Matrix._trusted(self.field, out, self.cols)
 
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.coerce(c)
-        return Matrix._trusted(f, tuple(tuple(f.scale(c, r)) for r in self.entries), self.cols)
-
     def transpose(self) -> "Matrix":
         if not self.entries:
             return Matrix._trusted(self.field, ((),) * self.cols, 0)
@@ -467,28 +459,6 @@ def solve_vector(a: Matrix, vec: Sequence) -> Optional[tuple]:
     return None if s is None else s.column(0)
 
 
-def _residue(field: Field, rows, pivots, v):
-    """v minus its projection onto RREF rows with unit pivots at `pivots`.
-
-    The rows are reduced at one another's pivots, so each row's coefficient
-    is v's own entry at its pivot, canonical and unchanged by the other
-    rows.  The products are summed in plain exact arithmetic, skipping the
-    rows' zeros, and canonicalized once at the end by `Field.reduce`.
-    """
-    out = None
-    n = len(v)
-    for row, c in zip(rows, pivots):
-        x = v[c]
-        if x:
-            if out is None:
-                out = list(v)
-            for k in range(c, n):
-                b = row[k]
-                if b:
-                    out[k] -= x * b
-    return v if out is None else field.reduce(out)
-
-
 class Subspace:
     """A subspace of F^n held as its canonical RREF basis (no zero rows)."""
 
@@ -542,11 +512,7 @@ class Subspace:
     def contains(self, vec: Sequence) -> bool:
         if len(vec) != self.ambient_dim:
             raise InvalidInput("vector length differs from ambient dimension")
-        rows = self.basis.entries
-        # a canonical row's pivot is a 1 with only zeros before it
-        one = self.field.one
-        pivots = [row.index(one) for row in rows]
-        return not any(_residue(self.field, rows, pivots, self.field.vector(vec)))
+        return _echelon(self.basis).contains(vec)
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -609,7 +575,7 @@ class EchelonBasis:
     holds every column where some row may be nonzero: a new pivot outside
     it needs no earlier row reduced at it, which spares a scan of every row
     when the rows' nonzeros are disjoint, as for the products of M_n's
-    regular action.  `rows` and `pivots` are dense views in pivot order.
+    regular action.  `rows` is a dense view in pivot order.
     """
 
     __slots__ = ("field", "ambient", "_rows", "_support")
@@ -623,10 +589,6 @@ class EchelonBasis:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> list:
-        return sorted(self._rows)
 
     @property
     def rows(self) -> list:
@@ -654,10 +616,6 @@ class EchelonBasis:
         for c in [c for c in v if c in rows]:
             submul(v, v[c], rows[c])
         return v
-
-    def reduce(self, vec: Sequence) -> tuple:
-        """The residue of vec after clearing every pivot column."""
-        return self._dense(self._reduce(self._checked(vec)))
 
     def contains(self, vec: Sequence) -> bool:
         return not self._reduce(self._checked(vec))

@@ -63,6 +63,7 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
+    _echelon,
     nullspace,
     projective_vectors,
     subspace_sum,
@@ -494,10 +495,12 @@ def _closed_under_products(table, w: Subspace) -> bool:
     table[i][j] holds the nonzero (k, x) of b_i b_j in the quotient's
     coordinates.  R_e + W is an R_e-sub-bimodule holding R_e, so only the
     products of W's rows remain, and one lies in R_e + W exactly when its
-    quotient coordinates lie in W.
+    quotient coordinates lie in W, which one `EchelonBasis` of W's rows
+    tests for every product.
     """
     rows = w.basis.entries
     m = w.ambient_dim
+    span = _echelon(w.basis)
     for u in rows:
         terms = [(table[i], a) for i, a in enumerate(u) if a]
         for v in rows:
@@ -508,7 +511,7 @@ def _closed_under_products(table, w: Subspace) -> bool:
                         ab = a * b
                         for k, c in ti[j]:
                             x[k] += ab * c
-            if not w.contains(x):
+            if not span.contains(x):
                 return False
     return True
 

@@ -11,8 +11,10 @@ no `irreducible-element` test after the quick Norton trials, and
 at a time, `reference_algebra_from_obj` loads an algebra document in two
 passes (the rows checked and decoded string by string, then handed to the
 constructor as a dict), and `reference_validate_algebra` checks the unit
-laws and associativity by `Element` products; the rest are small
-helpers.  The package itself never calls any of them.
+laws and associativity by `Element` products, and
+`reference_left_matrix`/`reference_right_matrix` build the operator of an
+element from one `Element` product per basis vector; the rest are small
+helpers, among them `field_add`, `matrix_scale` and `flat_basis`.  The package itself never calls any of them.
 """
 import itertools
 import random
@@ -70,8 +72,41 @@ def component_product(s: GradedSubspace, t: GradedSubspace) -> GradedSubspace:
     return GradedSubspace(alg, {k: acc.to_subspace() for k, acc in accs.items() if acc.rank})
 
 
+def field_add(field: Field, a, b):
+    """a + b for canonical scalars of field."""
+    return (a + b) % field.p if field.p else a + b
+
+
+def matrix_scale(m: Matrix, c) -> Matrix:
+    """c times m, c checked by `Field.coerce`."""
+    f = m.field
+    c = f.coerce(c)
+    return Matrix._trusted(f, tuple(tuple(f.mul(c, x) for x in r) for r in m.entries), m.cols)
+
+
+def flat_basis(alg: GradedAlgebra) -> list:
+    """The basis elements in flat order."""
+    one = alg.field.one
+    return [Element(alg, {k: one}) for k in range(alg.dim)]
+
+
+def _columns_matrix(alg: GradedAlgebra, columns) -> Matrix:
+    """The n x n matrix whose column b is the flattening of the Element columns[b]."""
+    return Matrix.from_columns(alg.field, [alg.flatten(x) for x in columns])
+
+
+def reference_left_matrix(x: Element) -> Matrix:
+    """v -> x v on the flattened algebra: column b is the Element product x b_b."""
+    return _columns_matrix(x.alg, [x * b for b in flat_basis(x.alg)])
+
+
+def reference_right_matrix(x: Element) -> Matrix:
+    """v -> v x on the flattened algebra: column b is the Element product b_b x."""
+    return _columns_matrix(x.alg, [b * x for b in flat_basis(x.alg)])
+
+
 def matrix_product(a, b) -> tuple:
-    """The entries of a @ b, each a sum of scalar products by `Field.add`/`mul`."""
+    """The entries of a @ b, each a sum of scalar products by `field_add`/`Field.mul`."""
     f = a.field
     out = []
     for i in range(a.rows):
@@ -79,7 +114,7 @@ def matrix_product(a, b) -> tuple:
         for j in range(b.cols):
             x = f.zero
             for k in range(a.cols):
-                x = f.add(x, f.mul(a.entries[i][k], b.entries[k][j]))
+                x = field_add(f, x, f.mul(a.entries[i][k], b.entries[k][j]))
             row.append(x)
         out.append(tuple(row))
     return tuple(out)
@@ -374,7 +409,7 @@ def reference_validate_algebra(alg: GradedAlgebra) -> AlgebraDiagnostics:
     """
     problems = []
     one = alg.one()
-    basis = alg._flat_basis()
+    basis = flat_basis(alg)
     for k, b in enumerate(basis):
         if one * b != b or b * one != b:
             g, i = alg.basis_of_flat(k)

@@ -49,6 +49,7 @@ from gradedrings.oracle import controlled_oracle, ideal_oracle, subring_oracle
 from references import (
     component_product,
     contains_subspace,
+    field_add,
     is_nilpotent,
     subset_action,
     subspace_intersect,
@@ -78,7 +79,7 @@ def test_criterion_1_m3_regression():
         assert check_controlled(alg).verdict is Verdict.FALSE
         assert check_centralizer_condition(alg).holds()
         cent = centralizer_of_Re(alg)
-        assert cent.total_dim == 2 and cent.support() == (0,)
+        assert cent.total_dim == 2 and tuple(sorted(cent.comps)) == (0,)
         assert cent.component(alg.group.identity).dim == 2
 
         # principal ideals of the identity component, one per basis vector
@@ -109,7 +110,7 @@ def test_criterion_1_m3_regression():
         # conjugating by the odd part swaps the two identity-block ideals
         swapped_i = component_product(component_product(odd, gsub_i), odd)
         swapped_j = component_product(component_product(odd, gsub_j), odd)
-        assert swapped_i.support() == (0,) and swapped_j.support() == (0,)
+        assert tuple(sorted(swapped_i.comps)) == (0,) and tuple(sorted(swapped_j.comps)) == (0,)
         assert contains_subspace(gsub_j.component(0), swapped_i.component(0))
         assert contains_subspace(gsub_i.component(0), swapped_j.component(0))
 
@@ -368,7 +369,7 @@ def test_criterion_6_kernel_sweep():
             combo = rows[0]
             if len(rows) > 1:
                 combo = tuple(
-                    field.add(a, b) for a, b in zip(rows[0], rows[1])
+                    field_add(field, a, b) for a, b in zip(rows[0], rows[1])
                 )
             mixed.append(combo)
             assert Subspace.from_vectors(field, m, mixed) == Subspace.from_vectors(

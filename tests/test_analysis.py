@@ -146,7 +146,7 @@ def test_centralizer_m3(m3_gf2, m3_q):
         assert check_centralizer_condition(alg).holds()
         cent = centralizer_of_Re(alg)
         assert cent.total_dim == 2
-        assert cent.support() == (0,)
+        assert tuple(sorted(cent.comps)) == (0,)
         assert cent.component(alg.group.identity).dim == 2
 
 

@@ -16,6 +16,16 @@ A name counts as used when it appears as a `Name`, as the attribute of an
 `Attribute`, or as a word of a string annotation such as `-> "Element"`.
 So the re-exports of `__init__.py` are not uses: an imported name is
 neither.
+
+Names are matched without their class, so a method counts as used when
+another class defines a method of the same name that is called, or when
+a local variable shares its name.  Methods that only tests called went
+unflagged that way: `Field.add` (beside `EchelonBasis.add`),
+`EchelonBasis.reduce` (beside `Field.reduce`), `Matrix.scale` (beside
+`Field.scale`), `GradedAlgebra.zero` and `GradedSubspace.zero` (beside
+`Subspace.zero`), `GradedSubspace.contains` and `support` (beside
+`Subspace.contains` and `Element.support`), `Element.is_zero` (beside `Matrix.is_zero`) and `EchelonBasis.pivots` (a
+local variable `pivots`).  A trace of which methods run finds such cases.
 """
 import ast
 import os
