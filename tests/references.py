@@ -14,7 +14,8 @@ constructor as a dict), and `reference_validate_algebra` checks the unit
 laws and associativity by `Element` products, and
 `reference_left_matrix`/`reference_right_matrix` build the operator of an
 element from one `Element` product per basis vector; the rest are small
-helpers, among them `field_add`, `matrix_scale` and `flat_basis`.  The package itself never calls any of them.
+helpers, among them `field_add`, `matrix_scale` and `flat_basis`.  The
+package itself never calls any of them.
 """
 import itertools
 import random
