@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 from .algebra import Element, GradedAlgebra, is_invertible
 from .errors import InvalidInput
 from .groups import FiniteGroup, cyclic_group, trivial_group
-from .linalg import GF, Field, Matrix
+from .linalg import GF, Field, Matrix, nullspace
 from .poly import _powmod, lowest_irreducible
 
 
@@ -79,6 +79,8 @@ def finite_field_algebra(p: int, n: int):
     monic irreducible of degree n.
     """
     field = GF(p)
+    if n < 1:
+        raise InvalidInput(f"no irreducible of degree {n} over GF({p})")
     modulus = lowest_irreducible(p, n)
 
     def reduced_power(e: int) -> list:
@@ -144,8 +146,6 @@ def validate_automorphism(base: GradedAlgebra, s: Matrix, who: str = "sigma"):
     d = base.dim
     if s.shape != (d, d) or s.field != base.field:
         raise InvalidInput(f"{who} is not a {d}x{d} matrix over the base field")
-    from .linalg import nullspace
-
     if nullspace(s).dim:
         raise InvalidInput(f"{who} is not invertible")
     unit = base.flatten(base.one())

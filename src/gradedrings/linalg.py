@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -669,17 +669,8 @@ def projective_vectors(field: Field, basis_rows: Sequence[Sequence]):
     if k == 0:
         return
     n = len(basis_rows[0])
-
-    def combos(length):
-        if length == 0:
-            yield ()
-            return
-        for rest in combos(length - 1):
-            for c in range(p):
-                yield rest + (c,)
-
     for lead in range(k):
-        for tail in combos(k - lead - 1):
+        for tail in product(range(p), repeat=k - lead - 1):
             coeffs = (0,) * lead + (1,) + tail
             vec = [0] * n
             for co, row in zip(coeffs, basis_rows):

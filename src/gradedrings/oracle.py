@@ -48,6 +48,7 @@ R/R_e; each lift is then tested for closure under multiplication.  The
 correspondence theorem is about modules alone, not graded rings, so this
 route stays brute force too.  LATTICE_CAP bounds the quotient's lattice.
 """
+from __future__ import annotations
 
 import itertools
 from array import array
@@ -441,8 +442,6 @@ def _subsets_isomorphic(alg: GradedAlgebra, s_set, t_set, budget: int) -> bool:
     dim = sum(alg.comp_dims[g] for g in s_set)
     if dim != sum(alg.comp_dims[g] for g in t_set):
         return False
-    if dim == 0:
-        return True
     a = BimoduleAction(f, dim, *alg.subset_ops(s_set))
     b = BimoduleAction(f, dim, *alg.subset_ops(t_set))
     homs = hom_space(a, b)

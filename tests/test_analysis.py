@@ -105,6 +105,19 @@ def test_nondegenerate(m3_gf2, gf4skew):
     assert rep.verdict is Verdict.FALSE
 
 
+def test_nondegenerate_with_a_zero_inverse_component():
+    # F[x]/(x^2) over GF(2) graded by Z/3 with x in degree 1: R_2 = 0, so
+    # the pairing R_1 x R_2 -> R_e kills all of R_1
+    f = GF(2)
+    structure = {(0, 0, 0, 0): (1,), (0, 0, 1, 0): (1,), (1, 0, 0, 0): (1,)}
+    alg = GradedAlgebra(f, cyclic_group(3), (1, 1, 0), structure, (1,))
+    assert check_valid(alg).holds()
+    rep = check_nondegenerate(alg)
+    assert rep.verdict is Verdict.FALSE
+    assert rep.method == "pairing-kernel"
+    assert rep.witness == {"component": "1", "side": "left", "element": [1]}
+
+
 # --------------------------------------------------------------------------
 # simplicity
 # --------------------------------------------------------------------------
@@ -432,6 +445,20 @@ def test_crossed_product_group_algebra(q_z2):
     assert rep.verdict is Verdict.TRUE
     verify_crossed_identities(q_z2, rep.data)
     assert verify_crossed_reconstruction(q_z2, rep.data) is None
+
+
+def test_components_with_a_unit_have_the_side_traces_of_the_identity_component():
+    # the one-sided traces refute a unit only if every crossed product passes them
+    crossed = 0
+    for inst in standard_corpus():
+        alg = inst.alg
+        if detect_crossed_product(alg).verdict is not Verdict.TRUE:
+            continue
+        crossed += 1
+        e_traces = analysis._side_traces(component_action(alg, alg.group.identity))
+        for g in range(alg.group.order):
+            assert analysis._side_traces(component_action(alg, g)) == e_traces, (inst.name, g)
+    assert crossed >= 20
 
 
 def test_crossed_data_nontrivial_cocycle():

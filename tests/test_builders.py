@@ -58,6 +58,11 @@ def test_finite_field_algebra_frobenius():
     validate_automorphism(base, frob)
 
 
+def test_finite_field_algebra_refuses_degree_zero():
+    with pytest.raises(InvalidInput, match=r"^no irreducible of degree 0 over GF\(2\)$"):
+        finite_field_algebra(2, 0)
+
+
 def test_m3_block_structure():
     alg = m3_example(GF(2))
     assert alg.comp_dims == (5, 4)

@@ -469,6 +469,27 @@ def test_internal_inconsistency_exit_4(tmp_path, capsys):
         assert captured.err == "internal error: stored unit lost its invertibility\n"
 
 
+def test_valid_names_the_first_non_associative_group_triple(tmp_path, capsys):
+    # a table with an identity and inverses that is not associative:
+    # (a a) b = b but a (a b) = e
+    obj = {
+        "field": {"type": "GF", "p": 2},
+        "group": {"names": ["e", "a", "b"], "table": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        "components": {"e": 1, "a": 0, "b": 0},
+        "structure": [[0, 0, 0, 0, [1]]],
+        "unit": [1],
+    }
+    path = tmp_path / "not-a-group.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path), "--property", "valid", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["verdict"] == "false"
+    assert report["method"] == "group-axioms"
+    assert report["detail"] == "associativity fails at (a, a, b)"
+
+
 @pytest.mark.parametrize("field", ["gf2", "q"])
 @pytest.mark.parametrize("prop", ["simple", "graded-simple", "controlled", "necessary", "subrings"])
 def test_zero_structure_is_answered_not_crashed(tmp_path, capsys, field, prop):

@@ -1,6 +1,6 @@
-"""No dead definitions and no unused imports in the package.
+"""No dead definitions and no unused or hidden imports in the package.
 
-Three checks over the source of `gradedrings`, using only `ast`:
+Four checks over the source of `gradedrings`, using only `ast`:
 
 - every module-level function or class, and every method of a
   module-level class, whose name starts with `_` is referenced somewhere in
@@ -10,7 +10,9 @@ Three checks over the source of `gradedrings`, using only `ast`:
   `scripts/` or `perfbench/`.  Tests do not count: a definition only tests
   call belongs in a test helper such as `tests/references.py`;
 - every imported name (except `from __future__`) is used in the module that
-  imports it.  `__init__.py` is exempt: its imports are the public API.
+  imports it.  `__init__.py` is exempt: its imports are the public API;
+- no function imports inside its body, so the module's imports list every
+  name it takes from elsewhere, and the check above sees all of them.
 
 A name counts as used when it appears as a `Name`, as the attribute of an
 `Attribute`, or as a word of a string annotation such as `-> "Element"`.
@@ -26,6 +28,12 @@ unflagged that way: `Field.add` (beside `EchelonBasis.add`),
 `Subspace.zero`), `GradedSubspace.contains` and `support` (beside
 `Subspace.contains` and `Element.support`), `Element.is_zero` (beside `Matrix.is_zero`) and `EchelonBasis.pivots` (a
 local variable `pivots`).  A trace of which methods run finds such cases.
+
+Dunder methods and single branches are outside what these checks can see:
+a definition that is used can still hold a branch that no input reaches.
+A line trace finds those: a `sys.settrace` hook that records each
+(file, line) of the package that runs under the tests, set against the
+lines that the compiled code objects of each module can run.
 """
 import ast
 import os
@@ -191,3 +199,21 @@ def test_every_import_is_used(module):
     used = set().union(*(names for node, names in STATEMENTS[module] if not _is_import(node)))
     unused = [name for name in _imports(TREES[module]) if name not in used]
     assert not unused, f"gradedrings/{module} imports unused names: {unused}"
+
+
+def _imports_in_bodies(tree) -> list:
+    return sorted(
+        {
+            node.lineno
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if _is_import(node)
+        }
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_import_inside_a_function(module):
+    lines = _imports_in_bodies(TREES[module])
+    assert not lines, f"gradedrings/{module} imports inside a function at lines {lines}"
