@@ -821,10 +821,11 @@ def detect_crossed_product(
 def _twisting_from_units(alg: GradedAlgebra, units: Dict[int, Element]) -> CrossedProductData:
     """sigma and alpha induced by a chosen invertible unit per component.
 
-    On any table, valid or not, u b u^-1 and u_g u_h u_gh^-1 lie in R_e.
-    The table puts b_i b_j in R_gh, and the inverse of u in R_g lies in
-    R_{g^-1}: L_u maps each R_k into R_gk, so the solution of u y = 1 that
-    `solve` picks (free variables 0) vanishes off R_{g^-1}.
+    The loaded group table need not have Latin rows, so k = g^-1 need not
+    be the only k with gk = e, and the inverse `solve` finds for u in R_g
+    can lie outside R_{g^-1}; that is refused here.  Once every inverse is
+    homogeneous, u b u^-1 and u_g u_h u_gh^-1 lie in R_e, because the table
+    puts b_i b_j in R_gh.
     """
     G = alg.group
     e = G.identity
@@ -833,6 +834,8 @@ def _twisting_from_units(alg: GradedAlgebra, units: Dict[int, Element]) -> Cross
         inv = is_invertible(u)
         if inv is None:
             raise InternalInconsistency("stored unit lost its invertibility")
+        if inv.support() not in ((), (G.inv(g),)):
+            raise InternalInconsistency("inverse of a homogeneous unit is not homogeneous")
         inverses[g] = inv
 
     sigma = {}

@@ -79,8 +79,6 @@ def finite_field_algebra(p: int, n: int):
     monic irreducible of degree n.
     """
     field = GF(p)
-    if n < 1:
-        raise InvalidInput(f"no irreducible of degree {n} over GF({p})")
     modulus = lowest_irreducible(p, n)
 
     def reduced_power(e: int) -> list:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import InvalidInput
 from .linalg import EchelonBasis, Matrix
 
 
@@ -89,8 +90,10 @@ def is_irreducible(p: int, f: Sequence[int]) -> bool:
 
 
 def lowest_irreducible(p: int, n: int) -> list:
-    """The first monic irreducible of degree n >= 1 over GF(p), in the order
+    """The first monic irreducible of degree n over GF(p), in the order
     given by reading the non-leading coefficients as a base-p integer."""
+    if n < 1:
+        raise InvalidInput(f"no irreducible of degree {n} over GF({p})")
     candidates = ([k // p**i % p for i in range(n)] + [1] for k in range(p**n))
     return next(f for f in candidates if is_irreducible(p, f))
 

@@ -58,9 +58,10 @@ def test_finite_field_algebra_frobenius():
     validate_automorphism(base, frob)
 
 
-def test_finite_field_algebra_refuses_degree_zero():
+@pytest.mark.parametrize("build", [lowest_irreducible, finite_field_algebra])
+def test_degree_zero_is_refused(build):
     with pytest.raises(InvalidInput, match=r"^no irreducible of degree 0 over GF\(2\)$"):
-        finite_field_algebra(2, 0)
+        build(2, 0)
 
 
 def test_m3_block_structure():

@@ -469,6 +469,29 @@ def test_internal_inconsistency_exit_4(tmp_path, capsys):
         assert captured.err == "internal error: stored unit lost its invertibility\n"
 
 
+def test_inverse_outside_the_inverse_component_exit_4(tmp_path, capsys):
+    # the table has an identity and two-sided inverses but no Latin rows:
+    # b a = e while b^-1 = b.  The unit y of R_b has inverse x, in R_a
+    obj = {
+        "field": {"type": "GF", "p": 2},
+        "group": {"names": ["e", "a", "b"], "table": [[0, 1, 2], [1, 0, 2], [2, 0, 0]]},
+        "components": {"e": 1, "a": 1, "b": 1},
+        "structure": [
+            [0, 0, 0, 0, [1]], [0, 0, 1, 0, [1]], [0, 0, 2, 0, [1]], [1, 0, 0, 0, [1]],
+            [2, 0, 0, 0, [1]], [1, 0, 1, 0, [1]], [2, 0, 1, 0, [1]], [2, 0, 2, 0, [1]],
+            [1, 0, 2, 0, [0]],
+        ],
+        "unit": [1],
+    }
+    path = tmp_path / "not-latin.json"
+    path.write_text(json.dumps(obj))
+    for prop in ("crossed-product", "crossed-controlled"):
+        assert main(["check", str(path), "--property", prop]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: inverse of a homogeneous unit is not homogeneous\n"
+
+
 def test_valid_names_the_first_non_associative_group_triple(tmp_path, capsys):
     # a table with an identity and inverses that is not associative:
     # (a a) b = b but a (a b) = e
