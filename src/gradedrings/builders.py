@@ -191,13 +191,16 @@ def crossed_identity_failure(
                     "twisted composition sigma_g sigma_h = Ad(alpha(g,h)) sigma_gh fails "
                     f"at ({names[g]},{names[h]}) on basis element {i}"
                 )
+    dots = base.field.dots
     for g in range(n):
+        rows = sigma[g].entries  # canonical, so the images go in unchecked
         for h in range(n):
             gh = group.table[g][h]
             for t in range(n):
                 ht = group.table[h][t]
                 lhs = alpha[(g, h)] * alpha[(gh, t)]
-                sa = base.from_flat(sigma[g].apply(base.flatten(alpha[(h, t)])))
+                image = dots(rows, base.flatten(alpha[(h, t)]))
+                sa = Element(base, {k: x for k, x in enumerate(image) if x})
                 if lhs != sa * alpha[(g, ht)]:
                     return f"cocycle identity fails at triple ({names[g]},{names[h]},{names[t]})"
     return None

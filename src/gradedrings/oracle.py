@@ -27,14 +27,26 @@ W = closure(u) = E M v lies in E v because E is closed under products (on
 data that fails validation it need not be, and the oracle's answer means
 nothing there); so if v is in W then closure(v) = W and the seed is done,
 and otherwise W's rows join the span.  An unswept u joins the span alone.
-The span stops growing at full rank.  The rule uses only the definition of
-the closure, so the oracle stays brute force: it visits every seed and
-consults no theorem about graded rings.  The memo is an array of closure
-ids indexed by the base-p code of a vector with a leading 1, 4 bytes for
-each of the p^n codes, allocated only after the p^n seed vectors have
-passed the budget.  The packed formats add a table of 2^n codes and, for
-each basis matrix of E that the sweep reaches, tables of
-p^(n - n//2) + p^(n//2) rows.
+The span stops growing at full rank.  An orbit rule then spares most seeds
+the images.  Let G in E be invertible.  Its minimal polynomial has a nonzero
+constant term, so G^-1 is a polynomial in G and lies in E, which holds I
+and is closed under products; so E G v lies in E v, and E v = E G^-1 G v
+lies in E G v: closure(G v) = closure(v).  G permutes the rays, so after
+closing a seed that the memo did not hold, the sweep walks the seed's
+G-orbit and writes its closure id on each ray, up to one that holds it
+already.  G is sought once, after 4n seeds are closed, and only in a sweep
+of at least 4 n dim E seeds, where four failed tries cost little: the first
+of four combinations of E's basis, with coefficients from a fixed-seed
+generator, whose rows are independent.  Both rules use only the definition
+of the closure (and Cayley-Hamilton), so the oracle stays brute force: it
+yields every seed, in order, and consults no theorem about graded rings; on
+invalid data neither has ground.  No output depends on G, since closures are
+canonical rows.  The memo is an array of closure ids indexed by the base-p
+code of a vector with a leading 1, 4 bytes for each of the p^n codes,
+allocated only after the p^n seed vectors have passed the budget and
+MEMO_CAP.  The packed formats add a table of 2^n codes and, for G and each
+basis matrix of E that the sweep reaches, tables of p^(n - n//2) + p^(n//2)
+rows.
 
 When every cyclic closure is a line, the operators act by scalars, so
 every subspace is invariant and the lattice is every subspace of F^n.
@@ -51,6 +63,7 @@ route stays brute force too.  LATTICE_CAP bounds the quotient's lattice.
 from __future__ import annotations
 
 import itertools
+import random
 from array import array
 from functools import partial
 from operator import mul, xor
@@ -72,6 +85,13 @@ from .linalg import (
 
 DEFAULT_BUDGET = 10 ** 6
 
+# Cap on the sweep's memo, whatever the budget: 4 bytes for each of the p^n
+# codes, so 64 MiB at the cap.  The sweep closes 7*10^4 to 6*10^5 seeds a
+# second (m3(GF(3))'s sub-bimodules to galois(2,4)'s ideals, in-process,
+# Python 3.11 on a shared 2-core machine), so a sweep at the cap takes half
+# a minute to four minutes, and each step past it doubles both at least.
+MEMO_CAP = 2 ** 24
+
 # Hard cap on the invariant-subspace lattice, independent of the seed-vector
 # budget.  It bounds memory: the join checks it after each generator, and one
 # generator at most doubles the lattice, so no more than about twice the cap
@@ -87,20 +107,21 @@ def _require_prime(alg_or_field) -> Field:
 
 
 def _require_seed_budget(alg: GradedAlgebra, budget: int) -> None:
-    """Refuse an instance whose p^n seed vectors exceed the budget, or the
-    2^32 codes the sweep can address.
+    """Refuse an instance whose p^n seed vectors exceed the budget, or
+    MEMO_CAP.
 
     Every entry point calls this before it builds an operator: the flat
-    operators alone take time and memory cubic in the dimension.  A
-    vector's code, 0 to p^n - 1, is an `array("I")` entry of 32 bits.
+    operators alone take time and memory cubic in the dimension.  The cap
+    also keeps a vector's code, 0 to p^n - 1, within an `array("I")` entry
+    of 32 bits.
     """
     f, n = _require_prime(alg), alg.dim
     if f.p ** n > budget:
         raise BudgetError(
             f"{f.p}^{n} seed vectors exceed budget {budget} for dimension {n}"
         )
-    if f.p ** n > 2 ** 32:
-        raise BudgetError(f"{f.p}^{n} seed vectors exceed the 2^32 codes of the sweep")
+    if f.p ** n > MEMO_CAP:
+        raise BudgetError(f"{f.p}^{n} seed vectors exceed the memo cap of {MEMO_CAP} codes")
 
 
 # --------------------------------------------------------------------------
@@ -182,13 +203,15 @@ class _TupleRows:
     nonzero M seed for M a basis matrix of E, scaled to a leading 1, both
     with their codes (the base-p number of the vector, coordinate 0 the most
     significant); insert grows a basis, and contains, full and canonical
-    read one.  support gives a row's nonzero coordinates as bits, and unpack
-    its coordinates.
+    read one.  support gives a row's nonzero coordinates as bits, pack a
+    tuple's row and unpack its coordinates.  unit() applies G of the orbit
+    rule: a function from a monic row's code and row to G row, monic, with
+    its code, or None where no G is found.
     """
 
     insert, contains = staticmethod(EchelonBasis._insert), staticmethod(EchelonBasis.contains)
     full, support = staticmethod(EchelonBasis.is_full), staticmethod(_mask)
-    unpack = staticmethod(tuple)  # the rows are tuples already
+    pack = unpack = staticmethod(tuple)  # the rows are tuples already
 
     def __init__(self, f: Field, n: int, mats):
         self.f, self.n, self.codes, self.ops = f, n, f.p ** n, [m.entries for m in mats]
@@ -206,6 +229,11 @@ class _TupleRows:
             if lead:
                 u = u if lead == 1 else f.scale(f.inv(lead), u)
                 yield sum(map(mul, u, weights)), u
+
+    def unit(self):
+        g = _invertible(self, self.ops)
+        one = g and _TupleRows(self.f, self.n, [Matrix._trusted(self.f, g, self.n)])
+        return one and (lambda code, y: next(one.images(y, code)))
 
     def basis(self):
         return EchelonBasis(self.f, self.n)
@@ -237,9 +265,8 @@ class _BitRows:
         for w in (f.p ** (n - 1 - i) for i in range(n)):
             self.weight += array("I", (x + w for x in self.weight))
 
-    def _tables(self, i: int):
-        add, cols = self.add, [self.pack(c) for c in zip(*self.mats[i].entries)]
-        out = self.tables[i] = []
+    def _tables(self, rows):
+        add, cols, out = self.add, [self.pack(c) for c in zip(*rows)], []
         for coords in (range(self.n - self.lo), range(self.n - self.lo, self.n)):
             vecs = [self.pack((0,) * self.n)]
             for j in coords:
@@ -248,8 +275,14 @@ class _BitRows:
             out.append(self.table(vecs))
         return out
 
+    def unit(self):
+        g, add, monic = _invertible(self, [m.entries for m in self.mats[1:]]), self.add, self.monic
+        if g:
+            (high, low), base = self._tables(g), self.f.p ** self.lo
+            return lambda code, y: monic(add(high[code // base], low[code % base]))
+
     def seeds(self):
-        (high, low), p, base = self._tables(0), self.f.p, self.f.p ** self.lo
+        (high, low), p, base = self._tables(self.mats[0].entries), self.f.p, self.f.p ** self.lo
         for k in reversed(range(self.n)):
             for code in range(p ** k, 2 * p ** k):
                 yield code, self.add(high[code // base], low[code % base])
@@ -257,7 +290,7 @@ class _BitRows:
     def images(self, seed, code):
         h, l = divmod(code, self.f.p ** self.lo)
         for i in range(1, len(self.mats)):
-            high, low = self.tables[i] or self._tables(i)
+            high, low = self.tables[i] = self.tables[i] or self._tables(self.mats[i].entries)
             u = self.monic(self.add(high[h], low[l]))
             if u:
                 yield u
@@ -344,32 +377,56 @@ class _TritRows(_BitRows):
         return v[0] | v[1]
 
 
+def _invertible(rows, mats):
+    """The rows of G for the orbit rule of the module docstring, or None;
+    mats are E's basis matrices, given by their rows."""
+    p, n, rng = rows.f.p, rows.n, random.Random(0)
+    if len(mats) < 2 or 4 * n * len(mats) > (rows.codes - 1) // (p - 1):
+        return None
+    for _ in range(4):
+        c = [rng.randrange(p) for _ in mats]
+        g = [tuple(sum(map(mul, c, xs)) % p for xs in zip(*rs)) for rs in zip(*mats)]
+        basis = rows.basis()
+        for row in g:
+            rows.insert(basis, rows.pack(row))
+        if rows.full(basis):
+            return g
+
+
 def _seed_sweep(rows):
     """Yield (seed, closure rows) for every projective seed, in rows' format,
-    by the memo rule of the module docstring.  The caller has passed
-    _require_seed_budget."""
+    by the memo and orbit rules of the module docstring.  The caller has
+    passed _require_seed_budget."""
     memo = array("I", [0]) * rows.codes
     closures, ids = [], {}
     images, insert, contains, full = rows.images, rows.insert, rows.contains, rows.full
+    turn, closed = None, 0
     for code, seed in rows.seeds():
-        basis = rows.basis()
-        k = 0
-        for u_code, u in images(seed, code):
-            k = memo[u_code]
-            if k and contains(closures[k - 1][1], seed):
-                break
-            for row in closures[k - 1][0] if k else (u,):  # W's rows, or u alone
-                insert(basis, row)
-            k = 0
-            if full(basis):
-                break
+        k = memo[code]
         if not k:
-            out = rows.canonical(basis)
-            k = ids.get(out)
-            if k is None:  # ids are 1-based, so 0 in the memo means "not swept"
-                closures.append((out, basis))
-                k = ids[out] = len(closures)
-        memo[code] = k
+            basis = rows.basis()
+            for u_code, u in images(seed, code):
+                k = memo[u_code]
+                if k and contains(closures[k - 1][1], seed):
+                    break
+                for row in closures[k - 1][0] if k else (u,):  # W's rows, or u alone
+                    insert(basis, row)
+                k = 0
+                if full(basis):
+                    break
+            if not k:
+                out = rows.canonical(basis)
+                k = ids.get(out)
+                if k is None:  # ids are 1-based, so 0 in the memo means "not swept"
+                    closures.append((out, basis))
+                    k = ids[out] = len(closures)
+            memo[code] = k
+            u_code, u = turn(code, seed) if turn else (code, seed)
+            while memo[u_code] != k:  # the seed's orbit under G, to a ray holding k
+                memo[u_code] = k
+                u_code, u = turn(u_code, u)
+            if (closed := closed + 1) == 4 * rows.n:
+                turn = rows.unit()
         yield seed, closures[k - 1][0]
 
 

@@ -348,6 +348,38 @@ def test_rational_eigenvalues_need_no_factoring():
     assert rational_eigenvalues(companion) == [1, n]
 
 
+def test_rational_eigenvalues_cut_off_costs_only_conclusiveness(monkeypatch):
+    # (x - 1)(x - N): N = 10^18 + 9 is reached within SAMPLES = 64 residue
+    # combinations; N = 10^21 + 7 has two roots mod each of 8 primes, 256
+    # combinations, so the search ends with no value rather than a wrong one
+    small, large = 10**18 + 9, 10**21 + 7
+    assert rational_eigenvalues(_rational([[0, -small], [1, small + 1]])) == [1, small]
+    assert rational_eigenvalues(_rational([[0, -large], [1, large + 1]])) == []
+    monkeypatch.setattr(bimodule, "SAMPLES", 256)
+    assert rational_eigenvalues(_rational([[0, -large], [1, large + 1]])) == [1, large]
+
+
+def test_norton_step_gives_up_past_its_nullspace_budget(monkeypatch):
+    # with NULLSPACE_BUDGET = 1 no nullspace of gf2-v4's regular action is
+    # swept, so Norton's test returns None and the spins decide: FALSE by
+    # exhaustive-spin (meataxe-spin with the budget), with a checked witness
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == "gf2-v4")
+    action = regular_bimodule_action(alg)
+    assert is_simple(action).method == "meataxe-spin"
+    step, returned = bimodule._norton_step, []
+
+    def spied(*args):
+        returned.append(step(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(bimodule, "NULLSPACE_BUDGET", 1)
+    monkeypatch.setattr(bimodule, "_norton_step", spied)
+    rep = is_simple(action)
+    assert returned and None in returned
+    assert rep.verdict is Verdict.FALSE and rep.method == "exhaustive-spin"
+    assert bimodule._checked_witness(action, rep.witness) is rep.witness
+
+
 def test_envelope_rank_m3(m3_gf2):
     # M3 x M3^op acts densely on the 9-dim regular module
     rank, mats = envelope(regular_bimodule_action(m3_gf2))

@@ -637,6 +637,24 @@ def test_oracle_refuses_what_its_codes_cannot_address(tmp_path, monkeypatch, cap
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("what", ORACLE_WHATS)
+def test_oracle_refuses_a_memo_past_its_cap(tmp_path, monkeypatch, capsys, what):
+    # GF(2)[Z/25]: 2^25 codes, one step past the memo cap of 2^24, at a
+    # budget above them both, is refused before any sweep row is built
+    path = tmp_path / "gf2-z25.json"
+    save_algebra(group_algebra(GF(2), cyclic_group(25)), str(path))
+
+    def refuse(*args):
+        raise AssertionError("sweep rows built before the memo cap check")
+
+    monkeypatch.setattr(oracle, "_row_format", refuse)
+    assert main(["oracle", str(path), "--what", what, "--budget", str(2**26)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "memo cap" in err
+
+
 def test_oracle_refuses_rationals(tmp_path, capsys):
     path = tmp_path / "qz2.json"
     main(["build", "group-algebra", "--field", "q", "--group", "z2", "--out", str(path)])

@@ -112,6 +112,15 @@ def test_enumerate_subspaces_budget():
         enumerate_subspaces(10, GF(3), budget=1000)
 
 
+def test_memo_cap_admits_its_own_size():
+    # 2^24 codes pass at a budget that admits them; 2^25 do not, whatever
+    # the budget, and DEFAULT_BUDGET stays below the cap
+    assert oracle.DEFAULT_BUDGET < oracle.MEMO_CAP == 2**24
+    oracle._require_seed_budget(group_algebra(GF(2), cyclic_group(24)), 2**24)
+    with pytest.raises(BudgetError, match="memo cap"):
+        oracle._require_seed_budget(group_algebra(GF(2), cyclic_group(25)), 2**40)
+
+
 def test_oracles_refuse_rationals(q_z2):
     with pytest.raises(InvalidInput):
         enumerate_sub_bimodules(q_z2)
@@ -299,24 +308,31 @@ def _reference_lattice(alg, ops):
     f, n = alg.field, alg.dim
     if all(op == matrix_scale(Matrix.identity(f, n), op.entries[0][0]) for op in ops):
         return count_subspaces(f.p, n)
-    cyclic = set()
-    for seed in projective_vectors(f, Matrix.identity(f, n).entries):
-        eb = EchelonBasis(f, n)
-        eb.add(seed)
-        queue = [seed]
-        while queue and not eb.is_full():
-            v = queue.pop()
-            for op in ops:
-                w = op.apply(v)
-                if eb.add(w):
-                    queue.append(w)
-        cyclic.add(eb.to_subspace())
+    cyclic = {
+        _spin(f, n, ops, seed).to_subspace()
+        for seed in projective_vectors(f, Matrix.identity(f, n).entries)
+    }
     lattice = {Subspace.zero(f, n)} | cyclic
     new = set(lattice)
     while new:
         new = {subspace_sum(a, c) for a in new for c in cyclic} - lattice
         lattice |= new
     return lattice
+
+
+def _spin(f, n, ops, seed):
+    """The closure of seed under ops, with no memo and no unit: every
+    operator applied to every vector that grows the span, until none does."""
+    eb, rows = EchelonBasis(f, n), [op.entries for op in ops]
+    eb.add(seed)
+    queue = [seed]
+    while queue and not eb.is_full():
+        v = queue.pop()
+        for op in rows:
+            w = f.dots(op, v)
+            if eb.add(w):
+                queue.append(w)
+    return eb
 
 
 def _assert_lattice_matches(got, ref):
@@ -371,6 +387,68 @@ def test_packed_and_generic_sweeps_agree_seed_by_seed(alg):
         assert len(got) == (f.p ** n - 1) // (f.p - 1)
         assert got == want
         assert [seed for seed, _ in want] == list(projective_vectors(f, Matrix.identity(f, n).entries))
+
+
+# the orbit rule closes a seed by its memo entry alone; the sweeps of
+# gf3-m2-inner and of gf5-z4's ideals are the ones here large enough to seek G
+ORBIT_CASES = LATTICE_CASES + [(name, a) for name, a in PACKED_CASES if name == "gf3-m2-inner"]
+
+
+@pytest.mark.parametrize("alg", [a for _, a in ORBIT_CASES], ids=[n for n, _ in ORBIT_CASES])
+def test_each_seed_closure_matches_a_spin_with_no_memo(alg):
+    f, n = alg.field, alg.dim
+    for lefts, rights in ((alg.flat_left_ops(), alg.flat_right_ops()), alg.identity_ops()):
+        rows = oracle._row_format(f, n, lefts, rights)
+        for seed, closure in oracle._seed_sweep(rows):
+            v = rows.unpack(seed)
+            assert tuple(map(rows.unpack, closure)) == tuple(_spin(f, n, lefts + rights, v).rows), v
+
+
+def _counted_sweep(rows):
+    """The number of seeds a sweep yields, of those closed image by image,
+    and whether it found G."""
+    images, unit, seen = rows.images, rows.unit, {"closed": 0, "unit": False}
+
+    def counted_images(seed, code):
+        seen["closed"] += 1
+        return images(seed, code)
+
+    def counted_unit():
+        turn = unit()
+        seen["unit"] = turn is not None
+        return turn
+
+    rows.images, rows.unit = counted_images, counted_unit
+    return sum(1 for _ in oracle._seed_sweep(rows)), seen["closed"], seen["unit"]
+
+
+def test_orbit_rule_closes_most_seeds_by_lookup():
+    # E = M4(GF(3)) on two copies of its simple module: every image M v
+    # lies in a 4-dim diagonal closure that misses v, so the memo rule alone
+    # closes 3,124 of the 3,280 seeds image by image
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == "gf3-m2-inner")
+    rows = oracle._row_format(alg.field, alg.dim, *alg.identity_ops())
+    seeds, closed, found = _counted_sweep(rows)
+    assert seeds == 3280 and found
+    assert closed < seeds / 4
+
+
+@pytest.mark.parametrize("name", ["gf3-s3", "gf2-m3"])
+def test_scalar_and_small_sweeps_find_no_unit(name):
+    # gf3-s3: R_e = GF(3) acts by scalars, so dim E = 1; gf2-m3: 511 seeds,
+    # fewer than 4 n dim E = 900, so four failed tries would not pay
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == name)
+    rows = oracle._row_format(alg.field, alg.dim, *alg.identity_ops())
+    seeds, closed, found = _counted_sweep(rows)
+    assert closed == seeds and not found
+
+
+def test_controlled_oracle_stops_before_seeking_a_unit(monkeypatch):
+    # gf3-m2-inner fails at its tenth seed, before the 4 n = 32 closures
+    # after which its sweep would seek G
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == "gf3-m2-inner")
+    monkeypatch.setattr(oracle, "_invertible", lambda *args: pytest.fail("sought G"))
+    assert controlled_oracle(alg) is False
 
 
 def _trit_rows(n):

@@ -69,3 +69,19 @@ def test_oracle_shares_no_theory_with_the_simplicity_certificates():
         for alias in node.names
     }
     assert "is_simple" not in names | imported
+
+
+def test_oracle_takes_three_names_from_bimodule():
+    # the spin-free tools the sweep and the isomorphism search need, and
+    # nothing near the certificates or the samplers (such as
+    # _random_combination) that the analysis routes share
+    taken = set()
+    for node in ast.walk(_tree("oracle")):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "bimodule":
+                taken.update(alias.name for alias in node.names)
+            taken.update(alias.name for alias in node.names if alias.name == "bimodule")
+        elif isinstance(node, ast.Import):
+            taken.update("bimodule" for alias in node.names if alias.name.endswith(".bimodule"))
+    assert taken == {"BimoduleAction", "envelope", "hom_space"}
