@@ -289,9 +289,12 @@ class _BitRows:
 
     def images(self, seed, code):
         h, l = divmod(code, self.f.p ** self.lo)
+        tables, add, monic = self.tables, self.add, self.monic
         for i in range(1, len(self.mats)):
-            high, low = self.tables[i] = self.tables[i] or self._tables(self.mats[i].entries)
-            u = self.monic(self.add(high[h], low[l]))
+            if not tables[i]:
+                tables[i] = self._tables(self.mats[i].entries)
+            high, low = tables[i]
+            u = monic(add(high[h], low[l]))
             if u:
                 yield u
 
@@ -380,9 +383,10 @@ class _TritRows(_BitRows):
 def _invertible(rows, mats):
     """The rows of G for the orbit rule of the module docstring, or None;
     mats are E's basis matrices, given by their rows."""
-    p, n, rng = rows.f.p, rows.n, random.Random(0)
+    p, n = rows.f.p, rows.n
     if len(mats) < 2 or 4 * n * len(mats) > (rows.codes - 1) // (p - 1):
         return None
+    rng = random.Random(0)
     for _ in range(4):
         c = [rng.randrange(p) for _ in mats]
         g = [tuple(sum(map(mul, c, xs)) % p for xs in zip(*rs)) for rs in zip(*mats)]
@@ -400,7 +404,7 @@ def _seed_sweep(rows):
     memo = array("I", [0]) * rows.codes
     closures, ids = [], {}
     images, insert, contains, full = rows.images, rows.insert, rows.contains, rows.full
-    turn, closed = None, 0
+    turn, closed, search = None, 0, 4 * rows.n  # G is sought after `search` closures
     for code, seed in rows.seeds():
         k = memo[code]
         if not k:
@@ -421,11 +425,12 @@ def _seed_sweep(rows):
                     closures.append((out, basis))
                     k = ids[out] = len(closures)
             memo[code] = k
-            u_code, u = turn(code, seed) if turn else (code, seed)
-            while memo[u_code] != k:  # the seed's orbit under G, to a ray holding k
-                memo[u_code] = k
-                u_code, u = turn(u_code, u)
-            if (closed := closed + 1) == 4 * rows.n:
+            if turn:  # the seed's orbit under G, up to a ray holding k
+                u_code, u = turn(code, seed)
+                while memo[u_code] != k:
+                    memo[u_code] = k
+                    u_code, u = turn(u_code, u)
+            elif (closed := closed + 1) == search:
                 turn = rows.unit()
         yield seed, closures[k - 1][0]
 
