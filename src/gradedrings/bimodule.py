@@ -33,7 +33,9 @@ with a witness) or, past the budget, QUICK_TRIALS random vectors
 `rational-sampling` (Q), both Inconclusive.  Both runs of Norton's test
 try each element with `_norton_shifts`, whose only field-dependent input
 is the shifts theta - lam*I: every lam in GF(p) for p <= 64, sixteen
-sampled ones for larger p, the rational eigenvalues over Q.  Norton's
+sampled ones for larger p, the rational eigenvalues over Q, which
+`rational_eigenvalues` combines from the roots of theta's characteristic
+polynomial mod a few primes (`poly.roots_mod`), not from a sweep.  Norton's
 test reports `meataxe-spin` (False: a nullspace vector spins to a proper
 subspace) or `meataxe-norton`, a proof either way: True when every
 nullspace line and one nullspace vector of the transpose spin to the
@@ -71,7 +73,7 @@ from .linalg import (
     nullspace,
     span_candidates,
 )
-from .poly import is_irreducible, minimal_polynomial
+from .poly import characteristic_polynomial, is_irreducible, minimal_polynomial, roots_mod
 
 # Random draws of a sampled search: Norton trials on envelope elements, and
 # the combinations `span_candidates` adds when a span is past its budget.
@@ -549,19 +551,21 @@ def rational_eigenvalues(mat: Matrix) -> list:
     Every value returned is an eigenvalue.  Scaled by the common
     denominator to an integer matrix A, whose rational eigenvalues are
     integers r with |r| at most the largest row sum of |A|.  For a prime q,
-    r mod q is a root of A's minimal polynomial over GF(q), because a
-    primitive integer eigenvector stays nonzero mod q.  The roots mod the
-    RESIDUE_PRIMES are combined by the Chinese remainder theorem until the
-    modulus exceeds twice that bound; each combination names one candidate,
-    kept when |r| is within the bound and A - rI is singular.  More than
-    SAMPLES combinations still short of the modulus end the search with no
-    values, which only ever costs conclusiveness.
+    r mod q is a root of A's characteristic polynomial mod q, since
+    det(A - rI) = 0 stays 0 mod q; `poly.characteristic_polynomial` finds
+    that polynomial and `poly.roots_mod` its roots in GF(q), with no sweep
+    of GF(q).  The roots mod the RESIDUE_PRIMES are combined by the
+    Chinese remainder theorem until the modulus exceeds twice that bound;
+    each combination names one candidate, kept when |r| is within the
+    bound and A - rI is singular.  A prime with no root ends the search
+    with no values, as does reaching more than SAMPLES combinations still
+    short of the modulus, which only ever costs conclusiveness.
     """
     f = mat.field
     if f.p != 0:
         raise InvalidInput("rational eigenvalue search is for the rationals")
     den = lcm(*(x.denominator for row in mat.entries for x in row))
-    rows = [[int(x * den) for x in row] for row in mat.entries]
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row in mat.entries]
     bound = max((sum(map(abs, row)) for row in rows), default=0)
     residues, modulus = [0], 1
     primes = iter(RESIDUE_PRIMES)
@@ -569,10 +573,9 @@ def rational_eigenvalues(mat: Matrix) -> list:
         q = next(primes, None)
         if q is None or len(residues) > SAMPLES:
             return []
-        evals = [0] * q  # the minimal polynomial mod q at every x, by Horner
-        for c in reversed(minimal_polynomial(Matrix(Field(q), rows))):
-            evals = [(v * x + c) % q for x, v in enumerate(evals)]
-        roots = [x for x, v in enumerate(evals) if not v]
+        roots = roots_mod(q, characteristic_polynomial(q, rows))
+        if not roots:
+            return []
         step = pow(modulus, -1, q)
         residues = [r + modulus * ((s - r) * step % q) for r in residues for s in roots]
         modulus *= q
@@ -581,7 +584,7 @@ def rational_eigenvalues(mat: Matrix) -> list:
         shifted = [
             [x - r if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)
         ]
-        if abs(r) <= bound and nullspace(Matrix(f, shifted)).dim > 0:
+        if abs(r) <= bound and not _echelon(Matrix(f, shifted)).is_full():
             values.append(Fraction(r, den))
     return values
 

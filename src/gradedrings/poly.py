@@ -1,4 +1,5 @@
-"""Polynomials over GF(p) and minimal polynomials of matrices.
+"""Polynomials over GF(p), and minimal and characteristic polynomials of
+matrices.
 
 A polynomial over GF(p) is a dense little-endian list of ints in
 range(p): [c_0, c_1, ..., c_k] is c_0 + c_1 x + ... + c_k x^k, with no
@@ -9,7 +10,11 @@ factor of x^(p^i) - x has degree dividing i and a reducible f has a factor
 of degree at most n // 2.  The one test serves `lowest_irreducible`, which
 picks the moduli of the finite-field builders, and the
 `irreducible-element` and `field-commutant` certificates of
-`bimodule.is_simple`.
+`bimodule.is_simple`.  The same gcd with x^p - x gives the roots in GF(p)
+(`roots_mod`, Rabin's root finding) by powers mod f of O(n^2 log p)
+operations each, where a sweep of GF(p) takes O(n p); with
+`characteristic_polynomial` of an integer matrix mod p, it gives
+`bimodule.rational_eigenvalues` the residues of the eigenvalues.
 """
 from __future__ import annotations
 
@@ -26,18 +31,16 @@ def _trim(a: list) -> list:
 
 
 def poly_mod(p: int, a: Sequence[int], m: Sequence[int]) -> list:
-    """a mod m for monic m."""
+    """a mod m for monic m; a may hold any ints, reduced mod p once at the end."""
     r = list(a)
     dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
+    while len(r) > dm:
+        lead = r.pop() % p
         if lead:
-            shift = len(r) - 1 - dm
-            for i, c in enumerate(m):
-                if c:
-                    r[shift + i] = (r[shift + i] - lead * c) % p
-        r.pop()
-    return _trim(r)
+            low = len(r) - dm
+            for i in range(dm):
+                r[low + i] -= lead * m[i]
+    return _trim([c % p for c in r])
 
 
 def _mulmod(p: int, a: Sequence[int], b: Sequence[int], m: Sequence[int]) -> list:
@@ -47,9 +50,9 @@ def _mulmod(p: int, a: Sequence[int], b: Sequence[int], m: Sequence[int]) -> lis
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return poly_mod(p, [c % p for c in prod], m)
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    return poly_mod(p, prod, m)
 
 
 def _powmod(p: int, a: Sequence[int], e: int, m: Sequence[int]) -> list:
@@ -72,6 +75,99 @@ def _gcd(p: int, a: Sequence[int], b: Sequence[int]) -> list:
         b = [c * inv % p for c in b]
         a, b = b, poly_mod(p, a, b)
     return a
+
+
+def _exact_quotient(p: int, a: Sequence[int], m: Sequence[int]) -> list:
+    """a / m for monic m that divides a."""
+    r, quo = list(a), [0] * (len(a) - len(m) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = r[k + len(m) - 1]
+        if c:
+            for i, x in enumerate(m):
+                r[k + i] = (r[k + i] - c * x) % p
+    return quo
+
+
+def roots_mod(p: int, f: Sequence[int]) -> list:
+    """The distinct roots in GF(p) of a nonzero f, ascending.
+
+    g = gcd(f, x^p - x) is the product of x - r over the roots r.  The
+    root 0 is split off as the factor x.  The other roots r of a factor
+    divide (x + a)^((p-1)/2) - 1 exactly when r + a is a nonzero square,
+    and for two of them some a in 1, ..., p - 1 tells them apart, so the
+    gcd with it splits every factor of degree 2 or more for some a (Rabin,
+    1980, with the a taken in turn instead of at random).  An a that
+    leaves a factor whole leaves its divisors whole, so the a go on
+    increasing from factor to factor.
+    """
+    f = _trim([c % p for c in f])
+    if len(f) < 2:
+        return []
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    h = _powmod(p, [0, 1], p, f) + [0, 0]
+    h[1] -= 1
+    g = _gcd(p, f, [c % p for c in h])
+    roots, parts, a = [], [g], 0
+    if g[0] == 0:
+        roots, parts = [0], [g[1:]]
+    while parts:
+        g = parts.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            a += 1
+            h = _powmod(p, [a % p, 1], (p - 1) // 2, g)
+            d = _gcd(p, g, [(h[0] - 1) % p] + h[1:])
+            parts += [d, _exact_quotient(p, g, d)] if 1 < len(d) < len(g) else [g]
+    return sorted(roots)
+
+
+def characteristic_polynomial(p: int, rows: Sequence[Sequence[int]]) -> list:
+    """det(xI - A) mod p of a square matrix A of ints, monic of degree n.
+
+    A is brought mod p to upper Hessenberg form H by similarity transforms
+    (row i -= u row k together with column k += u column i), and the
+    polynomial of each leading k x k block of H follows from those of the
+    smaller blocks by expanding along its last column (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, Algorithm 2.2.9).  Its
+    roots in GF(p) are those of the minimal polynomial of A mod p, which
+    has the same irreducible factors.
+    """
+    h = [[x % p for x in row] for row in rows]
+    n = len(h)
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h:
+                row[k], row[piv] = row[piv], row[k]
+        hk, inv = h[k], pow(h[k][k - 1], -1, p)
+        for i in range(k + 1, n):
+            u = h[i][k - 1] * inv % p
+            if u:
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], hk)]
+                for row in h:
+                    row[k] = (row[k] + u * row[i]) % p
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[-1]
+        cur = [0] + prev
+        for j, c in enumerate(prev):
+            cur[j] -= h[k][k] * c
+        t = 1
+        for i in range(k, 0, -1):
+            t = t * h[i][i - 1] % p
+            if not t:
+                break
+            coef = t * h[i - 1][k] % p
+            if coef:
+                for j, c in enumerate(polys[i - 1]):
+                    cur[j] -= coef * c
+        polys.append([c % p for c in cur])
+    return polys[-1]
 
 
 def is_irreducible(p: int, f: Sequence[int]) -> bool:

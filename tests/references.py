@@ -10,7 +10,10 @@ no `irreducible-element` test after the quick Norton trials, and
 `reference_enumerate_subspaces` lists every subspace by filling one RREF
 at a time, `reference_algebra_from_obj` loads an algebra document in two
 passes (the rows checked and decoded string by string, then handed to the
-constructor as a dict), and `reference_validate_algebra` checks the unit
+constructor as a dict), `reference_characteristic_polynomial` is the
+integer characteristic polynomial by the Faddeev-LeVerrier recurrence,
+`reference_rational_eigenvalues` tries every integer within the row-sum
+bound as an eigenvalue, and `reference_validate_algebra` checks the unit
 laws and associativity by `Element` products, and
 `reference_left_matrix`/`reference_right_matrix` build the operator of an
 element from one `Element` product per basis vector; the rest are small
@@ -20,6 +23,7 @@ package itself never calls any of them.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from itertools import repeat
 from typing import Optional
 
@@ -141,6 +145,50 @@ def textbook_rref(field, rows):
                 rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
         r += 1
     return rows, r
+
+
+def reference_characteristic_polynomial(rows) -> list:
+    """det(xI - A) of a square matrix A of ints, as little-endian ints.
+
+    The Faddeev-LeVerrier recurrence: M_1 = I, c_(n-k) = -tr(A M_k) / k
+    and M_(k+1) = A M_k + c_(n-k) I, every division exact over the
+    integers.  No elimination and no modulus is involved.
+    """
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in rows]
+        coeffs[n - k] = -sum(am[i][i] for i in range(n)) // k
+        m = [[x + coeffs[n - k] * (i == j) for j, x in enumerate(r)] for i, r in enumerate(am)]
+    return coeffs
+
+
+def reference_rational_eigenvalues(mat: Matrix) -> list:
+    """`bimodule.rational_eigenvalues` by trying every candidate.
+
+    mat is scaled by the common denominator den to an integer matrix A,
+    and every integer r with |r| at most the largest row sum of |A| is
+    tried: r / den is kept when A - rI is singular over Q, that is when
+    det(rI - A), the characteristic polynomial of A at r, is 0.  The
+    polynomial comes from `reference_characteristic_polynomial` and is
+    evaluated at a block of r at a time by Horner's rule.
+    """
+    den = 1
+    for row in mat.entries:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    rows = [[int(x * den) for x in row] for row in mat.entries]
+    bound = max((sum(abs(x) for x in row) for row in rows), default=0)
+    chi = reference_characteristic_polynomial(rows)
+    values = []
+    for start in range(-bound, bound + 1, 1 << 16):
+        xs = range(start, min(start + (1 << 16), bound + 1))
+        vals = [0] * len(xs)
+        for c in reversed(chi):
+            vals = [v * x + c for v, x in zip(vals, xs)]
+        values += [Fraction(x, den) for x, v in zip(xs, vals) if not v]
+    return values
 
 
 def reference_envelope(action: BimoduleAction):

@@ -42,7 +42,12 @@ from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, nullspace
 from gradedrings.poly import is_irreducible, minimal_polynomial
-from references import field_add, reference_envelope, reference_is_simple
+from references import (
+    field_add,
+    reference_envelope,
+    reference_is_simple,
+    reference_rational_eigenvalues,
+)
 
 
 def test_verdict_semantics():
@@ -357,6 +362,87 @@ def test_rational_eigenvalues_cut_off_costs_only_conclusiveness(monkeypatch):
     assert rational_eigenvalues(_rational([[0, -large], [1, large + 1]])) == []
     monkeypatch.setattr(bimodule, "SAMPLES", 256)
     assert rational_eigenvalues(_rational([[0, -large], [1, large + 1]])) == [1, large]
+
+
+def _jordan_block(lam, size):
+    return [[lam if i == j else int(j == i + 1) for j in range(size)] for i in range(size)]
+
+
+# integer blocks with no rational eigenvalue: x^2 + 1, x^2 - 2, x^2 + x + 1
+_IRRATIONAL_BLOCKS = ([[0, -1], [1, 0]], [[0, 2], [1, 0]], [[0, -1], [1, -1]])
+
+
+def _seeded_rational_matrix(seed):
+    """A rational matrix of size 1-8 and the eigenvalues it was built with.
+
+    One seed in five gives random entries.  The others conjugate a direct
+    sum of integer Jordan blocks (eigenvalues zero, negative, positive or
+    repeated) and blocks with no rational eigenvalue by elementary integer
+    matrices, then divide by a denominator, so eigenvalues are fractions.
+    One seed in five of those takes eigenvalues up to 700 in size, so the
+    row-sum bound needs a second residue prime.
+    """
+    rng = random.Random(seed)
+    n, den = rng.randint(1, 8), rng.choice([1, 1, 2, 3, 6])
+    if seed % 5 == 0:
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        return _rational([[Fraction(x, den) for x in row] for row in rows]), None
+    blocks, lams = [], []
+    while sum(map(len, blocks)) < n:
+        room = n - sum(map(len, blocks))
+        if room >= 2 and rng.random() < 0.25:
+            blocks.append(rng.choice(_IRRATIONAL_BLOCKS))
+            continue
+        span = 700 if seed % 5 == 1 else 9
+        lam = rng.choice(lams) if lams and rng.random() < 0.3 else rng.randint(-span, span)
+        lams.append(lam)
+        blocks.append(_jordan_block(lam, rng.randint(1, min(3, room))))
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[at + i][at : at + len(row)] = row
+        at += len(block)
+    for _ in range(n):  # A -> E A E^-1 with E = I + c e_ij
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice([-1, 1])
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[j] -= c * row[i]
+    return _rational([[Fraction(x, den) for x in row] for row in rows]), sorted(
+        {Fraction(lam, den) for lam in lams}
+    )
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_rational_eigenvalues_match_a_search_of_every_integer(chunk):
+    for seed in range(25 * chunk, 25 * chunk + 25):
+        mat, built = _seeded_rational_matrix(seed)
+        values = rational_eigenvalues(mat)
+        assert values == reference_rational_eigenvalues(mat), seed
+        if built is not None:
+            assert values == built, seed
+
+
+# bounds of the scaled matrix past one residue prime (2 * 504 < 1009 is the
+# last bound one prime covers) and past two (1009 * 1013 = 1,022,117)
+_WIDE_CASES = [
+    ([[504, 0], [0, -3]], [-3, 504]),
+    ([[505, 0], [0, -3]], [-3, 505]),
+    ([[Fraction(1, 2), 350], [0, Fraction(-7, 3)]], [Fraction(-7, 3), Fraction(1, 2)]),
+    ([[0, 1, 0], [0, 0, 1], [-1200, 1210, -9]], [-40, 1, 30]),
+    ([[600000, 1], [0, -3]], [-3, 600000]),
+    ([[Fraction(1, 2), 300000], [0, 7]], [Fraction(1, 2), 7]),
+    ([[0, 1], [-2, 0]], []),
+    ([[0, 1], [-2 * 10**5, 0]], []),
+]
+
+
+@pytest.mark.parametrize("rows,expected", _WIDE_CASES)
+def test_rational_eigenvalues_over_two_and_three_residue_primes(rows, expected):
+    mat = _rational(rows)
+    assert rational_eigenvalues(mat) == expected == reference_rational_eigenvalues(mat)
 
 
 def test_norton_step_gives_up_past_its_nullspace_budget(monkeypatch):

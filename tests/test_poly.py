@@ -1,4 +1,5 @@
-"""Polynomials over GF(p): Ben-Or's irreducibility test and minimal polynomials."""
+"""Polynomials over GF(p): Ben-Or's irreducibility test, roots, and minimal
+and characteristic polynomials."""
 import itertools
 import random
 
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from gradedrings.linalg import GF, RATIONALS, Matrix
 from gradedrings.poly import (
     _powmod,
+    characteristic_polynomial,
     is_irreducible,
     lowest_irreducible,
     minimal_polynomial,
     poly_mod,
+    roots_mod,
 )
-from references import textbook_rref
+from references import reference_characteristic_polynomial, textbook_rref
 
 
 def _divides(p, g, f):
@@ -121,3 +124,75 @@ def test_minimal_polynomial_is_the_least_monic_annihilator(field, n, density, se
     flats = [m.flatten() for m in powers]
     assert not any(field.combine(coeffs, flats))
     assert textbook_rref(field, flats[:k])[1] == k
+
+
+def _times(p, f, g):
+    return [
+        sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) % p
+        for k in range(len(f) + len(g) - 1)
+    ]
+
+
+def _value(p, f, x):
+    return sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
+
+
+def _seeded_polynomial(p, rng):
+    """A nonzero polynomial of degree 0-12 over GF(p), half of them random
+    and half products of linear factors (repeated ones and x among them),
+    a factor with no root, and a nonzero scalar."""
+    if rng.random() < 0.5:
+        return [rng.randrange(p) for _ in range(rng.randint(0, 12))] + [rng.randrange(1, p)]
+    f = [rng.randrange(1, p)]
+    if rng.random() < 0.5:
+        f = _times(p, f, lowest_irreducible(p, rng.randint(2, 3)))
+    while len(f) < 13 and rng.random() < 0.8:
+        r = rng.choice([0, rng.randrange(p)])
+        for _ in range(rng.randint(1, 3)):
+            if len(f) < 13:
+                f = _times(p, f, [-r % p, 1])
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1009, 1013])
+def test_roots_mod_matches_evaluation_at_every_point(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        f = _seeded_polynomial(p, rng)
+        assert roots_mod(p, f) == [x for x in range(p) if not _value(p, f, x)], f
+
+
+def test_roots_mod_on_repeated_zero_and_missing_roots():
+    p = 1009
+    assert roots_mod(p, [7]) == []
+    assert roots_mod(p, [0, 0, 0, 5]) == [0]  # 5x^3
+    no_root = lowest_irreducible(p, 2)
+    assert roots_mod(p, no_root) == roots_mod(p, _times(p, no_root, no_root)) == []
+    f = no_root
+    for r, k in ((2, 3), (0, 2), (p - 1, 1)):
+        for _ in range(k):
+            f = _times(p, f, [-r % p, 1])
+    assert roots_mod(p, f) == [0, 2, p - 1]
+    # x^2 + x over GF(2) has both points as roots, x^2 + x + 1 neither
+    assert roots_mod(2, [0, 1, 1]) == [0, 1] and roots_mod(2, [1, 1, 1]) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1009])
+def test_characteristic_polynomial_of_seeded_integer_matrices(p):
+    # monic of degree n, equal mod p to the integer characteristic polynomial
+    # by Faddeev-LeVerrier, divisible by the minimal polynomial mod p, and
+    # with the same roots in GF(p)
+    rng = random.Random(p)
+    for n in range(9):
+        for _ in range(4):
+            density = rng.choice([0.2, 0.6, 1])
+            rows = [
+                [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+            chi = characteristic_polynomial(p, rows)
+            assert len(chi) == n + 1 and chi[-1] == 1
+            assert chi == [c % p for c in reference_characteristic_polynomial(rows)]
+            mu = minimal_polynomial(Matrix(GF(p), rows))
+            assert _divides(p, mu, chi), rows
+            assert roots_mod(p, chi) == roots_mod(p, mu), rows
