@@ -54,8 +54,8 @@ from .groups import (
 from .linalg import GF, RATIONALS, Field, Matrix
 from .oracle import (
     controlled_oracle,
-    enumerate_sub_bimodules,
     ideal_oracle,
+    sub_bimodule_dims,
     subring_oracle,
 )
 from .serialize import MAX_TOTAL_DIM, _decoded_vector, _Rationals, algebra_to_json, load_algebra
@@ -376,12 +376,13 @@ def cmd_check(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _subspace_summary(subs) -> dict:
-    counts = Counter(s.dim for s in subs)
+def _subspace_summary(counts) -> dict:
+    """The report of a lattice given as {dim: count}."""
+    dims = sorted(counts)
     return {
-        "count": len(subs),
-        "dims": sorted(counts.elements()),
-        "by_dim": {str(d): counts[d] for d in sorted(counts)},
+        "count": sum(counts.values()),
+        "dims": [d for d in dims for _ in range(counts[d])],
+        "by_dim": {str(d): counts[d] for d in dims},
     }
 
 
@@ -394,10 +395,11 @@ def cmd_oracle(args) -> int:
         return 0 if verdict else 1
     if what == "sub-bimodules":
         obj = {"what": "sub-bimodules"}
-        obj.update(_subspace_summary(enumerate_sub_bimodules(alg, budget=args.budget)))
+        obj.update(_subspace_summary(sub_bimodule_dims(alg, budget=args.budget)))
     elif what == "subrings":
+        subrings = subring_oracle(alg, budget=args.budget)
         obj = {"what": "subrings"}
-        obj.update(_subspace_summary(subring_oracle(alg, budget=args.budget)))
+        obj.update(_subspace_summary(Counter(s.dim for s in subrings)))
     elif what == "ideals":
         ring = ideal_oracle(alg, budget=args.budget)
         base = alg.identity_component_algebra()

@@ -48,10 +48,15 @@ MEMO_CAP.  The packed formats add a table of 2^n codes and, for G and each
 basis matrix of E that the sweep reaches, tables of p^(n - n//2) + p^(n//2)
 rows.
 
-When every cyclic closure is a line, the operators act by scalars, so
-every subspace is invariant and the lattice is every subspace of F^n.
-enumerate_subspaces lists each one once, from its pivot pattern, as a
-product of per-row choices.
+Where every operator is a scalar matrix c I, every subspace is invariant,
+which is the definition of invariance and needs no theorem; this is read
+from the operators before any sweep (_scalar_action).  The lattice is then
+every subspace of F^n: enumerate_subspaces lists each one once, from its
+pivot pattern, as a product of per-row choices, and sub_bimodule_dims,
+which the command line reports, counts them by the Gaussian binomials and
+builds none.  The refusals are those of a sweep: the seed budget and
+MEMO_CAP, LATTICE_CAP where the sweep would have found more distinct
+closures (the (p^n - 1)/(p - 1) lines), then the subspace budget.
 
 Subrings are enumerated on the quotient R/R_e.  A unital subring holding
 R_e is an R_e-sub-bimodule holding R_e, and by the correspondence theorem
@@ -77,7 +82,6 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
-    _echelon,
     nullspace,
     projective_vectors,
     subspace_sum,
@@ -144,6 +148,12 @@ def count_subspaces(p: int, n: int) -> int:
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
+def _require_subspace_budget(f: Field, dim: int, budget: int) -> None:
+    total = count_subspaces(f.p, dim)
+    if total > budget:
+        raise BudgetError(f"{total} subspaces of GF({f.p})^{dim} exceed budget {budget}")
+
+
 def enumerate_subspaces(dim: int, f: Field, budget: int = DEFAULT_BUDGET) -> List[Subspace]:
     """Every subspace of f^dim exactly once, in canonical RREF form.
 
@@ -155,10 +165,7 @@ def enumerate_subspaces(dim: int, f: Field, budget: int = DEFAULT_BUDGET) -> Lis
     shared by every basis that holds it.  Sorting the bases of one rank as
     plain tuples gives the order of `_subspace_key`.
     """
-    _require_prime(f)
-    total = count_subspaces(f.p, dim)
-    if total > budget:
-        raise BudgetError(f"{total} subspaces of GF({f.p})^{dim} exceed budget {budget}")
+    _require_subspace_budget(_require_prime(f), dim, budget)
     elems = range(f.p)
     out = []
     for k in range(dim + 1):
@@ -206,7 +213,8 @@ class _TupleRows:
     read one.  support gives a row's nonzero coordinates as bits, pack a
     tuple's row and unpack its coordinates.  unit() applies G of the orbit
     rule: a function from a monic row's code and row to G row, monic, with
-    its code, or None where no G is found.
+    its code, or None where no G is found.  rank is dim E, which the orbit
+    rule's size gate reads.
     """
 
     insert, contains = staticmethod(EchelonBasis._insert), staticmethod(EchelonBasis.contains)
@@ -215,6 +223,7 @@ class _TupleRows:
 
     def __init__(self, f: Field, n: int, mats):
         self.f, self.n, self.codes, self.ops = f, n, f.p ** n, [m.entries for m in mats]
+        self.rank = len(mats)
         self.weights = [f.p ** (n - 1 - i) for i in range(n)]
 
     def seeds(self):
@@ -259,7 +268,7 @@ class _BitRows:
     table = partial(array, "I")
 
     def __init__(self, f: Field, n: int, mats):
-        self.f, self.n, self.codes, self.lo = f, n, f.p ** n, n // 2
+        self.f, self.n, self.codes, self.lo, self.rank = f, n, f.p ** n, n // 2, len(mats)
         self.mats, self.tables = [Matrix.identity(f, n)] + mats, [None] * (len(mats) + 1)
         self.weight = array("I", [0])
         for w in (f.p ** (n - 1 - i) for i in range(n)):
@@ -380,12 +389,17 @@ class _TritRows(_BitRows):
         return v[0] | v[1]
 
 
+def _seeks_unit(rows) -> bool:
+    """The orbit rule's size gate, on n, dim E and p alone: G is sought only
+    where dim E >= 2 and the sweep has at least 4 n dim E seeds."""
+    return rows.rank >= 2 and 4 * rows.n * rows.rank <= (rows.codes - 1) // (rows.f.p - 1)
+
+
 def _invertible(rows, mats):
     """The rows of G for the orbit rule of the module docstring, or None;
-    mats are E's basis matrices, given by their rows."""
-    p, n = rows.f.p, rows.n
-    if len(mats) < 2 or 4 * n * len(mats) > (rows.codes - 1) // (p - 1):
-        return None
+    mats are E's basis matrices, given by their rows, and rows has passed
+    _seeks_unit."""
+    p = rows.f.p
     rng = random.Random(0)
     for _ in range(4):
         c = [rng.randrange(p) for _ in mats]
@@ -404,7 +418,8 @@ def _seed_sweep(rows):
     memo = array("I", [0]) * rows.codes
     closures, ids = [], {}
     images, insert, contains, full = rows.images, rows.insert, rows.contains, rows.full
-    turn, closed, search = None, 0, 4 * rows.n  # G is sought after `search` closures
+    # G is sought after `search` more closures; a sweep too small to seek it counts none
+    turn, search = None, 4 * rows.n if _seeks_unit(rows) else 0
     for code, seed in rows.seeds():
         k = memo[code]
         if not k:
@@ -430,8 +445,10 @@ def _seed_sweep(rows):
                 while memo[u_code] != k:
                     memo[u_code] = k
                     u_code, u = turn(u_code, u)
-            elif (closed := closed + 1) == search:
-                turn = rows.unit()
+            elif search:
+                search -= 1
+                if not search:
+                    turn = rows.unit()
         yield seed, closures[k - 1][0]
 
 
@@ -441,27 +458,60 @@ def _row_format(f: Field, n: int, lefts, rights):
     return {2: _BitRows, 3: _TritRows}.get(f.p, _TupleRows)(f, n, mats)
 
 
+def _beyond_cyclic_cap() -> BudgetError:
+    return BudgetError(
+        f"more than {LATTICE_CAP} cyclic invariant subspaces; instance is beyond oracle scale"
+    )
+
+
+def _scalar_action(f: Field, n: int, lefts, rights, budget: int) -> bool:
+    """Does every operator act on f^n as a scalar c I?
+
+    Then every subspace is invariant, by the definition of invariance, and
+    no sweep is needed.  Its refusals still fire, in the same order: E, the
+    span of the products L R, is F I or 0, so the sweep would find the
+    (p^n - 1)/(p - 1) lines as its distinct closures, or the zero closure
+    alone, against LATTICE_CAP; then the subspace budget.
+    """
+    scalars = []
+    for op in (*lefts, *rights):
+        c = op.entries[0][0] if n else 0
+        if op.entries != tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n)):
+            return False
+        scalars.append(c)
+    p, k = f.p, len(lefts)
+    if any(a * b % p for a in scalars[:k] for b in scalars[k:]):
+        closures = (p ** n - 1) // (p - 1)
+    else:
+        closures = int(n > 0)
+    if closures > LATTICE_CAP:
+        raise _beyond_cyclic_cap()
+    _require_subspace_budget(f, n, budget)
+    return True
+
+
 def _cyclic_lattice(f: Field, n: int, lefts, rights, budget: int) -> List[Subspace]:
     """All subspaces of f^n invariant under the given multiplication operators.
 
-    Every invariant subspace is a sum of cyclic ones, so the sweep spins
-    one vector per projective ray, and the lattice is then joined one
-    cyclic closure at a time, smallest first: after k generators it holds
-    exactly the sums of subsets of the first k, a set closed under sums,
-    so a generator already in it adds nothing and is skipped, and each
-    other one adds its sum with every member.
+    Every subspace, where the operators act by scalars.  Otherwise every
+    invariant subspace is a sum of cyclic ones, so the sweep spins one
+    vector per projective ray, and the lattice is then joined one cyclic
+    closure at a time, smallest first: after k generators it holds exactly
+    the sums of subsets of the first k, a set closed under sums, so a
+    generator already in it adds nothing and is skipped, and each other one
+    adds its sum with every member.
     """
+    if _scalar_action(f, n, lefts, rights, budget):
+        return enumerate_subspaces(n, f, budget)
     fmt = _row_format(f, n, lefts, rights)
     cyclic = set()
     for _, rows in _seed_sweep(fmt):
         cyclic.add(rows)
         if len(cyclic) > LATTICE_CAP:
-            raise BudgetError(
-                f"more than {LATTICE_CAP} cyclic invariant subspaces; "
-                "instance is beyond oracle scale"
-            )
+            raise _beyond_cyclic_cap()
     if all(len(rows) <= 1 for rows in cyclic):
-        # Scalar action: every subspace is invariant.
+        # Only on data that fails validation, where E need not hold I: no
+        # closure is more than a line, and every subspace is taken.
         return enumerate_subspaces(n, f, budget)
     lattice = {Subspace.zero(f, n)}
     closures = (Matrix._trusted(f, tuple(map(fmt.unpack, rows)), n) for rows in cyclic)
@@ -487,6 +537,24 @@ def enumerate_sub_bimodules(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET)
     """
     _require_seed_budget(alg, budget)
     return _cyclic_lattice(alg.field, alg.dim, *alg.identity_ops(), budget)
+
+
+def sub_bimodule_dims(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> dict:
+    """{dim: count} of the sub-bimodules that enumerate_sub_bimodules lists.
+
+    Where R_e acts by scalars every subspace of R is one, and the counts
+    are the Gaussian binomials, with no subspace built; otherwise they are
+    counted from the list.  Both ways refuse the same instances with the
+    same BudgetError.
+    """
+    _require_seed_budget(alg, budget)
+    f, n = alg.field, alg.dim
+    if _scalar_action(f, n, *alg.identity_ops(), budget):
+        return {k: gaussian_binomial(n, k, f.p) for k in range(n + 1)}
+    dims: dict = {}
+    for s in enumerate_sub_bimodules(alg, budget=budget):
+        dims[s.dim] = dims.get(s.dim, 0) + 1
+    return dims
 
 
 def ideal_oracle(alg: GradedAlgebra, *, budget: int = DEFAULT_BUDGET) -> List[Tuple[Subspace, bool]]:
@@ -556,12 +624,15 @@ def _closed_under_products(table, w: Subspace) -> bool:
     table[i][j] holds the nonzero (k, x) of b_i b_j in the quotient's
     coordinates.  R_e + W is an R_e-sub-bimodule holding R_e, so only the
     products of W's rows remain, and one lies in R_e + W exactly when its
-    quotient coordinates lie in W, which one `EchelonBasis` of W's rows
-    tests for every product.
+    quotient coordinates x lie in W.  W's rows are in RREF, row r with a 1
+    at its pivot c_r and a 0 at every other pivot, so x lies in W exactly
+    when its residue x - sum_r x[c_r] row_r is 0 mod p.
     """
-    rows = w.basis.entries
+    rows, p = w.basis.entries, w.field.p
     m = w.ambient_dim
-    span = _echelon(w.basis)
+    reducers = [
+        (row.index(1), [(k, b) for k, b in enumerate(row) if b]) for row in rows
+    ]  # a row's first nonzero entry is its pivot's 1
     for u in rows:
         terms = [(table[i], a) for i, a in enumerate(u) if a]
         for v in rows:
@@ -572,7 +643,12 @@ def _closed_under_products(table, w: Subspace) -> bool:
                         ab = a * b
                         for k, c in ti[j]:
                             x[k] += ab * c
-            if not span.contains(x):
+            for c, row in reducers:
+                a = x[c] % p
+                if a:
+                    for k, b in row:
+                        x[k] -= a * b
+            if any(y % p for y in x):
                 return False
     return True
 

@@ -2,6 +2,7 @@
 import inspect
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from gradedrings.analysis import CheckResult
 from gradedrings.bimodule import Verdict
 from gradedrings.builders import galois_skew_example, group_algebra
 from gradedrings.cli import ORACLE_WHATS, PROPERTIES, main, parse_field, parse_group, run_check
+from gradedrings.corpus import oracle_scale_corpus
 from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, symmetric_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS
@@ -653,6 +655,67 @@ def test_oracle_refuses_a_memo_past_its_cap(tmp_path, monkeypatch, capsys, what)
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "memo cap" in err
+
+
+def _gf3_s3():
+    return next(inst.alg for inst in oracle_scale_corpus() if inst.name == "gf3-s3")
+
+
+# R_e acts by scalars on each; the exit codes and error lines are those of
+# the oracle that swept every seed before it counted
+SCALAR_EDGES = [
+    (
+        "gf2-z9", "sub-bimodules", [],
+        "error: 8283458 subspaces of GF(2)^9 exceed budget 1000000\n",
+    ),
+    (
+        "gf2-z13", "sub-bimodules", [],
+        "error: more than 4096 cyclic invariant subspaces; instance is beyond oracle scale\n",
+    ),
+    # the quotient GF(2)^12 has 4,095 lines, one under LATTICE_CAP
+    (
+        "gf2-z13", "subrings", [],
+        "error: 488176700923 subspaces of GF(2)^12 exceed budget 1000000\n",
+    ),
+    (
+        "gf3-s3", "sub-bimodules", ["--budget", "1000"],
+        "error: 56632 subspaces of GF(3)^6 exceed budget 1000\n",
+    ),
+    (
+        "gf3-s3", "subrings", ["--budget", "1000"],
+        "error: 2664 subspaces of GF(3)^5 exceed budget 1000\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,what,extra,err", SCALAR_EDGES, ids=[f"{c[0]}-{c[1]}" for c in SCALAR_EDGES])
+def test_oracle_refusals_on_a_scalar_action(tmp_path, capsys, name, what, extra, err):
+    algs = {
+        "gf2-z9": lambda: group_algebra(GF(2), cyclic_group(9)),
+        "gf2-z13": lambda: group_algebra(GF(2), cyclic_group(13)),
+        "gf3-s3": _gf3_s3,
+    }
+    path = tmp_path / f"{name}.json"
+    save_algebra(algs[name](), str(path))
+    assert main(["oracle", str(path), "--what", what, *extra]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_oracle_counts_a_scalar_lattice_in_little_memory(tmp_path, capsys):
+    # GF(3)[S3]: its 56,632 sub-bimodules are counted, not built; the report
+    # peaked at 11.8 MB under tracemalloc when each was a Subspace
+    path = tmp_path / "gf3-s3.json"
+    save_algebra(_gf3_s3(), str(path))
+    tracemalloc.start()
+    try:
+        assert main(["oracle", str(path), "--what", "sub-bimodules", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["count"] == len(obj["dims"]) == 56632
+    assert obj["by_dim"] == {"0": 1, "1": 364, "2": 11011, "3": 33880, "4": 11011, "5": 364, "6": 1}
+    assert peak <= 6_000_000
 
 
 def test_oracle_refuses_rationals(tmp_path, capsys):

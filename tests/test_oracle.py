@@ -2,6 +2,7 @@
 import functools
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,55 @@ def test_sub_bimodules_trivial_group_simple_base():
 
     subs = enumerate_sub_bimodules(full_matrix_algebra(GF(2), 2))
     assert len(subs) == 2
+
+
+# every corpus ring, and GF(2)[Z/7] and GF(3)[Z/5] past it: 29,212 and
+# 2,664 subspaces, all of them sub-bimodules
+PROFILE_CASES = [(inst.name, inst.alg) for inst in oracle_scale_corpus()]
+PROFILE_CASES += [
+    ("gf2-z7", group_algebra(GF(2), cyclic_group(7))),
+    ("gf3-z5", group_algebra(GF(3), cyclic_group(5))),
+]
+
+
+@pytest.mark.parametrize("alg", [a for _, a in PROFILE_CASES], ids=[n for n, _ in PROFILE_CASES])
+def test_sub_bimodule_dims_match_the_listing(alg):
+    # the Gaussian binomials of a scalar action against the listing, which
+    # builds each subspace
+    assert oracle.sub_bimodule_dims(alg) == Counter(s.dim for s in enumerate_sub_bimodules(alg))
+
+
+def test_scalar_actions_are_counted_without_a_subspace(monkeypatch):
+    # R_e acts by scalars on 20 of the 35 corpus rings, gf3-s3 among them;
+    # there the profile needs no sweep and no subspace
+    class Listed(Exception):
+        pass
+
+    def listed(*args):
+        raise Listed
+
+    monkeypatch.setattr(oracle, "_row_format", listed)
+    monkeypatch.setattr(oracle, "enumerate_subspaces", listed)
+    counted = []
+    for inst in oracle_scale_corpus():
+        try:
+            oracle.sub_bimodule_dims(inst.alg)
+        except Listed:
+            continue
+        counted.append(inst.name)
+    assert len(counted) == 20 and "gf3-s3" in counted and "gf2-m3" not in counted
+
+
+@pytest.mark.parametrize("fn", [oracle.sub_bimodule_dims, enumerate_sub_bimodules])
+def test_scalar_action_meets_the_cyclic_cap_at_its_line_count(monkeypatch, fn):
+    # gf3-s3: a sweep would find the (3^6 - 1)/2 = 364 lines of GF(3)^6 as
+    # its distinct closures, so a cap of 364 admits it and 363 does not
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == "gf3-s3")
+    monkeypatch.setattr(oracle, "LATTICE_CAP", 364)
+    fn(alg)
+    monkeypatch.setattr(oracle, "LATTICE_CAP", 363)
+    with pytest.raises(BudgetError, match="more than 363 cyclic invariant subspaces"):
+        fn(alg)
 
 
 # --------------------------------------------------------------------------
@@ -441,6 +491,16 @@ def test_scalar_and_small_sweeps_find_no_unit(name):
     rows = oracle._row_format(alg.field, alg.dim, *alg.identity_ops())
     seeds, closed, found = _counted_sweep(rows)
     assert closed == seeds and not found
+
+
+def test_a_sweep_below_the_size_gate_never_asks_for_a_unit(monkeypatch):
+    # gf2-m3: 511 seeds, fewer than 4 n dim E = 900, so the sweep reads the
+    # gate once and never calls unit()
+    alg = next(inst.alg for inst in oracle_scale_corpus() if inst.name == "gf2-m3")
+    rows = oracle._row_format(alg.field, alg.dim, *alg.identity_ops())
+    assert not oracle._seeks_unit(rows)
+    monkeypatch.setattr(rows, "unit", lambda: pytest.fail("asked for G"))
+    assert sum(1 for _ in oracle._seed_sweep(rows)) == 511
 
 
 def test_controlled_oracle_stops_before_seeking_a_unit(monkeypatch):
