@@ -13,13 +13,12 @@ its rows sparse, so only the products it keeps are made dense.
 Simplicity is decided by a Norton-style MeatAxe with a spin-search
 fallback, so a True or False is a theorem about the input, never a sample.
 `is_simple` tries these certificates in order and names the deciding one
-as `method`: `dimension` (M is a line); over GF(p) with p <= 64, Norton's
-test on QUICK_TRIALS envelope elements sampled without an envelope basis,
-each one whose shifts are all nonsingular then tried as
-`irreducible-element` (True: its minimal polynomial is irreducible of
-degree m, so it generates a field over which M is a line; the
-irreducibility test of Holt and Rees, 1994); `dense-envelope` (True: the
-L_i R_j span End(M));
+as `method`: `dimension` (M is a line); over GF(p), Norton's test on
+QUICK_TRIALS envelope elements sampled without an envelope basis, each one
+with no singular shift then tried as `irreducible-element` (True: its
+characteristic polynomial is irreducible, so it generates a field of
+degree m over which M is a line; the irreducibility test of Holt and
+Rees, 1994); `dense-envelope` (True: the L_i R_j span End(M));
 `field-commutant` (True: the commutant is a field C of degree d and the
 envelope has rank m^2/d, so it is End_C(M), Burnside's theorem over C;
 when d = m, an envelope element with an irreducible minimal polynomial of
@@ -32,15 +31,15 @@ with a witness) or, past the budget, QUICK_TRIALS random vectors
 (`sampled-spin`, False with a witness); else `budget` (GF(p)) or
 `rational-sampling` (Q), both Inconclusive.  Both runs of Norton's test
 try each element with `_norton_shifts`, whose only field-dependent input
-is the shifts theta - lam*I: every lam in GF(p) for p <= 64, sixteen
-sampled ones for larger p, the rational eigenvalues over Q, which
-`rational_eigenvalues` combines from the roots of theta's characteristic
-polynomial mod a few primes (`poly.roots_mod`), not from a sweep.  Norton's
-test reports `meataxe-spin` (False: a nullspace vector spins to a proper
-subspace) or `meataxe-norton`, a proof either way: True when every
-nullspace line and one nullspace vector of the transpose spin to the
-whole space, else False with the annihilator of that transpose spin as
-witness.
+is the shifts theta - lam*I, the eigenvalues of theta in the ground field,
+none found by a sweep: over GF(p) the roots of theta's characteristic
+polynomial (`poly.characteristic_polynomial`, `poly.roots_mod`), over Q
+`rational_eigenvalues`, which combines the roots of that polynomial mod a
+few primes.  Norton's test reports `meataxe-spin` (False: a nullspace
+vector spins to a proper subspace) or `meataxe-norton`, a proof either
+way: True when every nullspace line and one nullspace vector of the
+transpose spin to the whole space, else False with the annihilator of
+that transpose spin as witness.
 
 Whether a span is swept or sampled is decided in one place,
 `linalg.span_candidates`: the spin search sweeps M within the budget and
@@ -48,8 +47,7 @@ samples it past it, the nullspace lines of Norton's test (at most
 NULLSPACE_BUDGET points) are a sweep or nothing, and the one search for
 an invertible element, `find_invertible_combo`, sweeps a span of matrices
 within its budget and samples SAMPLES combinations past it.  The search
-sizes are the constants below and, in `is_simple`, the p <= 64 threshold
-and the sixteen sampled shifts; callers choose the seed and the budget.
+sizes are the constants below; callers choose the seed and the budget.
 """
 from __future__ import annotations
 
@@ -286,9 +284,9 @@ def is_simple(
     """Decide whether M has no invariant subspace other than 0 and M.
 
     Norton's test runs first, since it proves either verdict; spins, which
-    can only refute, come last.  Over GF(p <= 64) a quick trial whose
-    element no shift decides proves M simple when that element's minimal
-    polynomial is irreducible of degree m: on a field envelope, such as a
+    can only refute, come last.  Over GF(p) a quick trial whose element
+    has no singular shift proves M simple when that element's
+    characteristic polynomial is irreducible: on a field envelope, such as a
     component of a Galois skew group ring, no shift can be singular and
     this certificate decides instead.  Over GF(p) the verdict is conclusive
     whenever the projective points of M fit inside budget, the bound for
@@ -306,29 +304,28 @@ def is_simple(
     def shifts(theta: Matrix):
         if not f.p:
             return rational_eigenvalues(theta)
-        return range(f.p) if f.p <= 64 else sorted(rng.sample(range(f.p), 16))
+        return roots_mod(f.p, characteristic_polynomial(f.p, theta.entries))
 
     sampled = 0
-    if 0 < f.p <= 64:
-        # every shift is tried, so one singular sample usually decides and
-        # the m^2-dimensional envelope basis is never built.  When every
-        # shift is nonsingular and theta's minimal polynomial is irreducible
-        # of degree m, F[theta] is a field over which M is a line, and every
-        # invariant subspace is a theta-invariant one, so 0 or M.  The test
-        # draws nothing from rng, so the steps below see the draws they would.
-        while sampled < QUICK_TRIALS:
-            sampled += 1
-            theta = _sampled_envelope_element(action, rng)
-            quick, singular = _norton_shifts(action, theta, shifts(theta), rng)
-            # a zero or singular shift theta - lam*I makes lam a root of
-            # theta's minimal polynomial, which is then reducible (m >= 2)
-            if quick is None and not singular:
-                mu = minimal_polynomial(theta)
-                if len(mu) == m + 1 and is_irreducible(f.p, mu):
-                    quick = SimplicityReport(Verdict.TRUE, "irreducible-element")
-            if quick is not None:
-                quick.trials = sampled
-                return quick
+    # Over GF(p) the singular shifts are the roots of theta's characteristic
+    # polynomial chi, so one singular sample usually decides and the
+    # m^2-dimensional envelope basis is never built.  chi is irreducible
+    # exactly when theta's minimal polynomial, which divides it, is
+    # irreducible of degree m; then F[theta] is a field over which M is a
+    # line, and every invariant subspace is a theta-invariant one, so 0 or
+    # M.  A root makes chi reducible (m >= 2), so the test is skipped then;
+    # it draws nothing from rng, so the steps below see the draws they would.
+    while f.p and sampled < QUICK_TRIALS:
+        sampled += 1
+        theta = _sampled_envelope_element(action, rng)
+        chi = characteristic_polynomial(f.p, theta.entries)
+        roots = roots_mod(f.p, chi)
+        quick = _norton_shifts(action, theta, roots, rng)
+        if not roots and is_irreducible(f.p, chi):
+            quick = SimplicityReport(Verdict.TRUE, "irreducible-element")
+        if quick is not None:
+            quick.trials = sampled
+            return quick
 
     rank, env = envelope(action)
     if rank == m * m:
@@ -404,7 +401,7 @@ def _norton_trials(action: BimoduleAction, thetas, shifts, rng):
     used = 0
     for theta in thetas:
         used += 1
-        report = _norton_shifts(action, theta, shifts(theta), rng)[0]
+        report = _norton_shifts(action, theta, shifts(theta), rng)
         if report is not None:
             return report, used
     return None, used
@@ -520,10 +517,8 @@ def _norton_step(action: BimoduleAction, theta: Matrix, ker: Subspace, rng):
 
 
 def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, rng):
-    """(the first Norton report among theta - lam*I over the shifts or None,
-    whether some shift was zero or singular)."""
+    """The first Norton report among theta - lam*I over the shifts, or None."""
     f, rows = theta.field, theta.entries
-    singular = False
     for lam in shifts:
         cand = theta if not lam else Matrix._trusted(
             f,
@@ -531,15 +526,13 @@ def _norton_shifts(action: BimoduleAction, theta: Matrix, shifts, rng):
             theta.cols,
         )
         if cand.is_zero():
-            singular = True
             continue
         ker = nullspace(cand)
         if ker.dim:
-            singular = True
             report = _norton_step(action, cand, ker, rng)
             if report is not None:
-                return report, True
-    return None, singular
+                return report
+    return None
 
 
 # --- eigenvalue search helpers ----------------------------------------------

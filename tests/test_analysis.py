@@ -641,6 +641,36 @@ def test_inner_skew_rings_over_q_finish(make):
     assert (rep.verdict, rep.method) == (Verdict.TRUE, "nondegenerate-simple-base")
 
 
+def _square_zero_radical_in_units(f):
+    """F[s, t]/(s, t)^2 on the trivial group, in the basis 1, 1 + s, 1 + t.
+
+    The envelope of the regular action is the multiplications by a + n,
+    n in the radical: the one eigenvalue is a, and for n != 0 the nullspace
+    of the shift by a is the radical, a plane of p + 1 lines.  Each basis
+    vector is a unit and spins to the whole ring."""
+    structure = {(0, 0, 0, j): [int(k == j) for k in range(3)] for j in range(3)}
+    structure.update({(0, i, 0, 0): [int(k == i) for k in range(3)] for i in range(3)})
+    structure.update({(0, 1, 0, 1): [-1, 2, 0], (0, 2, 0, 2): [-1, 0, 2]})
+    structure.update({(0, 1, 0, 2): [-1, 1, 1], (0, 2, 0, 1): [-1, 1, 1]})
+    return GradedAlgebra(f, trivial_group(), (3,), structure, [1, 0, 0])
+
+
+def _split_twisted_by_the_swap(f):
+    """(F x F) ⋊ Z/2, F x F in the basis 1, t, and the swap of its
+    idempotents as t -> -t."""
+    swap = Matrix(f, [[1, 0], [0, -1]])
+    base = _cyclic_group_algebra_ungraded(f, 2)
+    return skew_group_ring(base, cyclic_group(2), [Matrix.identity(f, 2), swap])
+
+
+def _local_twisted_by_the_sign(f):
+    """`_square_zero_radical_in_units` ⋊ Z/2 by s, t -> -s, -t, which maps
+    1 + s to 2 - (1 + s)."""
+    sigma = Matrix(f, [[1, 2, 2], [0, -1, 0], [0, 0, -1]])
+    base = _square_zero_radical_in_units(f)
+    return skew_group_ring(base, cyclic_group(2), [Matrix.identity(f, 3), sigma])
+
+
 def test_simple_past_budget_is_inconclusive():
     # GF(16) over itself: no shift is singular, but a quick trial element
     # that generates the field decides, so the sweep's budget does not matter
@@ -648,28 +678,32 @@ def test_simple_past_budget_is_inconclusive():
     rep = check_simple(base, budget=8)
     assert rep.verdict is Verdict.TRUE
     assert rep.method == "irreducible-element"
-    # F[t]/(t^2 - 1) over GF(65521) is F x F: its commutant is not a field,
-    # the sampled shifts miss both eigenvalues, and 1 and t generate it, so
-    # only the projective sweep (65,522 points) can decide
+    # F[t]/(t^2 - 1) over GF(65521) is F x F: a quick trial's shift by an
+    # eigenvalue has a line as nullspace, which refutes at any budget
     split = _cyclic_group_algebra_ungraded(GF(65521), 2)
-    assert check_simple(split).verdict is Verdict.FALSE
     rep = check_simple(split, budget=8)
+    assert (rep.verdict, rep.method) == (Verdict.FALSE, "meataxe-spin")
+    # the radical's 65,522 lines are past NULLSPACE_BUDGET, the basis rows
+    # and the sampled vectors spin to the whole ring, and the commutant is
+    # the ring itself, no field, so only the projective sweep could decide
+    local = _square_zero_radical_in_units(GF(65521))
+    assert check_valid(local).holds()
+    rep = check_simple(local, budget=8)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.method == "budget"
     assert "exceeds 8 points" in rep.detail
 
 
 def test_controlled_past_budget_is_inconclusive():
-    # (F x F) ⋊ Z/2 over GF(65521), F x F in the basis 1, t and the swap of
-    # its idempotents as t -> -t: both components split like F x F above
+    # both components of (F x F) ⋊ Z/2 over GF(65521) split like F x F
+    # above, and a quick trial refutes them at any budget
     f = GF(65521)
-    base = _cyclic_group_algebra_ungraded(f, 2)
-    alg = skew_group_ring(base, cyclic_group(2), [Matrix.identity(f, 2), Matrix(f, [[1, 0], [0, -1]])])
-    assert check_controlled(alg).verdict is Verdict.FALSE
-    rep = check_controlled(alg, budget=8)
+    assert check_controlled(_split_twisted_by_the_swap(f), budget=8).verdict is Verdict.FALSE
+    # the local ring above twisted by its sign: neither component is decided
+    rep = check_controlled(_local_twisted_by_the_sign(f), budget=8)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert set(rep.fields["simplicity"].values()) == {"inconclusive"}
-    assert {v for _, _, v in rep.fields["isomorphic"]} == {"false"}
+    assert rep.fields["isomorphic"] == [["0", "1", "inconclusive"]]
 
 
 def test_is_inner_past_budget_samples_the_intertwiners():

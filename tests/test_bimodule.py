@@ -42,6 +42,12 @@ from gradedrings.errors import InvalidInput
 from gradedrings.groups import cyclic_group, trivial_group
 from gradedrings.linalg import GF, RATIONALS, EchelonBasis, Matrix, nullspace
 from gradedrings.poly import is_irreducible, minimal_polynomial
+from test_analysis import (
+    _cyclic_group_algebra_ungraded,
+    _local_twisted_by_the_sign,
+    _split_twisted_by_the_swap,
+    _square_zero_radical_in_units,
+)
 from references import (
     field_add,
     reference_envelope,
@@ -138,14 +144,14 @@ def test_field_envelopes_are_decided_with_no_envelope(p, n, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 67])
 def test_quick_trials_skip_the_minimal_polynomial_of_a_scalar(p, monkeypatch):
     # on a scalar action every quick trial element is a scalar c*I, whose
-    # shift by c is zero: c is a root of its minimal polynomial, which so
-    # cannot be irreducible of degree 2, and is not computed
+    # shift by c is zero: c is a root of its characteristic polynomial,
+    # which so cannot be irreducible of degree 2, and is not tested
     calls = []
-    real = bimodule.minimal_polynomial
-    monkeypatch.setattr(bimodule, "minimal_polynomial", lambda mat: calls.append(mat) or real(mat))
+    real = bimodule.is_irreducible
+    monkeypatch.setattr(bimodule, "is_irreducible", lambda q, f: calls.append(f) or real(q, f))
     f = GF(p)
     ident = Matrix.identity(f, 2)
     rep = is_simple(BimoduleAction(f, 2, (ident,), (ident,)))
@@ -199,11 +205,15 @@ def test_norton_decides_simple_rings_before_any_spin_search(build, monkeypatch):
 
 
 def test_spin_search_refutes_where_norton_has_no_shift():
-    # over GF(65521) the sixteen sampled shifts miss every eigenvalue, so
-    # the basis rows of the spin search refute the identity component
-    rep = check_controlled(m3_example(GF(65521)))
+    # over GF(65521) the shifts are the roots of a quick trial element's
+    # characteristic polynomial, found with no sweep of the field, and a
+    # nullspace line spins to a proper sub-bimodule of the identity component
+    alg = m3_example(GF(65521))
+    rep = check_controlled(alg)
     assert rep.verdict is Verdict.FALSE
     assert rep.witness["kind"] == "component-not-simple"
+    rep = is_simple(component_action(alg, 0))
+    assert (rep.verdict, rep.method, rep.trials) == (Verdict.FALSE, "meataxe-spin", 1)
 
 
 def test_dual_numbers_over_a_large_prime_are_refuted_quickly():
@@ -228,11 +238,8 @@ def test_rational_complex_structure_is_refuted_by_a_sampled_spin():
 
 
 def test_large_prime_keeps_dense_envelope():
-    # past p = 64 the sampled shifts rarely hit an eigenvalue, so the dense
-    # envelope still certifies first
     rep = check_simple(full_matrix_algebra(GF(65521), 3))
     assert rep.holds()
-    assert rep.method == "dense-envelope"
 
 
 def test_sampled_elements_lie_in_envelope(m3_gf2, gf4skew):
@@ -823,14 +830,18 @@ def test_field_commutant_stays_honest_when_reducible_mod_every_prime():
 )
 def test_field_commutant_of_degree_below_the_dimension(field, mult):
     # M_2(K) on K^2, seen over the ground field: a simple module whose
-    # commutant K has degree 2 < 4, so C is built as a hom space; over Q
-    # and for p > 64 no quick Norton trial runs first
+    # commutant K has degree 2 < 4, so C is built as a hom space.  Over Q
+    # is_simple reaches the certificate; over GF(p) a quick trial element
+    # with an irreducible characteristic polynomial decides first
     lefts = _matrix_units_over(lambda entries: _quadratic_blocks(field, mult, entries))
     act = BimoduleAction(field, 4, lefts, [Matrix.identity(field, 4)])
-    rep = is_simple(act)
+    rep = bimodule._field_commutant(act, envelope(act)[1], 0)
     assert rep.verdict is Verdict.TRUE
     assert rep.method == "field-commutant"
     assert rep.detail == "the commutant is a field and the envelope has rank 8 = 4^2/2"
+    rep = is_simple(act)
+    assert rep.verdict is Verdict.TRUE
+    assert rep.method == ("irreducible-element" if field.p else "field-commutant")
 
 
 # --- the irreducible-element certificate against the order without it ------
@@ -859,6 +870,35 @@ def _small_gfp_rings() -> dict:
 
 
 SMALL_GFP_RINGS = _small_gfp_rings()
+
+
+def _large_prime_rings() -> dict:
+    rings = {"galois-67-2": galois_skew_example(67, 2)}
+    for p in (67, 1009, 65521):
+        f = GF(p)
+        rings[f"m3-gf{p}"] = m3_example(f)
+        rings[f"mat3-gf{p}"] = full_matrix_algebra(f, 3)
+        rings[f"split-gf{p}"] = _cyclic_group_algebra_ungraded(f, 2)
+        rings[f"split-swap-gf{p}"] = _split_twisted_by_the_swap(f)
+        rings[f"local-gf{p}"] = _square_zero_radical_in_units(f)
+        rings[f"local-sign-gf{p}"] = _local_twisted_by_the_sign(f)
+    return rings
+
+
+LARGE_PRIME_RINGS = _large_prime_rings()
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_PRIME_RINGS))
+def test_root_shifts_agree_with_the_sampled_shifts_past_p_64(name):
+    # past p = 64 the reference samples sixteen shifts where is_simple takes
+    # the roots of the characteristic polynomial, and no quick trials run
+    # first, so the reports differ; a decided verdict of one may never
+    # contradict a decided verdict of the other
+    alg = LARGE_PRIME_RINGS[name]
+    actions = [component_action(alg, g) for g in range(alg.group.order) if alg.comp_dims[g]]
+    for action in actions + [regular_bimodule_action(alg), graded_regular_action(alg)]:
+        got, want = is_simple(action).verdict, reference_is_simple(action).verdict
+        assert got is want or not (got.decided and want.decided), action
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GFP_RINGS))

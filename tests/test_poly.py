@@ -102,9 +102,9 @@ def test_minimal_polynomial_over_both_fields():
     assert minimal_polynomial(jordan) == [1, 2, 1]  # (x - 2)^2 = x^2 + 2x + 1
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([GF(2), GF(3), GF(1009), RATIONALS]),
+    st.sampled_from([GF(2), GF(3), GF(67), GF(1009), GF(65521), RATIONALS]),
     st.integers(1, 5),
     st.sampled_from([0, 0.2, 1]),
     st.integers(0, 2**30 - 1),
@@ -124,6 +124,21 @@ def test_minimal_polynomial_is_the_least_monic_annihilator(field, n, density, se
     flats = [m.flatten() for m in powers]
     assert not any(field.combine(coeffs, flats))
     assert textbook_rref(field, flats[:k])[1] == k
+    p = field.p
+    if not p:
+        return
+    # what `bimodule.is_simple` reads from the characteristic polynomial
+    # chi: it is irreducible exactly when the minimal polynomial is
+    # irreducible of degree n, and its roots are the singular shifts
+    chi = characteristic_polynomial(p, mat.entries)
+    assert is_irreducible(p, chi) is (k == n and is_irreducible(p, coeffs))
+    if p <= 67:
+        rows = mat.entries
+        shift = lambda lam: [
+            [(x - lam * (i == j)) % p for j, x in enumerate(r)] for i, r in enumerate(rows)
+        ]
+        singular = [lam for lam in range(p) if textbook_rref(field, shift(lam))[1] < n]
+        assert roots_mod(p, chi) == singular
 
 
 def _times(p, f, g):
